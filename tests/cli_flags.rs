@@ -100,11 +100,13 @@ fn a_flag_missing_its_value_is_rejected() {
 
 #[test]
 fn an_unknown_scheme_lists_the_valid_names_on_every_subcommand() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 6] = [
         &["estimate", "compress", "--scheme", "lut16"],
         &["estimate", "compress", "--compare", "lut16", "lut4"],
         &["profile-energy", "compress", "--scheme", "lut16"],
         &["profile-energy", "compress", "--compare", "lut4", "lut16"],
+        &["profile-cycles", "compress", "--scheme", "lut16"],
+        &["profile-cycles", "compress", "--compare", "lut16", "lut4"],
     ];
     for args in cases {
         let stderr = expect_rejection(args);
@@ -124,19 +126,21 @@ fn an_unknown_scheme_lists_the_valid_names_on_every_subcommand() {
 
 #[test]
 fn estimate_rejects_mutually_exclusive_flags() {
-    let stderr = expect_rejection(&[
-        "estimate",
-        "compress",
-        "--scheme",
-        "lut4",
-        "--compare",
-        "lut4",
-        "naive",
-    ]);
-    assert!(
-        stderr.contains("--scheme and --compare are mutually exclusive"),
-        "got: {stderr}"
-    );
+    for command in ["estimate", "profile-energy", "profile-cycles"] {
+        let stderr = expect_rejection(&[
+            command,
+            "compress",
+            "--scheme",
+            "lut4",
+            "--compare",
+            "lut4",
+            "naive",
+        ]);
+        assert!(
+            stderr.contains("--scheme and --compare are mutually exclusive"),
+            "`fua {command}`: got: {stderr}"
+        );
+    }
     let stderr = expect_rejection(&[
         "estimate",
         "compress",
@@ -149,6 +153,49 @@ fn estimate_rejects_mutually_exclusive_flags() {
         stderr.contains("--verify and --compare are mutually exclusive"),
         "got: {stderr}"
     );
+}
+
+#[test]
+fn json_output_parses_and_carries_requested_sections() {
+    use fua::trace::Json;
+    // (args, top-level keys the document must carry).
+    let cases: [(&[&str], &[&str]); 7] = [
+        (&["fig1", "--json", "--limit", "2000"], &[]),
+        (&["synth", "--json", "--limit", "2000"], &[]),
+        (&["chip", "--json", "--limit", "2000"], &[]),
+        (&["figure4", "ialu", "--json", "--limit", "2000"], &[]),
+        (&["run", "compress", "--json", "--limit", "2000"], &[]),
+        (
+            &["headline", "--json", "--metrics", "--limit", "2000"],
+            &["report", "metrics"],
+        ),
+        (
+            &["run", "compress", "--json", "--metrics", "--limit", "2000"],
+            &["metrics"],
+        ),
+    ];
+    for (args, keys) in cases {
+        let out = fua(args);
+        assert!(
+            out.status.success(),
+            "`fua {}` must succeed",
+            args.join(" ")
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let doc = Json::parse(&stdout).unwrap_or_else(|e| {
+            panic!(
+                "`fua {}`: stdout is not JSON: {e}\n{stdout}",
+                args.join(" ")
+            )
+        });
+        for key in keys {
+            assert!(
+                doc.get(key).is_some(),
+                "`fua {}`: document lacks `{key}`",
+                args.join(" ")
+            );
+        }
+    }
 }
 
 #[test]
