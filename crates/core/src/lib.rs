@@ -30,7 +30,6 @@ mod chip;
 mod config;
 mod fig1;
 mod figure4;
-#[cfg(feature = "json")]
 mod json;
 mod observe;
 mod sensitivity;
@@ -46,7 +45,6 @@ pub use figure4::{
     figure4, figure4_jobs, figure4_with_profile, figure4_with_profile_jobs, headline,
     headline_from, headline_jobs, Figure4, Figure4Row, Headline, SwapVariant,
 };
-#[cfg(feature = "json")]
 pub use json::{Json, ToJson};
 pub use observe::{observed_scheme, suite_metrics};
 pub use sensitivity::{swap_sensitivity, SensitivityRow, SwapSensitivity};

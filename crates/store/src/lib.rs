@@ -325,10 +325,27 @@ fn entry_from_json(e: &Json, path: &Path) -> Result<IndexEntry, StoreError> {
             message: format!("entry field `{name}` is not an unsigned integer"),
         })
     };
+    // Keys name object files and are sliced for display, so only the
+    // exact shape `StoreKey::hex` writes is accepted.
+    let key_field = |name: &str| -> Result<String, StoreError> {
+        let value = str_field(name)?;
+        if value.len() == 32
+            && value
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
+            Ok(value)
+        } else {
+            Err(StoreError::Index {
+                path: path.to_path_buf(),
+                message: format!("entry field `{name}` is not 32 lowercase hex digits: `{value}`"),
+            })
+        }
+    };
     Ok(IndexEntry {
         seq: u64_field("seq")?,
-        key: str_field("key")?,
-        content: str_field("content")?,
+        key: key_field("key")?,
+        content: key_field("content")?,
         tag: str_field("tag")?,
         bench_schema: str_field("bench_schema")?,
         bytes: u64_field("bytes")?,
@@ -861,6 +878,20 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("index.json"), "{msg}");
         assert!(msg.contains(STORE_SCHEMA), "{msg}");
+
+        // Keys that are not the 32-hex-digit form the store writes.
+        let hex = "0123456789abcdef0123456789abcdef";
+        for (key, content, field) in [("abc", hex, "key"), (hex, &"g".repeat(32)[..], "content")] {
+            let index = format!(
+                "{{\"schema\": \"{STORE_SCHEMA}\", \"entries\": [{{\"seq\": 1, \
+                 \"key\": \"{key}\", \"content\": \"{content}\", \"tag\": \"t\", \
+                 \"bench_schema\": \"fua-bench/1.6\", \"bytes\": 1}}]}}"
+            );
+            fs::write(dir.join("index.json"), index).unwrap();
+            let msg = store.entries().unwrap_err().to_string();
+            assert!(msg.contains("index.json"), "{msg}");
+            assert!(msg.contains(&format!("`{field}`")), "{msg}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

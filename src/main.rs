@@ -72,6 +72,7 @@
 //! findings), so `fua run --json`, `fua trace --out` and the report
 //! commands compose cleanly with pipes.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 mod cli;
@@ -80,20 +81,24 @@ use cli::{
     bench_config, config, dispatch, help, parse_options, parse_scheme, profile_workloads,
     unknown_workload, usage, Cmd, Options, StoreAction, DEFAULT_LIMIT, PROFILE_DEFAULT_LIMIT,
 };
+use fua::attr::Scheme;
 use fua::core::{
     chip_estimate, figure4_jobs, headline_jobs, profile_suite, routing_example,
-    static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, Unit,
+    static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, ChipEstimate,
+    ExperimentConfig, Figure4, Headline, Json, RoutingExample, StaticSwapComparison,
+    SwapSensitivity, SynthesisReport, ToJson, Unit, WorkloadBreakdown,
 };
 use fua::exec::{enable_heartbeat, heartbeat_stage};
 use fua::isa::FuClass;
 use fua::report::{
-    bench_suite_jobs, compare, trends, BenchReport, Severity, Tolerance, TrendError,
+    bench_suite_jobs, compare, trends, BenchReport, Finding, Severity, Tolerance, TrendError,
     DEFAULT_WINDOW_CYCLES,
 };
 use fua::sim::{MachineConfig, Simulator, SteeringConfig};
 use fua::stats::TextTable;
 use fua::steer::SteeringKind;
 use fua::store::{IndexEntry, Store};
+use fua::trace::MetricsRegistry;
 
 // With `--features harness-obs` every allocation in the binary routes
 // through the counting wrapper, so `harness-report` and the BENCH
@@ -104,74 +109,47 @@ use fua::store::{IndexEntry, Store};
 #[global_allocator]
 static COUNTING_ALLOC: fua::obs::CountingAlloc = fua::obs::CountingAlloc;
 
-#[cfg(not(feature = "trace"))]
-fn warn_missing_trace_feature(opts: &Options) {
-    if opts.metrics || opts.out.is_some() || opts.last.is_some() {
-        eprintln!(
-            "warning: this binary was built without the `trace` feature; \
-             --metrics/--out/--last are ignored"
-        );
-    }
-}
+/// What every command returns: `Ok(false)` when one of its gates
+/// failed (the command already said why on stdout), `Err` for an error
+/// `main` prints to stderr. Both exit nonzero.
+type CmdResult = Result<bool, String>;
 
-#[cfg(feature = "trace")]
-fn warn_missing_trace_feature(_opts: &Options) {}
-
-fn cmd_tables(opts: &Options) {
+fn cmd_tables(opts: &Options) -> CmdResult {
     let p = profile_suite(&config(opts));
     println!("{}", p.table1());
     println!("{}", p.table2());
     println!("{}", p.table3());
+    Ok(true)
 }
 
-#[cfg(feature = "json")]
-fn emit<T: fua::core::ToJson>(value: &T, rendered: String, json: bool) {
-    if json {
-        println!("{}", value.to_json().pretty());
-    } else {
-        println!("{rendered}");
-    }
-}
-
-#[cfg(not(feature = "json"))]
-fn emit<T>(_value: &T, rendered: String, json: bool) {
-    if json {
-        eprintln!("warning: this binary was built without the `json` feature; emitting text");
-    }
-    println!("{rendered}");
-}
-
-/// Runs each unit's suite with a metrics recorder attached.
-#[cfg(feature = "trace")]
+/// Per-unit metrics snapshots, one suite run with a recorder attached
+/// per unit; empty unless `--metrics` was given.
 fn unit_metrics(
     units: &[Unit],
-    cfg: &fua::core::ExperimentConfig,
-) -> Vec<(Unit, fua::trace::MetricsRegistry)> {
+    cfg: &ExperimentConfig,
+    opts: &Options,
+) -> Vec<(Unit, MetricsRegistry)> {
+    if !opts.metrics {
+        return Vec::new();
+    }
     units
         .iter()
         .map(|&u| (u, fua::core::suite_metrics(u, cfg)))
         .collect()
 }
 
-#[cfg(feature = "trace")]
-fn print_metrics_text(metrics: &[(Unit, fua::trace::MetricsRegistry)]) {
-    for (unit, registry) in metrics {
-        println!("\nmetrics — {unit} suite under 4-bit LUT + hardware swap:\n{registry}");
-    }
-}
-
-/// Like [`emit`], but carries per-unit metrics snapshots: JSON output
-/// wraps the report as `{"report": ..., "metrics": {...}}`, text output
-/// appends the rendered registries.
-#[cfg(all(feature = "json", feature = "trace"))]
-fn emit_with_metrics<T: fua::core::ToJson>(
+/// Prints a report as JSON or as its text rendering. With metrics, JSON
+/// output wraps the report as `{"report": ..., "metrics": {...}}` and
+/// text output appends the rendered registries.
+fn emit<T: ToJson>(
     value: &T,
-    rendered: String,
-    metrics: &[(Unit, fua::trace::MetricsRegistry)],
+    render: impl FnOnce(&T) -> String,
+    metrics: &[(Unit, MetricsRegistry)],
     json: bool,
-) {
-    use fua::core::{Json, ToJson};
-    if json {
+) -> CmdResult {
+    if json && metrics.is_empty() {
+        println!("{}", value.to_json().pretty());
+    } else if json {
         let m = Json::Obj(
             metrics
                 .iter()
@@ -181,59 +159,43 @@ fn emit_with_metrics<T: fua::core::ToJson>(
         let doc = Json::obj([("report", value.to_json()), ("metrics", m)]);
         println!("{}", doc.pretty());
     } else {
-        println!("{rendered}");
-        print_metrics_text(metrics);
+        println!("{}", render(value));
+        for (unit, registry) in metrics {
+            println!("\nmetrics — {unit} suite under 4-bit LUT + hardware swap:\n{registry}");
+        }
     }
+    Ok(true)
 }
 
-#[cfg(all(not(feature = "json"), feature = "trace"))]
-fn emit_with_metrics<T>(
-    _value: &T,
-    rendered: String,
-    metrics: &[(Unit, fua::trace::MetricsRegistry)],
-    json: bool,
-) {
-    if json {
-        eprintln!("warning: this binary was built without the `json` feature; emitting text");
-    }
-    println!("{rendered}");
-    print_metrics_text(metrics);
-}
-
-fn cmd_figure4(unit: Unit, opts: &Options) {
+fn cmd_figure4(unit: Unit, opts: &Options) -> CmdResult {
     let cfg = config(opts);
     heartbeat_stage("figure4: scheme sweep");
     let fig = figure4_jobs(unit, &cfg, opts.jobs);
-    let rendered = fig.render();
-    #[cfg(feature = "trace")]
-    if opts.metrics {
-        let metrics = unit_metrics(&[unit], &cfg);
-        emit_with_metrics(&fig, rendered, &metrics, opts.json);
-        return;
-    }
-    emit(&fig, rendered, opts.json);
+    emit(
+        &fig,
+        Figure4::render,
+        &unit_metrics(&[unit], &cfg, opts),
+        opts.json,
+    )
 }
 
-fn cmd_headline(opts: &Options) {
+fn cmd_headline(opts: &Options) -> CmdResult {
     let cfg = config(opts);
     heartbeat_stage("headline: scheme sweeps");
     let h = headline_jobs(&cfg, opts.jobs);
-    let rendered = format!(
-        "IALU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~17%)\n\
-         FPAU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~18%)\n\
-         IALU 4-bit LUT + hw + compiler swap: {:>6.1}%   (paper ~26%)",
-        h.ialu_pct, h.fpau_pct, h.ialu_compiler_pct
-    );
-    #[cfg(feature = "trace")]
-    if opts.metrics {
-        let metrics = unit_metrics(&[Unit::Ialu, Unit::Fpau], &cfg);
-        emit_with_metrics(&h, rendered, &metrics, opts.json);
-        return;
-    }
-    emit(&h, rendered, opts.json);
+    let render = |h: &Headline| {
+        format!(
+            "IALU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~17%)\n\
+             FPAU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~18%)\n\
+             IALU 4-bit LUT + hw + compiler swap: {:>6.1}%   (paper ~26%)",
+            h.ialu_pct, h.fpau_pct, h.ialu_compiler_pct
+        )
+    };
+    let metrics = unit_metrics(&[Unit::Ialu, Unit::Fpau], &cfg, opts);
+    emit(&h, render, &metrics, opts.json)
 }
 
-fn cmd_workloads(opts: &Options) {
+fn cmd_workloads(opts: &Options) -> CmdResult {
     let mut t = TextTable::new(["name", "category", "static insts", "description"]);
     for w in fua::workloads::all(opts.scale) {
         t.push_row([
@@ -244,6 +206,7 @@ fn cmd_workloads(opts: &Options) {
         ]);
     }
     println!("{t}");
+    Ok(true)
 }
 
 /// Renders an abstract bit as `0`, `1`, or `?`.
@@ -255,7 +218,7 @@ fn bit_glyph(bit: fua::analysis::AbsBit) -> &'static str {
     }
 }
 
-fn cmd_analyze(name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_analyze(name: &str, opts: &Options) -> CmdResult {
     let w = fua::workloads::by_name(name, opts.scale)
         .ok_or_else(|| unknown_workload(name, opts.scale))?;
     let analysis = fua::analysis::InfoBitAnalysis::run(&w.program);
@@ -294,7 +257,7 @@ fn cmd_analyze(name: &str, opts: &Options) -> Result<(), String> {
          {definite}/{with_fu} FU instructions with a definite case",
         w.name
     );
-    Ok(())
+    Ok(true)
 }
 
 fn lint_one(w: &fua::workloads::Workload) -> usize {
@@ -309,7 +272,7 @@ fn lint_one(w: &fua::workloads::Workload) -> usize {
     lints.len()
 }
 
-fn cmd_lint(name: Option<&str>, opts: &Options) -> Result<bool, String> {
+fn cmd_lint(name: Option<&str>, opts: &Options) -> CmdResult {
     let total = match name {
         Some(n) => {
             let w = fua::workloads::by_name(n, opts.scale)
@@ -324,7 +287,7 @@ fn cmd_lint(name: Option<&str>, opts: &Options) -> Result<bool, String> {
     Ok(total == 0)
 }
 
-fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_run(name: &str, opts: &Options) -> CmdResult {
     let w = fua::workloads::by_name(name, opts.scale)
         .ok_or_else(|| unknown_workload(name, opts.scale))?;
     let class = match w.category {
@@ -335,36 +298,23 @@ fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
 
     // Baseline run — with `--metrics` it carries a recorder so the
     // snapshot can be cross-checked against the ledger.
-    let baseline;
-    #[cfg(feature = "trace")]
-    let mut registry: Option<fua::trace::MetricsRegistry> = None;
-    #[cfg(feature = "trace")]
-    {
-        if opts.metrics {
-            let mut sim = Simulator::with_sink(
-                MachineConfig::paper_default(),
-                SteeringConfig::original(),
-                fua::trace::MetricsRecorder::new(),
-            );
-            baseline = sim
-                .run_program(&w.program, limit)
-                .map_err(|e| e.to_string())?;
-            registry = Some(sim.into_sink().into_registry());
-        } else {
-            let mut sim =
-                Simulator::new(MachineConfig::paper_default(), SteeringConfig::original());
-            baseline = sim
-                .run_program(&w.program, limit)
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let mut sim = Simulator::new(MachineConfig::paper_default(), SteeringConfig::original());
-        baseline = sim
+    let (baseline, registry) = if opts.metrics {
+        let mut sim = Simulator::with_sink(
+            MachineConfig::paper_default(),
+            SteeringConfig::original(),
+            fua::trace::MetricsRecorder::new(),
+        );
+        let r = sim
             .run_program(&w.program, limit)
             .map_err(|e| e.to_string())?;
-    }
+        (r, Some(sim.into_sink().into_registry()))
+    } else {
+        let mut sim = Simulator::new(MachineConfig::paper_default(), SteeringConfig::original());
+        let r = sim
+            .run_program(&w.program, limit)
+            .map_err(|e| e.to_string())?;
+        (r, None)
+    };
 
     // (label, switched bits, reduction vs baseline) per scheme.
     let mut rows: Vec<(String, u64, Option<f64>)> = vec![(
@@ -390,9 +340,7 @@ fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
         ));
     }
 
-    #[cfg(feature = "json")]
     if opts.json {
-        use fua::core::{Json, ToJson};
         let schemes = Json::Arr(
             rows.iter()
                 .map(|(label, bits, red)| {
@@ -404,7 +352,6 @@ fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
                 })
                 .collect(),
         );
-        #[cfg_attr(not(feature = "trace"), allow(unused_mut))]
         let mut fields = vec![
             ("workload".to_string(), Json::Str(w.name.to_string())),
             ("class".to_string(), Json::Str(class.to_string())),
@@ -418,16 +365,11 @@ fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
             ("ledger".to_string(), baseline.ledger.to_json()),
             ("schemes".to_string(), schemes),
         ];
-        #[cfg(feature = "trace")]
         if let Some(reg) = &registry {
             fields.push(("metrics".to_string(), reg.to_json()));
         }
         println!("{}", Json::Obj(fields).pretty());
-        return Ok(());
-    }
-    #[cfg(not(feature = "json"))]
-    if opts.json {
-        eprintln!("warning: this binary was built without the `json` feature; emitting text");
+        return Ok(true);
     }
 
     println!(
@@ -452,15 +394,13 @@ fn cmd_run(name: &str, opts: &Options) -> Result<(), String> {
         ]);
     }
     println!("{t}");
-    #[cfg(feature = "trace")]
     if let Some(reg) = &registry {
         println!("metrics — baseline (Original) run:\n{reg}");
     }
-    Ok(())
+    Ok(true)
 }
 
 /// One-line rendering of a trace event for the terminal tail view.
-#[cfg(feature = "trace")]
 fn fmt_event(e: &fua::trace::TraceEvent) -> String {
     use fua::trace::TraceEvent as E;
     match *e {
@@ -563,9 +503,8 @@ fn fmt_event(e: &fua::trace::TraceEvent) -> String {
     }
 }
 
-#[cfg(feature = "trace")]
-fn cmd_trace(name: &str, opts: &Options) -> Result<(), String> {
-    use fua::trace::{ChromeTraceSink, Json, MetricsRecorder, RingBufferSink, WindowedSink};
+fn cmd_trace(name: &str, opts: &Options) -> CmdResult {
+    use fua::trace::{ChromeTraceSink, MetricsRecorder, RingBufferSink, WindowedSink};
 
     let w = fua::workloads::by_name(name, opts.scale)
         .ok_or_else(|| unknown_workload(name, opts.scale))?;
@@ -641,25 +580,46 @@ fn cmd_trace(name: &str, opts: &Options) -> Result<(), String> {
              --last N sizes the tail)"
         );
     }
-    Ok(())
+    Ok(true)
 }
 
-#[cfg(not(feature = "trace"))]
-fn cmd_trace(_name: &str, _opts: &Options) -> Result<(), String> {
-    Err("`fua trace` requires the `trace` feature (rebuild with `--features trace`)".into())
-}
-
-fn write_flame(path: &str, runs: &[fua::attr::AttributedRun]) -> Result<(), String> {
-    let mut stacks = String::new();
-    for run in runs {
-        stacks.push_str(&run.attribution.collapsed_stacks());
-    }
+/// Writes the concatenated collapsed stacks of a profiler's runs to
+/// `path`, logging the line count under the command's name.
+fn write_flame(
+    command: &str,
+    path: &str,
+    stacks: impl Iterator<Item = String>,
+) -> Result<(), String> {
+    let stacks: String = stacks.collect();
     std::fs::write(path, &stacks).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!(
-        "profile-energy: wrote {} collapsed-stack line(s) to {path}",
+        "{command}: wrote {} collapsed-stack line(s) to {path}",
         stacks.lines().count()
     );
     Ok(())
+}
+
+/// The shared preamble of `estimate`, `profile-energy` and
+/// `profile-cycles`: rejects `--scheme` with `--compare`, then resolves
+/// the `<workload|all>` argument and the schemes to run — `--scheme`
+/// (default 4-bit LUT) alone, or `--compare`'s A with its B.
+fn profile_inputs(
+    name: &str,
+    opts: &Options,
+) -> Result<(Vec<fua::workloads::Workload>, Scheme, Option<Scheme>), String> {
+    if opts.scheme.is_some() && opts.compare.is_some() {
+        return Err("--scheme and --compare are mutually exclusive".into());
+    }
+    let workloads = profile_workloads(name, opts.scale)?;
+    Ok(match (&opts.compare, opts.scheme.as_deref()) {
+        (Some((a, b)), _) => (
+            workloads,
+            parse_scheme("--compare", a)?,
+            Some(parse_scheme("--compare", b)?),
+        ),
+        (None, Some(s)) => (workloads, parse_scheme("--scheme", s)?, None),
+        (None, None) => (workloads, Scheme::Lut4, None),
+    })
 }
 
 /// Checks every run's exact-partition invariant, logging per workload.
@@ -747,21 +707,16 @@ fn breakdown_table(runs: &[fua::attr::AttributedRun]) -> TextTable {
     table
 }
 
-fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_profile_energy(name: &str, opts: &Options) -> CmdResult {
     use fua::attr::{attribute_suite, AttributionDiff};
-    use fua::trace::Json;
 
-    if opts.scheme.is_some() && opts.compare.is_some() {
-        return Err("--scheme and --compare are mutually exclusive".into());
-    }
-    let workloads = profile_workloads(name, opts.scale)?;
+    let (workloads, scheme, compare_to) = profile_inputs(name, opts)?;
     let limit = opts.limit.unwrap_or(PROFILE_DEFAULT_LIMIT);
     let top = opts.top.unwrap_or(10);
     heartbeat_stage("profile-energy: attributing");
 
-    if let Some((name_a, name_b)) = &opts.compare {
-        let scheme_a = parse_scheme("--compare", name_a)?;
-        let scheme_b = parse_scheme("--compare", name_b)?;
+    if let Some(scheme_b) = compare_to {
+        let scheme_a = scheme;
         eprintln!(
             "profile-energy: comparing {} vs {} over {} workload(s) (limit {limit}, {} job(s))",
             scheme_a.label(),
@@ -845,15 +800,12 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
         if let Some(path) = &opts.flame {
             // The flamegraph shows where the energy still goes under
             // scheme B (the "after" profile of the comparison).
-            write_flame(path, &runs_b)?;
+            let stacks = runs_b.iter().map(|r| r.attribution.collapsed_stacks());
+            write_flame("profile-energy", path, stacks)?;
         }
-        return Ok(());
+        return Ok(true);
     }
 
-    let scheme = match opts.scheme.as_deref() {
-        Some(s) => parse_scheme("--scheme", s)?,
-        None => fua::attr::Scheme::Lut4,
-    };
     eprintln!(
         "profile-energy: attributing {} workload(s) under {} (limit {limit}, {} job(s))",
         workloads.len(),
@@ -873,23 +825,10 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> Result<(), String> {
         println!("{}", breakdown_table(&runs));
     }
     if let Some(path) = &opts.flame {
-        write_flame(path, &runs)?;
+        let stacks = runs.iter().map(|r| r.attribution.collapsed_stacks());
+        write_flame("profile-energy", path, stacks)?;
     }
-    Ok(())
-}
-
-/// Writes the cycle-side collapsed stacks of `runs` to `path`.
-fn write_cycle_flame(path: &str, runs: &[fua::attr::CycleProfiledRun]) -> Result<(), String> {
-    let mut stacks = String::new();
-    for run in runs {
-        stacks.push_str(&run.cycles.collapsed_stacks());
-    }
-    std::fs::write(path, &stacks).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!(
-        "profile-cycles: wrote {} collapsed-stack line(s) to {path}",
-        stacks.lines().count()
-    );
-    Ok(())
+    Ok(true)
 }
 
 /// Checks every run's exact-partition invariants (ledger and issue
@@ -1075,8 +1014,7 @@ fn print_critical_path(run: &fua::attr::CycleProfiledRun, top: usize) {
 
 /// One cycle-profiled run as a JSON document: the slot attribution,
 /// the critical path, and the joint energy × cycles rows.
-fn cycle_run_json(run: &fua::attr::CycleProfiledRun, top: usize) -> fua::trace::Json {
-    use fua::trace::Json;
+fn cycle_run_json(run: &fua::attr::CycleProfiledRun, top: usize) -> Json {
     let joint = Json::Arr(
         fua::attr::joint_table(&run.energy, &run.cycles, top)
             .iter()
@@ -1101,21 +1039,17 @@ fn cycle_run_json(run: &fua::attr::CycleProfiledRun, top: usize) -> fua::trace::
     ])
 }
 
-fn cmd_profile_cycles(name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_profile_cycles(name: &str, opts: &Options) -> CmdResult {
     use fua::attr::profile_cycles_suite;
-    use fua::trace::{Json, StallReason};
+    use fua::trace::StallReason;
 
-    if opts.scheme.is_some() && opts.compare.is_some() {
-        return Err("--scheme and --compare are mutually exclusive".into());
-    }
-    let workloads = profile_workloads(name, opts.scale)?;
+    let (workloads, scheme, compare_to) = profile_inputs(name, opts)?;
     let limit = opts.limit.unwrap_or(PROFILE_DEFAULT_LIMIT);
     let top = opts.top.unwrap_or(10);
     heartbeat_stage("profile-cycles: attributing");
 
-    if let Some((name_a, name_b)) = &opts.compare {
-        let scheme_a = parse_scheme("--compare", name_a)?;
-        let scheme_b = parse_scheme("--compare", name_b)?;
+    if let Some(scheme_b) = compare_to {
+        let scheme_a = scheme;
         eprintln!(
             "profile-cycles: comparing {} vs {} over {} workload(s) (limit {limit}, {} job(s))",
             scheme_a.label(),
@@ -1215,15 +1149,12 @@ fn cmd_profile_cycles(name: &str, opts: &Options) -> Result<(), String> {
         if let Some(path) = &opts.flame {
             // The flamegraph shows where the cycles still go under
             // scheme B (the "after" profile of the comparison).
-            write_cycle_flame(path, &runs_b)?;
+            let stacks = runs_b.iter().map(|r| r.cycles.collapsed_stacks());
+            write_flame("profile-cycles", path, stacks)?;
         }
-        return Ok(());
+        return Ok(true);
     }
 
-    let scheme = match opts.scheme.as_deref() {
-        Some(s) => parse_scheme("--scheme", s)?,
-        None => fua::attr::Scheme::Lut4,
-    };
     eprintln!(
         "profile-cycles: attributing {} workload(s) under {} (limit {limit}, {} job(s))",
         workloads.len(),
@@ -1254,9 +1185,10 @@ fn cmd_profile_cycles(name: &str, opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(path) = &opts.flame {
-        write_cycle_flame(path, &runs)?;
+        let stacks = runs.iter().map(|r| r.cycles.collapsed_stacks());
+        write_flame("profile-cycles", path, stacks)?;
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Renders a [`SwapModel`](fua::analysis::SwapModel) for logs and JSON.
@@ -1353,12 +1285,7 @@ fn estimate_summary_table(ests: &[(String, fua::analysis::TransitionEstimate)]) 
 }
 
 /// One workload's estimate as a JSON document.
-fn estimate_json(
-    scheme: fua::attr::Scheme,
-    workload: &str,
-    est: &fua::analysis::TransitionEstimate,
-) -> fua::trace::Json {
-    use fua::trace::Json;
+fn estimate_json(scheme: Scheme, workload: &str, est: &fua::analysis::TransitionEstimate) -> Json {
     let labels = estimate_block_labels(est);
     let (bounded, definite) = est.coverage();
     let class_bits = est.class_bits_per_pass();
@@ -1422,8 +1349,7 @@ fn estimate_json(
 }
 
 /// One soundness check as a JSON document (the `--verify` row shape).
-fn estimate_check_json(c: &fua::attr::EstimateCheck) -> fua::trace::Json {
-    use fua::trace::Json;
+fn estimate_check_json(c: &fua::attr::EstimateCheck) -> Json {
     Json::obj([
         ("workload", Json::Str(c.workload.clone())),
         ("scheme", Json::Str(c.scheme.clone())),
@@ -1465,14 +1391,15 @@ fn estimate_check_json(c: &fua::attr::EstimateCheck) -> fua::trace::Json {
 /// attribution for every scheme under test and gates on soundness.
 fn cmd_estimate_verify(
     workloads: &[fua::workloads::Workload],
+    scheme: Scheme,
     opts: &Options,
-) -> Result<(), String> {
-    use fua::attr::{check_suite, EstimateCheck, Scheme};
-    use fua::trace::Json;
+) -> CmdResult {
+    use fua::attr::{check_suite, EstimateCheck};
 
-    let schemes: Vec<Scheme> = match opts.scheme.as_deref() {
-        Some(s) => vec![parse_scheme("--scheme", s)?],
-        None => Scheme::ALL.to_vec(),
+    let schemes = if opts.scheme.is_some() {
+        vec![scheme]
+    } else {
+        Scheme::ALL.to_vec()
     };
     let limit = opts.limit.unwrap_or(PROFILE_DEFAULT_LIMIT);
     eprintln!(
@@ -1532,31 +1459,25 @@ fn cmd_estimate_verify(
             "{violations} static bound(s) violated by the measured attribution"
         ));
     }
-    Ok(())
+    Ok(true)
 }
 
-fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_estimate(name: &str, opts: &Options) -> CmdResult {
     use fua::analysis::{estimate_transitions, TransitionEstimate};
-    use fua::attr::Scheme;
     use fua::exec::map_indexed;
-    use fua::trace::Json;
 
-    if opts.scheme.is_some() && opts.compare.is_some() {
-        return Err("--scheme and --compare are mutually exclusive".into());
-    }
-    if opts.verify && opts.compare.is_some() {
+    let (workloads, scheme, compare_to) = profile_inputs(name, opts)?;
+    if opts.verify && compare_to.is_some() {
         return Err("--verify and --compare are mutually exclusive".into());
     }
-    let workloads = profile_workloads(name, opts.scale)?;
     heartbeat_stage("estimate: bounding");
 
     if opts.verify {
-        return cmd_estimate_verify(&workloads, opts);
+        return cmd_estimate_verify(&workloads, scheme, opts);
     }
 
-    if let Some((name_a, name_b)) = &opts.compare {
-        let scheme_a = parse_scheme("--compare", name_a)?;
-        let scheme_b = parse_scheme("--compare", name_b)?;
+    if let Some(scheme_b) = compare_to {
+        let scheme_a = scheme;
         eprintln!(
             "estimate: bounding {} workload(s), {} vs {} ({} job(s))",
             workloads.len(),
@@ -1608,13 +1529,9 @@ fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
             );
             println!("{t}");
         }
-        return Ok(());
+        return Ok(true);
     }
 
-    let scheme = match opts.scheme.as_deref() {
-        Some(s) => parse_scheme("--scheme", s)?,
-        None => Scheme::Lut4,
-    };
     let model = scheme.swap_model();
     eprintln!(
         "estimate: bounding {} workload(s) under {} ({} operand order, {} job(s))",
@@ -1634,7 +1551,7 @@ fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
                 .collect(),
         );
         println!("{}", doc.pretty());
-        return Ok(());
+        return Ok(true);
     }
 
     for (w, est) in &ests {
@@ -1666,7 +1583,7 @@ fn cmd_estimate(name: &str, opts: &Options) -> Result<(), String> {
         );
         println!("{}", estimate_summary_table(&ests));
     }
-    Ok(())
+    Ok(true)
 }
 
 fn load_bench(path: &str) -> Result<BenchReport, String> {
@@ -1676,7 +1593,7 @@ fn load_bench(path: &str) -> Result<BenchReport, String> {
         .map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_bench_suite(opts: &Options) -> Result<(), String> {
+fn cmd_bench_suite(opts: &Options) -> CmdResult {
     let tag = opts.tag.as_deref().unwrap_or("local");
     let cfg = bench_config(opts);
     let window = opts.window.unwrap_or(DEFAULT_WINDOW_CYCLES);
@@ -1691,10 +1608,8 @@ fn cmd_bench_suite(opts: &Options) -> Result<(), String> {
     let mut rendered = report.to_json().pretty();
     rendered.push('\n');
     let destination = if opts.use_store() {
-        let store =
-            Store::open(std::path::Path::new(opts.store_root())).map_err(|e| e.to_string())?;
-        let receipt = store
-            .put(&rendered, std::path::Path::new("bench-suite"))
+        let receipt = open_store(opts)?
+            .put(&rendered, Path::new("bench-suite"))
             .map_err(|e| e.to_string())?;
         format!(
             "run #{} (key {}{}) to {}",
@@ -1750,7 +1665,24 @@ fn cmd_bench_suite(opts: &Options) -> Result<(), String> {
     if !report.stalls.as_ref().is_some_and(|s| s.exact) {
         return Err("stall partition did not account every issue slot".into());
     }
-    Ok(())
+    Ok(true)
+}
+
+/// Opens the run store `--store-dir` names (default `.fua-store`).
+fn open_store(opts: &Options) -> Result<Store, String> {
+    Store::open(Path::new(opts.store_root())).map_err(|e| e.to_string())
+}
+
+/// Prints one line per comparison or trend finding, regressions
+/// flagged.
+fn print_findings(findings: &[Finding]) {
+    for f in findings {
+        let tag = match f.severity {
+            Severity::Regression => "REGRESSION",
+            Severity::Info => "info",
+        };
+        println!("{tag:<10} [{}] {}", f.category, f.message);
+    }
 }
 
 /// The newest stored run's manifest-key history, parsed in sequence
@@ -1778,16 +1710,14 @@ fn store_history(store: &Store) -> Result<Vec<(IndexEntry, BenchReport)>, String
         .collect()
 }
 
-fn cmd_report(opts: &Options) -> Result<bool, String> {
+fn cmd_report(opts: &Options) -> CmdResult {
     if opts.use_store() && (opts.baseline.is_some() || opts.current.is_some()) {
         return Err("report --store picks both artifacts from the run store; \
                     it cannot be combined with --baseline/--current"
             .into());
     }
     let (baseline, current) = if opts.use_store() {
-        let store =
-            Store::open(std::path::Path::new(opts.store_root())).map_err(|e| e.to_string())?;
-        let mut history = store_history(&store)?;
+        let mut history = store_history(&open_store(opts)?)?;
         if history.len() < 2 {
             return Err(format!(
                 "report --store needs two stored runs of the newest configuration, \
@@ -1826,13 +1756,7 @@ fn cmd_report(opts: &Options) -> Result<bool, String> {
     };
 
     let cmp = compare(&baseline, &current, &Tolerance::default());
-    for f in &cmp.findings {
-        let tag = match f.severity {
-            Severity::Regression => "REGRESSION",
-            Severity::Info => "info",
-        };
-        println!("{tag:<10} [{}] {}", f.category, f.message);
-    }
+    print_findings(&cmp.findings);
     println!(
         "{}: {} finding(s), {} regression(s) vs baseline \"{}\"",
         if cmp.passed() { "PASS" } else { "FAIL" },
@@ -1843,14 +1767,14 @@ fn cmd_report(opts: &Options) -> Result<bool, String> {
     Ok(cmp.passed())
 }
 
-fn cmd_store(action: &StoreAction, opts: &Options) -> Result<(), String> {
-    let store = Store::open(std::path::Path::new(opts.store_root())).map_err(|e| e.to_string())?;
+fn cmd_store(action: &StoreAction, opts: &Options) -> CmdResult {
+    let store = open_store(opts)?;
     match action {
         StoreAction::Ls => {
             let entries = store.entries().map_err(|e| e.to_string())?;
             if entries.is_empty() {
                 println!("store at {} is empty", store.root().display());
-                return Ok(());
+                return Ok(true);
             }
             let mut table = TextTable::new(["seq", "key", "tag", "schema", "bytes"]);
             for e in &entries {
@@ -1879,7 +1803,7 @@ fn cmd_store(action: &StoreAction, opts: &Options) -> Result<(), String> {
         StoreAction::Put(file) => {
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let receipt = store
-                .put(&text, std::path::Path::new(file))
+                .put(&text, Path::new(file))
                 .map_err(|e| e.to_string())?;
             println!(
                 "stored run #{} (key {}, tag \"{}\", {} bytes{})",
@@ -1902,12 +1826,11 @@ fn cmd_store(action: &StoreAction, opts: &Options) -> Result<(), String> {
             );
         }
     }
-    Ok(())
+    Ok(true)
 }
 
-fn cmd_trends(opts: &Options) -> Result<bool, String> {
-    let store = Store::open(std::path::Path::new(opts.store_root())).map_err(|e| e.to_string())?;
-    let history = store_history(&store)?;
+fn cmd_trends(opts: &Options) -> CmdResult {
+    let history = store_history(&open_store(opts)?)?;
     let points: Vec<(String, BenchReport)> = history
         .into_iter()
         .map(|(entry, report)| (format!("#{} {}", entry.seq, entry.tag), report))
@@ -1943,13 +1866,7 @@ fn cmd_trends(opts: &Options) -> Result<bool, String> {
         trend.labels.last().map(String::as_str).unwrap_or("-")
     );
     println!("{table}");
-    for f in &trend.findings {
-        let tag = match f.severity {
-            Severity::Regression => "REGRESSION",
-            Severity::Info => "info",
-        };
-        println!("{tag:<10} [{}] {}", f.category, f.message);
-    }
+    print_findings(&trend.findings);
     println!(
         "{}: {} finding(s), {} regression(s) on the newest run",
         if trend.passed() { "PASS" } else { "FAIL" },
@@ -2001,7 +1918,7 @@ fn flame_frame(label: &str) -> String {
 /// folded stacks) goes to stderr and the opt-in side files:
 /// `--out` (Perfetto timeline), `--flame` (folded stacks),
 /// `--openmetrics` (text exposition).
-fn cmd_harness_report(opts: &Options) -> Result<(), String> {
+fn cmd_harness_report(opts: &Options) -> CmdResult {
     let cfg = bench_config(opts);
     let workloads = fua::workloads::all(cfg.scale);
     eprintln!(
@@ -2054,25 +1971,19 @@ fn cmd_harness_report(opts: &Options) -> Result<(), String> {
     // --- Deterministic stdout report -----------------------------------
     if opts.json {
         let alloc_json = match allocs {
-            Some((a, b)) => fua::trace::Json::obj([
-                ("allocs", fua::trace::Json::UInt(a)),
-                ("bytes", fua::trace::Json::UInt(b)),
-            ]),
-            None => fua::trace::Json::Null,
+            Some((a, b)) => Json::obj([("allocs", Json::UInt(a)), ("bytes", Json::UInt(b))]),
+            None => Json::Null,
         };
         let stage = |arena: &fua::obs::ArenaCounters| {
-            fua::trace::Json::obj([
-                ("cells", fua::trace::Json::UInt(workloads.len() as u64)),
-                ("cycles", fua::trace::Json::UInt(serial_cycles)),
-                ("retired", fua::trace::Json::UInt(retired)),
-                ("arena_leases", fua::trace::Json::UInt(arena.leases)),
+            Json::obj([
+                ("cells", Json::UInt(workloads.len() as u64)),
+                ("cycles", Json::UInt(serial_cycles)),
+                ("retired", Json::UInt(retired)),
+                ("arena_leases", Json::UInt(arena.leases)),
             ])
         };
-        let doc = fua::trace::Json::obj([
-            (
-                "schema",
-                fua::trace::Json::Str("fua-harness-report/1".into()),
-            ),
+        let doc = Json::obj([
+            ("schema", Json::Str("fua-harness-report/1".into())),
             ("serial_pass", stage(&serial_arena)),
             ("parallel_sweep", stage(&parallel_arena)),
             ("serial_pass_allocations", alloc_json),
@@ -2208,7 +2119,7 @@ fn cmd_harness_report(opts: &Options) -> Result<(), String> {
         );
     }
 
-    Ok(())
+    Ok(true)
 }
 
 fn main() -> ExitCode {
@@ -2247,7 +2158,6 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    warn_missing_trace_feature(&opts);
     if opts.progress && !opts.quiet {
         enable_heartbeat(std::time::Duration::from_secs(2));
     }
@@ -2255,128 +2165,56 @@ fn main() -> ExitCode {
     let Some(cmd) = dispatch(command, &subs) else {
         return usage();
     };
-    match cmd {
+    let result = match cmd {
         Cmd::Tables => cmd_tables(&opts),
         Cmd::Figure4(unit) => cmd_figure4(unit, &opts),
         Cmd::Headline => cmd_headline(&opts),
-        Cmd::Fig1 => {
-            let ex = routing_example();
-            let rendered = ex.render();
-            emit(&ex, rendered, opts.json);
-        }
-        Cmd::Synth => {
-            let report = synthesis_report();
-            let rendered = report.render();
-            emit(&report, rendered, opts.json);
-        }
-        Cmd::Chip => {
-            let est = chip_estimate(&config(&opts));
-            let rendered = est.render();
-            emit(&est, rendered, opts.json);
-        }
-        Cmd::Breakdown(unit) => {
-            let b = workload_breakdown(unit, &config(&opts));
-            let rendered = b.render();
-            emit(&b, rendered, opts.json);
-        }
-        Cmd::Sensitivity => {
-            let s = swap_sensitivity(&config(&opts));
-            let rendered = s.render();
-            emit(&s, rendered, opts.json);
-        }
-        Cmd::StaticSwap(unit) => {
-            let c = static_swap_comparison(unit, &config(&opts));
-            let rendered = c.render();
-            emit(&c, rendered, opts.json);
-        }
-        Cmd::Analyze(name) => {
-            if let Err(e) = cmd_analyze(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::Lint(name) => match cmd_lint(name.as_deref(), &opts) {
-            Ok(clean) => {
-                if !clean {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Cmd::Fig1 => emit(&routing_example(), RoutingExample::render, &[], opts.json),
+        Cmd::Synth => emit(&synthesis_report(), SynthesisReport::render, &[], opts.json),
+        Cmd::Chip => emit(
+            &chip_estimate(&config(&opts)),
+            ChipEstimate::render,
+            &[],
+            opts.json,
+        ),
+        Cmd::Breakdown(unit) => emit(
+            &workload_breakdown(unit, &config(&opts)),
+            WorkloadBreakdown::render,
+            &[],
+            opts.json,
+        ),
+        Cmd::Sensitivity => emit(
+            &swap_sensitivity(&config(&opts)),
+            SwapSensitivity::render,
+            &[],
+            opts.json,
+        ),
+        Cmd::StaticSwap(unit) => emit(
+            &static_swap_comparison(unit, &config(&opts)),
+            StaticSwapComparison::render,
+            &[],
+            opts.json,
+        ),
+        Cmd::Analyze(name) => cmd_analyze(&name, &opts),
+        Cmd::Lint(name) => cmd_lint(name.as_deref(), &opts),
         Cmd::Workloads => cmd_workloads(&opts),
-        Cmd::Run(name) => {
-            if let Err(e) = cmd_run(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::Trace(name) => {
-            if let Err(e) = cmd_trace(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::Estimate(name) => {
-            if let Err(e) = cmd_estimate(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::ProfileEnergy(name) => {
-            if let Err(e) = cmd_profile_energy(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::ProfileCycles(name) => {
-            if let Err(e) = cmd_profile_cycles(&name, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::BenchSuite => {
-            if let Err(e) = cmd_bench_suite(&opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::Report => match cmd_report(&opts) {
-            Ok(passed) => {
-                if !passed {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Cmd::Store(action) => {
-            if let Err(e) = cmd_store(&action, &opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Cmd::Trends => match cmd_trends(&opts) {
-            Ok(passed) => {
-                if !passed {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Cmd::HarnessReport => {
-            if let Err(e) = cmd_harness_report(&opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        Cmd::Run(name) => cmd_run(&name, &opts),
+        Cmd::Trace(name) => cmd_trace(&name, &opts),
+        Cmd::Estimate(name) => cmd_estimate(&name, &opts),
+        Cmd::ProfileEnergy(name) => cmd_profile_energy(&name, &opts),
+        Cmd::ProfileCycles(name) => cmd_profile_cycles(&name, &opts),
+        Cmd::BenchSuite => cmd_bench_suite(&opts),
+        Cmd::Report => cmd_report(&opts),
+        Cmd::Store(action) => cmd_store(&action, &opts),
+        Cmd::Trends => cmd_trends(&opts),
+        Cmd::HarnessReport => cmd_harness_report(&opts),
+    };
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

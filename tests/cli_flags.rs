@@ -278,4 +278,24 @@ fn store_subcommands_validate_their_arguments() {
         stderr.contains("no stored artifact matches `7`"),
         "got: {stderr}"
     );
+
+    // A hand-edited index with a short key is an error naming the
+    // index, not a panic.
+    let dir = std::env::temp_dir().join(format!("fua-storeidx-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let hex = "0123456789abcdef0123456789abcdef";
+    let index = format!(
+        "{{\"schema\": \"{}\", \"entries\": [{{\"seq\": 1, \"key\": \"abc\", \
+         \"content\": \"{hex}\", \"tag\": \"t\", \"bench_schema\": \"fua-bench/1.6\", \
+         \"bytes\": 1}}]}}",
+        fua::store::STORE_SCHEMA
+    );
+    std::fs::write(dir.join("index.json"), index).unwrap();
+    let out = fua(&["store", "ls", "--store-dir", dir.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.stdout.is_empty(), "got: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "got: {stderr}");
+    assert!(stderr.contains("error:"), "got: {stderr}");
+    assert!(stderr.contains("index.json"), "got: {stderr}");
 }
