@@ -23,28 +23,14 @@ use fua_core::{
     ExperimentConfig, Figure4, Figure4Row, Unit,
 };
 
-use crate::{expect_f64, expect_str, expect_u64, ReportError, RunManifest};
+use crate::{
+    array, expect_bool, expect_f64, expect_str, expect_u64, fixed, numbers, section, ReportError,
+    RunManifest,
+};
 
-/// The artifact schema identifier; bump on any breaking shape change.
-/// Minor bumps (`/1` → `/1.1` → … → `/1.6`) add optional sections
-/// only; this build still reads every schema in [`BENCH_SCHEMAS_READ`].
+/// The artifact schema identifier, the only one this build reads; bump
+/// it on any change to the artifact's shape. Every section is required.
 pub const BENCH_SCHEMA: &str = "fua-bench/1.6";
-
-/// Every schema version this build can read. `fua-bench/1` artifacts
-/// (pre-`parallel` section) parse with `parallel: None`; pre-1.2
-/// artifacts parse with `attribution: None`; pre-1.3 artifacts parse
-/// with `estimator: None`; pre-1.4 artifacts parse with `stalls: None`;
-/// pre-1.5 artifacts parse with `throughput: None`; pre-1.6 artifacts
-/// parse with `harness: None`.
-pub const BENCH_SCHEMAS_READ: [&str; 7] = [
-    "fua-bench/1",
-    "fua-bench/1.1",
-    "fua-bench/1.2",
-    "fua-bench/1.3",
-    "fua-bench/1.4",
-    "fua-bench/1.5",
-    "fua-bench/1.6",
-];
 
 /// Hotspots recorded in the artifact's `attribution` section (the
 /// suite-wide top-N by switched bits).
@@ -395,19 +381,21 @@ pub struct BenchReport {
     pub phase_nanos: PhaseNanos,
     /// Windowed-telemetry summary and exactness verdict.
     pub telemetry: TelemetrySummary,
-    /// Simulated-throughput headline (`None` for pre-1.5 artifacts).
+    // The six sections below are required in every parsed artifact.
+    // They stay `Option` so a report built in memory without one still
+    // renders; `compare` flags such a report as a `schema-shape`
+    // regression.
+    /// Simulated-throughput headline.
     pub throughput: Option<ThroughputSummary>,
-    /// Energy-attribution digest (`None` for pre-1.2 artifacts).
+    /// Energy-attribution digest.
     pub attribution: Option<AttributionSummary>,
-    /// Cycle-attribution (stall) digest (`None` for pre-1.4 artifacts).
+    /// Cycle-attribution (stall) digest.
     pub stalls: Option<StallSummary>,
-    /// Static-estimator soundness/precision digest (`None` for pre-1.3
-    /// artifacts).
+    /// Static-estimator soundness/precision digest.
     pub estimator: Option<EstimatorSummary>,
-    /// Executor accounting (`None` for pre-1.1 artifacts).
+    /// Executor accounting.
     pub parallel: Option<ParallelSummary>,
-    /// Harness self-observability digest (`None` for pre-1.6
-    /// artifacts).
+    /// Harness self-observability digest.
     pub harness: Option<HarnessSummary>,
 }
 
@@ -684,36 +672,29 @@ fn unit_to_json(unit: &UnitFigure) -> Json {
     ])
 }
 
-fn unit_from_json(json: &Json, field: &str) -> Result<UnitFigure, ReportError> {
-    let unit = json.get(field).ok_or_else(|| ReportError::missing(field))?;
-    let rows = unit
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing("rows"))?
-        .iter()
-        .map(|r| {
-            Ok(Figure4Row {
-                scheme: expect_str(r, "scheme")?.to_string(),
-                base_pct: expect_f64(r, "base_pct")?,
-                hardware_pct: expect_f64(r, "hardware_pct")?,
-                hardware_compiler_pct: expect_f64(r, "hardware_compiler_pct")?,
-                compiler_only_pct: expect_f64(r, "compiler_only_pct")?,
-            })
+fn unit_from_json(unit: &Json) -> Result<UnitFigure, ReportError> {
+    let rows = array(unit, "rows", |r| {
+        Ok(Figure4Row {
+            scheme: expect_str(r, "scheme")?.to_string(),
+            base_pct: expect_f64(r, "base_pct")?,
+            hardware_pct: expect_f64(r, "hardware_pct")?,
+            hardware_compiler_pct: expect_f64(r, "hardware_compiler_pct")?,
+            compiler_only_pct: expect_f64(r, "compiler_only_pct")?,
         })
-        .collect::<Result<Vec<_>, ReportError>>()?;
+    })?;
+    // `UnitFigure::row` finds a scheme's first row, so a repeated
+    // scheme would hide every later row from the gate.
+    if rows
+        .iter()
+        .enumerate()
+        .any(|(i, r)| rows[..i].iter().any(|p| p.scheme == r.scheme))
+    {
+        return Err(ReportError::mistyped("rows"));
+    }
     Ok(UnitFigure {
         baseline_switched_bits: expect_u64(unit, "baseline_switched_bits")?,
         rows,
     })
-}
-
-fn f64_array(json: &Json, field: &str) -> Result<Vec<f64>, ReportError> {
-    json.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing(field))?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| ReportError::mistyped(field)))
-        .collect()
 }
 
 fn throughput_to_json(t: &ThroughputSummary) -> Json {
@@ -731,15 +712,12 @@ fn throughput_to_json(t: &ThroughputSummary) -> Json {
     ])
 }
 
-fn throughput_from_json(json: &Json) -> Result<Option<ThroughputSummary>, ReportError> {
-    let Some(t) = json.get("throughput") else {
-        return Ok(None);
-    };
-    Ok(Some(ThroughputSummary {
+fn throughput_from_json(t: &Json) -> Result<ThroughputSummary, ReportError> {
+    Ok(ThroughputSummary {
         cycles: expect_u64(t, "cycles")?,
         instructions: expect_u64(t, "instructions")?,
         hot_nanos: expect_u64(t, "hot_nanos")?,
-    }))
+    })
 }
 
 fn attribution_to_json(a: &AttributionSummary) -> Json {
@@ -771,27 +749,13 @@ fn attribution_to_json(a: &AttributionSummary) -> Json {
     ])
 }
 
-fn attribution_from_json(json: &Json) -> Result<Option<AttributionSummary>, ReportError> {
-    let Some(a) = json.get("attribution") else {
-        return Ok(None);
-    };
-    let bits = a
-        .get("switched_bits")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing("attribution.switched_bits"))?
-        .iter()
-        .map(Json::as_u64)
-        .collect::<Option<Vec<u64>>>()
-        .ok_or_else(|| ReportError::mistyped("attribution.switched_bits"))?;
-    if bits.len() != 4 {
-        return Err(ReportError::mistyped("attribution.switched_bits"));
-    }
-    let top_hotspots = a
-        .get("top_hotspots")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing("attribution.top_hotspots"))?
-        .iter()
-        .map(|h| {
+fn attribution_from_json(a: &Json) -> Result<AttributionSummary, ReportError> {
+    Ok(AttributionSummary {
+        scheme: expect_str(a, "scheme")?.to_string(),
+        sites: expect_u64(a, "sites")?,
+        switched_bits: fixed(a, "switched_bits", Json::as_u64)?,
+        exact: expect_bool(a, "exact")?,
+        top_hotspots: array(a, "top_hotspots", |h| {
             Ok(HotspotEntry {
                 workload: expect_str(h, "workload")?.to_string(),
                 pc: expect_u64(h, "pc")?,
@@ -799,18 +763,8 @@ fn attribution_from_json(json: &Json) -> Result<Option<AttributionSummary>, Repo
                 bits: expect_u64(h, "bits")?,
                 share_pct: expect_f64(h, "share_pct")?,
             })
-        })
-        .collect::<Result<Vec<_>, ReportError>>()?;
-    Ok(Some(AttributionSummary {
-        scheme: expect_str(a, "scheme")?.to_string(),
-        sites: expect_u64(a, "sites")?,
-        switched_bits: [bits[0], bits[1], bits[2], bits[3]],
-        exact: a
-            .get("exact")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ReportError::missing("attribution.exact"))?,
-        top_hotspots,
-    }))
+        })?,
+    })
 }
 
 fn stalls_to_json(s: &StallSummary) -> Json {
@@ -832,28 +786,21 @@ fn stalls_to_json(s: &StallSummary) -> Json {
     ])
 }
 
-fn stalls_from_json(json: &Json) -> Result<Option<StallSummary>, ReportError> {
-    let Some(s) = json.get("stalls") else {
-        return Ok(None);
-    };
-    let mix_obj = s
-        .get("mix")
-        .ok_or_else(|| ReportError::missing("stalls.mix"))?;
-    let mut mix = [0u64; 8];
-    for reason in StallReason::ALL {
-        mix[reason.index()] = expect_u64(mix_obj, reason.name())?;
-    }
-    Ok(Some(StallSummary {
+fn stalls_from_json(s: &Json) -> Result<StallSummary, ReportError> {
+    Ok(StallSummary {
         scheme: expect_str(s, "scheme")?.to_string(),
         issue_width: expect_u64(s, "issue_width")?,
         cycles: expect_u64(s, "cycles")?,
         slots: expect_u64(s, "slots")?,
-        exact: s
-            .get("exact")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ReportError::missing("stalls.exact"))?,
-        mix,
-    }))
+        exact: expect_bool(s, "exact")?,
+        mix: section(s, "mix", |m| {
+            let mut mix = [0u64; 8];
+            for reason in StallReason::ALL {
+                mix[reason.index()] = expect_u64(m, reason.name())?;
+            }
+            Ok(mix)
+        })?,
+    })
 }
 
 fn estimator_to_json(e: &EstimatorSummary) -> Json {
@@ -879,32 +826,20 @@ fn estimator_to_json(e: &EstimatorSummary) -> Json {
     )])
 }
 
-fn estimator_from_json(json: &Json) -> Result<Option<EstimatorSummary>, ReportError> {
-    let Some(e) = json.get("estimator") else {
-        return Ok(None);
-    };
-    let entries = e
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing("estimator.entries"))?
-        .iter()
-        .map(|entry| {
-            Ok(EstimatorEntry {
-                scheme: expect_str(entry, "scheme")?.to_string(),
-                sound: entry
-                    .get("sound")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ReportError::missing("estimator.sound"))?,
-                pcs: expect_u64(entry, "pcs")?,
-                bound_bits: expect_u64(entry, "bound_bits")?,
-                actual_bits: expect_u64(entry, "actual_bits")?,
-                mean_ratio: expect_f64(entry, "mean_ratio")?,
-                worst_ratio: expect_f64(entry, "worst_ratio")?,
-                worst_block: expect_str(entry, "worst_block")?.to_string(),
-            })
+fn estimator_from_json(e: &Json) -> Result<EstimatorSummary, ReportError> {
+    let entries = array(e, "entries", |entry| {
+        Ok(EstimatorEntry {
+            scheme: expect_str(entry, "scheme")?.to_string(),
+            sound: expect_bool(entry, "sound")?,
+            pcs: expect_u64(entry, "pcs")?,
+            bound_bits: expect_u64(entry, "bound_bits")?,
+            actual_bits: expect_u64(entry, "actual_bits")?,
+            mean_ratio: expect_f64(entry, "mean_ratio")?,
+            worst_ratio: expect_f64(entry, "worst_ratio")?,
+            worst_block: expect_str(entry, "worst_block")?.to_string(),
         })
-        .collect::<Result<Vec<_>, ReportError>>()?;
-    Ok(Some(EstimatorSummary { entries }))
+    })?;
+    Ok(EstimatorSummary { entries })
 }
 
 fn parallel_to_json(p: &ParallelSummary) -> Json {
@@ -928,27 +863,17 @@ fn parallel_to_json(p: &ParallelSummary) -> Json {
     ])
 }
 
-fn parallel_from_json(json: &Json) -> Result<Option<ParallelSummary>, ReportError> {
-    let Some(p) = json.get("parallel") else {
-        return Ok(None);
-    };
-    let workers = p
-        .get("workers")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReportError::missing("parallel.workers"))?
-        .iter()
-        .map(|w| {
+fn parallel_from_json(p: &Json) -> Result<ParallelSummary, ReportError> {
+    Ok(ParallelSummary {
+        jobs: expect_u64(p, "jobs")?,
+        wall_nanos: expect_u64(p, "wall_nanos")?,
+        workers: array(p, "workers", |w| {
             Ok(WorkerNanos {
                 cells: expect_u64(w, "cells")?,
                 nanos: expect_u64(w, "nanos")?,
             })
-        })
-        .collect::<Result<Vec<_>, ReportError>>()?;
-    Ok(Some(ParallelSummary {
-        jobs: expect_u64(p, "jobs")?,
-        wall_nanos: expect_u64(p, "wall_nanos")?,
-        workers,
-    }))
+        })?,
+    })
 }
 
 fn harness_to_json(h: &HarnessSummary) -> Json {
@@ -965,27 +890,20 @@ fn harness_to_json(h: &HarnessSummary) -> Json {
     Json::Obj(fields)
 }
 
-fn harness_from_json(json: &Json) -> Result<Option<HarnessSummary>, ReportError> {
-    let Some(h) = json.get("harness") else {
-        return Ok(None);
-    };
-    // `allocs_per_kcycle` is optional within the section: most builds
-    // run without the counting allocator installed.
-    let allocs_per_kcycle = match h.get("allocs_per_kcycle") {
-        None => None,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or_else(|| ReportError::mistyped("harness.allocs_per_kcycle"))?,
-        ),
-    };
-    Ok(Some(HarnessSummary {
+fn harness_from_json(h: &Json) -> Result<HarnessSummary, ReportError> {
+    Ok(HarnessSummary {
         jobs: expect_u64(h, "jobs")?,
         busy_fraction: expect_f64(h, "busy_fraction")?,
         imbalance: expect_f64(h, "imbalance")?,
-        allocs_per_kcycle,
+        // Optional within the section: it exists only when the
+        // counting allocator is installed.
+        allocs_per_kcycle: h
+            .get("allocs_per_kcycle")
+            .map(|_| expect_f64(h, "allocs_per_kcycle"))
+            .transpose()?,
         arena_leases: expect_u64(h, "arena_leases")?,
         arena_fresh: expect_u64(h, "arena_fresh")?,
-    }))
+    })
 }
 
 impl BenchReport {
@@ -1106,81 +1024,57 @@ impl BenchReport {
     ///
     /// # Errors
     ///
-    /// Returns a [`ReportError`] on schema mismatch or the first missing
-    /// or mistyped field.
+    /// Returns a [`ReportError`] if the schema is not [`BENCH_SCHEMA`],
+    /// or naming the path of the first missing or mistyped field.
     pub fn from_json(json: &Json) -> Result<Self, ReportError> {
         let schema = expect_str(json, "schema")?;
-        if !BENCH_SCHEMAS_READ.contains(&schema) {
+        if schema != BENCH_SCHEMA {
             return Err(ReportError::Schema {
                 found: schema.to_string(),
-                expected: &BENCH_SCHEMAS_READ,
+                expected: BENCH_SCHEMA,
             });
         }
-        let manifest = RunManifest::from_json(
-            json.get("manifest")
-                .ok_or_else(|| ReportError::missing("manifest"))?,
-        )?;
-        let headline = json
-            .get("headline")
-            .ok_or_else(|| ReportError::missing("headline"))?;
-        let table1 = json
-            .get("table1")
-            .ok_or_else(|| ReportError::missing("table1"))?;
-        let table2 = json
-            .get("table2")
-            .ok_or_else(|| ReportError::missing("table2"))?;
-        let phases = json
-            .get("phase_nanos")
-            .ok_or_else(|| ReportError::missing("phase_nanos"))?;
-        let mut phase_nanos = [0u64; 5];
-        for (slot, phase) in phase_nanos.iter_mut().zip(SimPhase::ALL) {
-            *slot = expect_u64(phases, phase.name())?;
-        }
-        let telemetry = json
-            .get("telemetry")
-            .ok_or_else(|| ReportError::missing("telemetry"))?;
-        let bits = telemetry
-            .get("switched_bits")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ReportError::missing("telemetry.switched_bits"))?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<u64>>>()
-            .ok_or_else(|| ReportError::mistyped("telemetry.switched_bits"))?;
-        if bits.len() != 4 {
-            return Err(ReportError::mistyped("telemetry.switched_bits"));
-        }
+        let float = |object: &str, field: &str| section(json, object, |o| expect_f64(o, field));
         Ok(BenchReport {
-            manifest,
-            ialu: unit_from_json(json, "figure4_ialu")?,
-            fpau: unit_from_json(json, "figure4_fpau")?,
-            headline_ialu_pct: expect_f64(headline, "ialu_pct")?,
-            headline_fpau_pct: expect_f64(headline, "fpau_pct")?,
-            headline_ialu_compiler_pct: expect_f64(headline, "ialu_compiler_pct")?,
+            manifest: section(json, "manifest", RunManifest::from_json)?,
+            ialu: section(json, "figure4_ialu", unit_from_json)?,
+            fpau: section(json, "figure4_fpau", unit_from_json)?,
+            headline_ialu_pct: float("headline", "ialu_pct")?,
+            headline_fpau_pct: float("headline", "fpau_pct")?,
+            headline_ialu_compiler_pct: float("headline", "ialu_compiler_pct")?,
             operands: OperandAggregates {
-                ialu_ones_frac_info0: expect_f64(table1, "ialu_ones_frac_info0")?,
-                ialu_ones_frac_info1: expect_f64(table1, "ialu_ones_frac_info1")?,
-                fpau_info0_fraction: expect_f64(table1, "fpau_info0_fraction")?,
-                fpau_ones_frac_info0: expect_f64(table1, "fpau_ones_frac_info0")?,
+                ialu_ones_frac_info0: float("table1", "ialu_ones_frac_info0")?,
+                ialu_ones_frac_info1: float("table1", "ialu_ones_frac_info1")?,
+                fpau_info0_fraction: float("table1", "fpau_info0_fraction")?,
+                fpau_ones_frac_info0: float("table1", "fpau_ones_frac_info0")?,
             },
-            ialu_occupancy: f64_array(table2, "ialu_occupancy")?,
-            fpau_occupancy: f64_array(table2, "fpau_occupancy")?,
-            phase_nanos: PhaseNanos(phase_nanos),
-            telemetry: TelemetrySummary {
-                window_cycles: expect_u64(telemetry, "window_cycles")?,
-                windows: expect_u64(telemetry, "windows")?,
-                switched_bits: [bits[0], bits[1], bits[2], bits[3]],
-                exact: telemetry
-                    .get("exact")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ReportError::missing("telemetry.exact"))?,
-            },
-            throughput: throughput_from_json(json)?,
-            attribution: attribution_from_json(json)?,
-            stalls: stalls_from_json(json)?,
-            estimator: estimator_from_json(json)?,
-            parallel: parallel_from_json(json)?,
-            harness: harness_from_json(json)?,
+            ialu_occupancy: section(json, "table2", |t| {
+                numbers(t, "ialu_occupancy", Json::as_f64)
+            })?,
+            fpau_occupancy: section(json, "table2", |t| {
+                numbers(t, "fpau_occupancy", Json::as_f64)
+            })?,
+            phase_nanos: section(json, "phase_nanos", |p| {
+                let mut nanos = [0u64; 5];
+                for (slot, phase) in nanos.iter_mut().zip(SimPhase::ALL) {
+                    *slot = expect_u64(p, phase.name())?;
+                }
+                Ok(PhaseNanos(nanos))
+            })?,
+            telemetry: section(json, "telemetry", |t| {
+                Ok(TelemetrySummary {
+                    window_cycles: expect_u64(t, "window_cycles")?,
+                    windows: expect_u64(t, "windows")?,
+                    switched_bits: fixed(t, "switched_bits", Json::as_u64)?,
+                    exact: expect_bool(t, "exact")?,
+                })
+            })?,
+            throughput: Some(section(json, "throughput", throughput_from_json)?),
+            attribution: Some(section(json, "attribution", attribution_from_json)?),
+            stalls: Some(section(json, "stalls", stalls_from_json)?),
+            estimator: Some(section(json, "estimator", estimator_from_json)?),
+            parallel: Some(section(json, "parallel", parallel_from_json)?),
+            harness: Some(section(json, "harness", harness_from_json)?),
         })
     }
 }
@@ -1324,116 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_1_artifacts_without_a_parallel_section_still_parse() {
-        let report = bench_suite("old", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1".into());
-            fields.retain(|(name, _)| {
-                name != "parallel"
-                    && name != "attribution"
-                    && name != "estimator"
-                    && name != "stalls"
-                    && name != "throughput"
-                    && name != "harness"
-            });
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.parallel, None);
-        assert_eq!(parsed.harness, None);
-        assert_eq!(parsed.attribution, None);
-        assert_eq!(parsed.estimator, None);
-        assert_eq!(parsed.stalls, None);
-        assert_eq!(parsed.ialu, report.ialu);
-    }
-
-    #[test]
-    fn schema_1_1_artifacts_without_an_attribution_section_still_parse() {
-        let report = bench_suite("mid", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1.1".into());
-            fields.retain(|(name, _)| {
-                name != "attribution"
-                    && name != "estimator"
-                    && name != "stalls"
-                    && name != "throughput"
-                    && name != "harness"
-            });
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.attribution, None);
-        assert_eq!(parsed.estimator, None);
-        assert_eq!(parsed.stalls, None);
-        assert!(parsed.parallel.is_some(), "1.1 already had parallel");
-        assert_eq!(parsed.telemetry, report.telemetry);
-    }
-
-    #[test]
-    fn schema_1_2_artifacts_without_an_estimator_section_still_parse() {
-        let report = bench_suite("prev", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1.2".into());
-            fields.retain(|(name, _)| {
-                name != "estimator" && name != "stalls" && name != "throughput" && name != "harness"
-            });
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.estimator, None);
-        assert_eq!(parsed.stalls, None);
-        assert!(parsed.attribution.is_some(), "1.2 already had attribution");
-        assert_eq!(parsed.telemetry, report.telemetry);
-    }
-
-    #[test]
-    fn schema_1_3_artifacts_without_a_stalls_section_still_parse() {
-        let report = bench_suite("prev13", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1.3".into());
-            fields
-                .retain(|(name, _)| name != "stalls" && name != "throughput" && name != "harness");
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.stalls, None);
-        assert_eq!(parsed.throughput, None);
-        assert!(parsed.estimator.is_some(), "1.3 already had estimator");
-        assert!(parsed.attribution.is_some());
-        assert_eq!(parsed.telemetry, report.telemetry);
-    }
-
-    #[test]
-    fn schema_1_4_artifacts_without_a_throughput_section_still_parse() {
-        let report = bench_suite("prev14", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1.4".into());
-            fields.retain(|(name, _)| name != "throughput" && name != "harness");
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.throughput, None);
-        assert!(parsed.stalls.is_some(), "1.4 already had stalls");
-        assert!(parsed.estimator.is_some());
-        assert_eq!(parsed.telemetry, report.telemetry);
-    }
-
-    #[test]
-    fn schema_1_5_artifacts_without_a_harness_section_still_parse() {
-        let report = bench_suite("prev15", &tiny_config(), 512);
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Str("fua-bench/1.5".into());
-            fields.retain(|(name, _)| name != "harness");
-        }
-        let parsed = BenchReport::from_json(&json).unwrap();
-        assert_eq!(parsed.harness, None);
-        assert!(parsed.throughput.is_some(), "1.5 already had throughput");
-        assert!(parsed.stalls.is_some());
-        assert_eq!(parsed.telemetry, report.telemetry);
-    }
-
-    #[test]
     fn an_allocs_figure_survives_the_round_trip_when_present() {
         let mut report = bench_suite("withallocs", &tiny_config(), 512);
         report.harness.as_mut().unwrap().allocs_per_kcycle = Some(12.5);
@@ -1452,5 +1236,89 @@ mod tests {
         }
         let err = BenchReport::from_json(&json).unwrap_err();
         assert!(err.to_string().contains("fua-bench/999"), "{err}");
+    }
+
+    /// The value at dot-separated `path` inside `json`.
+    fn at<'a>(json: &'a mut Json, path: &str) -> &'a mut Json {
+        path.split('.').fold(json, |json, key| match json {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("`{key}` is not inside an object"),
+        })
+    }
+
+    #[test]
+    fn malformed_artifacts_are_rejected_naming_the_field_path() {
+        let base = bench_suite("bad", &tiny_config(), 512).to_json();
+        assert!(BenchReport::from_json(&base).is_ok());
+        let mut doubled = at(&mut base.clone(), "figure4_ialu.rows").clone();
+        if let Json::Arr(rows) = &mut doubled {
+            rows.push(rows[0].clone());
+        }
+        let missing = |f: &str| ReportError::MissingField(f.to_string());
+        let mistyped = |f: &str| ReportError::MistypedField(f.to_string());
+        // (path, replacement or `None` to remove the field, error).
+        let mut cases: Vec<(&str, Option<Json>, ReportError)> = [
+            "throughput",
+            "attribution",
+            "stalls",
+            "estimator",
+            "parallel",
+            "harness",
+        ]
+        .into_iter()
+        .map(|section| (section, None, missing(section)))
+        .collect();
+        cases.extend([
+            (
+                "schema",
+                Some(Json::Str("fua-bench/1.5".into())),
+                ReportError::Schema {
+                    found: "fua-bench/1.5".into(),
+                    expected: BENCH_SCHEMA,
+                },
+            ),
+            (
+                "figure4_ialu.rows",
+                Some(doubled),
+                mistyped("figure4_ialu.rows"),
+            ),
+            (
+                "manifest.scale",
+                Some(Json::UInt((1 << 32) + 1)),
+                mistyped("manifest.scale"),
+            ),
+            (
+                "manifest.machine.cache.size_bytes",
+                Some(Json::UInt((1 << 32) + 16384)),
+                mistyped("manifest.machine.cache.size_bytes"),
+            ),
+            ("stalls.mix.issued", None, missing("stalls.mix.issued")),
+            (
+                "phase_nanos.issue",
+                Some(Json::Str("fast".into())),
+                mistyped("phase_nanos.issue"),
+            ),
+            (
+                "attribution.switched_bits",
+                Some(Json::Arr(Vec::new())),
+                mistyped("attribution.switched_bits"),
+            ),
+        ]);
+        for (path, value, expected) in cases {
+            let mut json = base.clone();
+            match value {
+                Some(value) => *at(&mut json, path) = value,
+                None => {
+                    let (parent, leaf) = match path.rsplit_once('.') {
+                        Some((parent, leaf)) => (at(&mut json, parent), leaf),
+                        None => (&mut json, path),
+                    };
+                    if let Json::Obj(fields) = parent {
+                        fields.retain(|(k, _)| k != leaf);
+                    }
+                }
+            }
+            assert_eq!(BenchReport::from_json(&json), Err(expected), "{path}");
+        }
     }
 }

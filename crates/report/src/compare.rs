@@ -6,6 +6,9 @@
 //!
 //! - **Manifest** — configurations must be comparable; diffing a quick
 //!   run against a full run is meaningless and is itself a regression.
+//! - **Section presence** — every section the schema requires must be
+//!   present on both sides. A report built in memory without one is a
+//!   `schema-shape` regression, since that section's checks cannot run.
 //! - **Metric drift** — every Figure-4 percentage, headline number and
 //!   Table-1/2 aggregate must stay within `metric_pct` points of the
 //!   baseline. The model is deterministic, so an identical re-run drifts
@@ -25,22 +28,19 @@
 //!   energy-attribution digest: an inexact partition is a regression,
 //!   and when both artifacts carry the section, every baseline top
 //!   hotspot must still rank in the current list with its share of the
-//!   suite's switched bits inside the metric band. A missing section
-//!   (pre-1.2 artifact) on either side is informational only.
+//!   suite's switched bits inside the metric band.
 //! - **Stall-partition exactness & mix drift** — the cycle-attribution
 //!   digest: a stall partition that fails to account exactly
 //!   `cycles × issue_width` slots on either side is a hard regression,
 //!   and when both artifacts carry the section each stall reason's
 //!   share of the suite's issue bandwidth may drift by at most
-//!   `metric_pct` points. A missing section (pre-1.4 artifact) on
-//!   either side is informational only.
+//!   `metric_pct` points.
 //! - **Throughput** — the simulated-rate headline: suite IPC is a
 //!   deterministic model metric and is banded relatively by
 //!   `metric_pct`; the simulated-MHz figure divides model cycles by
 //!   measured wall-clock, so only a slowdown beyond `timer_factor` of
 //!   a run whose hot loop took at least `timer_floor_nanos` is
-//!   flagged. A missing section (pre-1.5 artifact) on either side is
-//!   informational only.
+//!   flagged.
 //! - **Harness health** — the harness self-observability digest:
 //!   worker utilization and allocation pressure are wall-clock
 //!   measurements, so they are gated only on a *collapse* — busy
@@ -50,15 +50,13 @@
 //!   different worker counts legitimately utilize differently, so
 //!   harness sections recording different `jobs` are skipped entirely
 //!   (no findings — `fua report` across `--jobs` values must diff to
-//!   zero). A missing section (pre-1.6 artifact) on either side is
-//!   informational only.
+//!   zero).
 //! - **Estimator soundness & precision** — the static switched-bit
 //!   estimator's digest: a violated bound (`sound: false`) on either
 //!   side is a hard regression regardless of tolerances, and when both
 //!   artifacts carry the section each scheme's mean and worst
 //!   bound/actual ratios may drift relatively by at most `metric_pct`
-//!   percent. A missing section (pre-1.3 artifact) on either side is
-//!   informational only.
+//!   percent.
 
 use crate::bench::BenchReport;
 use fua_sim::SimPhase;
@@ -300,6 +298,23 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
         };
     }
 
+    for (side, r) in [("baseline", baseline), ("current", current)] {
+        let present = [
+            ("throughput", r.throughput.is_some()),
+            ("attribution", r.attribution.is_some()),
+            ("stalls", r.stalls.is_some()),
+            ("estimator", r.estimator.is_some()),
+            ("parallel", r.parallel.is_some()),
+            ("harness", r.harness.is_some()),
+        ];
+        for (section, _) in present.into_iter().filter(|(_, p)| !p) {
+            chk.regression(
+                "schema-shape",
+                format!("{side} artifact has no {section} section"),
+            );
+        }
+    }
+
     check_unit(&mut chk, "IALU", &baseline.ialu, &current.ialu);
     check_unit(&mut chk, "FPAU", &baseline.fpau, &current.fpau);
 
@@ -385,55 +400,43 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
     // estimator ratios; the MHz figure divides by measured wall-clock,
     // so — exactly like the phase timers — only a gross slowdown of a
     // non-trivial run is gated.
-    match (&baseline.throughput, &current.throughput) {
-        (Some(b), Some(c)) => {
-            let (bi, ci) = (b.ipc(), c.ipc());
-            let drift_pct = if bi == 0.0 {
-                0.0
-            } else {
-                100.0 * (ci / bi - 1.0).abs()
-            };
-            if drift_pct > tol.metric_pct {
+    if let (Some(b), Some(c)) = (&baseline.throughput, &current.throughput) {
+        let (bi, ci) = (b.ipc(), c.ipc());
+        let drift_pct = if bi == 0.0 {
+            0.0
+        } else {
+            100.0 * (ci / bi - 1.0).abs()
+        };
+        if drift_pct > tol.metric_pct {
+            chk.regression(
+                "throughput-ipc",
+                format!(
+                    "suite IPC {ci:.4} vs baseline {bi:.4} \
+                     (drift {drift_pct:.3}% > {:.3}%)",
+                    tol.metric_pct
+                ),
+            );
+        } else if drift_pct > 0.0 {
+            chk.info(
+                "throughput-ipc",
+                format!("suite IPC {ci:.4} vs baseline {bi:.4} (within band)"),
+            );
+        }
+        if b.hot_nanos >= tol.timer_floor_nanos && c.sim_khz() > 0.0 {
+            let factor = b.sim_khz() / c.sim_khz();
+            if factor > tol.timer_factor {
                 chk.regression(
-                    "throughput-ipc",
+                    "sim-rate",
                     format!(
-                        "suite IPC {ci:.4} vs baseline {bi:.4} \
-                         (drift {drift_pct:.3}% > {:.3}%)",
-                        tol.metric_pct
+                        "simulated rate fell to {:.3} MHz from {:.3} MHz \
+                         ({factor:.1}x slower, limit {:.0}x)",
+                        c.sim_mhz(),
+                        b.sim_mhz(),
+                        tol.timer_factor
                     ),
                 );
-            } else if drift_pct > 0.0 {
-                chk.info(
-                    "throughput-ipc",
-                    format!("suite IPC {ci:.4} vs baseline {bi:.4} (within band)"),
-                );
-            }
-            if b.hot_nanos >= tol.timer_floor_nanos && c.sim_khz() > 0.0 {
-                let factor = b.sim_khz() / c.sim_khz();
-                if factor > tol.timer_factor {
-                    chk.regression(
-                        "sim-rate",
-                        format!(
-                            "simulated rate fell to {:.3} MHz from {:.3} MHz \
-                             ({factor:.1}x slower, limit {:.0}x)",
-                            c.sim_mhz(),
-                            b.sim_mhz(),
-                            tol.timer_factor
-                        ),
-                    );
-                }
             }
         }
-        // One side predates schema 1.5: nothing to diff, note it only.
-        (Some(_), None) => chk.info(
-            "throughput-ipc",
-            "current artifact has no throughput section (pre-1.5 schema)".to_string(),
-        ),
-        (None, Some(_)) => chk.info(
-            "throughput-ipc",
-            "baseline artifact has no throughput section (pre-1.5 schema)".to_string(),
-        ),
-        (None, None) => {}
     }
 
     for (side, report) in [("baseline", baseline), ("current", current)] {
@@ -483,153 +486,117 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
     // hottest PCs; a hotspot vanishing from the top list, or its share
     // of the suite's switched bits drifting past the metric band, means
     // the *location* of the energy changed even if the totals did not.
-    match (&baseline.attribution, &current.attribution) {
-        (Some(b), Some(c)) => {
-            for bh in &b.top_hotspots {
-                let found = c
-                    .top_hotspots
-                    .iter()
-                    .find(|ch| ch.workload == bh.workload && ch.pc == bh.pc);
-                match found {
-                    None => chk.regression(
-                        "hotspot-drift",
-                        format!(
-                            "hotspot {} pc{} ({:.3}% of suite bits in baseline) \
-                             left the current top-{} list",
-                            bh.workload,
-                            bh.pc,
-                            bh.share_pct,
-                            c.top_hotspots.len()
-                        ),
+    if let (Some(b), Some(c)) = (&baseline.attribution, &current.attribution) {
+        for bh in &b.top_hotspots {
+            let found = c
+                .top_hotspots
+                .iter()
+                .find(|ch| ch.workload == bh.workload && ch.pc == bh.pc);
+            match found {
+                None => chk.regression(
+                    "hotspot-drift",
+                    format!(
+                        "hotspot {} pc{} ({:.3}% of suite bits in baseline) \
+                         left the current top-{} list",
+                        bh.workload,
+                        bh.pc,
+                        bh.share_pct,
+                        c.top_hotspots.len()
                     ),
-                    Some(ch) => {
-                        let drift = (ch.share_pct - bh.share_pct).abs();
-                        if drift > tol.metric_pct {
-                            chk.regression(
-                                "hotspot-drift",
-                                format!(
-                                    "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
-                                     {:.3}% (drift {drift:.3} pts > {:.3})",
-                                    bh.workload, bh.pc, ch.share_pct, bh.share_pct, tol.metric_pct
-                                ),
-                            );
-                        } else if drift > 0.0 {
-                            chk.info(
-                                "hotspot-drift",
-                                format!(
-                                    "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
-                                     {:.3}% (within band)",
-                                    bh.workload, bh.pc, ch.share_pct, bh.share_pct
-                                ),
-                            );
-                        }
+                ),
+                Some(ch) => {
+                    let drift = (ch.share_pct - bh.share_pct).abs();
+                    if drift > tol.metric_pct {
+                        chk.regression(
+                            "hotspot-drift",
+                            format!(
+                                "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
+                                 {:.3}% (drift {drift:.3} pts > {:.3})",
+                                bh.workload, bh.pc, ch.share_pct, bh.share_pct, tol.metric_pct
+                            ),
+                        );
+                    } else if drift > 0.0 {
+                        chk.info(
+                            "hotspot-drift",
+                            format!(
+                                "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
+                                 {:.3}% (within band)",
+                                bh.workload, bh.pc, ch.share_pct, bh.share_pct
+                            ),
+                        );
                     }
                 }
             }
         }
-        // One side predates schema 1.2: nothing to diff, note it only.
-        (Some(_), None) => chk.info(
-            "hotspot-drift",
-            "current artifact has no attribution section (pre-1.2 schema)".to_string(),
-        ),
-        (None, Some(_)) => chk.info(
-            "hotspot-drift",
-            "baseline artifact has no attribution section (pre-1.2 schema)".to_string(),
-        ),
-        (None, None) => {}
     }
 
     // Stall-mix drift: the cycle partition says where the machine's
     // issue bandwidth went; each reason's share of the total slots is a
     // deterministic model metric, banded like every other percentage.
-    match (&baseline.stalls, &current.stalls) {
-        (Some(b), Some(c)) => {
-            let (b_total, c_total) = (b.slots, c.slots);
-            for reason in StallReason::ALL {
-                let share = |mix: &[u64; 8], total: u64| {
-                    if total == 0 {
-                        0.0
-                    } else {
-                        100.0 * mix[reason.index()] as f64 / total as f64
-                    }
-                };
-                chk.metric(
-                    &format!("stall-mix {}", reason.name()),
-                    share(&b.mix, b_total),
-                    share(&c.mix, c_total),
-                );
-            }
+    if let (Some(b), Some(c)) = (&baseline.stalls, &current.stalls) {
+        let (b_total, c_total) = (b.slots, c.slots);
+        for reason in StallReason::ALL {
+            let share = |mix: &[u64; 8], total: u64| {
+                if total == 0 {
+                    0.0
+                } else {
+                    100.0 * mix[reason.index()] as f64 / total as f64
+                }
+            };
+            chk.metric(
+                &format!("stall-mix {}", reason.name()),
+                share(&b.mix, b_total),
+                share(&c.mix, c_total),
+            );
         }
-        // One side predates schema 1.4: nothing to diff, note it only.
-        (Some(_), None) => chk.info(
-            "stall-mix",
-            "current artifact has no stalls section (pre-1.4 schema)".to_string(),
-        ),
-        (None, Some(_)) => chk.info(
-            "stall-mix",
-            "baseline artifact has no stalls section (pre-1.4 schema)".to_string(),
-        ),
-        (None, None) => {}
     }
 
     // Estimator precision drift: the bounds are pure model arithmetic,
     // so an identical re-run drifts by exactly zero; a looser (or
     // suspiciously tighter) ratio means the abstract domain or the
     // power model changed underneath the estimator.
-    match (&baseline.estimator, &current.estimator) {
-        (Some(b), Some(c)) => {
-            for be in &b.entries {
-                let Some(ce) = c.entries.iter().find(|ce| ce.scheme == be.scheme) else {
+    if let (Some(b), Some(c)) = (&baseline.estimator, &current.estimator) {
+        for be in &b.entries {
+            let Some(ce) = c.entries.iter().find(|ce| ce.scheme == be.scheme) else {
+                chk.regression(
+                    "estimator-precision",
+                    format!(
+                        "scheme \"{}\" missing from the current estimator digest",
+                        be.scheme
+                    ),
+                );
+                continue;
+            };
+            for (metric, bv, cv) in [
+                ("mean", be.mean_ratio, ce.mean_ratio),
+                ("worst-block", be.worst_ratio, ce.worst_ratio),
+            ] {
+                let drift_pct = if bv == 0.0 {
+                    0.0
+                } else {
+                    100.0 * (cv / bv - 1.0).abs()
+                };
+                if drift_pct > tol.metric_pct {
                     chk.regression(
                         "estimator-precision",
                         format!(
-                            "scheme \"{}\" missing from the current estimator digest",
+                            "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
+                             baseline {bv:.3} (drift {drift_pct:.3}% > {:.3}%)",
+                            be.scheme, tol.metric_pct
+                        ),
+                    );
+                } else if drift_pct > 0.0 {
+                    chk.info(
+                        "estimator-precision",
+                        format!(
+                            "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
+                             baseline {bv:.3} (within band)",
                             be.scheme
                         ),
                     );
-                    continue;
-                };
-                for (metric, bv, cv) in [
-                    ("mean", be.mean_ratio, ce.mean_ratio),
-                    ("worst-block", be.worst_ratio, ce.worst_ratio),
-                ] {
-                    let drift_pct = if bv == 0.0 {
-                        0.0
-                    } else {
-                        100.0 * (cv / bv - 1.0).abs()
-                    };
-                    if drift_pct > tol.metric_pct {
-                        chk.regression(
-                            "estimator-precision",
-                            format!(
-                                "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
-                                 baseline {bv:.3} (drift {drift_pct:.3}% > {:.3}%)",
-                                be.scheme, tol.metric_pct
-                            ),
-                        );
-                    } else if drift_pct > 0.0 {
-                        chk.info(
-                            "estimator-precision",
-                            format!(
-                                "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
-                                 baseline {bv:.3} (within band)",
-                                be.scheme
-                            ),
-                        );
-                    }
                 }
             }
         }
-        // One side predates schema 1.3: nothing to diff, note it only.
-        (Some(_), None) => chk.info(
-            "estimator-precision",
-            "current artifact has no estimator section (pre-1.3 schema)".to_string(),
-        ),
-        (None, Some(_)) => chk.info(
-            "estimator-precision",
-            "baseline artifact has no estimator section (pre-1.3 schema)".to_string(),
-        ),
-        (None, None) => {}
     }
 
     // Harness health: utilization and allocation pressure are measured,
@@ -704,18 +671,9 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
             }
         }
         // Different worker counts: nothing comparable, deliberately
-        // silent (see the module doc).
-        (Some(_), Some(_)) => {}
-        // One side predates schema 1.6: nothing to diff, note it only.
-        (Some(_), None) => chk.info(
-            "harness-health",
-            "current artifact has no harness section (pre-1.6 schema)".to_string(),
-        ),
-        (None, Some(_)) => chk.info(
-            "harness-health",
-            "baseline artifact has no harness section (pre-1.6 schema)".to_string(),
-        ),
-        (None, None) => {}
+        // silent (see the module doc). A missing section was already
+        // reported as a schema-shape regression.
+        _ => {}
     }
 
     chk.findings
@@ -925,21 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pre_1_4_artifact_without_stalls_is_informational_only() {
-        let baseline = tiny();
-        let mut old = baseline.clone();
-        old.stalls = None;
-        for (b, c) in [(&baseline, &old), (&old, &baseline)] {
-            let cmp = compare(b, c, &Tolerance::default());
-            assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
-            assert!(cmp
-                .findings
-                .iter()
-                .any(|f| f.category == "stall-mix" && f.severity == Severity::Info));
-        }
-    }
-
-    #[test]
     fn ipc_drift_past_band_is_a_regression_and_khz_noise_is_not() {
         let baseline = tiny();
         let mut drifted = baseline.clone();
@@ -984,21 +927,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.category == "sim-rate" && f.severity == Severity::Regression));
-    }
-
-    #[test]
-    fn a_pre_1_5_artifact_without_throughput_is_informational_only() {
-        let baseline = tiny();
-        let mut old = baseline.clone();
-        old.throughput = None;
-        for (b, c) in [(&baseline, &old), (&old, &baseline)] {
-            let cmp = compare(b, c, &Tolerance::default());
-            assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
-            assert!(cmp
-                .findings
-                .iter()
-                .any(|f| f.category == "throughput-ipc" && f.severity == Severity::Info));
-        }
     }
 
     #[test]
@@ -1048,21 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pre_1_3_artifact_without_an_estimator_is_informational_only() {
-        let baseline = tiny();
-        let mut old = baseline.clone();
-        old.estimator = None;
-        for (b, c) in [(&baseline, &old), (&old, &baseline)] {
-            let cmp = compare(b, c, &Tolerance::default());
-            assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
-            assert!(cmp
-                .findings
-                .iter()
-                .any(|f| f.category == "estimator-precision" && f.severity == Severity::Info));
-        }
-    }
-
-    #[test]
     fn vanished_or_drifted_hotspots_are_regressions() {
         let baseline = tiny();
 
@@ -1086,25 +999,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.category == "hotspot-drift" && f.severity == Severity::Regression));
-    }
-
-    #[test]
-    fn a_pre_1_2_artifact_without_attribution_is_informational_only() {
-        let baseline = tiny();
-        let mut old = baseline.clone();
-        old.attribution = None;
-        for (b, c) in [(&baseline, &old), (&old, &baseline)] {
-            let cmp = compare(b, c, &Tolerance::default());
-            assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
-            assert!(cmp
-                .findings
-                .iter()
-                .any(|f| f.category == "hotspot-drift" && f.severity == Severity::Info));
-        }
-        let mut both_old = baseline.clone();
-        both_old.attribution = None;
-        let cmp = compare(&both_old, &old, &Tolerance::default());
-        assert!(!cmp.findings.iter().any(|f| f.category == "hotspot-drift"));
     }
 
     #[test]
@@ -1205,25 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pre_1_6_artifact_without_a_harness_section_is_informational_only() {
-        let baseline = tiny();
-        let mut old = baseline.clone();
-        old.harness = None;
-        for (b, c) in [(&baseline, &old), (&old, &baseline)] {
-            let cmp = compare(b, c, &Tolerance::default());
-            assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
-            assert!(cmp
-                .findings
-                .iter()
-                .any(|f| f.category == "harness-health" && f.severity == Severity::Info));
-        }
-        let mut both_old = baseline.clone();
-        both_old.harness = None;
-        let cmp = compare(&both_old, &old, &Tolerance::default());
-        assert!(!cmp.findings.iter().any(|f| f.category == "harness-health"));
-    }
-
-    #[test]
     fn missing_scheme_is_a_schema_shape_regression() {
         let baseline = tiny();
         let mut pruned = baseline.clone();
@@ -1234,5 +1109,27 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.category == "schema-shape" && f.message.contains("FPAU")));
+    }
+
+    #[test]
+    fn a_missing_section_on_either_side_is_a_schema_shape_regression() {
+        let full = tiny();
+        let mut partial = full.clone();
+        partial.stalls = None;
+        for (b, c, side) in [(&full, &partial, "current"), (&partial, &full, "baseline")] {
+            let cmp = compare(b, c, &Tolerance::default());
+            assert!(!cmp.passed());
+            let shape: Vec<_> = cmp
+                .findings
+                .iter()
+                .filter(|f| f.category == "schema-shape")
+                .collect();
+            assert_eq!(shape.len(), 1, "findings: {:#?}", cmp.findings);
+            assert_eq!(shape[0].severity, Severity::Regression);
+            assert_eq!(
+                shape[0].message,
+                format!("{side} artifact has no stalls section")
+            );
+        }
     }
 }

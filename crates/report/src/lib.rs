@@ -34,7 +34,7 @@ pub use bench::{
     bench_suite, bench_suite_jobs, AttributionSummary, BenchReport, EstimatorEntry,
     EstimatorSummary, HarnessSummary, HotspotEntry, OperandAggregates, ParallelSummary, PhaseNanos,
     StallSummary, TelemetrySummary, ThroughputSummary, UnitFigure, WorkerNanos,
-    ATTRIBUTION_HOTSPOTS, BENCH_SCHEMA, BENCH_SCHEMAS_READ, DEFAULT_WINDOW_CYCLES,
+    ATTRIBUTION_HOTSPOTS, BENCH_SCHEMA, DEFAULT_WINDOW_CYCLES,
 };
 pub use compare::{compare, Comparison, Finding, Severity, Tolerance};
 pub use manifest::{RunManifest, WorkloadEntry};
@@ -50,16 +50,17 @@ use std::fmt;
 pub enum ReportError {
     /// The raw text was not valid JSON.
     Parse(JsonParseError),
-    /// A required field was absent.
+    /// A required field was absent; names its path from the root.
     MissingField(String),
-    /// A field was present with the wrong type or shape.
+    /// A field was present with the wrong type or shape; names its path
+    /// from the root.
     MistypedField(String),
-    /// The artifact declared an unknown schema version.
+    /// The artifact declared a schema other than [`BENCH_SCHEMA`].
     Schema {
         /// What the artifact declared.
         found: String,
-        /// Every schema this build accepts (oldest to newest).
-        expected: &'static [&'static str],
+        /// The one schema this build reads.
+        expected: &'static str,
     },
 }
 
@@ -71,6 +72,15 @@ impl ReportError {
     pub(crate) fn mistyped(field: &str) -> Self {
         ReportError::MistypedField(field.to_string())
     }
+
+    /// Prefixes a field error's path with the object it was read from.
+    pub(crate) fn within(self, parent: &str) -> Self {
+        match self {
+            ReportError::MissingField(f) => ReportError::MissingField(format!("{parent}.{f}")),
+            ReportError::MistypedField(f) => ReportError::MistypedField(format!("{parent}.{f}")),
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for ReportError {
@@ -78,19 +88,69 @@ impl fmt::Display for ReportError {
         match self {
             ReportError::Parse(e) => write!(f, "malformed JSON: {e}"),
             ReportError::MissingField(field) => write!(f, "missing field `{field}`"),
-            ReportError::MistypedField(field) => write!(f, "field `{field}` has the wrong type"),
+            ReportError::MistypedField(field) => {
+                write!(f, "field `{field}` has the wrong type or shape")
+            }
             ReportError::Schema { found, expected } => {
-                write!(
-                    f,
-                    "unknown schema: {found}\naccepted schemas: {}",
-                    expected.join(", ")
-                )
+                write!(f, "unknown schema: {found}\naccepted schema: {expected}")
             }
         }
     }
 }
 
 impl std::error::Error for ReportError {}
+
+/// Parses the required object `field` of `json` with `parse`, naming
+/// any field error inside it by its path through `field`.
+pub(crate) fn section<T>(
+    json: &Json,
+    field: &str,
+    parse: impl FnOnce(&Json) -> Result<T, ReportError>,
+) -> Result<T, ReportError> {
+    parse(json.get(field).ok_or_else(|| ReportError::missing(field))?).map_err(|e| e.within(field))
+}
+
+/// Parses every element of the required array `field` of `json` with
+/// `parse`, naming any field error by its path through `field[i]`.
+pub(crate) fn array<T>(
+    json: &Json,
+    field: &str,
+    mut parse: impl FnMut(&Json) -> Result<T, ReportError>,
+) -> Result<Vec<T>, ReportError> {
+    json.get(field)
+        .ok_or_else(|| ReportError::missing(field))?
+        .as_arr()
+        .ok_or_else(|| ReportError::mistyped(field))?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| parse(v).map_err(|e| e.within(&format!("{field}[{i}]"))))
+        .collect()
+}
+
+/// Fetches the required array of numbers `field`, each read by `get`.
+pub(crate) fn numbers<T>(
+    json: &Json,
+    field: &str,
+    get: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, ReportError> {
+    json.get(field)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| ReportError::missing(field))?
+        .iter()
+        .map(|v| get(v).ok_or_else(|| ReportError::mistyped(field)))
+        .collect()
+}
+
+/// As [`numbers`], for an array of exactly `N` entries.
+pub(crate) fn fixed<T, const N: usize>(
+    json: &Json,
+    field: &str,
+    get: impl Fn(&Json) -> Option<T>,
+) -> Result<[T; N], ReportError> {
+    numbers(json, field, get)?
+        .try_into()
+        .map_err(|_| ReportError::mistyped(field))
+}
 
 /// Fetches a required string field.
 pub(crate) fn expect_str<'a>(json: &'a Json, field: &str) -> Result<&'a str, ReportError> {
@@ -105,6 +165,19 @@ pub(crate) fn expect_u64(json: &Json, field: &str) -> Result<u64, ReportError> {
     json.get(field)
         .ok_or_else(|| ReportError::missing(field))?
         .as_u64()
+        .ok_or_else(|| ReportError::mistyped(field))
+}
+
+/// Fetches a required unsigned-integer field that must fit in 32 bits.
+pub(crate) fn expect_u32(json: &Json, field: &str) -> Result<u32, ReportError> {
+    u32::try_from(expect_u64(json, field)?).map_err(|_| ReportError::mistyped(field))
+}
+
+/// Fetches a required boolean field.
+pub(crate) fn expect_bool(json: &Json, field: &str) -> Result<bool, ReportError> {
+    json.get(field)
+        .ok_or_else(|| ReportError::missing(field))?
+        .as_bool()
         .ok_or_else(|| ReportError::mistyped(field))
 }
 

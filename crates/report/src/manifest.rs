@@ -15,7 +15,7 @@ use fua_workloads::{all, seed_of};
 
 use fua_core::ExperimentConfig;
 
-use crate::{expect_str, expect_u64, ReportError};
+use crate::{array, expect_bool, expect_str, expect_u32, expect_u64, fixed, section, ReportError};
 
 /// One workload row of the manifest: name, suite half, and the exact
 /// data-generation seed.
@@ -76,63 +76,42 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Returns a [`ReportError`] naming the first missing or mistyped
-    /// field.
+    /// Returns a [`ReportError`] naming the path, from the manifest's
+    /// root, of the first missing or mistyped field. A value too large
+    /// for its field (`scale`, the cache geometry) is mistyped, never
+    /// truncated.
     pub fn from_json(json: &Json) -> Result<Self, ReportError> {
-        let machine = json
-            .get("machine")
-            .ok_or_else(|| ReportError::missing("machine"))?;
-        let cache = machine
-            .get("cache")
-            .ok_or_else(|| ReportError::missing("machine.cache"))?;
-        let fu_counts: Vec<usize> = machine
-            .get("fu_counts")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ReportError::missing("machine.fu_counts"))?
-            .iter()
-            .map(|v| v.as_u64().map(|u| u as usize))
-            .collect::<Option<Vec<usize>>>()
-            .ok_or_else(|| ReportError::mistyped("machine.fu_counts"))?;
-        if fu_counts.len() != 4 {
-            return Err(ReportError::mistyped("machine.fu_counts"));
-        }
-        let workloads = json
-            .get("workloads")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ReportError::missing("workloads"))?
-            .iter()
-            .map(|w| {
+        Ok(RunManifest {
+            tag: expect_str(json, "tag")?.to_string(),
+            scale: expect_u32(json, "scale")?,
+            inst_limit: expect_u64(json, "inst_limit")?,
+            machine: section(json, "machine", |m| {
+                Ok(MachineConfig {
+                    fetch_width: expect_u64(m, "fetch_width")? as usize,
+                    commit_width: expect_u64(m, "commit_width")? as usize,
+                    rob_size: expect_u64(m, "rob_size")? as usize,
+                    rs_entries: expect_u64(m, "rs_entries")? as usize,
+                    fu_counts: fixed(m, "fu_counts", |v| v.as_u64().map(|u| u as usize))?,
+                    mem_ports: expect_u64(m, "mem_ports")? as usize,
+                    cache: section(m, "cache", |c| {
+                        Ok(CacheConfig {
+                            size_bytes: expect_u32(c, "size_bytes")?,
+                            line_bytes: expect_u32(c, "line_bytes")?,
+                            hit_latency: expect_u64(c, "hit_latency")?,
+                            miss_latency: expect_u64(c, "miss_latency")?,
+                        })
+                    })?,
+                    mispredict_penalty: expect_u64(m, "mispredict_penalty")?,
+                    in_order_issue: expect_bool(m, "in_order_issue")?,
+                })
+            })?,
+            workloads: array(json, "workloads", |w| {
                 Ok(WorkloadEntry {
                     name: expect_str(w, "name")?.to_string(),
                     category: expect_str(w, "category")?.to_string(),
                     seed: expect_u64(w, "seed")?,
                 })
-            })
-            .collect::<Result<Vec<_>, ReportError>>()?;
-        Ok(RunManifest {
-            tag: expect_str(json, "tag")?.to_string(),
-            scale: expect_u64(json, "scale")? as u32,
-            inst_limit: expect_u64(json, "inst_limit")?,
-            machine: MachineConfig {
-                fetch_width: expect_u64(machine, "fetch_width")? as usize,
-                commit_width: expect_u64(machine, "commit_width")? as usize,
-                rob_size: expect_u64(machine, "rob_size")? as usize,
-                rs_entries: expect_u64(machine, "rs_entries")? as usize,
-                fu_counts: [fu_counts[0], fu_counts[1], fu_counts[2], fu_counts[3]],
-                mem_ports: expect_u64(machine, "mem_ports")? as usize,
-                cache: CacheConfig {
-                    size_bytes: expect_u64(cache, "size_bytes")? as u32,
-                    line_bytes: expect_u64(cache, "line_bytes")? as u32,
-                    hit_latency: expect_u64(cache, "hit_latency")?,
-                    miss_latency: expect_u64(cache, "miss_latency")?,
-                },
-                mispredict_penalty: expect_u64(machine, "mispredict_penalty")?,
-                in_order_issue: machine
-                    .get("in_order_issue")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ReportError::missing("machine.in_order_issue"))?,
-            },
-            workloads,
+            })?,
         })
     }
 }
@@ -236,5 +215,23 @@ mod tests {
         }
         let err = RunManifest::from_json(&json).unwrap_err();
         assert!(err.to_string().contains("inst_limit"), "{err}");
+
+        // Values past u32 are rejected, not wrapped onto a valid
+        // configuration (2^32 + 1 would otherwise read as scale 1).
+        for (path, value) in [
+            ("scale", (1u64 << 32) + 1),
+            ("machine.cache.size_bytes", (1u64 << 32) + 16384),
+        ] {
+            let mut json = m.to_json();
+            let leaf = path.split('.').fold(&mut json, |j, key| match j {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                _ => unreachable!(),
+            });
+            *leaf = Json::UInt(value);
+            assert_eq!(
+                RunManifest::from_json(&json),
+                Err(ReportError::MistypedField(path.to_string()))
+            );
+        }
     }
 }

@@ -32,10 +32,11 @@
 //!   measured costs (harness allocations per simulated kilocycle)
 //!   where *lower* is better and only an explosion should gate.
 //!
-//! Series are aligned to the input points with `Vec<Option<f64>>`:
-//! artifacts predating a section's schema (for example pre-1.5 runs
-//! without `throughput`) contribute holes, which the median skips and
-//! [`sparkline`] renders as gaps.
+//! Series are aligned to the input points with `Vec<Option<f64>>`: a
+//! point without the metric (a scheme row only newer runs have, a hot
+//! loop under the timer floor, a run without the counting allocator)
+//! contributes a hole, which the median skips and [`sparkline`] renders
+//! as a gap.
 
 use crate::bench::BenchReport;
 use crate::compare::{Finding, Severity, Tolerance};
@@ -325,7 +326,7 @@ fn band_violation(kind: TrendKind, value: f64, med: f64, tol: &Tolerance) -> Opt
 }
 
 /// Pulls one metric's value out of an artifact, or `None` when the
-/// artifact predates the metric (a hole in the series).
+/// artifact lacks the metric (a hole in the series).
 type Extract = Box<dyn Fn(&BenchReport) -> Option<f64>>;
 
 /// One tracked metric: its name, band shape, and extractor.
@@ -449,9 +450,9 @@ fn catalogue(newest: &BenchReport, tol: &Tolerance) -> Vec<Metric> {
     }
 
     // Harness allocation pressure: allocations per simulated kilocycle
-    // of the telemetry pass. Holes for pre-1.6 artifacts and for runs
-    // captured without the counting allocator installed; growth-only
-    // gating, since measurement noise can always shrink the figure.
+    // of the telemetry pass. Holes for runs captured without the
+    // counting allocator installed; growth-only gating, since
+    // measurement noise can always shrink the figure.
     push(
         "harness allocs/kcycle".to_string(),
         TrendKind::Inflation,
@@ -701,24 +702,6 @@ mod tests {
         points[3].1.harness.as_mut().unwrap().allocs_per_kcycle = Some(0.001);
         let report = trends(&points, &Tolerance::default()).unwrap();
         assert!(report.passed(), "{:#?}", report.findings);
-    }
-
-    #[test]
-    fn pre_throughput_artifacts_contribute_holes_not_findings() {
-        let mut points = history(4);
-        points[0].1.throughput = None;
-        points[1].1.throughput = None;
-        let report = trends(&points, &Tolerance::default()).unwrap();
-        assert!(report.passed(), "{:#?}", report.findings);
-        let ipc = report
-            .series
-            .iter()
-            .find(|s| s.metric == "suite IPC")
-            .unwrap();
-        assert_eq!(ipc.values[0], None);
-        assert_eq!(ipc.values[1], None);
-        assert!(ipc.values[2].is_some() && ipc.values[3].is_some());
-        assert!(sparkline(&ipc.values).starts_with("  "));
     }
 
     #[test]

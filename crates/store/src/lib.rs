@@ -50,7 +50,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fua_report::{BenchReport, ReportError, RunManifest};
+use fua_report::{BenchReport, ReportError, RunManifest, BENCH_SCHEMA};
 use fua_trace::{Json, ToJson};
 
 /// The index file's schema identifier; bump on any breaking change.
@@ -502,22 +502,13 @@ impl Store {
     /// BENCH artifact, or [`StoreError::Io`]/[`StoreError::Index`] on
     /// filesystem trouble.
     pub fn put(&self, text: &str, source: &Path) -> Result<PutReceipt, StoreError> {
-        let json = Json::parse(text).map_err(|e| StoreError::Artifact {
+        let report: BenchReport = text.parse().map_err(|error| StoreError::Artifact {
             path: source.to_path_buf(),
-            error: ReportError::Parse(e),
+            error,
         })?;
-        let report = BenchReport::from_json(&json).map_err(|e| StoreError::Artifact {
-            path: source.to_path_buf(),
-            error: e,
-        })?;
-        // from_json validated the schema against the readable set; the
-        // exact string goes into the key so histories never mix schemas.
-        let schema = json
-            .get("schema")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let key = manifest_key(&report.manifest, &schema);
+        // Parsing accepts only BENCH_SCHEMA; it still goes into the key
+        // so a future schema starts a history of its own.
+        let key = manifest_key(&report.manifest, BENCH_SCHEMA);
         let content = content_key(text.as_bytes());
 
         // Object before index: the index must never reference bytes
@@ -535,7 +526,7 @@ impl Store {
             key: key.hex(),
             content: content.hex(),
             tag: report.manifest.tag.clone(),
-            bench_schema: schema,
+            bench_schema: BENCH_SCHEMA.to_string(),
             bytes: text.len() as u64,
         };
         entries.push(entry.clone());

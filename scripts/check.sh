@@ -11,6 +11,9 @@ cargo build --release
 # The workspace's default members are the facade plus every library
 # crate, so this runs the crates' unit tests too.
 cargo test -q
+# The benchmark (perfbench/) is its own workspace over the library
+# crates; build and test it so a library change cannot break it unseen.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # Docs gate: every public item is documented (deny(missing_docs)) and
 # rustdoc itself is warning-clean (broken intra-doc links, bad HTML).
