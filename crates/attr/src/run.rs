@@ -30,7 +30,10 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Every named scheme, in Figure-4 bar order.
+    /// Every named scheme, in the order BENCH artifacts record their
+    /// `estimator.entries`. This is not Figure-4 bar order (that runs
+    /// 8-, 4-, then 2-bit LUT, and puts Original last); it stays as is
+    /// because reordering it would change every artifact's bytes.
     pub const ALL: [Scheme; 6] = [
         Scheme::FullHam,
         Scheme::OneBitHam,

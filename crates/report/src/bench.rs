@@ -672,6 +672,20 @@ fn unit_to_json(unit: &UnitFigure) -> Json {
     ])
 }
 
+/// Rejects the array `field` if two of its `items` are the `same`: the
+/// gates look entries up by key and take the first match, so a repeat
+/// would hide every later entry from them.
+fn distinct<T>(items: &[T], field: &str, same: impl Fn(&T, &T) -> bool) -> Result<(), ReportError> {
+    if items
+        .iter()
+        .enumerate()
+        .any(|(i, item)| items[..i].iter().any(|prior| same(prior, item)))
+    {
+        return Err(ReportError::mistyped(field));
+    }
+    Ok(())
+}
+
 fn unit_from_json(unit: &Json) -> Result<UnitFigure, ReportError> {
     let rows = array(unit, "rows", |r| {
         Ok(Figure4Row {
@@ -682,15 +696,7 @@ fn unit_from_json(unit: &Json) -> Result<UnitFigure, ReportError> {
             compiler_only_pct: expect_f64(r, "compiler_only_pct")?,
         })
     })?;
-    // `UnitFigure::row` finds a scheme's first row, so a repeated
-    // scheme would hide every later row from the gate.
-    if rows
-        .iter()
-        .enumerate()
-        .any(|(i, r)| rows[..i].iter().any(|p| p.scheme == r.scheme))
-    {
-        return Err(ReportError::mistyped("rows"));
-    }
+    distinct(&rows, "rows", |a, b| a.scheme == b.scheme)?;
     Ok(UnitFigure {
         baseline_switched_bits: expect_u64(unit, "baseline_switched_bits")?,
         rows,
@@ -750,20 +756,24 @@ fn attribution_to_json(a: &AttributionSummary) -> Json {
 }
 
 fn attribution_from_json(a: &Json) -> Result<AttributionSummary, ReportError> {
+    let top_hotspots = array(a, "top_hotspots", |h| {
+        Ok(HotspotEntry {
+            workload: expect_str(h, "workload")?.to_string(),
+            pc: expect_u64(h, "pc")?,
+            block: expect_str(h, "block")?.to_string(),
+            bits: expect_u64(h, "bits")?,
+            share_pct: expect_f64(h, "share_pct")?,
+        })
+    })?;
+    distinct(&top_hotspots, "top_hotspots", |a, b| {
+        a.workload == b.workload && a.pc == b.pc
+    })?;
     Ok(AttributionSummary {
         scheme: expect_str(a, "scheme")?.to_string(),
         sites: expect_u64(a, "sites")?,
         switched_bits: fixed(a, "switched_bits", Json::as_u64)?,
         exact: expect_bool(a, "exact")?,
-        top_hotspots: array(a, "top_hotspots", |h| {
-            Ok(HotspotEntry {
-                workload: expect_str(h, "workload")?.to_string(),
-                pc: expect_u64(h, "pc")?,
-                block: expect_str(h, "block")?.to_string(),
-                bits: expect_u64(h, "bits")?,
-                share_pct: expect_f64(h, "share_pct")?,
-            })
-        })?,
+        top_hotspots,
     })
 }
 
@@ -839,6 +849,7 @@ fn estimator_from_json(e: &Json) -> Result<EstimatorSummary, ReportError> {
             worst_block: expect_str(entry, "worst_block")?.to_string(),
         })
     })?;
+    distinct(&entries, "entries", |a, b| a.scheme == b.scheme)?;
     Ok(EstimatorSummary { entries })
 }
 
@@ -1250,10 +1261,14 @@ mod tests {
     fn malformed_artifacts_are_rejected_naming_the_field_path() {
         let base = bench_suite("bad", &tiny_config(), 512).to_json();
         assert!(BenchReport::from_json(&base).is_ok());
-        let mut doubled = at(&mut base.clone(), "figure4_ialu.rows").clone();
-        if let Json::Arr(rows) = &mut doubled {
-            rows.push(rows[0].clone());
-        }
+        // The array at `path` with its first element appended again.
+        let doubled = |path: &str| {
+            let mut array = at(&mut base.clone(), path).clone();
+            if let Json::Arr(items) = &mut array {
+                items.push(items[0].clone());
+            }
+            array
+        };
         let missing = |f: &str| ReportError::MissingField(f.to_string());
         let mistyped = |f: &str| ReportError::MistypedField(f.to_string());
         // (path, replacement or `None` to remove the field, error).
@@ -1279,8 +1294,18 @@ mod tests {
             ),
             (
                 "figure4_ialu.rows",
-                Some(doubled),
+                Some(doubled("figure4_ialu.rows")),
                 mistyped("figure4_ialu.rows"),
+            ),
+            (
+                "estimator.entries",
+                Some(doubled("estimator.entries")),
+                mistyped("estimator.entries"),
+            ),
+            (
+                "attribution.top_hotspots",
+                Some(doubled("attribution.top_hotspots")),
+                mistyped("attribution.top_hotspots"),
             ),
             (
                 "manifest.scale",

@@ -2,65 +2,52 @@
 //!
 //! [`compare`] diffs a current [`BenchReport`] against a baseline and
 //! classifies every difference as [`Severity::Info`] (within band) or
-//! [`Severity::Regression`] (actionable). The checks:
+//! [`Severity::Regression`] (actionable).
+//!
+//! **Banded metrics.** Every single number the gate bands comes from
+//! the catalogue in `gate.rs`, which `fua trends` shares: the Figure-4
+//! columns, headlines, Table-1/2 aggregates, phase timers, suite IPC
+//! and the simulated rates, the stall mix, the estimator's mean and
+//! worst-block ratios, and the hotspot shares. Each is banded by the
+//! same rule `trends` applies, with the baseline's value as the
+//! reference; per-key entries (scheme rows, estimator schemes,
+//! hotspots) follow the baseline. A model metric that moved but stayed
+//! in band is an `Info` finding. The model is deterministic, so an
+//! identical re-run diffs to zero; measured timers and rates are only
+//! ever findings when out of band.
+//!
+//! **Pairwise-only checks.** What is not one banded number stays here,
+//! because a series of single values cannot express it:
 //!
 //! - **Manifest** — configurations must be comparable; diffing a quick
 //!   run against a full run is meaningless and is itself a regression.
 //! - **Section presence** — every section the schema requires must be
 //!   present on both sides. A report built in memory without one is a
 //!   `schema-shape` regression, since that section's checks cannot run.
-//! - **Metric drift** — every Figure-4 percentage, headline number and
-//!   Table-1/2 aggregate must stay within `metric_pct` points of the
-//!   baseline. The model is deterministic, so an identical re-run drifts
-//!   by exactly zero.
-//! - **Scheme ordering** — the paper's qualitative result is a *shape*:
-//!   on the hardware-swap bars, e.g. 8-bit LUT saves more than 2-bit
-//!   LUT. The expected order is derived from the baseline itself (not
-//!   hardcoded), pairs closer than `ordering_margin_pct` are skipped as
-//!   statistical ties, and any surviving inversion is a regression.
-//! - **Phase timers** — wall-clock per simulator phase may vary between
-//!   machines; only a slowdown beyond `timer_factor` of a phase that
-//!   took at least `timer_floor_nanos` in the baseline is flagged.
-//! - **Telemetry exactness** — the artifact records whether windowed
-//!   sums reproduced the energy ledger; `exact: false` on either side
-//!   is a regression regardless of tolerances.
-//! - **Attribution exactness & hotspot drift** — likewise for the
-//!   energy-attribution digest: an inexact partition is a regression,
-//!   and when both artifacts carry the section, every baseline top
-//!   hotspot must still rank in the current list with its share of the
-//!   suite's switched bits inside the metric band.
-//! - **Stall-partition exactness & mix drift** — the cycle-attribution
-//!   digest: a stall partition that fails to account exactly
-//!   `cycles × issue_width` slots on either side is a hard regression,
-//!   and when both artifacts carry the section each stall reason's
-//!   share of the suite's issue bandwidth may drift by at most
-//!   `metric_pct` points.
-//! - **Throughput** — the simulated-rate headline: suite IPC is a
-//!   deterministic model metric and is banded relatively by
-//!   `metric_pct`; the simulated-MHz figure divides model cycles by
-//!   measured wall-clock, so only a slowdown beyond `timer_factor` of
-//!   a run whose hot loop took at least `timer_floor_nanos` is
-//!   flagged.
-//! - **Harness health** — the harness self-observability digest:
-//!   worker utilization and allocation pressure are wall-clock
-//!   measurements, so they are gated only on a *collapse* — busy
-//!   fraction falling below half the baseline (and by more than 0.2
-//!   absolute), or allocations per simulated kilocycle exploding past
-//!   10× the baseline (and by more than 100 absolute). Two runs with
-//!   different worker counts legitimately utilize differently, so
-//!   harness sections recording different `jobs` are skipped entirely
-//!   (no findings — `fua report` across `--jobs` values must diff to
-//!   zero).
-//! - **Estimator soundness & precision** — the static switched-bit
-//!   estimator's digest: a violated bound (`sound: false`) on either
-//!   side is a hard regression regardless of tolerances, and when both
-//!   artifacts carry the section each scheme's mean and worst
-//!   bound/actual ratios may drift relatively by at most `metric_pct`
-//!   percent.
+//! - **Row set and scheme ordering** — a scheme row or Table-2 level on
+//!   one side only is a `schema-shape` regression. The paper's
+//!   qualitative result is a *shape*: on the hardware-swap bars, e.g.
+//!   8-bit LUT saves more than 2-bit LUT. The expected order is derived
+//!   from the baseline itself, pairs closer than `ordering_margin_pct`
+//!   are ties, and any surviving inversion is a regression.
+//! - **Exactness and soundness** — inexact windowed telemetry, an
+//!   inexact energy-attribution or stall partition, or a violated
+//!   static bound recorded on either side is a regression regardless
+//!   of tolerances.
+//! - **Membership** — a baseline hotspot that left the current top
+//!   list, or a baseline estimator scheme missing from the current
+//!   digest, is a regression.
+//! - **Harness health** — worker utilization and allocation pressure
+//!   are measured, and two runs with different worker counts
+//!   legitimately differ, so they are compared only between harness
+//!   sections recording the same `jobs`. Then the busy fraction falling
+//!   below half the baseline (and by more than 0.2 absolute) is a
+//!   regression, and allocations per simulated kilocycle are banded by
+//!   the shared growth-only rule. Different `jobs` give no finding at
+//!   all: `fua report` across `--jobs` values must diff to zero.
 
 use crate::bench::BenchReport;
-use fua_sim::SimPhase;
-use fua_trace::StallReason;
+use crate::gate::{band, catalogue, describe, BandKind, Verdict};
 
 /// Finding severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,20 +69,22 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Tolerance bands for [`compare`].
+/// Tolerance bands for [`compare`] and [`trends`](crate::trends).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
-    /// Maximum absolute drift, in percentage points, for any reduction
-    /// percentage or Table-1/2 aggregate (aggregates are scaled to
-    /// percent before banding).
+    /// The model-metric band: maximum absolute drift in percentage
+    /// points for reductions, shares and Table-1/2 aggregates (scaled
+    /// to percent), and maximum relative drift in percent for ratios.
     pub metric_pct: f64,
     /// Scheme pairs whose baseline reductions differ by less than this
     /// are treated as ties and exempt from ordering checks.
     pub ordering_margin_pct: f64,
-    /// A phase may take up to this factor of its baseline wall-clock.
+    /// A measured timer or rate may be up to this factor slower than
+    /// its reference.
     pub timer_factor: f64,
-    /// Phases faster than this in the baseline are never timer-checked
-    /// (sub-millisecond noise would dominate).
+    /// A timer under this — a phase, or the rate pass behind the
+    /// simulated rates — is a hole, never checked (sub-millisecond
+    /// noise would dominate).
     pub timer_floor_nanos: u64,
 }
 
@@ -138,14 +127,13 @@ impl Comparison {
     }
 }
 
-struct Checker<'a> {
-    tol: &'a Tolerance,
-    findings: Vec<Finding>,
-}
+/// Findings under construction.
+#[derive(Default)]
+struct Findings(Vec<Finding>);
 
-impl Checker<'_> {
+impl Findings {
     fn regression(&mut self, category: &'static str, message: String) {
-        self.findings.push(Finding {
+        self.0.push(Finding {
             severity: Severity::Regression,
             category,
             message,
@@ -153,82 +141,47 @@ impl Checker<'_> {
     }
 
     fn info(&mut self, category: &'static str, message: String) {
-        self.findings.push(Finding {
+        self.0.push(Finding {
             severity: Severity::Info,
             category,
             message,
         });
     }
 
-    /// Bands an absolute drift in percentage points.
-    fn metric(&mut self, name: &str, baseline: f64, current: f64) {
-        let drift = (current - baseline).abs();
-        if drift > self.tol.metric_pct {
-            self.regression(
-                "metric-drift",
-                format!(
-                    "{name}: {current:.3} vs baseline {baseline:.3} \
-                     (drift {drift:.3} pts > {:.3})",
-                    self.tol.metric_pct
-                ),
-            );
-        } else if drift > 0.0 {
-            self.info(
-                "metric-drift",
-                format!("{name}: {current:.3} vs baseline {baseline:.3} (within band)"),
-            );
-        }
+    /// The comparison, regressions first.
+    fn finish(mut self) -> Comparison {
+        self.0.sort_by_key(|f| f.severity != Severity::Regression);
+        Comparison { findings: self.0 }
     }
 }
 
-fn check_unit(
-    chk: &mut Checker<'_>,
+/// Checks one unit's scheme row set and the baseline-derived ordering
+/// of its hardware-swap column.
+fn check_rows(
+    out: &mut Findings,
+    tol: &Tolerance,
     unit: &str,
     baseline: &crate::UnitFigure,
     current: &crate::UnitFigure,
 ) {
-    // Row-by-row drift. The row set itself is part of the schema shape:
-    // a missing or renamed scheme is a structural regression.
-    for brow in &baseline.rows {
-        let Some(crow) = current.row(&brow.scheme) else {
-            chk.regression(
+    for (side, rows, other) in [
+        ("missing from current run", baseline, current),
+        ("absent from baseline", current, baseline),
+    ] {
+        for row in rows.rows.iter().filter(|r| other.row(&r.scheme).is_none()) {
+            out.regression(
                 "schema-shape",
-                format!(
-                    "{unit}: scheme \"{}\" missing from current run",
-                    brow.scheme
-                ),
-            );
-            continue;
-        };
-        for (metric, b, c) in [
-            ("base", brow.base_pct, crow.base_pct),
-            ("hw", brow.hardware_pct, crow.hardware_pct),
-            (
-                "hw+comp",
-                brow.hardware_compiler_pct,
-                crow.hardware_compiler_pct,
-            ),
-            ("comp", brow.compiler_only_pct, crow.compiler_only_pct),
-        ] {
-            chk.metric(&format!("{unit} {} {metric}", brow.scheme), b, c);
-        }
-    }
-    for crow in &current.rows {
-        if baseline.row(&crow.scheme).is_none() {
-            chk.regression(
-                "schema-shape",
-                format!("{unit}: scheme \"{}\" absent from baseline", crow.scheme),
+                format!("{unit}: scheme \"{}\" {side}", row.scheme),
             );
         }
     }
 
-    // Ordering: derive the expected ranking from the baseline's
-    // hardware-swap column and require the current run to preserve it
-    // for every pair the baseline separates by more than the margin.
+    // Require the current run to preserve the order of every pair the
+    // baseline separates by more than the margin.
     for (i, a) in baseline.rows.iter().enumerate() {
         for b in baseline.rows.iter().skip(i + 1) {
             let gap = a.hardware_pct - b.hardware_pct;
-            if gap.abs() <= chk.tol.ordering_margin_pct {
+            if gap.abs() <= tol.ordering_margin_pct {
                 continue; // tie in the baseline; no order to preserve
             }
             let (hi, lo) = if gap > 0.0 { (a, b) } else { (b, a) };
@@ -236,7 +189,7 @@ fn check_unit(
                 continue; // already reported as schema-shape above
             };
             if chi.hardware_pct < clo.hardware_pct {
-                chk.regression(
+                out.regression(
                     "scheme-ordering",
                     format!(
                         "{unit}: \"{}\" ({:.2}%) fell below \"{}\" ({:.2}%); \
@@ -254,34 +207,14 @@ fn check_unit(
     }
 }
 
-fn check_distribution(chk: &mut Checker<'_>, name: &str, baseline: &[f64], current: &[f64]) {
-    if baseline.len() != current.len() {
-        chk.regression(
-            "schema-shape",
-            format!(
-                "{name}: {} entries vs baseline {}",
-                current.len(),
-                baseline.len()
-            ),
-        );
-        return;
-    }
-    for (k, (b, c)) in baseline.iter().zip(current).enumerate() {
-        // Occupancy distributions are fractions; band them in percent
-        // like every other metric.
-        chk.metric(&format!("{name} P(k={})", k + 1), b * 100.0, c * 100.0);
-    }
-}
-
 /// Diffs `current` against `baseline` under `tol`.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -> Comparison {
-    let mut chk = Checker {
-        tol,
-        findings: Vec::new(),
-    };
+    let mut out = Findings::default();
 
     if !baseline.manifest.comparable_with(&current.manifest) {
-        chk.regression(
+        // Metric diffs against a different configuration would be pure
+        // noise — stop here.
+        out.regression(
             "manifest",
             format!(
                 "configurations differ (baseline tag \"{}\", current tag \"{}\"); \
@@ -289,13 +222,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
                 baseline.manifest.tag, current.manifest.tag
             ),
         );
-        // Metric diffs against a different configuration would be pure
-        // noise — stop here.
-        chk.findings
-            .sort_by_key(|f| f.severity != Severity::Regression);
-        return Comparison {
-            findings: chk.findings,
-        };
+        return out.finish();
     }
 
     for (side, r) in [("baseline", baseline), ("current", current)] {
@@ -308,192 +235,97 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
             ("harness", r.harness.is_some()),
         ];
         for (section, _) in present.into_iter().filter(|(_, p)| !p) {
-            chk.regression(
+            out.regression(
                 "schema-shape",
                 format!("{side} artifact has no {section} section"),
             );
         }
     }
 
-    check_unit(&mut chk, "IALU", &baseline.ialu, &current.ialu);
-    check_unit(&mut chk, "FPAU", &baseline.fpau, &current.fpau);
-
-    chk.metric(
-        "headline IALU",
-        baseline.headline_ialu_pct,
-        current.headline_ialu_pct,
-    );
-    chk.metric(
-        "headline FPAU",
-        baseline.headline_fpau_pct,
-        current.headline_fpau_pct,
-    );
-    chk.metric(
-        "headline IALU+compiler",
-        baseline.headline_ialu_compiler_pct,
-        current.headline_ialu_compiler_pct,
-    );
-
-    for (name, b, c) in [
-        (
-            "table1 IALU ones|info0",
-            baseline.operands.ialu_ones_frac_info0,
-            current.operands.ialu_ones_frac_info0,
-        ),
-        (
-            "table1 IALU ones|info1",
-            baseline.operands.ialu_ones_frac_info1,
-            current.operands.ialu_ones_frac_info1,
-        ),
-        (
-            "table1 FPAU P(info=0)",
-            baseline.operands.fpau_info0_fraction,
-            current.operands.fpau_info0_fraction,
-        ),
-        (
-            "table1 FPAU ones|info0",
-            baseline.operands.fpau_ones_frac_info0,
-            current.operands.fpau_ones_frac_info0,
-        ),
-    ] {
-        // Fractions → percent before banding.
-        chk.metric(name, b * 100.0, c * 100.0);
+    check_rows(&mut out, tol, "IALU", &baseline.ialu, &current.ialu);
+    check_rows(&mut out, tol, "FPAU", &baseline.fpau, &current.fpau);
+    let levels = |r: &BenchReport| {
+        [
+            ("IALU", r.ialu_occupancy.len()),
+            ("FPAU", r.fpau_occupancy.len()),
+        ]
+    };
+    for ((unit, b), (_, c)) in levels(baseline).into_iter().zip(levels(current)) {
+        if b != c {
+            out.regression(
+                "schema-shape",
+                format!("table2 {unit}: {c} entries vs baseline {b}"),
+            );
+        }
     }
 
-    check_distribution(
-        &mut chk,
-        "table2 IALU",
-        &baseline.ialu_occupancy,
-        &current.ialu_occupancy,
-    );
-    check_distribution(
-        &mut chk,
-        "table2 FPAU",
-        &baseline.fpau_occupancy,
-        &current.fpau_occupancy,
-    );
-
-    for phase in SimPhase::ALL {
-        let b = baseline.phase_nanos.of(phase);
-        let c = current.phase_nanos.of(phase);
-        if b < tol.timer_floor_nanos {
+    // Every banded number, against the baseline's value. Allocation
+    // pressure is only comparable at equal `jobs`; it is banded with
+    // the rest of the harness section below.
+    for metric in catalogue(baseline, tol) {
+        if metric.category == "harness-allocs" {
             continue;
         }
-        let factor = c as f64 / b as f64;
-        if factor > tol.timer_factor {
-            chk.regression(
-                "phase-timer",
-                format!(
-                    "{} phase took {:.1}x baseline ({} ns vs {} ns, limit {:.0}x)",
-                    phase.name(),
-                    factor,
-                    c,
-                    b,
-                    tol.timer_factor
-                ),
-            );
-        }
-    }
-
-    // Simulated-rate headline: IPC is pure model arithmetic (cycles and
-    // retired instructions are deterministic), so it is banded like the
-    // estimator ratios; the MHz figure divides by measured wall-clock,
-    // so — exactly like the phase timers — only a gross slowdown of a
-    // non-trivial run is gated.
-    if let (Some(b), Some(c)) = (&baseline.throughput, &current.throughput) {
-        let (bi, ci) = (b.ipc(), c.ipc());
-        let drift_pct = if bi == 0.0 {
-            0.0
-        } else {
-            100.0 * (ci / bi - 1.0).abs()
+        let (Some(b), Some(c)) = ((metric.extract)(baseline), (metric.extract)(current)) else {
+            continue; // a hole: nothing to band
         };
-        if drift_pct > tol.metric_pct {
-            chk.regression(
-                "throughput-ipc",
-                format!(
-                    "suite IPC {ci:.4} vs baseline {bi:.4} \
-                     (drift {drift_pct:.3}% > {:.3}%)",
-                    tol.metric_pct
-                ),
-            );
-        } else if drift_pct > 0.0 {
-            chk.info(
-                "throughput-ipc",
-                format!("suite IPC {ci:.4} vs baseline {bi:.4} (within band)"),
-            );
-        }
-        if b.hot_nanos >= tol.timer_floor_nanos && c.sim_khz() > 0.0 {
-            let factor = b.sim_khz() / c.sim_khz();
-            if factor > tol.timer_factor {
-                chk.regression(
-                    "sim-rate",
-                    format!(
-                        "simulated rate fell to {:.3} MHz from {:.3} MHz \
-                         ({factor:.1}x slower, limit {:.0}x)",
-                        c.sim_mhz(),
-                        b.sim_mhz(),
-                        tol.timer_factor
-                    ),
-                );
-            }
+        let message = || {
+            let line = describe(metric.kind, c, b, "baseline", tol);
+            format!("{}: {line}", metric.name)
+        };
+        match band(metric.kind, c, b, tol) {
+            Verdict::Out => out.regression(metric.category, message()),
+            Verdict::Within => out.info(metric.category, message()),
+            Verdict::Quiet => {}
         }
     }
 
     for (side, report) in [("baseline", baseline), ("current", current)] {
         if !report.telemetry.exact {
-            chk.regression(
+            out.regression(
                 "telemetry-exactness",
                 format!("{side} artifact records inexact windowed telemetry sums"),
             );
         }
-        if let Some(a) = &report.attribution {
-            if !a.exact {
-                chk.regression(
-                    "attribution-exactness",
-                    format!("{side} artifact records an inexact energy-attribution partition"),
-                );
-            }
+        if report.attribution.as_ref().is_some_and(|a| !a.exact) {
+            out.regression(
+                "attribution-exactness",
+                format!("{side} artifact records an inexact energy-attribution partition"),
+            );
         }
-        if let Some(s) = &report.stalls {
-            if !s.exact {
-                chk.regression(
-                    "stall-exactness",
-                    format!(
-                        "{side} artifact records an inexact stall partition \
-                         ({} slots accounted, {} cycles x {} issue slots expected)",
-                        s.slots, s.cycles, s.issue_width
-                    ),
-                );
-            }
+        if let Some(s) = report.stalls.as_ref().filter(|s| !s.exact) {
+            out.regression(
+                "stall-exactness",
+                format!(
+                    "{side} artifact records an inexact stall partition \
+                     ({} slots accounted, {} cycles x {} issue slots expected)",
+                    s.slots, s.cycles, s.issue_width
+                ),
+            );
         }
-        if let Some(e) = &report.estimator {
-            for entry in &e.entries {
-                if !entry.sound {
-                    chk.regression(
-                        "estimator-soundness",
-                        format!(
-                            "{side} artifact records a violated static bound under \
-                             scheme \"{}\" (worst block {})",
-                            entry.scheme, entry.worst_block
-                        ),
-                    );
-                }
-            }
+        let entries = report.estimator.iter().flat_map(|e| &e.entries);
+        for entry in entries.filter(|e| !e.sound) {
+            out.regression(
+                "estimator-soundness",
+                format!(
+                    "{side} artifact records a violated static bound under \
+                     scheme \"{}\" (worst block {})",
+                    entry.scheme, entry.worst_block
+                ),
+            );
         }
     }
 
-    // Hotspot drift: the energy-attribution digest names the suite's
-    // hottest PCs; a hotspot vanishing from the top list, or its share
-    // of the suite's switched bits drifting past the metric band, means
-    // the *location* of the energy changed even if the totals did not.
+    // Membership: a baseline hotspot or estimator scheme the current
+    // run no longer records. Its shares and ratios are holes above.
     if let (Some(b), Some(c)) = (&baseline.attribution, &current.attribution) {
         for bh in &b.top_hotspots {
-            let found = c
+            if !c
                 .top_hotspots
                 .iter()
-                .find(|ch| ch.workload == bh.workload && ch.pc == bh.pc);
-            match found {
-                None => chk.regression(
+                .any(|ch| ch.workload == bh.workload && ch.pc == bh.pc)
+            {
+                out.regression(
                     "hotspot-drift",
                     format!(
                         "hotspot {} pc{} ({:.3}% of suite bits in baseline) \
@@ -503,184 +335,92 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
                         bh.share_pct,
                         c.top_hotspots.len()
                     ),
-                ),
-                Some(ch) => {
-                    let drift = (ch.share_pct - bh.share_pct).abs();
-                    if drift > tol.metric_pct {
-                        chk.regression(
-                            "hotspot-drift",
-                            format!(
-                                "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
-                                 {:.3}% (drift {drift:.3} pts > {:.3})",
-                                bh.workload, bh.pc, ch.share_pct, bh.share_pct, tol.metric_pct
-                            ),
-                        );
-                    } else if drift > 0.0 {
-                        chk.info(
-                            "hotspot-drift",
-                            format!(
-                                "hotspot {} pc{}: {:.3}% of suite bits vs baseline \
-                                 {:.3}% (within band)",
-                                bh.workload, bh.pc, ch.share_pct, bh.share_pct
-                            ),
-                        );
-                    }
-                }
+                );
             }
         }
     }
-
-    // Stall-mix drift: the cycle partition says where the machine's
-    // issue bandwidth went; each reason's share of the total slots is a
-    // deterministic model metric, banded like every other percentage.
-    if let (Some(b), Some(c)) = (&baseline.stalls, &current.stalls) {
-        let (b_total, c_total) = (b.slots, c.slots);
-        for reason in StallReason::ALL {
-            let share = |mix: &[u64; 8], total: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * mix[reason.index()] as f64 / total as f64
-                }
-            };
-            chk.metric(
-                &format!("stall-mix {}", reason.name()),
-                share(&b.mix, b_total),
-                share(&c.mix, c_total),
-            );
-        }
-    }
-
-    // Estimator precision drift: the bounds are pure model arithmetic,
-    // so an identical re-run drifts by exactly zero; a looser (or
-    // suspiciously tighter) ratio means the abstract domain or the
-    // power model changed underneath the estimator.
     if let (Some(b), Some(c)) = (&baseline.estimator, &current.estimator) {
         for be in &b.entries {
-            let Some(ce) = c.entries.iter().find(|ce| ce.scheme == be.scheme) else {
-                chk.regression(
+            if !c.entries.iter().any(|ce| ce.scheme == be.scheme) {
+                out.regression(
                     "estimator-precision",
                     format!(
                         "scheme \"{}\" missing from the current estimator digest",
                         be.scheme
                     ),
                 );
-                continue;
-            };
-            for (metric, bv, cv) in [
-                ("mean", be.mean_ratio, ce.mean_ratio),
-                ("worst-block", be.worst_ratio, ce.worst_ratio),
-            ] {
-                let drift_pct = if bv == 0.0 {
-                    0.0
+            }
+        }
+    }
+
+    // Harness health, only between runs with the same worker count
+    // (see the module doc). A missing section was already reported as
+    // a schema-shape regression.
+    let harness = baseline.harness.as_ref().zip(current.harness.as_ref());
+    let Some((b, c)) = harness.filter(|(b, c)| b.jobs == c.jobs) else {
+        return out.finish();
+    };
+    if c.busy_fraction < b.busy_fraction * 0.5 && b.busy_fraction - c.busy_fraction > 0.2 {
+        out.regression(
+            "harness-utilization",
+            format!(
+                "worker busy fraction collapsed to {:.3} from baseline {:.3} \
+                 on {} worker(s)",
+                c.busy_fraction, b.busy_fraction, c.jobs
+            ),
+        );
+    } else if (c.busy_fraction - b.busy_fraction).abs() > 0.05 {
+        // Below the floor the difference is scheduler jitter two honest
+        // runs always exhibit; reporting it would keep any same-config
+        // pair from ever diffing to zero findings.
+        out.info(
+            "harness-utilization",
+            format!(
+                "worker busy fraction {:.3} vs baseline {:.3} (measurement noise)",
+                c.busy_fraction, b.busy_fraction
+            ),
+        );
+    }
+    if (c.imbalance - b.imbalance).abs() > 0.05 {
+        out.info(
+            "harness-imbalance",
+            format!(
+                "load imbalance {:.2} vs baseline {:.2} (measurement noise)",
+                c.imbalance, b.imbalance
+            ),
+        );
+    }
+    match (b.allocs_per_kcycle, c.allocs_per_kcycle) {
+        (Some(bv), Some(cv)) => {
+            if band(BandKind::Inflation, cv, bv, tol) == Verdict::Out {
+                out.regression(
+                    "harness-allocs",
+                    format!(
+                        "allocations per simulated kilocycle exploded to {cv:.1} \
+                         from baseline {bv:.1}"
+                    ),
+                );
+            } else if (cv - bv).abs() > 0.05 * bv.abs().max(1.0) {
+                out.info(
+                    "harness-allocs",
+                    format!("allocs per kilocycle {cv:.1} vs baseline {bv:.1}"),
+                );
+            }
+        }
+        (None, None) => {}
+        (b_allocs, _) => out.info(
+            "harness-allocs",
+            format!(
+                "{} artifact has no allocation figure (counting allocator not installed)",
+                if b_allocs.is_some() {
+                    "current"
                 } else {
-                    100.0 * (cv / bv - 1.0).abs()
-                };
-                if drift_pct > tol.metric_pct {
-                    chk.regression(
-                        "estimator-precision",
-                        format!(
-                            "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
-                             baseline {bv:.3} (drift {drift_pct:.3}% > {:.3}%)",
-                            be.scheme, tol.metric_pct
-                        ),
-                    );
-                } else if drift_pct > 0.0 {
-                    chk.info(
-                        "estimator-precision",
-                        format!(
-                            "scheme \"{}\" {metric} bound/actual ratio {cv:.3} vs \
-                             baseline {bv:.3} (within band)",
-                            be.scheme
-                        ),
-                    );
+                    "baseline"
                 }
-            }
-        }
+            ),
+        ),
     }
-
-    // Harness health: utilization and allocation pressure are measured,
-    // not modelled, so only a collapse is actionable — and only between
-    // runs with the same worker count. Different `jobs` values utilize
-    // the pool differently by construction, so those pairs are skipped
-    // without even an Info finding (artifact diffs across `--jobs` must
-    // come out empty).
-    match (&baseline.harness, &current.harness) {
-        (Some(b), Some(c)) if b.jobs == c.jobs => {
-            let dropped = b.busy_fraction - c.busy_fraction;
-            if c.busy_fraction < b.busy_fraction * 0.5 && dropped > 0.2 {
-                chk.regression(
-                    "harness-utilization",
-                    format!(
-                        "worker busy fraction collapsed to {:.3} from baseline {:.3} \
-                         on {} worker(s)",
-                        c.busy_fraction, b.busy_fraction, c.jobs
-                    ),
-                );
-            } else if (c.busy_fraction - b.busy_fraction).abs() > 0.05 {
-                // Below the floor the difference is scheduler jitter two
-                // honest runs always exhibit; reporting it would keep any
-                // same-config pair from ever diffing to zero findings.
-                chk.info(
-                    "harness-utilization",
-                    format!(
-                        "worker busy fraction {:.3} vs baseline {:.3} (measurement noise)",
-                        c.busy_fraction, b.busy_fraction
-                    ),
-                );
-            }
-            if (c.imbalance - b.imbalance).abs() > 0.05 {
-                chk.info(
-                    "harness-imbalance",
-                    format!(
-                        "load imbalance {:.2} vs baseline {:.2} (measurement noise)",
-                        c.imbalance, b.imbalance
-                    ),
-                );
-            }
-            match (b.allocs_per_kcycle, c.allocs_per_kcycle) {
-                (Some(bv), Some(cv)) => {
-                    if cv > bv * 10.0 && cv - bv > 100.0 {
-                        chk.regression(
-                            "harness-allocs",
-                            format!(
-                                "allocations per simulated kilocycle exploded to {cv:.1} \
-                                 from baseline {bv:.1}"
-                            ),
-                        );
-                    } else if (cv - bv).abs() > 0.05 * bv.abs().max(1.0) {
-                        chk.info(
-                            "harness-allocs",
-                            format!("allocs per kilocycle {cv:.1} vs baseline {bv:.1}"),
-                        );
-                    }
-                }
-                (Some(_), None) => chk.info(
-                    "harness-allocs",
-                    "current artifact has no allocation figure \
-                     (counting allocator not installed)"
-                        .to_string(),
-                ),
-                (None, Some(_)) => chk.info(
-                    "harness-allocs",
-                    "baseline artifact has no allocation figure \
-                     (counting allocator not installed)"
-                        .to_string(),
-                ),
-                (None, None) => {}
-            }
-        }
-        // Different worker counts: nothing comparable, deliberately
-        // silent (see the module doc). A missing section was already
-        // reported as a schema-shape regression.
-        _ => {}
-    }
-
-    chk.findings
-        .sort_by_key(|f| f.severity != Severity::Regression);
-    Comparison {
-        findings: chk.findings,
-    }
+    out.finish()
 }
 
 #[cfg(test)]
@@ -688,6 +428,7 @@ mod tests {
     use super::*;
     use crate::bench::bench_suite;
     use fua_core::ExperimentConfig;
+    use fua_trace::StallReason;
 
     fn tiny() -> crate::BenchReport {
         let config = ExperimentConfig {
@@ -871,7 +612,7 @@ mod tests {
         assert!(cmp.findings.iter().any(|f| {
             f.category == "metric-drift"
                 && f.severity == Severity::Regression
-                && f.message.contains("stall-mix")
+                && f.message.starts_with("stall ")
         }));
 
         // The same shift within a wider band is only informational.
@@ -958,12 +699,13 @@ mod tests {
         let mut loose = baseline.clone();
         let entry = &mut loose.estimator.as_mut().unwrap().entries[0];
         entry.mean_ratio *= 1.25; // 25% relative drift >> the band
+        let mean = format!("estimator {} ratio:", entry.scheme);
         let cmp = compare(&baseline, &loose, &Tolerance::default());
         assert!(!cmp.passed());
         assert!(cmp.findings.iter().any(|f| {
             f.category == "estimator-precision"
                 && f.severity == Severity::Regression
-                && f.message.contains("mean")
+                && f.message.starts_with(&mean)
         }));
 
         // The same drift within a wider band is only informational.

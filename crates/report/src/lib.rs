@@ -17,7 +17,9 @@
 //! 3. [`compare`] / [`Comparison`] — a tolerance-banded diff of two
 //!    artifacts that flags metric drift, scheme-ordering inversions,
 //!    and phase-timer slowdowns. `fua report --baseline` turns the
-//!    verdict into an exit code for CI gating.
+//!    verdict into an exit code for CI gating. [`trends`] bands the
+//!    same metrics over a stored history; both gates read one metric
+//!    catalogue and one band rule ([`BandKind`]).
 //!
 //! Everything is dependency-free: JSON parsing and emission come from
 //! the in-tree [`fua_trace`] value type.
@@ -27,6 +29,7 @@
 
 mod bench;
 mod compare;
+mod gate;
 mod manifest;
 mod trends;
 
@@ -37,9 +40,10 @@ pub use bench::{
     ATTRIBUTION_HOTSPOTS, BENCH_SCHEMA, DEFAULT_WINDOW_CYCLES,
 };
 pub use compare::{compare, Comparison, Finding, Severity, Tolerance};
+pub use gate::BandKind;
 pub use manifest::{RunManifest, WorkloadEntry};
 pub use trends::{
-    sparkline, trends, TrendError, TrendKind, TrendReport, TrendSeries, TRENDS_SCHEMA, TREND_WINDOW,
+    sparkline, trends, TrendError, TrendReport, TrendSeries, TRENDS_SCHEMA, TREND_WINDOW,
 };
 
 use fua_trace::{Json, JsonParseError};

@@ -4,10 +4,10 @@
 //! run?"; this module answers "is the trajectory healthy?". Given an
 //! ordered history of artifacts captured under one comparable manifest
 //! (oldest first, as the run store hands them out), [`trends`] extracts
-//! one time series per tracked metric and applies a rolling-median
-//! change-point rule: each point is banded against the median of its
-//! [`TREND_WINDOW`] most recent predecessors, using the same
-//! [`Tolerance`] knobs the pairwise gate uses.
+//! one time series per metric of the shared gate catalogue — the same
+//! metrics `compare` bands, under the same [`BandKind`] rule and
+//! [`Tolerance`] — and bands each point against the median of its
+//! [`TREND_WINDOW`] most recent predecessors.
 //!
 //! The classification is positional. An out-of-band *newest* point is a
 //! [`Severity::Regression`] (`trend-regression`) — the latest run broke
@@ -17,29 +17,15 @@
 //! which is exactly the provenance question the store exists to answer,
 //! not something to fail retroactively.
 //!
-//! Three band shapes cover the metric families:
-//!
-//! - [`TrendKind::Points`] — absolute drift in percentage points
-//!   (`metric_pct`), for reduction percentages and share-of-total
-//!   metrics that already live on a 0–100 scale.
-//! - [`TrendKind::RelativePct`] — relative drift in percent
-//!   (`metric_pct`), for dimensionless ratios (suite IPC, estimator
-//!   precision) where a fixed point band would be meaningless.
-//! - [`TrendKind::WallClock`] — slowdown-only by `timer_factor`, for
-//!   measured rates (simulated MHz) where faster is never a finding
-//!   and machine-to-machine noise must not gate.
-//! - [`TrendKind::Inflation`] — growth-only by `timer_factor`, for
-//!   measured costs (harness allocations per simulated kilocycle)
-//!   where *lower* is better and only an explosion should gate.
-//!
 //! Series are aligned to the input points with `Vec<Option<f64>>`: a
-//! point without the metric (a scheme row only newer runs have, a hot
-//! loop under the timer floor, a run without the counting allocator)
-//! contributes a hole, which the median skips and [`sparkline`] renders
-//! as a gap.
+//! point without the metric (a scheme row or hotspot only some runs
+//! have, a timer under the floor, a run without the counting
+//! allocator) contributes a hole, which the median skips and
+//! [`sparkline`] renders as a gap.
 
 use crate::bench::BenchReport;
 use crate::compare::{Finding, Severity, Tolerance};
+use crate::gate::{band, catalogue, describe, BandKind, Verdict};
 use fua_trace::Json;
 use std::fmt;
 
@@ -53,42 +39,15 @@ pub const TREND_WINDOW: usize = 8;
 /// Characters of the ASCII sparkline, lowest value first.
 const SPARK_LEVELS: &[u8] = b"_.:-=+*#";
 
-/// How a series is banded against its rolling median.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrendKind {
-    /// Absolute drift banded in percentage points (`metric_pct`).
-    Points,
-    /// Relative drift banded in percent of the median (`metric_pct`).
-    RelativePct,
-    /// Only a slowdown beyond `timer_factor` is flagged; the metric is
-    /// a measured rate where higher is better and noise is expected.
-    WallClock,
-    /// Only growth beyond `timer_factor` is flagged; the metric is a
-    /// measured cost where lower is better and noise is expected.
-    Inflation,
-}
-
-impl TrendKind {
-    /// Machine-greppable name used in the JSON rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            TrendKind::Points => "points",
-            TrendKind::RelativePct => "relative-pct",
-            TrendKind::WallClock => "wall-clock",
-            TrendKind::Inflation => "inflation",
-        }
-    }
-}
-
 /// One metric's history across the input points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendSeries {
     /// Human-readable metric name (also the JSON key).
     pub metric: String,
     /// The band shape applied to this series.
-    pub kind: TrendKind,
-    /// One slot per input point, oldest first; `None` where the
-    /// artifact predates the metric's schema section.
+    pub kind: BandKind,
+    /// One slot per input point, oldest first; `None` is a hole, where
+    /// the point has no value for the metric (see the module doc).
     pub values: Vec<Option<f64>>,
 }
 
@@ -152,17 +111,12 @@ impl TrendReport {
             .findings
             .iter()
             .map(|f| {
+                let severity = match f.severity {
+                    Severity::Info => "info",
+                    Severity::Regression => "regression",
+                };
                 Json::obj([
-                    (
-                        "severity",
-                        Json::Str(
-                            match f.severity {
-                                Severity::Info => "info",
-                                Severity::Regression => "regression",
-                            }
-                            .to_string(),
-                        ),
-                    ),
+                    ("severity", Json::Str(severity.to_string())),
                     ("category", Json::Str(f.category.to_string())),
                     ("message", Json::Str(f.message.clone())),
                 ])
@@ -252,9 +206,8 @@ pub fn sparkline(values: &[Option<f64>]) -> String {
         .collect()
 }
 
-/// Median of a non-empty slice (midpoint average for even lengths).
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
+/// Median of non-empty values (midpoint average for even lengths).
+fn median(mut sorted: Vec<f64>) -> f64 {
     sorted.sort_by(f64::total_cmp);
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {
@@ -262,226 +215,6 @@ fn median(values: &[f64]) -> f64 {
     } else {
         (sorted[mid - 1] + sorted[mid]) / 2.0
     }
-}
-
-/// Checks one value against its rolling median; `Some(description)`
-/// when it is out of band for the series' kind.
-fn band_violation(kind: TrendKind, value: f64, med: f64, tol: &Tolerance) -> Option<String> {
-    match kind {
-        TrendKind::Points => {
-            let drift = (value - med).abs();
-            (drift > tol.metric_pct).then(|| {
-                format!(
-                    "{value:.3} vs rolling median {med:.3}: drift {drift:.3} pct-points \
-                     exceeds the {:.3} band",
-                    tol.metric_pct
-                )
-            })
-        }
-        TrendKind::RelativePct => {
-            let drift_pct = if med.abs() < 1e-12 {
-                if (value - med).abs() < 1e-12 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                (value - med).abs() / med.abs() * 100.0
-            };
-            (drift_pct > tol.metric_pct).then(|| {
-                format!(
-                    "{value:.4} vs rolling median {med:.4}: relative drift {drift_pct:.2}% \
-                     exceeds the {:.2}% band",
-                    tol.metric_pct
-                )
-            })
-        }
-        TrendKind::WallClock => {
-            if value <= 0.0 || med <= 0.0 {
-                return None;
-            }
-            let factor = med / value;
-            (factor > tol.timer_factor).then(|| {
-                format!(
-                    "{value:.1} vs rolling median {med:.1}: {factor:.1}x slower exceeds \
-                     the {:.1}x slowdown factor",
-                    tol.timer_factor
-                )
-            })
-        }
-        TrendKind::Inflation => {
-            if value <= 0.0 || med <= 0.0 {
-                return None;
-            }
-            let factor = value / med;
-            (factor > tol.timer_factor).then(|| {
-                format!(
-                    "{value:.1} vs rolling median {med:.1}: {factor:.1}x growth exceeds \
-                     the {:.1}x inflation factor",
-                    tol.timer_factor
-                )
-            })
-        }
-    }
-}
-
-/// Pulls one metric's value out of an artifact, or `None` when the
-/// artifact lacks the metric (a hole in the series).
-type Extract = Box<dyn Fn(&BenchReport) -> Option<f64>>;
-
-/// One tracked metric: its name, band shape, and extractor.
-struct Metric {
-    name: String,
-    kind: TrendKind,
-    extract: Extract,
-}
-
-/// Builds the metric catalogue from the newest point (whose scheme
-/// rows and estimator entries define which per-scheme series exist).
-fn catalogue(newest: &BenchReport, tol: &Tolerance) -> Vec<Metric> {
-    let mut metrics: Vec<Metric> = Vec::new();
-    let mut push = |name: String, kind: TrendKind, f: Extract| {
-        metrics.push(Metric {
-            name,
-            kind,
-            extract: f,
-        })
-    };
-
-    // Headline reductions.
-    push(
-        "headline IALU %".to_string(),
-        TrendKind::Points,
-        Box::new(|r| Some(r.headline_ialu_pct)),
-    );
-    push(
-        "headline FPAU %".to_string(),
-        TrendKind::Points,
-        Box::new(|r| Some(r.headline_fpau_pct)),
-    );
-    push(
-        "headline IALU+compiler %".to_string(),
-        TrendKind::Points,
-        Box::new(|r| Some(r.headline_ialu_compiler_pct)),
-    );
-
-    // Per-scheme hardware-swap reductions, both units. Which schemes
-    // exist comes from the newest point; older points missing a scheme
-    // contribute holes.
-    for row in &newest.ialu.rows {
-        let scheme = row.scheme.clone();
-        push(
-            format!("IALU {scheme} hw %"),
-            TrendKind::Points,
-            Box::new(move |r| r.ialu.row(&scheme).map(|row| row.hardware_pct)),
-        );
-    }
-    for row in &newest.fpau.rows {
-        let scheme = row.scheme.clone();
-        push(
-            format!("FPAU {scheme} hw %"),
-            TrendKind::Points,
-            Box::new(move |r| r.fpau.row(&scheme).map(|row| row.hardware_pct)),
-        );
-    }
-
-    // Throughput: IPC is a deterministic model ratio; the simulated
-    // rates divide by wall-clock and are only slowdown-gated, with
-    // sub-floor hot loops treated as holes (noise, not signal).
-    push(
-        "suite IPC".to_string(),
-        TrendKind::RelativePct,
-        Box::new(|r| r.throughput.as_ref().map(|t| t.ipc())),
-    );
-    let floor = tol.timer_floor_nanos;
-    push(
-        "sim MHz".to_string(),
-        TrendKind::WallClock,
-        Box::new(move |r| {
-            r.throughput
-                .as_ref()
-                .filter(|t| t.hot_nanos >= floor)
-                .map(|t| t.sim_mhz())
-        }),
-    );
-    push(
-        "sim kinst/s".to_string(),
-        TrendKind::WallClock,
-        Box::new(move |r| {
-            r.throughput
-                .as_ref()
-                .filter(|t| t.hot_nanos >= floor)
-                .map(|t| t.kips())
-        }),
-    );
-
-    // Stall-reason mix, as share of all issue slots.
-    for (i, reason) in fua_trace::StallReason::ALL.iter().enumerate() {
-        push(
-            format!("stall {} share %", reason.name()),
-            TrendKind::Points,
-            Box::new(move |r| {
-                r.stalls
-                    .as_ref()
-                    .filter(|s| s.slots > 0)
-                    .map(|s| s.mix[i] as f64 / s.slots as f64 * 100.0)
-            }),
-        );
-    }
-
-    // Estimator precision ratios, one per scheme the newest point
-    // checked.
-    if let Some(est) = &newest.estimator {
-        for entry in &est.entries {
-            let scheme = entry.scheme.clone();
-            push(
-                format!("estimator {scheme} ratio"),
-                TrendKind::RelativePct,
-                Box::new(move |r| {
-                    r.estimator.as_ref().and_then(|e| {
-                        e.entries
-                            .iter()
-                            .find(|en| en.scheme == scheme)
-                            .map(|en| en.mean_ratio)
-                    })
-                }),
-            );
-        }
-    }
-
-    // Harness allocation pressure: allocations per simulated kilocycle
-    // of the telemetry pass. Holes for runs captured without the
-    // counting allocator installed; growth-only gating, since
-    // measurement noise can always shrink the figure.
-    push(
-        "harness allocs/kcycle".to_string(),
-        TrendKind::Inflation,
-        Box::new(|r| r.harness.as_ref().and_then(|h| h.allocs_per_kcycle)),
-    );
-
-    // Attribution hotspot concentration: how top-heavy the energy
-    // profile is (top PC, and the whole recorded top-N together).
-    push(
-        "hotspot top-1 share %".to_string(),
-        TrendKind::Points,
-        Box::new(|r| {
-            r.attribution
-                .as_ref()
-                .and_then(|a| a.top_hotspots.first())
-                .map(|h| h.share_pct)
-        }),
-    );
-    push(
-        "hotspot top-10 share %".to_string(),
-        TrendKind::Points,
-        Box::new(|r| {
-            r.attribution
-                .as_ref()
-                .map(|a| a.top_hotspots.iter().map(|h| h.share_pct).sum())
-        }),
-    );
-
-    metrics
 }
 
 /// Assembles per-metric time series over a comparable artifact history
@@ -510,12 +243,13 @@ pub fn trends(
         }
     }
 
-    let newest = &points[points.len() - 1].1;
-    let metrics = catalogue(newest, tol);
+    // The newest point's scheme rows, estimator schemes and hotspots
+    // decide which per-key series exist.
+    let metrics = catalogue(&points[points.len() - 1].1, tol);
     let mut series = Vec::with_capacity(metrics.len());
     let mut findings = Vec::new();
 
-    for metric in &metrics {
+    for metric in metrics {
         let values: Vec<Option<f64>> = points.iter().map(|(_, r)| (metric.extract)(r)).collect();
 
         // Band each present point against the median of its most
@@ -532,36 +266,34 @@ pub fn trends(
             if prior.is_empty() {
                 continue;
             }
-            let med = median(&prior);
-            if let Some(description) = band_violation(metric.kind, *value, med, tol) {
-                let newest_point = i == points.len() - 1;
+            let med = median(prior);
+            if band(metric.kind, *value, med, tol) == Verdict::Out {
+                let (severity, category) = if i == points.len() - 1 {
+                    (Severity::Regression, "trend-regression")
+                } else {
+                    (Severity::Info, "trend-shift")
+                };
                 findings.push(Finding {
-                    severity: if newest_point {
-                        Severity::Regression
-                    } else {
-                        Severity::Info
-                    },
-                    category: if newest_point {
-                        "trend-regression"
-                    } else {
-                        "trend-shift"
-                    },
-                    message: format!("{} at {}: {}", metric.name, points[i].0, description),
+                    severity,
+                    category,
+                    message: format!(
+                        "{} at {}: {}",
+                        metric.name,
+                        points[i].0,
+                        describe(metric.kind, *value, med, "rolling median", tol)
+                    ),
                 });
             }
         }
 
         series.push(TrendSeries {
-            metric: metric.name.clone(),
+            metric: metric.name,
             kind: metric.kind,
             values,
         });
     }
 
-    findings.sort_by_key(|f| match f.severity {
-        Severity::Regression => 0,
-        Severity::Info => 1,
-    });
+    findings.sort_by_key(|f| f.severity != Severity::Regression);
 
     Ok(TrendReport {
         labels: points.iter().map(|(l, _)| l.clone()).collect(),

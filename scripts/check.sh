@@ -133,6 +133,31 @@ trap 'rm -rf "$tmpdir"' EXIT
   cmp shown.json reshown.json
 )
 
+# Gate-agreement leg: `trends` and `report --store` band the same
+# catalogue, so a third run with Table 2's IALU P(k=1) lowered by 0.2
+# and P(k=2) raised by 0.2 must fail both.
+(
+  cd "$tmpdir"
+  "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o1
+  "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o2
+  "$repo/target/release/fua" store show 2 --store-dir .occupancy-store > occupancy.json
+  awk '
+    /"ialu_occupancy": \[/ { level = 1; print; next }
+    level == 1 { sub(/[0-9.eE+-]+/, sprintf("%.17g", $1 - 0.2)); level = 2; print; next }
+    level == 2 { sub(/[0-9.eE+-]+/, sprintf("%.17g", $1 + 0.2)); level = 0; print; next }
+    { print }
+  ' occupancy.json > occupancy-shifted.json
+  "$repo/target/release/fua" store put occupancy-shifted.json --store-dir .occupancy-store
+  if "$repo/target/release/fua" trends --store-dir .occupancy-store; then
+    echo "a shifted Table-2 occupancy unexpectedly passed trends" >&2
+    exit 1
+  fi
+  if "$repo/target/release/fua" report --store --store-dir .occupancy-store; then
+    echo "a shifted Table-2 occupancy unexpectedly passed report --store" >&2
+    exit 1
+  fi
+)
+
 # Throughput gates (mirrors the CI `throughput` job, see
 # docs/PERFORMANCE.md). The simulated-MHz rate is gated through a
 # dedicated run store: two fresh runs must trend clean and pass the

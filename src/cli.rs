@@ -50,7 +50,6 @@ pub struct Options {
     pub store: bool,
     pub store_dir: Option<String>,
     pub progress: bool,
-    pub quiet: bool,
     pub openmetrics: Option<String>,
 }
 
@@ -293,8 +292,6 @@ pub fn help() {
          \x20                 [bench-suite, report, figure4, headline,\n\
          \x20                 profile-energy, profile-cycles, estimate,\n\
          \x20                 harness-report]\n\
-         \x20 --quiet         suppress --progress heartbeat output (wins when\n\
-         \x20                 both are given) [same commands as --progress]\n\
          \x20 --openmetrics <FILE>  write harness metrics (worker utilization,\n\
          \x20                 queue-depth histogram, imbalance, allocations) as\n\
          \x20                 an OpenMetrics text exposition [harness-report]\n\
@@ -344,7 +341,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
         store: false,
         store_dir: None,
         progress: false,
-        quiet: false,
         openmetrics: None,
     };
     let mut it = args.iter();
@@ -423,7 +419,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.store_dir = Some(v.clone());
             }
             "--progress" => opts.progress = true,
-            "--quiet" => opts.quiet = true,
             "--openmetrics" => {
                 let v = it.next().ok_or("--openmetrics needs a file path")?;
                 opts.openmetrics = Some(v.clone());

@@ -57,7 +57,6 @@
 //!                           implies --store)
 //!          --progress       heartbeat lines on stderr; stdout and artifacts
 //!                           are byte-identical with or without it
-//!          --quiet          suppress the heartbeat (wins over --progress)
 //!          --openmetrics <F> write an OpenMetrics text exposition
 //!                           (harness-report only)
 //!          --version        print the version and exit
@@ -2158,7 +2157,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if opts.progress && !opts.quiet {
+    if opts.progress {
         enable_heartbeat(std::time::Duration::from_secs(2));
     }
 

@@ -59,31 +59,13 @@ fn progress_lines_go_to_stderr_and_stdout_is_byte_identical() {
 }
 
 #[test]
-fn quiet_suppresses_the_heartbeat_and_stdout_is_byte_identical() {
+fn quiet_is_an_unknown_option() {
     let tmp = TempDir::new("quiet");
-    let silent = fua_in(&tmp.0, &["figure4", "ialu", "--limit", "2000"]);
-    let quieted = fua_in(
-        &tmp.0,
-        &[
-            "figure4",
-            "ialu",
-            "--limit",
-            "2000",
-            "--progress",
-            "--quiet",
-        ],
-    );
-    assert!(silent.status.success() && quieted.status.success());
-
-    assert_eq!(
-        silent.stdout, quieted.stdout,
-        "--quiet must not change a single stdout byte"
-    );
-    let err = String::from_utf8_lossy(&quieted.stderr);
-    assert!(
-        !err.contains("progress:"),
-        "--quiet must win over --progress; stderr: {err}"
-    );
+    let out = fua_in(&tmp.0, &["figure4", "ialu", "--quiet"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option: --quiet"), "stderr: {err}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]
