@@ -43,7 +43,7 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The full-size configuration used by the benches and examples.
+    /// The full-size configuration used by the CLI and examples.
     pub fn full() -> Self {
         ExperimentConfig {
             scale: 1,

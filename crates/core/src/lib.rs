@@ -11,6 +11,7 @@
 //! | §5 hardware cost (58 gates / 6 levels, …) | [`synthesis_report`] |
 //! | §1 chip-level extrapolation ("roughly 4%") | [`chip_estimate`] |
 //! | Headline numbers (17% / 18% / 26%) | [`headline`] |
+//! | Ablations of the paper's fixed choices | [`ablation`] |
 //!
 //! # Examples
 //!
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod ablation;
 mod breakdown;
 mod chip;
 mod config;

@@ -164,8 +164,9 @@ impl Word {
     }
 
     /// Generalised information bit using the OR of the low `k` mantissa
-    /// bits for floats (the paper fixes `k = 4`; the ablation benches sweep
-    /// it). Integers always use the sign bit regardless of `k`.
+    /// bits for floats (the paper fixes `k = 4`; `fua ablation
+    /// fp-info-bits` sweeps it). Integers always use the sign bit
+    /// regardless of `k`.
     ///
     /// # Panics
     ///

@@ -308,12 +308,18 @@ mod tests {
     use crate::bench::bench_suite;
     use fua_core::ExperimentConfig;
 
+    /// A tiny suite run with its phase timers and rate pass pinned at
+    /// 10 ms: measured, some sit near the 5 ms floor in a debug build,
+    /// and a timer under the floor is a hole.
     fn tiny() -> BenchReport {
         let config = ExperimentConfig {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
-        bench_suite("tiny", &config, 512)
+        let mut r = bench_suite("tiny", &config, 512);
+        r.phase_nanos.0 = [10_000_000; 5];
+        r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
+        r
     }
 
     fn history(n: usize) -> Vec<(String, BenchReport)> {

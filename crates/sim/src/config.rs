@@ -40,8 +40,8 @@ pub struct MachineConfig {
     pub mispredict_penalty: u64,
     /// Issue strictly in program order (VLIW-style): an instruction may
     /// only issue when every older instruction has issued. The paper
-    /// conjectures its techniques partially apply to VLIWs; this switch
-    /// lets the extension bench test that.
+    /// conjectures its techniques partially apply to VLIWs; the engine
+    /// equivalence tests cover this mode.
     pub in_order_issue: bool,
 }
 
@@ -61,8 +61,7 @@ impl MachineConfig {
         }
     }
 
-    /// An in-order (VLIW-style) variant of the paper machine, for the
-    /// in-order-issue extension study.
+    /// An in-order (VLIW-style) variant of the paper machine.
     pub fn in_order() -> Self {
         MachineConfig {
             in_order_issue: true,
@@ -71,7 +70,7 @@ impl MachineConfig {
     }
 
     /// Returns the config with a different IALU/FPAU duplication (used by
-    /// the module-count ablation).
+    /// `fua ablation modules`).
     pub fn with_duplicated_modules(mut self, modules: usize) -> Self {
         self.fu_counts[FuClass::IntAlu.index()] = modules;
         self.fu_counts[FuClass::FpAlu.index()] = modules;

@@ -268,7 +268,13 @@ impl<'a> Parser<'a> {
             }
         }
         match text.parse::<f64>() {
-            Ok(f) => Ok(Json::Float(f)),
+            Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+            // `1e999` parses to infinity; a BENCH gate comparing two
+            // infinities sees NaN drift, which no band rejects.
+            Ok(_) => Err(JsonParseError {
+                offset: start,
+                message: format!("number out of range `{text}`"),
+            }),
             Err(_) => Err(JsonParseError {
                 offset: start,
                 message: format!("bad number `{text}`"),
@@ -447,6 +453,8 @@ mod tests {
             "\"\\q\"",
             "\"\\ud800\"",
             "nan",
+            "1e999",
+            "[-1e400]",
         ] {
             let e = Json::parse(bad).expect_err(bad);
             assert!(e.to_string().contains("byte"), "{bad}: {e}");

@@ -158,14 +158,10 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
-# Throughput gates (mirrors the CI `throughput` job, see
+# Throughput gate (mirrors the CI `throughput` job, see
 # docs/PERFORMANCE.md). The simulated-MHz rate is gated through a
 # dedicated run store: two fresh runs must trend clean and pass the
-# slowdown-only sim-rate band. The criterion hot-loop bench (rewrite
-# vs reference speedup assertion) additionally runs when the registry
-# is reachable; crates/bench is workspace-excluded because criterion
-# cannot be resolved offline, so the smoke is skipped — not failed —
-# in that case.
+# slowdown-only sim-rate band.
 (
   cd "$tmpdir"
   mkdir -p rate && cd rate
@@ -175,12 +171,23 @@ trap 'rm -rf "$tmpdir"' EXIT
   "$repo/target/release/fua" trends --store-dir .rate-store | tee rate-trends.txt
   grep -q "PASS: 0 finding(s)" rate-trends.txt
 )
-if cargo metadata --manifest-path crates/bench/Cargo.toml \
-    --format-version 1 > /dev/null 2>&1; then
-  cargo bench --manifest-path crates/bench/Cargo.toml --bench hot_loop -- --test
-else
-  echo "note: criterion unresolvable (offline); skipping hot-loop bench smoke" >&2
-fi
+
+# Ablation gate: every study `fua ablation` prints must run, print a
+# table and print the same bytes twice; an unknown study must exit
+# nonzero and list the four names.
+(
+  cd "$tmpdir"
+  for name in fp-info-bits modules homes multiplier; do
+    "$repo/target/release/fua" ablation "$name" --limit 5000 > "ablation-$name.txt"
+    test -s "ablation-$name.txt"
+    "$repo/target/release/fua" ablation "$name" --limit 5000 | cmp - "ablation-$name.txt"
+  done
+  if "$repo/target/release/fua" ablation nosuch 2> ablation-unknown.txt; then
+    echo "an unknown ablation unexpectedly succeeded" >&2
+    exit 1
+  fi
+  grep -q "fp-info-bits, modules, homes, multiplier" ablation-unknown.txt
+)
 
 # Progress-isolation gate: --progress must not change a single stdout
 # byte (heartbeat lines are stderr-only).

@@ -2,8 +2,9 @@
 //!
 //! Everything the `fua` binary does *before* running a command lives
 //! here — the [`Options`] grammar, the shared positive-integer and
-//! scheme parsers, the workload-set resolver, and the [`Cmd`] table
-//! that maps `(command, sub)` strings to a typed dispatch value.
+//! scheme parsers, the workload-set resolver, the [`Cmd`] table that
+//! maps `(command, sub)` strings to a typed dispatch value, and the
+//! [`COMMAND_FLAGS`] table of the flags each command reads.
 //! `main.rs` keeps the command implementations; this module keeps the
 //! strings, so the usage text, the help text and the dispatch table sit
 //! next to each other and stay in sync.
@@ -87,6 +88,7 @@ pub enum Cmd {
     Fig1,
     Synth,
     Chip,
+    Ablation(String),
     Breakdown(Unit),
     Sensitivity,
     StaticSwap(Unit),
@@ -118,6 +120,7 @@ pub fn dispatch(command: &str, subs: &[&str]) -> Option<Cmd> {
         ("fig1", []) => Cmd::Fig1,
         ("synth", []) => Cmd::Synth,
         ("chip", []) => Cmd::Chip,
+        ("ablation", [name]) => Cmd::Ablation(name.to_string()),
         ("breakdown", ["ialu"]) => Cmd::Breakdown(Unit::Ialu),
         ("breakdown", ["fpau"]) => Cmd::Breakdown(Unit::Fpau),
         ("sensitivity", []) => Cmd::Sensitivity,
@@ -144,33 +147,65 @@ pub fn dispatch(command: &str, subs: &[&str]) -> Option<Cmd> {
     })
 }
 
+/// The studies `fua ablation <name>` runs.
+pub const ABLATIONS: [&str; 4] = ["fp-info-bits", "modules", "homes", "multiplier"];
+
+/// Every command with the flags its `cmd_*` reads in some mode, in the
+/// order `--help` lists commands. [`parse_options`] rejects any other
+/// flag, and [`help`] prints this table, so neither can drift from the
+/// code.
+#[rustfmt::skip]
+pub const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("tables", "--limit --scale"),
+    ("figure4", "--limit --scale --jobs --json --metrics --progress"),
+    ("headline", "--limit --scale --jobs --json --metrics --progress"),
+    ("fig1", "--json"),
+    ("synth", "--json"),
+    ("chip", "--limit --scale --json"),
+    ("ablation", "--limit --scale"),
+    ("breakdown", "--limit --scale --json"),
+    ("sensitivity", "--limit --scale --json"),
+    ("staticswap", "--limit --scale --json"),
+    ("analyze", "--scale"),
+    ("estimate", "--limit --scale --jobs --json --scheme --compare --per-block --verify --progress"),
+    ("lint", "--scale"),
+    ("workloads", "--scale"),
+    ("run", "--limit --scale --json --metrics"),
+    ("trace", "--limit --scale --metrics --out --last --window --csv"),
+    ("profile-energy", "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
+    ("profile-cycles", "--limit --scale --jobs --json --scheme --compare --top --flame --critical-path --progress"),
+    ("bench-suite", "--limit --scale --jobs --window --tag --store --store-dir --progress"),
+    ("report", "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
+    ("store", "--store-dir"),
+    ("trends", "--json --store-dir"),
+    ("harness-report", "--limit --scale --jobs --json --out --flame --openmetrics --progress"),
+];
+
+/// Whether a space-separated flag list holds `flag`.
+fn lists(flags: &str, flag: &str) -> bool {
+    flags.split(' ').any(|f| f == flag)
+}
+
 /// Prints the one-screen usage summary to stderr and returns failure.
 pub fn usage() -> ExitCode {
     eprintln!(
         "usage: fua <command> [sub] [options]\n\
-         commands: tables | figure4 <ialu|fpau> | headline | fig1 | synth | \
-         chip | breakdown <ialu|fpau> | sensitivity | staticswap <ialu|fpau> | \
-         analyze <workload> | lint [workload] | workloads | run <workload> | \
-         estimate <workload|all> [--scheme S | --compare A B] [--per-block] [--verify] | \
-         trace <workload> [--out FILE] [--last N] [--window N] [--csv FILE] | \
-         profile-energy <workload|all> [--scheme S | --compare A B] \
-         [--top N] [--flame FILE] | \
-         profile-cycles <workload|all> [--scheme S | --compare A B] \
-         [--top N] [--flame FILE] [--critical-path] | \
-         bench-suite [--tag T] [--window N] [--jobs N] [--store] | \
+         commands: tables | figure4 <ialu|fpau> | headline | fig1 | synth | chip | \
+         ablation <{}> | breakdown <ialu|fpau> | sensitivity | \
+         staticswap <ialu|fpau> | analyze <workload> | lint [workload] | workloads | \
+         run <workload> | estimate <workload|all> | trace <workload> | \
+         profile-energy <workload|all> | profile-cycles <workload|all> | bench-suite | \
          report (--baseline FILE [--current FILE] | --store) | \
-         store <ls|show REF|put FILE|gc> [--store-dir DIR] | \
-         trends [--json] [--store-dir DIR] | \
-         harness-report [--jobs N] [--json] [--openmetrics FILE] \
-         [--flame FILE] [--out FILE]\n\
-         try `fua --help` for the full reference"
+         store <ls|show REF|put FILE|gc> | trends | harness-report\n\
+         try `fua --help` for the full reference and the flags each command reads",
+        ABLATIONS.join("|")
     );
     ExitCode::FAILURE
 }
 
-/// The full CLI reference: every subcommand with its arguments, then
-/// every flag with which commands consume it. Mirrored as the command
-/// table in README.md — keep the two in sync.
+/// The full CLI reference: every subcommand with its arguments, every
+/// flag, then [`COMMAND_FLAGS`]. Mirrored as the command table in
+/// README.md — keep the two in sync.
 pub fn help() {
     println!(
         "fua {} — dynamic functional unit assignment for low power\n\
@@ -184,6 +219,8 @@ pub fn help() {
          \x20 fig1                    Figure 1 routing example\n\
          \x20 synth                   Section-5 gate-cost report (58 gates / 6 levels)\n\
          \x20 chip                    chip-level power extrapolation (Section 1)\n\
+         \x20 ablation <name>         ablations of the paper's fixed choices:\n\
+         \x20                         fp-info-bits, modules, homes, multiplier\n\
          \n\
          studies:\n\
          \x20 breakdown <ialu|fpau>   per-workload reduction results\n\
@@ -231,76 +268,77 @@ pub fn help() {
          \x20                         wall-clock views go to the side files:\n\
          \x20                         --openmetrics, --flame, --out for Perfetto)\n\
          \n\
-         options (in [] the commands that consume each):\n\
-         \x20 --limit <N>     retired-instruction cap per run [all simulating]\n\
+         options (the table after them lists the flags each command reads):\n\
+         \x20 --limit <N>     retired-instruction cap per run\n\
          \x20                 (default {DEFAULT_LIMIT}; {TRACE_DEFAULT_LIMIT} for trace;\n\
          \x20                 {PROFILE_DEFAULT_LIMIT} for profile-energy/profile-cycles;\n\
-         \x20                 quick-config 25000 for bench-suite/report)\n\
-         \x20 --scale <N>     workload scale factor, default 1 [all simulating]\n\
-         \x20 --jobs <N>      worker threads for the sweep [figure4, headline,\n\
-         \x20                 bench-suite, report, profile-energy, profile-cycles,\n\
-         \x20                 estimate]; default: available parallelism; 1 = serial\n\
-         \x20                 reference path. Output is byte-identical for every N —\n\
-         \x20                 parallelism only changes wall-clock\n\
+         \x20                 quick-config 25000 for bench-suite/report/\n\
+         \x20                 harness-report)\n\
+         \x20 --scale <N>     workload scale factor, default 1\n\
+         \x20 --jobs <N>      worker threads for the sweep; default: available\n\
+         \x20                 parallelism; 1 = serial reference path. Output is\n\
+         \x20                 byte-identical for every N — parallelism only\n\
+         \x20                 changes wall-clock\n\
          \x20 --json          emit machine-readable JSON instead of tables\n\
-         \x20                 [figure4, headline, fig1, synth, chip, breakdown,\n\
-         \x20                 sensitivity, staticswap, run, profile-energy,\n\
-         \x20                 profile-cycles, estimate]\n\
-         \x20 --metrics       print a metrics snapshot [run, figure4, headline, trace]\n\
-         \x20 --out <FILE>    write Chrome trace-event JSON for Perfetto [trace,\n\
-         \x20                 harness-report: worker/arena timeline tracks]\n\
-         \x20 --last <N>      print the last N trace events, default 16 [trace]\n\
+         \x20 --metrics       print a metrics snapshot\n\
+         \x20 --out <FILE>    write Chrome trace-event JSON for Perfetto\n\
+         \x20                 (harness-report: worker/arena timeline tracks)\n\
+         \x20 --last <N>      print the last N trace events, default 16\n\
          \x20 --window <N>    telemetry window in cycles, default {DEFAULT_WINDOW_CYCLES}\n\
-         \x20                 [trace, bench-suite, report]\n\
-         \x20 --csv <FILE>    write the windowed telemetry time-series CSV [trace]\n\
+         \x20 --csv <FILE>    write the windowed telemetry time-series CSV\n\
          \x20 --scheme <S>    steering scheme to attribute or bound, default lut4\n\
          \x20                 (naive|fullham|1bitham|lut2|lut4|lut8)\n\
-         \x20                 [profile-energy, profile-cycles, estimate]\n\
          \x20 --compare <A> <B>  run both schemes and report where B saves or\n\
          \x20                 loses switched bits (or cycles) vs A;\n\
          \x20                 for estimate, diff the two schemes' static bounds\n\
-         \x20                 [profile-energy, profile-cycles, estimate]\n\
          \x20 --per-block     print per-basic-block aggregates instead of the\n\
-         \x20                 per-PC bound table [estimate]\n\
+         \x20                 per-PC bound table\n\
          \x20 --verify        join the static bounds with a measured attribution\n\
          \x20                 and report soundness + precision; nonzero exit on\n\
-         \x20                 any violated bound [estimate]\n\
+         \x20                 any violated bound\n\
          \x20 --top <N>       hotspot/mover rows to print, default 10\n\
-         \x20                 [profile-energy, profile-cycles]\n\
-         \x20 --flame <FILE>  write collapsed stacks (workload;block;pc weight)\n\
-         \x20                 for flamegraph renderers [profile-energy,\n\
-         \x20                 profile-cycles; harness-report:\n\
-         \x20                 harness;worker;stage nanos]\n\
+         \x20 --flame <FILE>  write collapsed stacks (workload;block;pc weight;\n\
+         \x20                 harness-report: harness;worker;stage nanos)\n\
+         \x20                 for flamegraph renderers\n\
          \x20 --critical-path print the retirement-dependence critical path with\n\
-         \x20                 per-node operand/structural wait [profile-cycles]\n\
+         \x20                 per-node operand/structural wait\n\
          \x20 --tag <T>       artifact tag, default \"local\": bench-suite writes\n\
-         \x20                 BENCH_<T>.json [bench-suite]\n\
-         \x20 --baseline <F>  baseline artifact [report; or use --store]\n\
+         \x20                 BENCH_<T>.json\n\
+         \x20 --baseline <F>  baseline artifact (or use --store)\n\
          \x20 --current <F>   current artifact; omitted = run a fresh bench-suite\n\
-         \x20                 and diff that [report]\n\
+         \x20                 and diff that\n\
          \x20 --store         use the run store: bench-suite appends its artifact\n\
          \x20                 to the store; report diffs the two newest stored\n\
-         \x20                 runs of the newest configuration [bench-suite,\n\
-         \x20                 report]\n\
+         \x20                 runs of the newest configuration\n\
          \x20 --store-dir <D> run-store directory, default {DEFAULT_STORE_DIR}\n\
-         \x20                 (implies --store) [bench-suite, report, store,\n\
-         \x20                 trends]\n\
+         \x20                 (implies --store)\n\
          \x20 --progress      print a heartbeat line to stderr every few seconds\n\
          \x20                 (elapsed, stage, cells done/total, eta) plus a\n\
          \x20                 per-stage worker-utilization summary; stdout and\n\
          \x20                 artifacts are byte-identical with or without it\n\
-         \x20                 [bench-suite, report, figure4, headline,\n\
-         \x20                 profile-energy, profile-cycles, estimate,\n\
-         \x20                 harness-report]\n\
          \x20 --openmetrics <FILE>  write harness metrics (worker utilization,\n\
          \x20                 queue-depth histogram, imbalance, allocations) as\n\
-         \x20                 an OpenMetrics text exposition [harness-report]\n\
+         \x20                 an OpenMetrics text exposition\n\
          \x20 --version, -V   print the version and exit\n\
          \x20 --help, -h      print this help and exit\n\
          \n\
-         stdout carries only the command's output (tables, JSON, findings);\n\
-         progress and log lines go to stderr, so pipelines compose cleanly.",
+         flags each command reads (any other flag is an error):",
         env!("CARGO_PKG_VERSION")
+    );
+    for (command, flags) in COMMAND_FLAGS {
+        let mut line = format!("  {command:<15}");
+        for flag in flags.split(' ') {
+            if line.len() + flag.len() >= 78 {
+                println!("{line}");
+                line = " ".repeat(17);
+            }
+            line = format!("{line} {flag}");
+        }
+        println!("{line}");
+    }
+    println!(
+        "\nstdout carries only the command's output (tables, JSON, findings);\n\
+         progress and log lines go to stderr, so pipelines compose cleanly."
     );
 }
 
@@ -316,8 +354,14 @@ pub fn positive_u64(flag: &str, value: &str) -> Result<u64, String> {
     Ok(n)
 }
 
-/// Parses the `--flag` tail of an invocation into [`Options`].
-pub fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses the `--flag` tail of an invocation of `command` into
+/// [`Options`]. A flag `command` does not read is an error naming both,
+/// so a flag is never silently ignored.
+pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
+    let flags = COMMAND_FLAGS
+        .iter()
+        .find(|(c, _)| *c == command)
+        .map_or("", |(_, flags)| flags);
     let mut opts = Options {
         limit: None,
         scale: 1,
@@ -345,7 +389,13 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        if !lists(flags, flag) && COMMAND_FLAGS.iter().any(|(_, f)| lists(f, flag)) {
+            return Err(format!(
+                "`fua {command}` does not read {flag} (its options: {flags})"
+            ));
+        }
+        match flag {
             "--limit" => {
                 let v = it.next().ok_or("--limit needs a value")?;
                 opts.limit = Some(positive_u64("--limit", v)?);

@@ -1,67 +1,6 @@
-//! `fua` — command-line front end for the reproduction.
-//!
-//! ```text
-//! fua tables                  regenerate Tables 1–3
-//! fua figure4 <ialu|fpau>     regenerate Figure 4(a)/(b)
-//! fua headline                the paper's headline numbers
-//! fua fig1                    Figure 1 routing example
-//! fua synth                   Section-5 gate-cost report
-//! fua chip                    chip-level power extrapolation (§1)
-//! fua breakdown <ialu|fpau>   per-workload results
-//! fua sensitivity             compiler-swap cross-input study
-//! fua staticswap <ialu|fpau>  static vs profile-guided swapping
-//! fua analyze <workload>      static information-bit predictions
-//! fua estimate <w|all>        static switched-bit upper bounds per PC/block
-//! fua lint [workload]         lint one workload (or all 15)
-//! fua workloads               list the bundled workloads
-//! fua run <workload>          simulate one workload under every scheme
-//! fua trace <workload>        cycle-level trace of one workload
-//! fua profile-energy <w|all>  attribute switched bits to PCs/blocks
-//! fua profile-cycles <w|all>  attribute issue slots to stall reasons/PCs
-//! fua bench-suite             run the quick suite, write BENCH_<tag>.json
-//!                             (or append to the run store with --store)
-//! fua report                  diff a BENCH artifact against a baseline
-//! fua store <ls|show|put|gc>  inspect the content-addressed run store
-//! fua trends                  metric trajectories over the stored runs
-//! fua harness-report          observe the harness observing: worker
-//!                             timelines, arena traffic, allocations
-//!
-//! options: --limit <N>      retired-instruction cap per run
-//!                           (default 150000; 20000 for `trace`; 25000 for
-//!                           `bench-suite`/`report`/`profile-energy`/
-//!                           `profile-cycles`)
-//!          --scale <N>      workload scale factor (default 1)
-//!          --jobs <N>       worker threads for the parallel sweeps
-//!                           (figure4/headline/bench-suite/report;
-//!                           default: available parallelism; 1 = serial)
-//!          --json           emit machine-readable JSON instead of tables
-//!          --metrics        print a metrics snapshot (run/figure4/headline/trace)
-//!          --out <FILE>     write Chrome trace-event JSON (trace only)
-//!          --last <N>       print the last N trace events (trace only)
-//!          --window <N>     telemetry window in cycles (trace/bench-suite/report)
-//!          --csv <FILE>     write windowed telemetry CSV (trace only)
-//!          --scheme <S>     steering scheme for profile-energy/
-//!                           profile-cycles/estimate (default lut4)
-//!          --compare <A> <B> differential attribution of two schemes
-//!          --per-block      aggregate estimate output per basic block
-//!          --verify         check static bounds against dynamic attribution
-//!          --top <N>        hotspot/mover rows to print (default 10)
-//!          --flame <FILE>   write a collapsed-stack flamegraph file
-//!          --critical-path  print the retirement critical path (profile-cycles)
-//!          --tag <T>        artifact tag for bench-suite (default "local")
-//!          --baseline <F>   baseline BENCH json for report (or --store)
-//!          --current <F>    current BENCH json for report (default: fresh run)
-//!          --store          bench-suite appends to the run store; report
-//!                           diffs the two newest stored runs
-//!          --store-dir <D>  run-store directory (default .fua-store;
-//!                           implies --store)
-//!          --progress       heartbeat lines on stderr; stdout and artifacts
-//!                           are byte-identical with or without it
-//!          --openmetrics <F> write an OpenMetrics text exposition
-//!                           (harness-report only)
-//!          --version        print the version and exit
-//!          --help           print the command table and exit
-//! ```
+//! `fua` — command-line front end for the reproduction. `fua --help`
+//! lists every command and the flags each one reads; `cli.rs` holds
+//! that table, the parser and the dispatch.
 //!
 //! Parallel runs are deterministic: `--jobs N` produces byte-identical
 //! tables, artifacts and exports for every `N` (see EXPERIMENTS.md).
@@ -78,11 +17,12 @@ mod cli;
 
 use cli::{
     bench_config, config, dispatch, help, parse_options, parse_scheme, profile_workloads,
-    unknown_workload, usage, Cmd, Options, StoreAction, DEFAULT_LIMIT, PROFILE_DEFAULT_LIMIT,
+    unknown_workload, usage, Cmd, Options, StoreAction, ABLATIONS, DEFAULT_LIMIT,
+    PROFILE_DEFAULT_LIMIT,
 };
 use fua::attr::Scheme;
 use fua::core::{
-    chip_estimate, figure4_jobs, headline_jobs, profile_suite, routing_example,
+    ablation, chip_estimate, figure4_jobs, headline_jobs, profile_suite, routing_example,
     static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, ChipEstimate,
     ExperimentConfig, Figure4, Headline, Json, RoutingExample, StaticSwapComparison,
     SwapSensitivity, SynthesisReport, ToJson, Unit, WorkloadBreakdown,
@@ -118,6 +58,24 @@ fn cmd_tables(opts: &Options) -> CmdResult {
     println!("{}", p.table1());
     println!("{}", p.table2());
     println!("{}", p.table3());
+    Ok(true)
+}
+
+fn cmd_ablation(name: &str, opts: &Options) -> CmdResult {
+    let cfg = config(opts);
+    let table = match name {
+        "fp-info-bits" => ablation::fp_info_bits(&cfg).render(),
+        "modules" => ablation::module_count(&cfg).render(),
+        "homes" => ablation::home_cases(&cfg).render(),
+        "multiplier" => ablation::multiplier_swap(&cfg).render(),
+        _ => {
+            return Err(format!(
+                "unknown ablation: {name}\navailable ablations: {}",
+                ABLATIONS.join(", ")
+            ))
+        }
+    };
+    println!("{table}");
     Ok(true)
 }
 
@@ -2150,7 +2108,10 @@ fn main() -> ExitCode {
             None => break,
         }
     }
-    let opts = match parse_options(&args[opt_start..]) {
+    let Some(cmd) = dispatch(command, &subs) else {
+        return usage();
+    };
+    let opts = match parse_options(command, &args[opt_start..]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -2160,16 +2121,13 @@ fn main() -> ExitCode {
     if opts.progress {
         enable_heartbeat(std::time::Duration::from_secs(2));
     }
-
-    let Some(cmd) = dispatch(command, &subs) else {
-        return usage();
-    };
     let result = match cmd {
         Cmd::Tables => cmd_tables(&opts),
         Cmd::Figure4(unit) => cmd_figure4(unit, &opts),
         Cmd::Headline => cmd_headline(&opts),
         Cmd::Fig1 => emit(&routing_example(), RoutingExample::render, &[], opts.json),
         Cmd::Synth => emit(&synthesis_report(), SynthesisReport::render, &[], opts.json),
+        Cmd::Ablation(name) => cmd_ablation(&name, &opts),
         Cmd::Chip => emit(
             &chip_estimate(&config(&opts)),
             ChipEstimate::render,

@@ -34,7 +34,7 @@ fn expect_rejection(args: &[&str]) -> String {
 #[test]
 fn zero_is_rejected_by_every_positive_integer_flag() {
     let cases: [(&[&str], &str); 9] = [
-        (&["tables", "--jobs", "0"], "--jobs"),
+        (&["headline", "--jobs", "0"], "--jobs"),
         (&["tables", "--limit", "0"], "--limit"),
         (&["tables", "--scale", "0"], "--scale"),
         (&["trace", "compress", "--last", "0"], "--last"),
@@ -62,7 +62,7 @@ fn zero_is_rejected_by_every_positive_integer_flag() {
 #[test]
 fn non_numeric_values_are_rejected_with_the_offending_input() {
     let cases: [(&[&str], &str); 5] = [
-        (&["tables", "--jobs", "many"], "--jobs"),
+        (&["headline", "--jobs", "many"], "--jobs"),
         (&["tables", "--limit", "1e6"], "--limit"),
         (&["trace", "compress", "--window", "wide"], "--window"),
         (&["profile-energy", "compress", "--top", "-3"], "--top"),
@@ -88,7 +88,7 @@ fn non_numeric_values_are_rejected_with_the_offending_input() {
 
 #[test]
 fn a_flag_missing_its_value_is_rejected() {
-    for args in [&["tables", "--jobs"][..], &["tables", "--limit"][..]] {
+    for args in [&["headline", "--jobs"][..], &["tables", "--limit"][..]] {
         let stderr = expect_rejection(args);
         assert!(
             stderr.contains("needs a value"),
@@ -160,8 +160,8 @@ fn json_output_parses_and_carries_requested_sections() {
     use fua::trace::Json;
     // (args, top-level keys the document must carry).
     let cases: [(&[&str], &[&str]); 7] = [
-        (&["fig1", "--json", "--limit", "2000"], &[]),
-        (&["synth", "--json", "--limit", "2000"], &[]),
+        (&["fig1", "--json"], &[]),
+        (&["synth", "--json"], &[]),
         (&["chip", "--json", "--limit", "2000"], &[]),
         (&["figure4", "ialu", "--json", "--limit", "2000"], &[]),
         (&["run", "compress", "--json", "--limit", "2000"], &[]),
@@ -200,7 +200,7 @@ fn json_output_parses_and_carries_requested_sections() {
 
 #[test]
 fn valid_flag_values_still_pass() {
-    let out = fua(&["workloads", "--jobs", "2"]);
+    let out = fua(&["workloads", "--scale", "2"]);
     assert!(out.status.success(), "control case must succeed");
     assert!(!out.stdout.is_empty());
 
@@ -217,6 +217,26 @@ fn report_names_the_missing_artifact_path() {
         "the offending path must be named: {stderr}"
     );
     assert!(stderr.contains("error:"), "got: {stderr}");
+}
+
+#[test]
+fn report_rejects_an_out_of_range_number_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("fua-range-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_seed.json"))
+        .expect("committed seed artifact");
+    let start = doc.find("\"ialu_pct\": ").expect("seed has a headline") + 12;
+    let end = start + doc[start..].find(',').expect("field ends");
+    doc.replace_range(start..end, "1e999");
+    let path = dir.join("BENCH_inf.json");
+    std::fs::write(&path, doc).unwrap();
+    let path_str = path.to_str().unwrap();
+    // Infinity against infinity drifts by NaN, which no band rejects, so
+    // the reader must refuse the number.
+    let stderr = expect_rejection(&["report", "--baseline", path_str, "--current", path_str]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stderr.contains(path_str), "got: {stderr}");
+    assert!(stderr.contains("number out of range"), "got: {stderr}");
 }
 
 #[test]
@@ -299,4 +319,84 @@ fn store_subcommands_validate_their_arguments() {
     assert_eq!(out.status.code(), Some(1), "got: {stderr}");
     assert!(stderr.contains("error:"), "got: {stderr}");
     assert!(stderr.contains("index.json"), "got: {stderr}");
+}
+
+/// Every command, with the positional arguments it needs, and the flags
+/// its implementation reads in some mode.
+#[rustfmt::skip]
+const COMMAND_FLAGS: &[(&[&str], &str)] = &[
+    (&["tables"], "--limit --scale"),
+    (&["figure4", "ialu"], "--limit --scale --jobs --json --metrics --progress"),
+    (&["headline"], "--limit --scale --jobs --json --metrics --progress"),
+    (&["fig1"], "--json"),
+    (&["synth"], "--json"),
+    (&["chip"], "--limit --scale --json"),
+    (&["ablation", "modules"], "--limit --scale"),
+    (&["breakdown", "fpau"], "--limit --scale --json"),
+    (&["sensitivity"], "--limit --scale --json"),
+    (&["staticswap", "ialu"], "--limit --scale --json"),
+    (&["analyze", "cc1"], "--scale"),
+    (&["estimate", "all"], "--limit --scale --jobs --json --scheme --compare --per-block --verify --progress"),
+    (&["lint"], "--scale"),
+    (&["workloads"], "--scale"),
+    (&["run", "go"], "--limit --scale --json --metrics"),
+    (&["trace", "li"], "--limit --scale --metrics --out --last --window --csv"),
+    (&["profile-energy", "all"], "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
+    (&["profile-cycles", "swim"], "--limit --scale --jobs --json --scheme --compare --top --flame --critical-path --progress"),
+    (&["bench-suite"], "--limit --scale --jobs --window --tag --store --store-dir --progress"),
+    (&["report"], "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
+    (&["store", "ls"], "--store-dir"),
+    (&["trends"], "--json --store-dir"),
+    (&["harness-report"], "--limit --scale --jobs --json --out --flame --openmetrics --progress"),
+];
+
+/// Every flag, followed by valid values.
+const FLAGS: [&str; 23] = [
+    "--limit 5",
+    "--scale 1",
+    "--jobs 1",
+    "--json",
+    "--metrics",
+    "--out t.json",
+    "--last 1",
+    "--window 64",
+    "--csv t.csv",
+    "--scheme lut4",
+    "--compare naive lut4",
+    "--per-block",
+    "--verify",
+    "--top 1",
+    "--flame t.folded",
+    "--critical-path",
+    "--tag t",
+    "--baseline b.json",
+    "--current c.json",
+    "--store",
+    "--store-dir s",
+    "--progress",
+    "--openmetrics t.om",
+];
+
+#[test]
+fn every_command_rejects_the_flags_it_does_not_read() {
+    for (command, reads) in COMMAND_FLAGS {
+        for flag_and_values in FLAGS {
+            // The trailing unknown option fails the parse before the
+            // command runs, so an accepted flag is only parsed.
+            let tail: Vec<&str> = flag_and_values.split(' ').chain(["--nosuch"]).collect();
+            let args = [command, &tail[..]].concat();
+            let flag = tail[0];
+            let stderr = expect_rejection(&args);
+            let expected = if reads.split(' ').any(|f| f == flag) {
+                "unknown option: --nosuch".to_string()
+            } else {
+                format!("`fua {}` does not read {flag} (", command[0])
+            };
+            assert!(
+                stderr.contains(&expected),
+                "`fua {}`: expected `{expected}`; got: {stderr}",
+                args.join(" ")
+            );
+        }
+    }
 }
