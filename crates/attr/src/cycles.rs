@@ -132,8 +132,8 @@ impl CycleAttribution {
     }
 
     /// Slot totals per [`StallReason`], in [`StallReason::ALL`] order.
-    pub fn reason_totals(&self) -> [u64; 8] {
-        let mut totals = [0u64; 8];
+    pub fn reason_totals(&self) -> [u64; 7] {
+        let mut totals = [0u64; 7];
         for row in &self.rows {
             totals[row.key.reason.index()] += row.slots;
         }
@@ -153,12 +153,12 @@ impl CycleAttribution {
     pub fn hotspots(&self, n: usize) -> Vec<StallHotspot> {
         // Per PC: issued slots, stalled slots, per-reason stalled
         // split, plus the site's block index and opcode for labelling.
-        type PerPc = (u64, u64, [u64; 8], Option<usize>, String);
+        type PerPc = (u64, u64, [u64; 7], Option<usize>, String);
         let mut per_pc: BTreeMap<Option<u32>, PerPc> = BTreeMap::new();
         for row in &self.rows {
             let entry = per_pc
                 .entry(row.key.pc)
-                .or_insert_with(|| (0, 0, [0; 8], row.block, row.opcode.clone()));
+                .or_insert_with(|| (0, 0, [0; 7], row.block, row.opcode.clone()));
             if row.key.reason == StallReason::Issued {
                 entry.0 += row.slots;
             } else {
@@ -310,18 +310,27 @@ pub struct CriticalNode {
     pub issue_cycle: u64,
     /// Completion cycle.
     pub done_cycle: u64,
+    /// Cycles between the critical producer's completion and this
+    /// node's dispatch: the frontend (fetch, ROB, RS, branch recovery)
+    /// delivered the consumer late. 0 for the first node.
+    pub dispatch_wait: u64,
     /// Dispatch-to-issue cycles spent waiting for producers
     /// (the [`OperandWait`](StallReason::OperandWait) portion).
     pub operand_wait: u64,
-    /// Dispatch-to-issue cycles spent ready but unselected — structural
-    /// slots ([`FuBusy`](StallReason::FuBusy) /
-    /// [`SteeringDelay`](StallReason::SteeringDelay) territory).
+    /// Cycles spent ready but unselected ([`FuBusy`](StallReason::FuBusy)
+    /// territory): issue minus the later of the operands' arrival and
+    /// `dispatch + 1`, the earliest issue cycle (dispatch runs after
+    /// issue within a cycle).
     pub structural_wait: u64,
 }
 
 /// The longest completion-ordered dependence chain of a run, extracted
 /// from a [`DepSink`]: the path ends at the last instruction to
 /// complete and each predecessor is the producer that finished last.
+///
+/// Per node, `dispatch_wait + (done − max(producer_done, dispatch))`
+/// telescopes to `done − producer_done` (`done − dispatch` for the
+/// first node), so the path's span is exactly the sum of those terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     nodes: Vec<CriticalNode>,
@@ -357,14 +366,12 @@ impl CriticalPath {
                         .cmp(&b.done_cycle)
                         .then(a.serial.cmp(&b.serial))
                 });
-            let ready_cycle = pred
-                .map(|p| p.done_cycle.max(cur.dispatch_cycle))
-                .unwrap_or(cur.dispatch_cycle);
+            let producer_done = pred.map_or(cur.dispatch_cycle, |p| p.done_cycle);
             let issue_cycle = cur.issue_cycle.unwrap_or(cur.dispatch_cycle);
-            let operand_wait = ready_cycle.saturating_sub(cur.dispatch_cycle);
-            let structural_wait = issue_cycle
-                .saturating_sub(cur.dispatch_cycle)
-                .saturating_sub(operand_wait);
+            let dispatch_wait = cur.dispatch_cycle.saturating_sub(producer_done);
+            let operand_wait = producer_done.saturating_sub(cur.dispatch_cycle);
+            let structural_wait =
+                issue_cycle.saturating_sub(producer_done.max(cur.dispatch_cycle + 1));
             chain.push(CriticalNode {
                 serial: cur.serial,
                 pc: cur.pc,
@@ -374,6 +381,7 @@ impl CriticalPath {
                 dispatch_cycle: cur.dispatch_cycle,
                 issue_cycle,
                 done_cycle: cur.done_cycle,
+                dispatch_wait,
                 operand_wait,
                 structural_wait,
             });
@@ -400,6 +408,11 @@ impl CriticalPath {
         }
     }
 
+    /// Total dispatch-wait cycles along the path.
+    pub fn dispatch_wait(&self) -> u64 {
+        self.nodes.iter().map(|n| n.dispatch_wait).sum()
+    }
+
     /// Total operand-wait cycles along the path.
     pub fn operand_wait(&self) -> u64 {
         self.nodes.iter().map(|n| n.operand_wait).sum()
@@ -414,6 +427,7 @@ impl CriticalPath {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("span_cycles", Json::UInt(self.span_cycles())),
+            ("dispatch_wait", Json::UInt(self.dispatch_wait())),
             ("operand_wait", Json::UInt(self.operand_wait())),
             ("structural_wait", Json::UInt(self.structural_wait())),
             (
@@ -429,6 +443,7 @@ impl CriticalPath {
                                 ("dispatch", Json::UInt(n.dispatch_cycle)),
                                 ("issue", Json::UInt(n.issue_cycle)),
                                 ("done", Json::UInt(n.done_cycle)),
+                                ("dispatch_wait", Json::UInt(n.dispatch_wait)),
                                 ("operand_wait", Json::UInt(n.operand_wait)),
                                 ("structural_wait", Json::UInt(n.structural_wait)),
                             ])
@@ -726,6 +741,7 @@ mod tests {
         assert_eq!(path.span_cycles(), 6);
         let tail = &path.nodes()[1];
         assert_eq!(tail.operand_wait, 5, "waited for serial 1 to finish");
+        assert_eq!(tail.dispatch_wait, 0);
         assert_eq!(tail.structural_wait, 0);
         assert_eq!(CriticalPath::extract(&p, &DepSink::new()).nodes().len(), 0);
     }

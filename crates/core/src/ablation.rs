@@ -84,7 +84,6 @@ fn lut4_row(
         fpau: Box::new(FcfsPolicy::new()),
         ialu_swap: Some(HardwareSwapRule::from_profile(&original.profile)),
         fpau_swap: None,
-        multiplier_swap: None,
     });
     LutSweepRow {
         setting,

@@ -30,7 +30,7 @@ use crate::{
 
 /// The artifact schema identifier, the only one this build reads; bump
 /// it on any change to the artifact's shape. Every section is required.
-pub const BENCH_SCHEMA: &str = "fua-bench/1.6";
+pub const BENCH_SCHEMA: &str = "fua-bench/1.7";
 
 /// Hotspots recorded in the artifact's `attribution` section (the
 /// suite-wide top-N by switched bits).
@@ -146,7 +146,7 @@ pub struct StallSummary {
     /// exact-partition invariant over the whole suite.
     pub exact: bool,
     /// Slot totals per [`StallReason`], in [`StallReason::ALL`] order.
-    pub mix: [u64; 8],
+    pub mix: [u64; 7],
 }
 
 /// The `throughput` section of the artifact: how fast the simulator
@@ -804,7 +804,7 @@ fn stalls_from_json(s: &Json) -> Result<StallSummary, ReportError> {
         slots: expect_u64(s, "slots")?,
         exact: expect_bool(s, "exact")?,
         mix: section(s, "mix", |m| {
-            let mut mix = [0u64; 8];
+            let mut mix = [0u64; 7];
             for reason in StallReason::ALL {
                 mix[reason.index()] = expect_u64(m, reason.name())?;
             }
@@ -1188,7 +1188,7 @@ mod tests {
             "no counting allocator installed in this test binary"
         );
         let rendered = report.to_json().pretty();
-        assert!(rendered.contains("\"schema\": \"fua-bench/1.6\""));
+        assert!(rendered.contains("\"schema\": \"fua-bench/1.7\""));
         assert!(rendered.contains("\"sim_khz\""));
         let parsed: BenchReport = rendered.parse().unwrap();
         // Everything round-trips exactly (floats use shortest-exact

@@ -15,7 +15,7 @@ use fua_workloads::{all, seed_of};
 
 use fua_core::ExperimentConfig;
 
-use crate::{array, expect_bool, expect_str, expect_u32, expect_u64, fixed, section, ReportError};
+use crate::{array, expect_str, expect_u32, expect_u64, fixed, section, ReportError};
 
 /// One workload row of the manifest: name, suite half, and the exact
 /// data-generation seed.
@@ -102,7 +102,6 @@ impl RunManifest {
                         })
                     })?,
                     mispredict_penalty: expect_u64(m, "mispredict_penalty")?,
-                    in_order_issue: expect_bool(m, "in_order_issue")?,
                 })
             })?,
             workloads: array(json, "workloads", |w| {
@@ -145,7 +144,6 @@ impl ToJson for RunManifest {
                         ]),
                     ),
                     ("mispredict_penalty", Json::UInt(m.mispredict_penalty)),
-                    ("in_order_issue", Json::Bool(m.in_order_issue)),
                 ]),
             ),
             (

@@ -38,11 +38,6 @@ pub struct MachineConfig {
     /// Extra penalty cycles after a branch misprediction (on top of
     /// waiting for the branch to execute).
     pub mispredict_penalty: u64,
-    /// Issue strictly in program order (VLIW-style): an instruction may
-    /// only issue when every older instruction has issued. The paper
-    /// conjectures its techniques partially apply to VLIWs; the engine
-    /// equivalence tests cover this mode.
-    pub in_order_issue: bool,
 }
 
 impl MachineConfig {
@@ -57,15 +52,6 @@ impl MachineConfig {
             mem_ports: 2,
             cache: CacheConfig::default(),
             mispredict_penalty: 2,
-            in_order_issue: false,
-        }
-    }
-
-    /// An in-order (VLIW-style) variant of the paper machine.
-    pub fn in_order() -> Self {
-        MachineConfig {
-            in_order_issue: true,
-            ..Self::paper_default()
         }
     }
 

@@ -15,8 +15,7 @@
 
 use std::time::Instant;
 
-use fua_isa::{Case, FuClass, Opcode, Program};
-use fua_power::booth::BoothModel;
+use fua_isa::{Case, FuClass, Program};
 use fua_power::{EnergyLedger, ModulePorts};
 use fua_stats::{BitPatternProfiler, OccupancyProfiler};
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
@@ -76,7 +75,6 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     profiler: P,
     config: MachineConfig,
     steering: SteeringConfig,
-    booth: BoothModel,
 
     inflight: ArenaLease,
     window_len: usize,
@@ -97,7 +95,6 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     skid: Option<DynOp>,
 
     ledger: EnergyLedger,
-    booth_energy: [f64; 4],
     occupancy: Vec<OccupancyProfiler>,
     bit_patterns: Vec<BitPatternProfiler>,
     swaps: SwapStats,
@@ -145,7 +142,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             profiler,
             config,
             steering,
-            booth: BoothModel::new(),
             inflight,
             window_len: 0,
             head_serial: 0,
@@ -160,7 +156,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             fetch_blocked_by: None,
             skid: None,
             ledger: EnergyLedger::new(),
-            booth_energy: [0.0; 4],
             occupancy,
             bit_patterns: vec![BitPatternProfiler::new(); 4],
             swaps: SwapStats::default(),
@@ -272,7 +267,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             retired: self.retired,
             halted: false,
             ledger: self.ledger,
-            booth_energy: self.booth_energy,
             occupancy: self.occupancy.clone(),
             bit_patterns: self.bit_patterns.clone(),
             swaps: self.swaps,
@@ -367,53 +361,25 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
 
     /// Selects this cycle's issue group into the arena's per-class
     /// scratch: oldest-first per class, one instruction per module,
-    /// loads/stores contending for the memory ports. Out-of-order mode
-    /// scans only the dense `ready` bitmask (deps already resolved by
-    /// wakeup); in-order mode scans the `waiting` bitmask so the group is
-    /// the maximal *prefix* of unissued instructions that can all go —
-    /// the first stalled instruction (data or structural hazard) ends
-    /// the group, as in a VLIW.
+    /// loads/stores contending for the memory ports. Scans only the
+    /// dense `ready` bitmask (deps already resolved by wakeup).
     fn select_ready(&mut self) {
         let head_serial = self.head_serial;
         let fu_counts = self.config.fu_counts;
-        let in_order = self.config.in_order_issue;
         let mut mem_ports_left = self.config.mem_ports;
         let a = &mut *self.inflight;
         for sel in &mut a.selected {
             sel.clear();
         }
-        if !in_order {
-            for w in 0..a.words {
-                let mut word = a.ready[w];
-                while word != 0 {
-                    let offset = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let slot = ((head_serial + offset as u64) & a.mask) as usize;
-                    let ci = a.fu[slot].class.index();
-                    let needs_port = a.has_mem[slot];
-                    if a.selected[ci].len() < fu_counts[ci] && (!needs_port || mem_ports_left > 0) {
-                        if needs_port {
-                            mem_ports_left -= 1;
-                        }
-                        a.selected[ci].push(offset as u32);
-                    }
-                }
-            }
-        } else {
-            'scan: for w in 0..a.words {
-                let mut word = a.waiting[w];
-                while word != 0 {
-                    let offset = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let slot = ((head_serial + offset as u64) & a.mask) as usize;
-                    let ci = a.fu[slot].class.index();
-                    let needs_port = a.has_mem[slot];
-                    let issuable = bit_get(&a.ready, offset)
-                        && a.selected[ci].len() < fu_counts[ci]
-                        && (!needs_port || mem_ports_left > 0);
-                    if !issuable {
-                        break 'scan;
-                    }
+        for w in 0..a.words {
+            let mut word = a.ready[w];
+            while word != 0 {
+                let offset = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let slot = ((head_serial + offset as u64) & a.mask) as usize;
+                let ci = a.fu[slot].class.index();
+                let needs_port = a.has_mem[slot];
+                if a.selected[ci].len() < fu_counts[ci] && (!needs_port || mem_ports_left > 0) {
                     if needs_port {
                         mem_ports_left -= 1;
                     }
@@ -442,10 +408,11 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     /// partition `cycles × issue_width`).
     ///
     /// Runs only when a sink is attached and never mutates engine
-    /// state: it mirrors `select_ready`'s walk (same age order over the
-    /// `waiting` bitmask, same memory-port budget) to rediscover which
-    /// candidates were passed over and why, so a traced run is
-    /// cycle-identical to an untraced one.
+    /// state: it walks the `waiting` bitmask in the age order
+    /// `select_ready` visits the `ready` bits, with the same module and
+    /// memory-port budgets, to rediscover which candidates were passed
+    /// over and why, so a traced run is cycle-identical to an untraced
+    /// one.
     fn record_stalls(&mut self) {
         let mut idle = [0usize; 4];
         let mut width_left = [0usize; 4];
@@ -455,9 +422,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             idle[ci] = width_left[ci] - self.inflight.selected[ci].len();
         }
         let mut mem_ports_left = self.config.mem_ports;
-        let mut prefix_blocked = false;
         let head_serial = self.head_serial;
-        let in_order = self.config.in_order_issue;
         for w in 0..self.inflight.words {
             let mut word = self.inflight.waiting[w];
             while word != 0 {
@@ -469,11 +434,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 let ci = class.index();
                 let needs_port = a.has_mem[slot];
                 let ready = bit_get(&a.ready, offset);
-                if !prefix_blocked
-                    && width_left[ci] > 0
-                    && (!needs_port || mem_ports_left > 0)
-                    && ready
-                {
+                if width_left[ci] > 0 && (!needs_port || mem_ports_left > 0) && ready {
                     // This candidate was selected for issue.
                     if needs_port {
                         mem_ports_left -= 1;
@@ -481,16 +442,11 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                     width_left[ci] -= 1;
                     continue;
                 }
-                let reason = if prefix_blocked {
-                    StallReason::SteeringDelay
-                } else if !ready {
-                    StallReason::OperandWait
-                } else {
+                let reason = if ready {
                     StallReason::FuBusy
+                } else {
+                    StallReason::OperandWait
                 };
-                if in_order {
-                    prefix_blocked = true;
-                }
                 // Charge an idle slot of the candidate's class to it,
                 // while slots remain (blocked candidates can outnumber
                 // the idle slots — the slots are the resource being
@@ -593,28 +549,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 }
             }
         }
-        if matches!(class, FuClass::IntMul | FuClass::FpMul) {
-            if let Some(rule) = self.steering.multiplier_swap {
-                for i in 0..ops.len() {
-                    let slot = slot_of(selected[i]);
-                    let opcode = self.inflight.opcode[slot];
-                    if matches!(opcode, Opcode::Mul | Opcode::FMul) && rule.apply(&mut ops[i]) {
-                        case_bits[i] = Case::swap_index(case_bits[i]);
-                        self.swaps.multiplier_swaps += 1;
-                        if S::ENABLED {
-                            let serial = self.inflight.serial[slot];
-                            self.sink.record(&TraceEvent::OperandSwap {
-                                cycle: self.cycle,
-                                serial,
-                                class,
-                                kind: SwapKind::Multiplier,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
         // Steer: duplicated classes consult the policy, single-module
         // classes trivially use module 0. The choices buffer is arena
         // scratch like `ops`: reused every cycle, so steady-state issue
@@ -660,17 +594,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             let opcode = self.inflight.opcode[slot];
             let serial = self.inflight.serial[slot];
             let entry_pc = self.inflight.static_idx[slot];
-            if matches!(opcode, Opcode::Mul | Opcode::FMul) {
-                // Booth activity model (extension; see DESIGN.md). The
-                // latch already advanced, so reconstruct prev from cost.
-                self.booth_energy[ci] += self.booth.pp_weight
-                    * fua_power::booth::nonzero_booth_digits(
-                        fua_power::booth::significand(op.op2).0,
-                        fua_power::booth::significand(op.op2).1,
-                    ) as f64
-                    * op.op1.power_width() as f64
-                    + self.booth.sw_weight * bits as f64;
-            }
 
             let mut latency = self.config.latency(opcode);
             let mut cache_event = None;
@@ -1069,7 +992,6 @@ mod tests {
         let res = run(&p);
         assert_eq!(res.ledger.ops(FuClass::FpAlu), 1);
         assert_eq!(res.ledger.ops(FuClass::FpMul), 1);
-        assert!(res.booth_energy[FuClass::FpMul.index()] > 0.0);
     }
 
     #[test]
@@ -1209,36 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn in_order_prefix_blocking_classifies_as_steering_delay() {
-        use fua_trace::StallSink;
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), 0);
-        for _ in 0..20 {
-            b.addi(r(1), r(1), 1); // dependent chain blocks the prefix
-        }
-        for k in 2..6 {
-            b.addi(r(k), r(k), 1); // independent tail, in-order blocked
-        }
-        b.halt();
-        let p = b.build().expect("valid");
-        let mut sim = Simulator::with_sink(
-            MachineConfig::in_order(),
-            SteeringConfig::original(),
-            StallSink::new(),
-        );
-        let result = sim.run_program(&p, 10_000).expect("runs");
-        let sink = sim.into_sink();
-        assert_eq!(
-            sink.total_slots(),
-            result.cycles * MachineConfig::in_order().issue_width() as u64
-        );
-        assert!(
-            sink.reason_totals()[StallReason::SteeringDelay.index()] > 0,
-            "in-order prefix rule must surface as steering delay"
-        );
-    }
-
-    #[test]
     fn mispredicted_branch_stalls_fetch() {
         // A data-dependent unpredictable branch pattern costs cycles.
         let mut b = ProgramBuilder::new();
@@ -1259,110 +1151,5 @@ mod tests {
         let res = run(&p);
         assert!(res.halted);
         assert!(res.branches.mispredicts > 0);
-    }
-}
-
-#[cfg(test)]
-mod in_order_tests {
-    use super::*;
-    use fua_isa::{IntReg, ProgramBuilder};
-
-    fn r(i: u8) -> IntReg {
-        IntReg::new(i)
-    }
-
-    /// Pointer chasing (dependent cache-missing loads) interleaved with
-    /// independent adds, on a machine with a single integer ALU: the OoO
-    /// core fills the ALU with the adds while the chase load's consumer
-    /// stalls at the head; the in-order core idles behind it.
-    fn shadow_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        // A pointer ring whose nodes are one cache line apart.
-        const NODES: i32 = 64;
-        let mut ring = vec![0i32; (NODES * 16) as usize];
-        for k in 0..NODES {
-            ring[(k * 16) as usize] = ((k + 1) % NODES) * 64;
-        }
-        let base = b.data_words(&ring);
-        let top = b.new_label();
-        b.li(r(1), base);
-        b.li(r(2), 2 * NODES);
-        b.bind(top);
-        b.lw(r(1), r(1), 0); // chase (frequent conflict misses)
-        b.addi(r(3), r(1), 5); // depends on the load: stalls at the head
-        for k in 4..10 {
-            b.addi(r(k), r(k), 1); // independent filler
-        }
-        b.addi(r(2), r(2), -1);
-        b.bgtz(r(2), top);
-        b.halt();
-        b.build().expect("valid")
-    }
-
-    fn narrow(mut m: MachineConfig) -> MachineConfig {
-        m.fu_counts[FuClass::IntAlu.index()] = 1;
-        m
-    }
-
-    #[test]
-    fn in_order_issue_costs_cycles_on_long_shadows() {
-        let p = shadow_program();
-        let mut ooo = Simulator::new(
-            narrow(MachineConfig::paper_default()),
-            SteeringConfig::original(),
-        );
-        let ooo_result = ooo.run_program(&p, 100_000).expect("runs");
-        let mut vliw = Simulator::new(
-            narrow(MachineConfig::in_order()),
-            SteeringConfig::original(),
-        );
-        let vliw_result = vliw.run_program(&p, 100_000).expect("runs");
-        assert_eq!(ooo_result.retired, vliw_result.retired);
-        assert!(
-            vliw_result.cycles > ooo_result.cycles,
-            "in-order ({}) should be slower than OoO ({})",
-            vliw_result.cycles,
-            ooo_result.cycles
-        );
-    }
-
-    #[test]
-    fn in_order_issue_preserves_energy_accounting() {
-        // The same program charges the same FU operation counts whether
-        // issue is in-order or out-of-order.
-        let p = shadow_program();
-        let mut vliw = Simulator::new(
-            narrow(MachineConfig::in_order()),
-            SteeringConfig::original(),
-        );
-        let in_order = vliw.run_program(&p, 100_000).expect("runs");
-        let mut ooo = Simulator::new(
-            narrow(MachineConfig::paper_default()),
-            SteeringConfig::original(),
-        );
-        let out_of_order = ooo.run_program(&p, 100_000).expect("runs");
-        assert!(in_order.halted);
-        assert_eq!(
-            in_order.ledger.ops(FuClass::IntAlu),
-            out_of_order.ledger.ops(FuClass::IntAlu)
-        );
-        assert!(in_order.ledger.switched_bits(FuClass::IntAlu) > 0);
-    }
-
-    #[test]
-    fn in_order_never_issues_past_a_stall() {
-        // With in-order issue, occupancy on the IALU can still reach 4
-        // (independent prefix), but a dependent chain caps it at 1.
-        let mut b = ProgramBuilder::new();
-        b.li(r(1), 0);
-        for _ in 0..30 {
-            b.addi(r(1), r(1), 1);
-        }
-        b.halt();
-        let p = b.build().expect("valid");
-        let mut sim = Simulator::new(MachineConfig::in_order(), SteeringConfig::original());
-        let result = sim.run_program(&p, 10_000).expect("runs");
-        let occ = result.occupancy_of(FuClass::IntAlu);
-        assert!(occ.freq(1) > 0.9, "dependent chain must issue singly");
     }
 }

@@ -12,8 +12,7 @@
 
 use std::collections::VecDeque;
 
-use fua_isa::{FuClass, Opcode, Program};
-use fua_power::booth::BoothModel;
+use fua_isa::{FuClass, Program};
 use fua_power::{EnergyLedger, ModulePorts};
 use fua_stats::{BitPatternProfiler, OccupancyProfiler};
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
@@ -56,7 +55,6 @@ pub struct ReferenceSimulator<S: TraceSink = NullSink> {
     sink: S,
     config: MachineConfig,
     steering: SteeringConfig,
-    booth: BoothModel,
 
     window: VecDeque<Entry>,
     head_serial: u64,
@@ -76,7 +74,6 @@ pub struct ReferenceSimulator<S: TraceSink = NullSink> {
     skid: Option<DynOp>,
 
     ledger: EnergyLedger,
-    booth_energy: [f64; 4],
     occupancy: Vec<OccupancyProfiler>,
     bit_patterns: Vec<BitPatternProfiler>,
     swaps: SwapStats,
@@ -107,7 +104,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             sink,
             config,
             steering,
-            booth: BoothModel::new(),
             window: VecDeque::new(),
             head_serial: 0,
             last_writer: [None; 64],
@@ -121,7 +117,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             fetch_blocked_by: None,
             skid: None,
             ledger: EnergyLedger::new(),
-            booth_energy: [0.0; 4],
             occupancy,
             bit_patterns: vec![BitPatternProfiler::new(); 4],
             swaps: SwapStats::default(),
@@ -217,7 +212,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             retired: self.retired,
             halted: false,
             ledger: self.ledger,
-            booth_energy: self.booth_energy,
             occupancy: self.occupancy.clone(),
             bit_patterns: self.bit_patterns.clone(),
             swaps: self.swaps,
@@ -275,8 +269,7 @@ impl<S: TraceSink> ReferenceSimulator<S> {
 
     /// Selects this cycle's issue group: oldest-first per class, one
     /// instruction per module, loads/stores contending for the memory
-    /// ports. In in-order mode the group is the maximal *prefix* of
-    /// unissued instructions that can all go.
+    /// ports.
     fn select_ready(&self) -> [Vec<usize>; 4] {
         let mut selected: [Vec<usize>; 4] = Default::default();
         let mut mem_ports_left = self.config.mem_ports;
@@ -296,8 +289,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
                     mem_ports_left -= 1;
                 }
                 selected[ci].push(idx);
-            } else if self.config.in_order_issue {
-                break;
             }
         }
         selected
@@ -326,7 +317,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             idle[ci] = width_left[ci] - groups[ci].len();
         }
         let mut mem_ports_left = self.config.mem_ports;
-        let mut prefix_blocked = false;
         for idx in 0..self.window.len() {
             let entry = &self.window[idx];
             if entry.state != EntryState::Waiting {
@@ -336,8 +326,7 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             let ci = fu.class.index();
             let needs_port = entry.op.mem.is_some();
             let ready = self.deps_satisfied(entry);
-            if !prefix_blocked && width_left[ci] > 0 && (!needs_port || mem_ports_left > 0) && ready
-            {
+            if width_left[ci] > 0 && (!needs_port || mem_ports_left > 0) && ready {
                 // This candidate was selected for issue.
                 if needs_port {
                     mem_ports_left -= 1;
@@ -345,16 +334,11 @@ impl<S: TraceSink> ReferenceSimulator<S> {
                 width_left[ci] -= 1;
                 continue;
             }
-            let reason = if prefix_blocked {
-                StallReason::SteeringDelay
-            } else if !ready {
-                StallReason::OperandWait
-            } else {
+            let reason = if ready {
                 StallReason::FuBusy
+            } else {
+                StallReason::OperandWait
             };
-            if self.config.in_order_issue {
-                prefix_blocked = true;
-            }
             if idle[ci] > 0 {
                 idle[ci] -= 1;
                 let event = TraceEvent::Stall {
@@ -433,26 +417,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
                 }
             }
         }
-        if matches!(class, FuClass::IntMul | FuClass::FpMul) {
-            if let Some(rule) = self.steering.multiplier_swap {
-                for (op, &i) in ops.iter_mut().zip(selected) {
-                    let opcode = self.window[i].op.opcode;
-                    if matches!(opcode, Opcode::Mul | Opcode::FMul) && rule.apply(op) {
-                        self.swaps.multiplier_swaps += 1;
-                        if S::ENABLED {
-                            let serial = self.window[i].op.serial;
-                            self.sink.record(&TraceEvent::OperandSwap {
-                                cycle: self.cycle,
-                                serial,
-                                class,
-                                kind: SwapKind::Multiplier,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
         // Steer: duplicated classes consult the policy, single-module
         // classes trivially use module 0.
         let choices: Vec<fua_steer::ModuleChoice> = if modules > 1 {
@@ -492,17 +456,6 @@ impl<S: TraceSink> ReferenceSimulator<S> {
             let opcode = entry.op.opcode;
             let serial = entry.op.serial;
             let entry_pc = entry.op.static_idx;
-            if matches!(opcode, Opcode::Mul | Opcode::FMul) {
-                // Booth activity model (extension; see DESIGN.md). The
-                // latch already advanced, so reconstruct prev from cost.
-                self.booth_energy[class.index()] += self.booth.pp_weight
-                    * fua_power::booth::nonzero_booth_digits(
-                        fua_power::booth::significand(op.op2).0,
-                        fua_power::booth::significand(op.op2).1,
-                    ) as f64
-                    * op.op1.power_width() as f64
-                    + self.booth.sw_weight * bits as f64;
-            }
 
             let mut latency = self.config.latency(opcode);
             let mut cache_event = None;

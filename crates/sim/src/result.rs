@@ -73,8 +73,6 @@ pub struct SwapStats {
     pub rule_swaps: u64,
     /// Swaps chosen by cost-based policies (Full Ham / 1-bit Ham).
     pub policy_swaps: u64,
-    /// Swaps applied by the multiplier rule.
-    pub multiplier_swaps: u64,
 }
 
 impl ToJson for SwapStats {
@@ -82,7 +80,6 @@ impl ToJson for SwapStats {
         Json::obj([
             ("rule_swaps", Json::UInt(self.rule_swaps)),
             ("policy_swaps", Json::UInt(self.policy_swaps)),
-            ("multiplier_swaps", Json::UInt(self.multiplier_swaps)),
         ])
     }
 }
@@ -98,9 +95,6 @@ pub struct SimResult {
     pub halted: bool,
     /// Switched input bits and operation counts per FU class.
     pub ledger: EnergyLedger,
-    /// Booth-model multiplier energy per FU class (non-zero only for the
-    /// multiplier classes; an extension beyond the paper, see DESIGN.md).
-    pub booth_energy: [f64; 4],
     /// Per-class issue occupancy (Table 2 inputs).
     pub occupancy: Vec<OccupancyProfiler>,
     /// Per-class operand bit patterns *as issued* (post-swap).

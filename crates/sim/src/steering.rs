@@ -5,11 +5,9 @@ use fua_steer::{
     make_policy, FcfsPolicy, HardwareSwapRule, SteeringKind, SteeringPolicy, PAPER_FPAU_OCCUPANCY,
     PAPER_IALU_OCCUPANCY,
 };
-use fua_swap::MultiplierSwapRule;
 
-/// The steering side of a simulation: one policy per duplicated FU class,
-/// the optional static hardware swap rules, and the optional multiplier
-/// swap rule.
+/// The steering side of a simulation: one policy per duplicated FU class
+/// and the optional static hardware swap rules.
 ///
 /// # Examples
 ///
@@ -30,8 +28,6 @@ pub struct SteeringConfig {
     pub ialu_swap: Option<HardwareSwapRule>,
     /// Static hardware swap rule for the FPAU (case 10 in the paper).
     pub fpau_swap: Option<HardwareSwapRule>,
-    /// Multiplier swap rule for both multiplier classes.
-    pub multiplier_swap: Option<MultiplierSwapRule>,
 }
 
 impl SteeringConfig {
@@ -42,7 +38,6 @@ impl SteeringConfig {
             fpau: Box::new(FcfsPolicy::new()),
             ialu_swap: None,
             fpau_swap: None,
-            multiplier_swap: None,
         }
     }
 
@@ -123,14 +118,7 @@ impl SteeringConfig {
             fpau,
             ialu_swap,
             fpau_swap,
-            multiplier_swap: None,
         }
-    }
-
-    /// Enables the multiplier swap rule.
-    pub fn with_multiplier_swap(mut self, rule: MultiplierSwapRule) -> Self {
-        self.multiplier_swap = Some(rule);
-        self
     }
 
     /// Whether any static hardware swap rule is active.
@@ -167,7 +155,6 @@ impl std::fmt::Debug for SteeringConfig {
             .field("fpau", &self.fpau.name())
             .field("ialu_swap", &self.ialu_swap)
             .field("fpau_swap", &self.fpau_swap)
-            .field("multiplier_swap", &self.multiplier_swap.is_some())
             .finish()
     }
 }

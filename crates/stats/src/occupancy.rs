@@ -3,12 +3,9 @@
 /// Histogram of how many modules of one FU type issue together in a cycle
 /// (the paper's Table 2).
 ///
-/// By default ([`new`](OccupancyProfiler::new)) cycles in which the FU
-/// type issues nothing are not recorded, matching the paper: "we only
-/// consider cycles which use at least one module". The
-/// [`with_idle`](OccupancyProfiler::with_idle) constructor opts into
-/// counting idle cycles too, so the stall taxonomy can cross-check how
-/// often a class sat fully dark.
+/// Cycles in which the FU type issues nothing are not recorded,
+/// matching the paper: "we only consider cycles which use at least one
+/// module".
 ///
 /// # Examples
 ///
@@ -26,7 +23,6 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancyProfiler {
     counts: Vec<u64>,
-    include_idle: bool,
 }
 
 impl OccupancyProfiler {
@@ -40,42 +36,17 @@ impl OccupancyProfiler {
         assert!(max_modules >= 1, "an FU type has at least one module");
         OccupancyProfiler {
             counts: vec![0; max_modules + 1],
-            include_idle: false,
         }
     }
 
-    /// Creates a profiler that also counts idle (zero-issue) cycles, for
-    /// analyses that need absolute cycle coverage rather than the paper's
-    /// conditional Table-2 distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_modules` is 0.
-    pub fn with_idle(max_modules: usize) -> Self {
-        let mut occ = OccupancyProfiler::new(max_modules);
-        occ.include_idle = true;
-        occ
-    }
-
-    /// Whether this profiler counts idle (zero-issue) cycles.
-    pub fn includes_idle(&self) -> bool {
-        self.include_idle
-    }
-
     /// Records a cycle in which `num_issued` instructions of this FU type
-    /// issued. Zero is ignored in the default mode (idle cycles are
-    /// excluded from Table 2) and counted under
-    /// [`idle_cycles`](OccupancyProfiler::idle_cycles) when the profiler
-    /// was built with [`with_idle`](OccupancyProfiler::with_idle).
+    /// issued. Zero is ignored (idle cycles are excluded from Table 2).
     ///
     /// # Panics
     ///
     /// Panics if `num_issued` exceeds the module count.
     pub fn record(&mut self, num_issued: usize) {
         if num_issued == 0 {
-            if self.include_idle {
-                self.counts[0] += 1;
-            }
             return;
         }
         assert!(
@@ -90,17 +61,6 @@ impl OccupancyProfiler {
     /// Number of cycles in which at least one module issued.
     pub fn busy_cycles(&self) -> u64 {
         self.counts[1..].iter().sum()
-    }
-
-    /// Number of recorded zero-issue cycles. Always 0 for the paper-mode
-    /// profiler built with [`new`](OccupancyProfiler::new).
-    pub fn idle_cycles(&self) -> u64 {
-        self.counts[0]
-    }
-
-    /// Total recorded cycles: busy plus (in idle-tracking mode) idle.
-    pub fn total_cycles(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// `P(Num(I) = k | Num(I) >= 1)` — a Table-2 cell.
@@ -122,20 +82,16 @@ impl OccupancyProfiler {
         self.counts.len() - 1
     }
 
-    /// Merges another profiler with the same module count and idle mode.
+    /// Merges another profiler with the same module count.
     ///
     /// # Panics
     ///
-    /// Panics if the module counts or idle-tracking modes differ.
+    /// Panics if the module counts differ.
     pub fn merge(&mut self, other: &OccupancyProfiler) {
         assert_eq!(
             self.counts.len(),
             other.counts.len(),
             "occupancy profilers track different module counts"
-        );
-        assert_eq!(
-            self.include_idle, other.include_idle,
-            "occupancy profilers disagree on idle-cycle tracking"
         );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -171,31 +127,6 @@ mod tests {
     fn overflow_is_a_bug() {
         let mut occ = OccupancyProfiler::new(2);
         occ.record(3);
-    }
-
-    #[test]
-    fn idle_mode_counts_zero_issue_cycles_without_skewing_table_2() {
-        let mut occ = OccupancyProfiler::with_idle(2);
-        assert!(occ.includes_idle());
-        occ.record(0);
-        occ.record(0);
-        occ.record(1);
-        occ.record(2);
-        assert_eq!(occ.idle_cycles(), 2);
-        assert_eq!(occ.busy_cycles(), 2);
-        assert_eq!(occ.total_cycles(), 4);
-        // The conditional distribution still ignores idle cycles.
-        assert!((occ.freq(1) - 0.5).abs() < 1e-12);
-        let sum: f64 = occ.distribution().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merging_across_idle_modes_is_a_bug() {
-        let mut a = OccupancyProfiler::new(2);
-        let b = OccupancyProfiler::with_idle(2);
-        a.merge(&b);
     }
 
     #[test]

@@ -153,7 +153,6 @@ pub fn manifest_key(manifest: &RunManifest, schema: &str) -> StoreKey {
     h.u64(m.cache.hit_latency);
     h.u64(m.cache.miss_latency);
     h.u64(m.mispredict_penalty);
-    h.u64(u64::from(m.in_order_issue));
     h.u64(manifest.workloads.len() as u64);
     for w in &manifest.workloads {
         h.str(&w.name);
@@ -780,11 +779,6 @@ mod tests {
         }
         {
             let mut m = base.clone();
-            m.machine.in_order_issue = !m.machine.in_order_issue;
-            variants.push(m);
-        }
-        {
-            let mut m = base.clone();
             m.workloads[0].seed ^= 1;
             variants.push(m);
         }
@@ -876,7 +870,7 @@ mod tests {
             let index = format!(
                 "{{\"schema\": \"{STORE_SCHEMA}\", \"entries\": [{{\"seq\": 1, \
                  \"key\": \"{key}\", \"content\": \"{content}\", \"tag\": \"t\", \
-                 \"bench_schema\": \"fua-bench/1.6\", \"bytes\": 1}}]}}"
+                 \"bench_schema\": \"fua-bench/1.7\", \"bytes\": 1}}]}}"
             );
             fs::write(dir.join("index.json"), index).unwrap();
             let msg = store.entries().unwrap_err().to_string();

@@ -71,15 +71,11 @@ pub enum StallReason {
     /// A ready candidate could not issue: every module of its class was
     /// taken this cycle, or the memory ports were exhausted.
     FuBusy,
-    /// A candidate was blocked purely by the in-order issue prefix rule
-    /// (the only steering-induced issue delay in this model — the
-    /// paper's policies themselves never reject an assignment).
-    SteeringDelay,
 }
 
 impl StallReason {
     /// Every reason, in taxonomy order (the stall-mix array order).
-    pub const ALL: [StallReason; 8] = [
+    pub const ALL: [StallReason; 7] = [
         StallReason::Issued,
         StallReason::FetchStarved,
         StallReason::BranchRecovery,
@@ -87,7 +83,6 @@ impl StallReason {
         StallReason::RsFull,
         StallReason::OperandWait,
         StallReason::FuBusy,
-        StallReason::SteeringDelay,
     ];
 
     /// Position in [`StallReason::ALL`] (stall-mix array index).
@@ -105,7 +100,6 @@ impl StallReason {
             StallReason::RsFull => "rs-full",
             StallReason::OperandWait => "operand-wait",
             StallReason::FuBusy => "fu-busy",
-            StallReason::SteeringDelay => "steering-delay",
         }
     }
 }
@@ -117,8 +111,6 @@ pub enum SwapKind {
     Rule,
     /// A cost-based steering policy's per-assignment swap.
     Policy,
-    /// The multiplier swap rule.
-    Multiplier,
 }
 
 impl SwapKind {
@@ -127,7 +119,6 @@ impl SwapKind {
         match self {
             SwapKind::Rule => "rule",
             SwapKind::Policy => "policy",
-            SwapKind::Multiplier => "multiplier",
         }
     }
 }
@@ -423,7 +414,7 @@ mod tests {
             assert_eq!(reason.index(), i);
         }
         assert_eq!(StallReason::Issued.name(), "issued");
-        assert_eq!(StallReason::SteeringDelay.name(), "steering-delay");
+        assert_eq!(StallReason::FuBusy.name(), "fu-busy");
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub struct MetricsRecorder {
     mispredicts: MetricId,
     cache_hits: MetricId,
     cache_misses: MetricId,
-    swaps: [MetricId; 3],
-    stalls: [MetricId; 8],
+    swaps: [MetricId; 2],
+    stalls: [MetricId; 7],
     per_module: [[Option<PerModule>; MAX_MODULES]; 4],
     cases: [Option<[MetricId; 4]>; 4],
 }
@@ -64,7 +64,7 @@ impl MetricsRecorder {
         let mispredicts = registry.counter("branch.mispredicted");
         let cache_hits = registry.counter("cache.hits");
         let cache_misses = registry.counter("cache.misses");
-        let swaps = [SwapKind::Rule, SwapKind::Policy, SwapKind::Multiplier]
+        let swaps = [SwapKind::Rule, SwapKind::Policy]
             .map(|k| registry.counter(&format!("swaps.{}", k.name())));
         let stalls = StallReason::ALL.map(|r| registry.counter(&format!("stall.{}", r.name())));
         MetricsRecorder {

@@ -62,8 +62,8 @@ impl StallSink {
     }
 
     /// Slot totals per [`StallReason`], in [`StallReason::ALL`] order.
-    pub fn reason_totals(&self) -> [u64; 8] {
-        let mut totals = [0u64; 8];
+    pub fn reason_totals(&self) -> [u64; 7] {
+        let mut totals = [0u64; 7];
         for (key, &slots) in &self.sites {
             totals[key.reason.index()] += slots;
         }

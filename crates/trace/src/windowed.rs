@@ -65,9 +65,9 @@ pub struct WindowRecord {
     pub ops: [u64; 4],
     /// Steering decisions per class × information-bit case.
     pub steer_cases: [[u64; 4]; 4],
-    /// Operand swaps by mechanism (indexed rule/policy/multiplier, the
+    /// Operand swaps by mechanism (indexed rule/policy, the
     /// [`crate::SwapKind`] order).
-    pub swaps: [u64; 3],
+    pub swaps: [u64; 2],
     /// Instructions retired (commit-stage events).
     pub retired: u64,
     /// Instructions issued (summed from cycle summaries).
@@ -90,7 +90,7 @@ pub struct WindowRecord {
     /// `cycles × issue_width` — the same exact partition the
     /// [`StallSink`](crate::StallSink) proves over sites, here proved
     /// over time intervals.
-    pub stall_slots: [u64; 8],
+    pub stall_slots: [u64; 7],
 }
 
 impl WindowRecord {
@@ -99,7 +99,7 @@ impl WindowRecord {
         module_bits: [[0; MAX_MODULES]; 4],
         ops: [0; 4],
         steer_cases: [[0; 4]; 4],
-        swaps: [0; 3],
+        swaps: [0; 2],
         retired: 0,
         issued: 0,
         cycles: 0,
@@ -108,7 +108,7 @@ impl WindowRecord {
         cache_misses: 0,
         branches: 0,
         mispredicts: 0,
-        stall_slots: [0; 8],
+        stall_slots: [0; 7],
     };
 
     /// Adds another window's deltas into this one, field-wise. Window
@@ -375,8 +375,8 @@ impl WindowedSeries {
     /// [`StallReason::ALL`] order. By the exact-partition invariant the
     /// grand total equals `cycles × issue_width` — and equals the
     /// matching [`StallSink`](crate::StallSink) totals bit-for-bit.
-    pub fn total_stall_slots(&self) -> [u64; 8] {
-        let mut t = [0u64; 8];
+    pub fn total_stall_slots(&self) -> [u64; 7] {
+        let mut t = [0u64; 7];
         for w in &self.windows {
             for (acc, v) in t.iter_mut().zip(w.stall_slots) {
                 *acc += v;
@@ -438,7 +438,7 @@ impl WindowedSeries {
             out.push_str(&format!(",stall_{}", reason.name()));
         }
         out.push_str(
-            ",swaps_rule,swaps_policy,swaps_multiplier,\
+            ",swaps_rule,swaps_policy,\
              cache_hits,cache_misses,branches,mispredicts\n",
         );
 
@@ -467,14 +467,8 @@ impl WindowedSeries {
                 out.push_str(&format!(",{slots}"));
             }
             out.push_str(&format!(
-                ",{},{},{},{},{},{},{}\n",
-                w.swaps[0],
-                w.swaps[1],
-                w.swaps[2],
-                w.cache_hits,
-                w.cache_misses,
-                w.branches,
-                w.mispredicts,
+                ",{},{},{},{},{},{}\n",
+                w.swaps[0], w.swaps[1], w.cache_hits, w.cache_misses, w.branches, w.mispredicts,
             ));
         }
         out

@@ -202,13 +202,11 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 # Harness self-observability gates. The zero-allocation steady-state
 # gate runs inside the suite above; run it by name so a hot-loop heap
-# regression fails with its own headline. Then the counting-allocator
-# build must lint clean and produce a harness-report whose stdout is
-# byte-identical between --jobs 1 and --jobs 4 while emitting the
-# Perfetto timeline, folded stacks and OpenMetrics exposition.
+# regression fails with its own headline. Then the binary (which always
+# installs the counting allocator) must produce a harness-report whose
+# stdout is byte-identical between --jobs 1 and --jobs 4 while emitting
+# the Perfetto timeline, folded stacks and OpenMetrics exposition.
 cargo test -q --test alloc_gate
-cargo clippy --workspace --all-targets --features harness-obs -- -D warnings
-cargo build --release --features harness-obs
 (
   cd "$tmpdir"
   "$repo/target/release/fua" harness-report --jobs 1 \
@@ -219,6 +217,4 @@ cargo build --release --features harness-obs
   grep -q "alloc(s)" harness-serial.txt
   grep -q "# EOF" harness.om
 )
-# Leave the default-feature release binary in target/ for callers.
-cargo build --release
 echo "all checks passed"

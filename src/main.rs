@@ -39,12 +39,9 @@ use fua::steer::SteeringKind;
 use fua::store::{IndexEntry, Store};
 use fua::trace::MetricsRegistry;
 
-// With `--features harness-obs` every allocation in the binary routes
-// through the counting wrapper, so `harness-report` and the BENCH
-// harness digest carry real allocs/bytes figures. The default build
-// keeps the untouched system allocator; results are byte-identical
-// either way (the wrapper changes no allocation behaviour).
-#[cfg(feature = "harness-obs")]
+// Every allocation in the binary routes through the counting wrapper,
+// so `harness-report` and the BENCH harness digest carry real
+// allocs/bytes figures. The wrapper changes no allocation behaviour.
 #[global_allocator]
 static COUNTING_ALLOC: fua::obs::CountingAlloc = fua::obs::CountingAlloc;
 
@@ -932,11 +929,12 @@ fn joint_energy_cycles_table(runs: &[fua::attr::CycleProfiledRun], top: usize) -
 fn print_critical_path(run: &fua::attr::CycleProfiledRun, top: usize) {
     let nodes = run.path.nodes();
     println!(
-        "critical path — {}: {} node(s), span {} cycles, operand wait {}, \
-         structural wait {}",
+        "critical path — {}: {} node(s), span {} cycles, dispatch wait {}, \
+         operand wait {}, structural wait {}",
         run.cycles.workload,
         nodes.len(),
         run.path.span_cycles(),
+        run.path.dispatch_wait(),
         run.path.operand_wait(),
         run.path.structural_wait(),
     );
@@ -948,6 +946,7 @@ fn print_critical_path(run: &fua::attr::CycleProfiledRun, top: usize) {
         "dispatch",
         "issue",
         "done",
+        "disp wait",
         "op wait",
         "struct wait",
     ]);
@@ -959,6 +958,7 @@ fn print_critical_path(run: &fua::attr::CycleProfiledRun, top: usize) {
             n.dispatch_cycle.to_string(),
             n.issue_cycle.to_string(),
             n.done_cycle.to_string(),
+            n.dispatch_wait.to_string(),
             n.operand_wait.to_string(),
             n.structural_wait.to_string(),
         ]);
@@ -1922,15 +1922,13 @@ fn cmd_harness_report(opts: &Options) -> CmdResult {
         ));
     }
     let retired: u64 = serial_cells.iter().map(|c| c.1).sum();
-    let allocs =
-        fua::obs::counting_allocator_active().then_some((alloc_delta.allocs, alloc_delta.bytes));
 
     // --- Deterministic stdout report -----------------------------------
     if opts.json {
-        let alloc_json = match allocs {
-            Some((a, b)) => Json::obj([("allocs", Json::UInt(a)), ("bytes", Json::UInt(b))]),
-            None => Json::Null,
-        };
+        let alloc_json = Json::obj([
+            ("allocs", Json::UInt(alloc_delta.allocs)),
+            ("bytes", Json::UInt(alloc_delta.bytes)),
+        ]);
         let stage = |arena: &fua::obs::ArenaCounters| {
             Json::obj([
                 ("cells", Json::UInt(workloads.len() as u64)),
@@ -1961,13 +1959,10 @@ fn cmd_harness_report(opts: &Options) -> CmdResult {
         }
         println!("{table}");
         println!("retired {retired} instruction(s) per pass");
-        match allocs {
-            Some((a, b)) => println!("serial-pass allocations: {a} alloc(s), {b} byte(s)"),
-            None => println!(
-                "serial-pass allocations: n/a \
-                 (counting allocator not installed; build with --features harness-obs)"
-            ),
-        }
+        println!(
+            "serial-pass allocations: {} alloc(s), {} byte(s)",
+            alloc_delta.allocs, alloc_delta.bytes
+        );
     }
 
     // --- Wall-clock views: stderr and the opt-in side files ------------

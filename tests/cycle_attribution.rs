@@ -121,7 +121,11 @@ fn critical_path_is_causally_ordered_and_fits_the_run() {
                 pair[1].issue_cycle
             );
         }
-        for n in nodes {
+        // The span splits exactly into frontend (dispatch) waits and
+        // each node's time past the later of its producer's completion
+        // and its own dispatch; the first node has no producer.
+        let mut accounted = 0;
+        for (i, n) in nodes.iter().enumerate() {
             assert!(n.dispatch_cycle <= n.issue_cycle);
             assert!(n.issue_cycle < n.done_cycle);
             assert!(
@@ -130,7 +134,31 @@ fn critical_path_is_causally_ordered_and_fits_the_run() {
                 w.name,
                 n.serial
             );
+            // Dispatch runs after issue in a cycle, so `dispatch + 1` is
+            // the earliest issue: issuing then is no structural wait.
+            if n.issue_cycle == n.dispatch_cycle + 1 {
+                assert_eq!(n.structural_wait, 0, "{}: #{}", w.name, n.serial);
+            }
+            let producer_done = if i == 0 {
+                n.dispatch_cycle
+            } else {
+                nodes[i - 1].done_cycle
+            };
+            assert_eq!(
+                n.dispatch_wait,
+                n.dispatch_cycle.saturating_sub(producer_done),
+                "{}: #{}",
+                w.name,
+                n.serial
+            );
+            accounted += n.dispatch_wait + n.done_cycle - producer_done.max(n.dispatch_cycle);
         }
+        assert_eq!(
+            run.path.span_cycles(),
+            accounted,
+            "{}: span identity",
+            w.name
+        );
         assert_eq!(
             CriticalPath::extract(&w.program, &DepSink::new()).nodes(),
             []
@@ -162,6 +190,14 @@ fn parallel_cycle_profiling_is_byte_identical_to_serial() {
     let workloads = fua::workloads::all(1);
     for scheme in [Scheme::Naive, Scheme::Lut4] {
         let serial = profile_cycles_suite(&workloads, scheme, LIMIT, Jobs::serial());
+        // Every bucket of the taxonomy is one this machine fills.
+        for reason in StallReason::ALL {
+            let slots: u64 = serial
+                .iter()
+                .map(|r| r.cycles.reason_totals()[reason.index()])
+                .sum();
+            assert!(slots > 0, "{scheme:?}: no slot ever {}", reason.name());
+        }
         let parallel =
             profile_cycles_suite(&workloads, scheme, LIMIT, Jobs::new(4).expect("positive"));
         let render = |runs: &[fua::attr::CycleProfiledRun]| {

@@ -8,7 +8,7 @@
 //! bitmasks, a completion wheel, consumer wakeup lists). This test pins
 //! the rewrite to the reference engine at full trace granularity: for
 //! every bundled workload, across every paper steering scheme with and
-//! without the hardware/multiplier swap rules, both engines must emit the
+//! without the hardware swap rules, both engines must emit the
 //! *identical* event stream — same cycles, same issue order, same steer
 //! decisions, same swap events, same per-slot stall attribution — and
 //! agree on every architectural counter.
@@ -21,7 +21,6 @@
 
 use fua::sim::{MachineConfig, ReferenceSimulator, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
-use fua::swap::MultiplierSwapRule;
 use fua::trace::{StallSink, TraceEvent, VecSink};
 use fua::workloads::all;
 
@@ -33,8 +32,7 @@ const LIMIT: u64 = 15_000;
 
 /// Every steering configuration exercised by the equivalence sweep:
 /// the unmodified baseline, plus each Figure-4 scheme with the hardware
-/// swap both off and on, plus one multiplier-swap variant (value-based
-/// swapping takes a different code path from the case-based rules).
+/// swap both off and on.
 fn schemes() -> Vec<(String, SteeringConfig)> {
     let mut out = vec![("original".to_string(), SteeringConfig::original())];
     for kind in SteeringKind::FIGURE4 {
@@ -45,11 +43,6 @@ fn schemes() -> Vec<(String, SteeringConfig)> {
             ));
         }
     }
-    out.push((
-        "Lut{2}/hw_swap+mul_swap".to_string(),
-        SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
-            .with_multiplier_swap(MultiplierSwapRule::new()),
-    ));
     out
 }
 
@@ -169,18 +162,5 @@ fn rewrite_matches_reference_on_a_narrow_machine() {
             &w,
         );
         assert_equivalent(&format!("{}/narrow", w.name), &new, &reference);
-    }
-}
-
-#[test]
-fn rewrite_matches_reference_in_order() {
-    // In-order issue takes the other select_ready branch (the bitmask
-    // scan must stop at the first non-ready head, not skip past it).
-    let mut config = MachineConfig::paper_default();
-    config.in_order_issue = true;
-    for w in all(1) {
-        let new = run_new(&config, SteeringConfig::original(), &w);
-        let reference = run_reference(&config, SteeringConfig::original(), &w);
-        assert_equivalent(&format!("{}/in_order", w.name), &new, &reference);
     }
 }

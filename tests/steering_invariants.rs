@@ -76,7 +76,7 @@ fn swapping_preserves_timing() {
 #[test]
 fn single_module_units_are_untouched_by_steering() {
     // Multipliers have one module; every policy must charge them
-    // identically (without the multiplier swap rule).
+    // identically.
     let baseline = run("ijpeg", SteeringKind::Original, false);
     for kind in SteeringKind::FIGURE4 {
         let r = run("ijpeg", kind, false);

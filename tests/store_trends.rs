@@ -71,7 +71,7 @@ fn stored_artifacts_round_trip_byte_identically() {
     // Each stored artifact parses and re-stores byte-identically:
     // putting a shown artifact back must dedup to the same object.
     let shown = stdout_of(&fua_in(&tmp.0, &["store", "show", "2"]));
-    assert!(shown.contains("\"schema\": \"fua-bench/1.6\""));
+    assert!(shown.contains("\"schema\": \"fua-bench/1.7\""));
     let copy = tmp.0.join("copy.json");
     std::fs::write(&copy, &shown).unwrap();
     let put = fua_in(&tmp.0, &["store", "put", "copy.json"]);

@@ -119,10 +119,6 @@ fn metrics_agree_with_the_architectural_counters() {
         registry.counter_value("swaps.policy"),
         Some(result.swaps.policy_swaps)
     );
-    assert_eq!(
-        registry.counter_value("swaps.multiplier"),
-        Some(result.swaps.multiplier_swaps)
-    );
 }
 
 #[test]
