@@ -324,9 +324,14 @@ pub struct CriticalNode {
     pub structural_wait: u64,
 }
 
-/// The longest completion-ordered dependence chain of a run, extracted
-/// from a [`DepSink`]: the path ends at the last instruction to
-/// complete and each predecessor is the producer that finished last.
+/// A register-dependence chain of a run, extracted from a [`DepSink`]:
+/// the path ends at the last instruction to complete, and each
+/// predecessor is the node's register producer (source operand writer)
+/// that finished last. The walk follows register producers only —
+/// memory, control (fetch redirect) and structural dependences are not
+/// recorded — and stops at the first node with no recorded producer,
+/// such as an immediate load. The chain can therefore cover only part of
+/// the run; [`coverage`](CriticalPath::coverage) says how much.
 ///
 /// Per node, `dispatch_wait + (done − max(producer_done, dispatch))`
 /// telescopes to `done − producer_done` (`done − dispatch` for the
@@ -337,7 +342,8 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Walks the dependence records backwards from the last completion.
+    /// Walks the dependence records backwards from the last completion,
+    /// through register producers, until a node has none.
     pub fn extract(program: &Program, deps: &DepSink) -> Self {
         let insts = program.insts();
         let records = deps.records();
@@ -408,6 +414,18 @@ impl CriticalPath {
         }
     }
 
+    /// The share of a `run_cycles`-cycle run the path spans
+    /// ([`span_cycles`](CriticalPath::span_cycles) / `run_cycles`; 0 for
+    /// an empty run). 1.0 means the chain explains the whole run; a
+    /// chain that stops early at a producer-less node reads lower.
+    pub fn coverage(&self, run_cycles: u64) -> f64 {
+        if run_cycles == 0 {
+            0.0
+        } else {
+            self.span_cycles() as f64 / run_cycles as f64
+        }
+    }
+
     /// Total dispatch-wait cycles along the path.
     pub fn dispatch_wait(&self) -> u64 {
         self.nodes.iter().map(|n| n.dispatch_wait).sum()
@@ -423,10 +441,13 @@ impl CriticalPath {
         self.nodes.iter().map(|n| n.structural_wait).sum()
     }
 
-    /// The path as a JSON document (used by `--json` output).
-    pub fn to_json(&self) -> Json {
+    /// The path as a JSON document (used by `--json` output), with its
+    /// coverage of a `run_cycles`-cycle run.
+    pub fn to_json(&self, run_cycles: u64) -> Json {
         Json::obj([
             ("span_cycles", Json::UInt(self.span_cycles())),
+            ("run_cycles", Json::UInt(run_cycles)),
+            ("coverage", Json::Float(self.coverage(run_cycles))),
             ("dispatch_wait", Json::UInt(self.dispatch_wait())),
             ("operand_wait", Json::UInt(self.operand_wait())),
             ("structural_wait", Json::UInt(self.structural_wait())),

@@ -10,11 +10,11 @@
 
 use std::collections::BTreeMap;
 
-use fua_analysis::{estimate_transitions, TransitionEstimate};
+use fua_analysis::{estimate_transitions, SwapModel, TransitionEstimate};
 use fua_exec::{map_indexed, Jobs};
 use fua_workloads::Workload;
 
-use crate::{attribute_workload, EnergyAttribution, Scheme};
+use crate::{attribute_schemes, attribute_workload, EnergyAttribution, Scheme};
 
 /// One soundness violation: a PC whose measured switched bits exceed
 /// the static bound.
@@ -139,16 +139,43 @@ pub fn check_workload(w: &Workload, scheme: Scheme, limit: u64) -> EstimateCheck
     check_attribution(&est, &run.attribution)
 }
 
-/// Checks every workload under `scheme`, fanning out across `jobs`
-/// workers. Results come back in workload-index order, so the output is
-/// byte-identical to the serial pass for any worker count.
+/// Checks every workload under every scheme in `schemes`, fanning the
+/// workloads out across `jobs` workers. Each workload runs once, with a
+/// steering lane per scheme ([`attribute_schemes`]), and is bounded once
+/// per swap model. Returns one `Vec` per scheme, in `schemes`
+/// order, each in workload-index order — equal to
+/// [`check_workload`] per (workload, scheme), and byte-identical to the
+/// serial pass for any worker count.
 pub fn check_suite(
     workloads: &[Workload],
-    scheme: Scheme,
+    schemes: &[Scheme],
     limit: u64,
     jobs: Jobs,
-) -> Vec<EstimateCheck> {
-    map_indexed(jobs, workloads, |_, w| check_workload(w, scheme, limit))
+) -> Vec<Vec<EstimateCheck>> {
+    let per_workload = map_indexed(jobs, workloads, |_, w| {
+        let runs = attribute_schemes(w, schemes, limit);
+        let direct = estimate_transitions(&w.program, SwapModel::Direct);
+        let either = estimate_transitions(&w.program, SwapModel::Either);
+        schemes
+            .iter()
+            .zip(&runs)
+            .map(|(scheme, run)| {
+                let est = match scheme.swap_model() {
+                    SwapModel::Direct => &direct,
+                    SwapModel::Either => &either,
+                };
+                check_attribution(est, &run.attribution)
+            })
+            .collect::<Vec<_>>()
+    });
+    (0..schemes.len())
+        .map(|s| {
+            per_workload
+                .iter()
+                .map(|checks| checks[s].clone())
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -195,8 +222,14 @@ mod tests {
             .iter()
             .map(|n| fua_workloads::by_name(n, 1).unwrap())
             .collect();
-        let serial = check_suite(&workloads, Scheme::Lut4, 1_500, Jobs::serial());
-        let parallel = check_suite(&workloads, Scheme::Lut4, 1_500, Jobs::new(3).unwrap());
+        let serial = check_suite(&workloads, &Scheme::ALL, 1_500, Jobs::serial());
+        let parallel = check_suite(&workloads, &Scheme::ALL, 1_500, Jobs::new(3).unwrap());
         assert_eq!(serial, parallel);
+        // One lane per scheme reproduces each scheme's own run.
+        for (scheme, checks) in Scheme::ALL.iter().zip(&serial) {
+            for (w, check) in workloads.iter().zip(checks) {
+                assert_eq!(*check, check_workload(w, *scheme, 1_500));
+            }
+        }
     }
 }

@@ -64,6 +64,10 @@ pub use cycles::{
 };
 pub use diff::{case_labels, AttributionDiff, ClassDelta, PcDelta};
 pub use estimate::{check_attribution, check_suite, check_workload, BoundViolation, EstimateCheck};
-pub use profile::{EnergyAttribution, Hotspot, SiteRow, MAX_MODULES};
-pub use run::{attribute_suite, attribute_with_config, attribute_workload, AttributedRun, Scheme};
+pub use fua_steer::MAX_MODULES;
+pub use profile::{EnergyAttribution, Hotspot, SiteRow};
+pub use run::{
+    attribute_schemes, attribute_suite, attribute_with_config, attribute_workload, AttributedRun,
+    Scheme,
+};
 pub use sink::{AttributionSink, SiteKey, SiteStat};

@@ -8,11 +8,7 @@ use fua_isa::{FuClass, Program};
 use fua_power::EnergyLedger;
 use fua_trace::Json;
 
-use crate::{AttributionSink, SiteKey, SiteStat};
-
-/// Modules per FU class the per-module breakdowns cover (the simulator
-/// never exceeds this; matches the windowed-telemetry bound).
-pub const MAX_MODULES: usize = 8;
+use crate::{AttributionSink, SiteKey, SiteStat, MAX_MODULES};
 
 /// One attributed site with its CFG context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +80,8 @@ impl EnergyAttribution {
         let rows = sink
             .sites()
             .map(|(key, stat)| SiteRow {
-                key: *key,
-                stat: *stat,
+                key,
+                stat,
                 block: cfg.try_block_of(key.pc as usize),
                 opcode: insts
                     .get(key.pc as usize)

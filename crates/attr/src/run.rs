@@ -3,7 +3,7 @@
 
 use fua_analysis::SwapModel;
 use fua_exec::{map_indexed, Jobs};
-use fua_sim::{MachineConfig, SimResult, Simulator, SteeringConfig};
+use fua_sim::{Lane, MachineConfig, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
 use fua_workloads::Workload;
 
@@ -165,6 +165,34 @@ pub fn attribute_with_config(
         result,
         attribution,
     }
+}
+
+/// Runs one workload once with a steering lane per scheme in `schemes`,
+/// each with its own [`AttributionSink`], and returns one attributed run
+/// per scheme, in `schemes` order. Each equals
+/// [`attribute_workload`]`(w, scheme, limit)`: steering never moves
+/// timing, so the schemes share one pipeline run.
+///
+/// # Panics
+///
+/// Panics if the workload program faults (workload kernels never do).
+pub fn attribute_schemes(w: &Workload, schemes: &[Scheme], limit: u64) -> Vec<AttributedRun> {
+    let machine = MachineConfig::paper_default();
+    let mut lanes: Vec<Lane<AttributionSink>> = schemes
+        .iter()
+        .map(|s| Lane::with_sink(&machine, s.config(), AttributionSink::new()))
+        .collect();
+    let results = Simulator::run_lanes(machine, &mut lanes, &w.program, limit)
+        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+    lanes
+        .iter()
+        .zip(results)
+        .zip(schemes)
+        .map(|((lane, result), scheme)| AttributedRun {
+            result,
+            attribution: EnergyAttribution::build(w.name, scheme.label(), &w.program, lane.sink()),
+        })
+        .collect()
 }
 
 /// Attributes every workload in `workloads` under `scheme`, fanning out

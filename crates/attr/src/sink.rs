@@ -1,19 +1,19 @@
 //! The attribution sink: folds [`TraceEvent::Energy`] provenance into
 //! per-site switched-bit counters.
 
-use std::collections::BTreeMap;
-
 use fua_isa::{Case, FuClass};
 use fua_power::EnergyLedger;
 use fua_trace::{TraceEvent, TraceSink};
 
+use crate::MAX_MODULES;
+
 /// One static charge site: the issuing PC plus where the charge landed
 /// (FU class and module) and the information-bit case that steered it.
 ///
-/// The ordering is derived, so a `BTreeMap` keyed by `SiteKey` iterates
-/// in a deterministic (pc, class, module, case) order regardless of the
-/// order charges arrived in — the property the parallel merge and every
-/// rendered report rely on.
+/// The ordering is derived, and every listing of sites runs in that
+/// (pc, class, module, case) order regardless of the order charges
+/// arrived in — the property the parallel merge and every rendered
+/// report rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteKey {
     /// Static program counter (instruction index) of the issuing
@@ -36,13 +36,6 @@ pub struct SiteStat {
     pub ops: u64,
 }
 
-impl SiteStat {
-    fn add(&mut self, other: SiteStat) {
-        self.bits += other.bits;
-        self.ops += other.ops;
-    }
-}
-
 /// A [`TraceSink`] that partitions the energy ledger by static site.
 ///
 /// Every [`TraceEvent::Energy`] is counted in exactly one [`SiteKey`]
@@ -51,10 +44,29 @@ impl SiteStat {
 /// All other events are ignored. [`merge`](AttributionSink::merge) is
 /// associative and key-ordered, so per-workload sinks merged in
 /// workload-index order equal one sink threaded through a serial run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The table is dense: a block of module × case counters per charged
+/// (PC, class), found through a per-PC index, so a charge is two indexed
+/// adds rather than an ordered-map insertion. Memory grows with the
+/// highest PC charged and the number of charged (PC, class) pairs.
+///
+/// # Panics
+///
+/// Recording a charge on a module index of [`MAX_MODULES`] or more
+/// panics: the simulator never duplicates a class that often.
+#[derive(Debug, Clone, Default)]
 pub struct AttributionSink {
-    sites: BTreeMap<SiteKey, SiteStat>,
+    /// Per static PC and class: 1 + the block's index in `stats`, or 0
+    /// while the pair has no charge.
+    index: Vec<[u32; 4]>,
+    /// Blocks of `BLOCK` counters, module-major then case.
+    stats: Vec<SiteStat>,
+    /// Counters with at least one operation.
+    sites: usize,
 }
+
+/// Counters per (PC, class) block: every module × case.
+const BLOCK: usize = MAX_MODULES * 4;
 
 impl AttributionSink {
     /// An empty sink.
@@ -63,31 +75,53 @@ impl AttributionSink {
     }
 
     /// The per-site stats, in (pc, class, module, case) order.
-    pub fn sites(&self) -> impl Iterator<Item = (&SiteKey, &SiteStat)> {
-        self.sites.iter()
+    pub fn sites(&self) -> impl Iterator<Item = (SiteKey, SiteStat)> + '_ {
+        self.index.iter().enumerate().flat_map(move |(pc, blocks)| {
+            FuClass::ALL
+                .into_iter()
+                .filter_map(move |class| match blocks[class.index()] {
+                    0 => None,
+                    b => Some((class, (b as usize - 1) * BLOCK)),
+                })
+                .flat_map(move |(class, base)| {
+                    self.stats[base..base + BLOCK]
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, stat)| stat.ops > 0)
+                        .map(move |(i, stat)| {
+                            let key = SiteKey {
+                                pc: pc as u32,
+                                class,
+                                module: (i / 4) as u8,
+                                case: Case::ALL[i % 4],
+                            };
+                            (key, *stat)
+                        })
+                })
+        })
     }
 
     /// Distinct charge sites recorded.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.sites
     }
 
     /// Whether no charges have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
+        self.sites == 0
     }
 
     /// Folds another sink's sites into this one (key-wise addition).
     pub fn merge(&mut self, other: &AttributionSink) {
-        for (key, stat) in &other.sites {
-            self.sites.entry(*key).or_default().add(*stat);
+        for (key, stat) in other.sites() {
+            self.add(key, stat);
         }
     }
 
     /// Per-class switched-bit totals across all sites.
     pub fn switched_totals(&self) -> [u64; 4] {
         let mut totals = [0u64; 4];
-        for (key, stat) in &self.sites {
+        for (key, stat) in self.sites() {
             totals[key.class.index()] += stat.bits;
         }
         totals
@@ -96,7 +130,7 @@ impl AttributionSink {
     /// Per-class operation totals across all sites.
     pub fn ops_totals(&self) -> [u64; 4] {
         let mut totals = [0u64; 4];
-        for (key, stat) in &self.sites {
+        for (key, stat) in self.sites() {
             totals[key.class.index()] += stat.ops;
         }
         totals
@@ -110,9 +144,46 @@ impl AttributionSink {
         ledger.accumulate(self.switched_totals(), self.ops_totals());
         ledger
     }
+
+    /// Adds `stat` to `key`'s counter.
+    #[inline]
+    fn add(&mut self, key: SiteKey, stat: SiteStat) {
+        let module = key.module as usize;
+        assert!(
+            module < MAX_MODULES,
+            "attribution covers {MAX_MODULES} modules per class, got module {module}"
+        );
+        let pc = key.pc as usize;
+        if pc >= self.index.len() {
+            self.index.resize(pc + 1, [0; 4]);
+        }
+        let block = &mut self.index[pc][key.class.index()];
+        if *block == 0 {
+            self.stats
+                .resize(self.stats.len() + BLOCK, SiteStat::default());
+            *block = (self.stats.len() / BLOCK) as u32;
+        }
+        let slot = &mut self.stats[(*block as usize - 1) * BLOCK + module * 4 + key.case.index()];
+        if slot.ops == 0 {
+            self.sites += 1;
+        }
+        slot.bits += stat.bits;
+        slot.ops += stat.ops;
+    }
 }
 
+impl PartialEq for AttributionSink {
+    /// Two sinks are equal when they hold the same sites with the same
+    /// stats, whatever order the charges arrived in.
+    fn eq(&self, other: &Self) -> bool {
+        self.sites == other.sites && self.sites().eq(other.sites())
+    }
+}
+
+impl Eq for AttributionSink {}
+
 impl TraceSink for AttributionSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
         if let TraceEvent::Energy {
             pc,
@@ -123,18 +194,18 @@ impl TraceSink for AttributionSink {
             ..
         } = *event
         {
-            self.sites
-                .entry(SiteKey {
+            self.add(
+                SiteKey {
                     pc,
                     class,
                     module,
                     case,
-                })
-                .or_default()
-                .add(SiteStat {
+                },
+                SiteStat {
                     bits: bits as u64,
                     ops: 1,
-                });
+                },
+            );
         }
     }
 }

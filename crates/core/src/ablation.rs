@@ -15,7 +15,7 @@ use fua_isa::{Case, FuClass, Word, INT_BITS};
 use fua_power::booth::BoothModel;
 use fua_sim::{Simulator, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
-use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy};
+use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy, Policy};
 use fua_swap::MultiplierSwapRule;
 use fua_vm::{FuOp, Vm};
 use fua_workloads::Workload;
@@ -80,8 +80,8 @@ fn lut4_row(
         .strategy(strategy)
         .build(2);
     let steered = integer_run(config, || SteeringConfig {
-        ialu: Box::new(LutPolicy::new(lut.clone())),
-        fpau: Box::new(FcfsPolicy::new()),
+        ialu: Policy::Lut(LutPolicy::new(lut.clone())),
+        fpau: Policy::Fcfs(FcfsPolicy::new()),
         ialu_swap: Some(HardwareSwapRule::from_profile(&original.profile)),
         fpau_swap: None,
     });

@@ -3,7 +3,7 @@
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
-use fua_sim::{Simulator, SteeringConfig};
+use fua_sim::{Lane, Simulator, SteeringConfig};
 use fua_stats::TextTable;
 use fua_steer::SteeringKind;
 use fua_swap::CompilerSwapPass;
@@ -108,7 +108,7 @@ fn workloads_for(unit: Unit, arena: &WorkloadArena) -> &[Workload] {
 
 /// One suite-wide measurement of the sweep: a steering scheme, a swap
 /// variant, and which program set (original or compiler-swapped) it runs
-/// over. A suite expands into one *cell* per workload.
+/// over. A suite is one steering lane in each run of its program set.
 #[derive(Debug, Clone, Copy)]
 struct SuiteSpec {
     kind: SteeringKind,
@@ -144,11 +144,13 @@ pub fn figure4_with_profile(
     figure4_with_profile_jobs(unit, config, &arena, profile, Jobs::serial()).0
 }
 
-/// The parallel core of the figure: fans every (scheme × swap-variant ×
-/// workload) cell of the sweep out across `jobs` workers over a shared
-/// read-only [`WorkloadArena`], then folds per-cell energy ledgers **in
-/// cell-index order** — so the figure is identical to the serial one
-/// regardless of worker count or scheduling.
+/// The parallel core of the figure. Steering never moves timing, so each
+/// workload runs once per program variant (original and compiler-swapped)
+/// with one steering lane per suite of that variant — 12 each — and
+/// those (workload × variant) cells fan out across `jobs` workers over a
+/// shared read-only [`WorkloadArena`]. Per suite, the lanes' ledgers are
+/// then folded **in workload order** — so the figure is identical to the
+/// serial one regardless of worker count or scheduling.
 ///
 /// # Panics
 ///
@@ -233,35 +235,51 @@ pub fn figure4_with_profile_jobs(
         });
     }
 
-    // Flatten to cells — one (suite, workload) simulation each — and fan
-    // out. Workers return one ledger per cell; nothing is merged off the
-    // calling thread.
-    let cells: Vec<(usize, usize)> = suites
+    // Each suite is a lane of its program variant's runs: `lanes[v]`
+    // lists variant v's suites (0 = original, 1 = compiler-swapped) in
+    // suite order, and `lane_of[s]` is suite s's position there.
+    let schemes: Vec<SteeringConfig> = suites
         .iter()
-        .enumerate()
-        .flat_map(|(s, _)| (0..workloads.len()).map(move |w| (s, w)))
+        .map(|spec| make_scheme(spec.kind, spec.hw_swap))
         .collect();
-    let (ledgers, sweep_report) = map_indexed_timed(jobs, &cells, |_, &(s, w)| {
-        let spec = suites[s];
-        let workload = if spec.compiler_swapped {
-            &swapped[w]
-        } else {
-            &workloads[w]
-        };
-        let mut sim = Simulator::new(config.machine.clone(), make_scheme(spec.kind, spec.hw_swap));
-        let result = sim
-            .run_program(&workload.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", workload.name));
-        result.ledger
+    let mut lanes: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    let mut lane_of = Vec::with_capacity(suites.len());
+    for (s, spec) in suites.iter().enumerate() {
+        let variant = &mut lanes[spec.compiler_swapped as usize];
+        lane_of.push(variant.len());
+        variant.push(s);
+    }
+
+    // One cell per (variant, workload) run; workers return one ledger
+    // per lane, and nothing is merged off the calling thread.
+    let n = workloads.len();
+    let cells: Vec<(usize, usize)> = (0..2).flat_map(|v| (0..n).map(move |w| (v, w))).collect();
+    let (ledgers, sweep_report) = map_indexed_timed(jobs, &cells, |_, &(v, w)| {
+        let workload = if v == 1 { &swapped[w] } else { &workloads[w] };
+        let mut run_lanes: Vec<Lane> = lanes[v]
+            .iter()
+            .map(|&s| Lane::new(machine, schemes[s].clone()))
+            .collect();
+        Simulator::run_lanes(
+            machine.clone(),
+            &mut run_lanes,
+            &workload.program,
+            config.inst_limit,
+        )
+        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", workload.name))
+        .into_iter()
+        .map(|result| result.ledger)
+        .collect::<Vec<EnergyLedger>>()
     });
     report.merge(&sweep_report);
 
-    // Deterministic reduction: per suite, merge cell ledgers in workload
-    // order — the exact fold the serial loop performed.
+    // Deterministic reduction: per suite, merge its lane's ledgers in
+    // workload order — the exact fold the serial loop performed.
     let suite_ledger = |s: usize| {
+        let v = suites[s].compiler_swapped as usize;
         let mut total = EnergyLedger::new();
-        for w in 0..workloads.len() {
-            total.merge(&ledgers[s * workloads.len() + w]);
+        for w in 0..n {
+            total.merge(&ledgers[v * n + w][lane_of[s]]);
         }
         total
     };

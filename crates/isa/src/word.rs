@@ -14,6 +14,21 @@ pub const FP_MANTISSA_BITS: u32 = 52;
 
 const FP_MANTISSA_MASK: u64 = (1u64 << FP_MANTISSA_BITS) - 1;
 
+/// `k / width` for every popcount `k` of a `width`-bit word, evaluated at
+/// compile time with the same IEEE-754 division the run time would do.
+const fn ones_fractions<const N: usize>(width: u32) -> [f64; N] {
+    let mut table = [0.0; N];
+    let mut k = 0;
+    while k < N {
+        table[k] = k as f64 / width as f64;
+        k += 1;
+    }
+    table
+}
+
+const INT_ONES_FRACTION: [f64; INT_BITS as usize + 1] = ones_fractions(INT_BITS);
+const FP_ONES_FRACTION: [f64; FP_MANTISSA_BITS as usize + 1] = ones_fractions(FP_MANTISSA_BITS);
+
 /// Hamming distance between two 32-bit words.
 ///
 /// # Examples
@@ -181,10 +196,15 @@ impl Word {
     }
 
     /// Fraction of power-model bits that are 1 (used by the Table-1/3
-    /// profilers: "probability of any single bit being high").
+    /// profilers: "probability of any single bit being high"): the ones
+    /// count over [`power_width`](Word::power_width), read from a table
+    /// of those quotients so the profilers' hot path divides nothing.
     #[inline]
     pub fn ones_fraction(self) -> f64 {
-        self.power_bits().count_ones() as f64 / self.power_width() as f64
+        match self {
+            Word::Int(v) => INT_ONES_FRACTION[v.count_ones() as usize],
+            Word::Fp(b) => FP_ONES_FRACTION[(b & FP_MANTISSA_MASK).count_ones() as usize],
+        }
     }
 
     /// Number of 1 bits among the power-model bits.
@@ -300,6 +320,19 @@ mod tests {
         assert_eq!(a.ham(b), 0);
         // Integer distance covers all 32 bits.
         assert_eq!(Word::int(0).ham(Word::int(-1)), 32);
+    }
+
+    #[test]
+    fn ones_fraction_is_the_runtime_quotient_bit_for_bit() {
+        let mut words: Vec<Word> = (0..=32u32)
+            .map(|k| Word::Int(((1u64 << k) - 1) as u32))
+            .collect();
+        words.extend((0..=52u32).map(|k| Word::Fp((1u64 << k) - 1)));
+        words.push(Word::Fp(u64::MAX));
+        for w in words {
+            let quotient = w.power_bits().count_ones() as f64 / w.power_width() as f64;
+            assert_eq!(w.ones_fraction().to_bits(), quotient.to_bits(), "{w:?}");
+        }
     }
 
     #[test]

@@ -584,15 +584,15 @@ pub fn bench_suite_jobs(
     };
 
     // Static-estimator pass: join every scheme's static switched-bit
-    // bounds against a measured attribution of the whole suite. Pure
-    // model arithmetic — deterministic for any worker count.
+    // bounds against a measured attribution of the whole suite, one run
+    // per workload with a lane per scheme. Pure model arithmetic —
+    // deterministic for any worker count.
+    let checks = check_suite(arena.all(), &Scheme::ALL, config.inst_limit, jobs);
     let estimator = EstimatorSummary {
         entries: Scheme::ALL
             .iter()
-            .map(|&scheme| {
-                let checks = check_suite(arena.all(), scheme, config.inst_limit, jobs);
-                estimator_entry(scheme, &checks)
-            })
+            .zip(&checks)
+            .map(|(&scheme, checks)| estimator_entry(scheme, checks))
             .collect(),
     };
 

@@ -98,13 +98,19 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any width or count is zero.
+    /// Panics if any width or count is zero, or if a class has more than
+    /// [`fua_steer::MAX_MODULES`] modules.
     pub fn validate(&self) {
         assert!(self.fetch_width >= 1);
         assert!(self.commit_width >= 1);
         assert!(self.rob_size >= self.fetch_width);
         assert!(self.rs_entries >= 1);
         assert!(self.fu_counts.iter().all(|&c| c >= 1));
+        assert!(
+            self.fu_counts.iter().all(|&c| c <= fua_steer::MAX_MODULES),
+            "steering covers at most {} modules per class",
+            fua_steer::MAX_MODULES
+        );
         assert!(self.mem_ports >= 1);
     }
 }
@@ -142,6 +148,14 @@ mod tests {
         assert!(m.latency(Opcode::Add) < m.latency(Opcode::Mul));
         assert!(m.latency(Opcode::Mul) < m.latency(Opcode::Div));
         assert!(m.latency(Opcode::FAdd) < m.latency(Opcode::FDiv));
+    }
+
+    #[test]
+    #[should_panic(expected = "steering covers at most 8 modules per class")]
+    fn more_modules_than_steering_covers_are_rejected() {
+        MachineConfig::default()
+            .with_duplicated_modules(fua_steer::MAX_MODULES + 1)
+            .validate();
     }
 
     #[test]

@@ -78,12 +78,9 @@ pub(crate) struct InflightArena {
     // --- issue-stage scratch (reused every cycle) ---
     /// Selected age offsets per FU class.
     pub selected: [Vec<u32>; 4],
-    /// FU operations of the group being issued (post rule-swaps).
-    pub ops_scratch: Vec<FuOp>,
-    /// Case bits tracking `ops_scratch` through swaps.
-    pub bits_scratch: Vec<u8>,
-    /// Steering decisions for the group being issued.
-    pub choices_scratch: Vec<fua_steer::ModuleChoice>,
+    /// (serial, static PC) of each op in the group being issued,
+    /// gathered only for lanes with a sink.
+    pub sites_scratch: Vec<(u64, u32)>,
 }
 
 fn dummy_fu() -> FuOp {
@@ -123,9 +120,7 @@ impl InflightArena {
             wheel: Vec::new(),
             wheel_mask: 0,
             selected: Default::default(),
-            ops_scratch: Vec::new(),
-            bits_scratch: Vec::new(),
-            choices_scratch: Vec::new(),
+            sites_scratch: Vec::new(),
         }
     }
 
@@ -170,9 +165,7 @@ impl InflightArena {
         for sel in &mut self.selected {
             sel.clear();
         }
-        self.ops_scratch.clear();
-        self.bits_scratch.clear();
-        self.choices_scratch.clear();
+        self.sites_scratch.clear();
     }
 
     /// Leases an arena from the thread-local pool (or allocates a fresh

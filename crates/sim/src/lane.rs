@@ -1,0 +1,252 @@
+//! Steering lanes: the scheme-dependent half of a simulation.
+//!
+//! Steering picks a module and an operand order for each instruction of
+//! a cycle's issue group; it never decides *which* instructions issue or
+//! *when* (`select_ready` gates issue on a per-class count). So one
+//! engine run can feed the same issue groups to any number of lanes, and
+//! each lane ends up exactly where a standalone run under its
+//! [`SteeringConfig`] would: same module latches, same
+//! [`EnergyLedger`], same [`SwapStats`], same bit patterns.
+//!
+//! A lane holds everything that depends on the scheme; the engine keeps
+//! everything that does not (window, wakeup, cache, predictor,
+//! occupancy). [`Simulator::new`](crate::Simulator::new) is the one-lane
+//! case; [`Simulator::run_lanes`](crate::Simulator::run_lanes) runs
+//! many.
+
+use fua_isa::{Case, FuClass};
+use fua_power::{EnergyLedger, ModulePorts};
+use fua_stats::BitPatternProfiler;
+use fua_steer::{ModuleChoice, SteeringPolicy};
+use fua_trace::{NullSink, TraceEvent, TraceSink};
+use fua_vm::FuOp;
+
+use crate::{MachineConfig, SimResult, SteeringConfig, SwapStats};
+
+/// The engine-side outcome of a run, shared by every lane it fed.
+pub(crate) struct Timing {
+    pub cycles: u64,
+    pub retired: u64,
+    pub halted: bool,
+    pub occupancy: Vec<fua_stats::OccupancyProfiler>,
+    pub branches: crate::BranchStats,
+    pub cache: crate::CacheStats,
+}
+
+/// One steering scheme's state through a run: its [`SteeringConfig`],
+/// module input latches, energy ledger, swap counters and post-swap
+/// operand bit patterns, plus an optional sink.
+///
+/// The sink receives only this lane's [`TraceEvent::Energy`] events —
+/// enough for a per-site attribution such as `fua_attr::AttributionSink`.
+/// Engine events (stages, stalls, cache, branches) go to the
+/// [`Simulator`](crate::Simulator)'s own sink, which only one-lane runs
+/// have.
+///
+/// # Examples
+///
+/// ```
+/// use fua_isa::{IntReg, ProgramBuilder};
+/// use fua_sim::{Lane, MachineConfig, Simulator, SteeringConfig};
+/// use fua_steer::SteeringKind;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let r1 = IntReg::new(1);
+/// let mut b = ProgramBuilder::new();
+/// b.li(r1, 7);
+/// b.add(r1, r1, r1);
+/// b.halt();
+/// let program = b.build()?;
+///
+/// let machine = MachineConfig::default();
+/// let mut lanes = vec![
+///     Lane::new(&machine, SteeringConfig::original()),
+///     Lane::new(&machine, SteeringConfig::paper_scheme(SteeringKind::FullHam, true)),
+/// ];
+/// let results = Simulator::run_lanes(machine, &mut lanes, &program, 100)?;
+/// assert_eq!(results[0].cycles, results[1].cycles, "steering never moves timing");
+/// # Ok(())
+/// # }
+/// ```
+pub struct Lane<A: TraceSink = NullSink> {
+    steering: SteeringConfig,
+    sink: A,
+    ports: Vec<Vec<ModulePorts>>,
+    ledger: EnergyLedger,
+    bit_patterns: Vec<BitPatternProfiler>,
+    swaps: SwapStats,
+
+    // --- per-group scratch, reused every cycle ---
+    /// The group's operations: as selected, then after this lane's
+    /// static swap rule.
+    ops: Vec<FuOp>,
+    /// Case bits tracking `ops` through the rule swap: the case the
+    /// policy saw.
+    case_bits: Vec<u8>,
+    choices: Vec<ModuleChoice>,
+    /// Switched bits charged per operation.
+    bits: Vec<u32>,
+    /// Bit `i` set when the rule swapped operation `i`.
+    rule_swapped: u64,
+}
+
+impl Lane {
+    /// A lane without a sink.
+    pub fn new(machine: &MachineConfig, steering: SteeringConfig) -> Self {
+        Lane::with_sink(machine, steering, NullSink)
+    }
+}
+
+impl<A: TraceSink> Lane<A> {
+    /// A lane whose energy charges also feed `sink`.
+    pub fn with_sink(machine: &MachineConfig, steering: SteeringConfig, sink: A) -> Self {
+        let ports = FuClass::ALL
+            .iter()
+            .map(|c| vec![ModulePorts::new(); machine.modules(*c)])
+            .collect();
+        // A group never outnumbers the widest class, so the scratch
+        // never grows after construction.
+        let width = machine.fu_counts.iter().copied().max().unwrap_or(1);
+        Lane {
+            steering,
+            sink,
+            ports,
+            ledger: EnergyLedger::new(),
+            bit_patterns: vec![BitPatternProfiler::new(); 4],
+            swaps: SwapStats::default(),
+            ops: Vec::with_capacity(width),
+            case_bits: Vec::with_capacity(width),
+            choices: Vec::with_capacity(width),
+            bits: Vec::with_capacity(width),
+            rule_swapped: 0,
+        }
+    }
+
+    /// The attached sink.
+    pub fn sink(&self) -> &A {
+        &self.sink
+    }
+
+    /// Step 0 of a group: the cleared buffers the engine gathers the
+    /// selected operations and their case bits into.
+    #[inline]
+    pub(crate) fn group_mut(&mut self) -> (&mut Vec<FuOp>, &mut Vec<u8>) {
+        self.ops.clear();
+        self.case_bits.clear();
+        (&mut self.ops, &mut self.case_bits)
+    }
+
+    /// Step 0 for every lane but the first: copy the group the engine
+    /// gathered into `first`, before `first` swaps it.
+    #[inline]
+    pub(crate) fn copy_group(&mut self, first: &Lane<A>) {
+        self.ops.clone_from(&first.ops);
+        self.case_bits.clone_from(&first.case_bits);
+    }
+
+    /// Step 1: apply the class's static swap rule, if any.
+    #[inline]
+    pub(crate) fn swap(&mut self, class: FuClass) {
+        self.rule_swapped = 0;
+        if let Some(rule) = self.steering.swap_rule(class) {
+            let target = rule.case().index() as u8;
+            for i in 0..self.ops.len() {
+                let op = &mut self.ops[i];
+                if op.commutative && self.case_bits[i] == target {
+                    *op = op.swapped();
+                    self.case_bits[i] = Case::swap_index(self.case_bits[i]);
+                    self.swaps.rule_swaps += 1;
+                    self.rule_swapped |= 1u64 << i;
+                }
+            }
+        }
+    }
+
+    /// Step 2: the policy picks a module (and a swap) per operation.
+    /// Duplicated classes consult the policy, single-module classes
+    /// trivially use module 0.
+    #[inline]
+    pub(crate) fn steer(&mut self, class: FuClass) {
+        let ci = class.index();
+        if self.ports[ci].len() > 1 {
+            let policy = self
+                .steering
+                .policy_mut(class)
+                .expect("duplicated classes have a policy");
+            policy.assign_into(&self.ops, &self.ports[ci], &mut self.choices);
+        } else {
+            self.choices.clear();
+            self.choices.extend(self.ops.iter().map(|_| ModuleChoice {
+                module: 0,
+                swap: false,
+            }));
+        }
+        if cfg!(debug_assertions) {
+            fua_steer::validate_choices(&self.ops, self.ports[ci].len(), &self.choices);
+        }
+    }
+
+    /// Step 3: latch each operation into its module and charge the
+    /// switched bits. `sites` holds each operation's (serial, static PC),
+    /// read only when the lane has a sink.
+    #[inline]
+    pub(crate) fn charge(&mut self, class: FuClass, cycle: u64, sites: &[(u64, u32)]) {
+        let ci = class.index();
+        self.bits.clear();
+        for (i, (&choice, &op)) in self.choices.iter().zip(&self.ops).enumerate() {
+            let mut op = op;
+            if choice.swap {
+                debug_assert!(op.commutative);
+                op = op.swapped();
+                self.swaps.policy_swaps += 1;
+            }
+            let bits = self.ports[ci][choice.module].latch(op.op1, op.op2);
+            self.ledger.charge(class, bits);
+            self.bit_patterns[ci].record(&op);
+            self.bits.push(bits);
+            if A::ENABLED {
+                let (serial, pc) = sites[i];
+                self.sink.record(&TraceEvent::Energy {
+                    cycle,
+                    serial,
+                    pc,
+                    class,
+                    module: choice.module as u8,
+                    case: Case::from_index_masked(self.case_bits[i]),
+                    bits,
+                });
+            }
+        }
+    }
+
+    /// Whether the static rule swapped operation `i` of the last group.
+    pub(crate) fn rule_swapped(&self, i: usize) -> bool {
+        self.rule_swapped & (1u64 << i) != 0
+    }
+
+    /// The case the policy saw for operation `i` of the last group
+    /// (post rule-swap, pre policy-swap).
+    pub(crate) fn steer_case(&self, i: usize) -> Case {
+        Case::from_index_masked(self.case_bits[i])
+    }
+
+    /// Module choice and switched bits of operation `i` of the last group.
+    pub(crate) fn outcome(&self, i: usize) -> (ModuleChoice, u32) {
+        (self.choices[i], self.bits[i])
+    }
+
+    /// This lane's result of the run `timing` describes.
+    pub(crate) fn result(&self, timing: &Timing) -> SimResult {
+        SimResult {
+            cycles: timing.cycles,
+            retired: timing.retired,
+            halted: timing.halted,
+            ledger: self.ledger,
+            occupancy: timing.occupancy.clone(),
+            bit_patterns: self.bit_patterns.clone(),
+            swaps: self.swaps,
+            branches: timing.branches,
+            cache: timing.cache,
+        }
+    }
+}

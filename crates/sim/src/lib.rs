@@ -6,7 +6,10 @@
 //! a direct-mapped data cache. Functional execution comes from
 //! [`fua_vm`]; this crate decides *when* instructions issue, *which
 //! module* each one issues to (via a [`fua_steer::SteeringPolicy`]), and
-//! charges switched input bits to a [`fua_power::EnergyLedger`].
+//! charges switched input bits to a [`fua_power::EnergyLedger`]. The
+//! scheme-dependent half of a run is a [`Lane`]; since steering never
+//! moves timing, [`Simulator::run_lanes`] feeds one timing run to any
+//! number of lanes.
 //!
 //! The observable outputs — per-cycle FU occupancy (Table 2), operand bit
 //! patterns (Tables 1/3) and switched capacitance per scheme (Figure 4) —
@@ -43,6 +46,7 @@
 mod cache;
 mod config;
 mod inflight;
+mod lane;
 mod pipeline;
 mod predictor;
 mod profiler;
@@ -52,6 +56,7 @@ mod steering;
 
 pub use cache::{CacheConfig, DataCache};
 pub use config::MachineConfig;
+pub use lane::Lane;
 pub use pipeline::Simulator;
 pub use predictor::BimodalPredictor;
 pub use profiler::{NullProfiler, PhaseProfiler, PhaseTimers, SimPhase};

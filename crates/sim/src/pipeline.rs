@@ -16,17 +16,17 @@
 use std::time::Instant;
 
 use fua_isa::{Case, FuClass, Program};
-use fua_power::{EnergyLedger, ModulePorts};
-use fua_stats::{BitPatternProfiler, OccupancyProfiler};
+use fua_stats::OccupancyProfiler;
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
 use fua_vm::{DynOp, Vm, VmError};
 
 use crate::inflight::{
     bit_clear, bit_get, bit_set, bit_shift_right, ArenaLease, InflightArena, NO_NODE,
 };
+use crate::lane::Timing;
 use crate::{
-    BimodalPredictor, BranchStats, CacheStats, DataCache, MachineConfig, NullProfiler,
-    PhaseProfiler, SimPhase, SimResult, SteeringConfig, SwapStats,
+    BimodalPredictor, BranchStats, CacheStats, DataCache, Lane, MachineConfig, NullProfiler,
+    PhaseProfiler, SimPhase, SimResult, SteeringConfig,
 };
 
 /// Times `$body` and charges it to `$phase` — expands to bare `$body`
@@ -51,11 +51,13 @@ const WATCHDOG_CYCLES: u64 = 10_000;
 
 /// The out-of-order superscalar simulator.
 ///
-/// One `Simulator` owns the machine state (window, predictor, cache,
-/// module latches) for a single run; create a fresh one per run. See the
-/// crate-level docs for an example. In-flight storage is leased from a
-/// thread-local arena pool, so constructing simulators in a loop reuses
-/// one allocation.
+/// One `Simulator` owns the machine state (window, predictor, cache) and
+/// one steering [`Lane`] (module latches, ledger) for a single run;
+/// create a fresh one per run. See the crate-level docs for an example.
+/// In-flight storage is leased from a thread-local arena pool, so
+/// constructing simulators in a loop reuses one allocation.
+/// [`Simulator::run_lanes`] runs a program once for many steering
+/// schemes through the same issue code.
 ///
 /// The engine is generic over a [`TraceSink`]; [`Simulator::new`] uses
 /// the no-op [`NullSink`] (its hooks compile away entirely), while
@@ -74,14 +76,15 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     sink: S,
     profiler: P,
     config: MachineConfig,
-    steering: SteeringConfig,
+    /// The steering lane of a one-lane run; `None` only inside
+    /// [`Simulator::run_lanes`], whose lanes belong to the caller.
+    lane: Option<Lane>,
 
     inflight: ArenaLease,
     window_len: usize,
     head_serial: u64,
     last_writer: [Option<u64>; 64],
     rs_used: [usize; 4],
-    ports: Vec<Vec<ModulePorts>>,
     predictor: BimodalPredictor,
     cache: DataCache,
 
@@ -94,10 +97,7 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     // dispatch because its reservation station was full.
     skid: Option<DynOp>,
 
-    ledger: EnergyLedger,
     occupancy: Vec<OccupancyProfiler>,
-    bit_patterns: Vec<BitPatternProfiler>,
-    swaps: SwapStats,
     branches: BranchStats,
 }
 
@@ -105,6 +105,28 @@ impl Simulator<NullSink> {
     /// Creates an untraced simulator for one run.
     pub fn new(config: MachineConfig, steering: SteeringConfig) -> Self {
         Simulator::with_sink(config, steering, NullSink)
+    }
+
+    /// Runs `program` once on `config`, feeding every cycle's issue
+    /// group of every class to each lane in turn, and returns one
+    /// [`SimResult`] per lane, in lane order. Each equals what
+    /// [`Simulator::new`] with that lane's [`SteeringConfig`] would
+    /// return: steering never changes which instructions issue when, so
+    /// the lanes share one timing run. Nothing is buffered per cycle,
+    /// so memory does not grow with the run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates interpreter faults ([`VmError`]).
+    pub fn run_lanes<A: TraceSink>(
+        config: MachineConfig,
+        lanes: &mut [Lane<A>],
+        program: &Program,
+        limit: u64,
+    ) -> Result<Vec<SimResult>, VmError> {
+        let mut engine = Simulator::engine(config, NullSink, NullProfiler, None);
+        let timing = engine.run_vm(program, limit, lanes)?;
+        Ok(lanes.iter().map(|lane| lane.result(&timing)).collect())
     }
 }
 
@@ -126,11 +148,12 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         sink: S,
         profiler: P,
     ) -> Self {
+        let lane = Lane::new(&config, steering);
+        Simulator::engine(config, sink, profiler, Some(lane))
+    }
+
+    fn engine(config: MachineConfig, sink: S, profiler: P, lane: Option<Lane>) -> Self {
         config.validate();
-        let ports = FuClass::ALL
-            .iter()
-            .map(|c| vec![ModulePorts::new(); config.modules(*c)])
-            .collect();
         let occupancy = FuClass::ALL
             .iter()
             .map(|c| OccupancyProfiler::new(config.modules(*c)))
@@ -141,13 +164,12 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             sink,
             profiler,
             config,
-            steering,
+            lane,
             inflight,
             window_len: 0,
             head_serial: 0,
             last_writer: [None; 64],
             rs_used: [0; 4],
-            ports,
             predictor: BimodalPredictor::new(4096),
             cache,
             cycle: 0,
@@ -155,10 +177,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             fetch_resume_cycle: 0,
             fetch_blocked_by: None,
             skid: None,
-            ledger: EnergyLedger::new(),
             occupancy,
-            bit_patterns: vec![BitPatternProfiler::new(); 4],
-            swaps: SwapStats::default(),
             branches: BranchStats::default(),
         }
     }
@@ -192,33 +211,66 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     ///
     /// Propagates interpreter faults ([`VmError`]).
     pub fn run_program(&mut self, program: &Program, limit: u64) -> Result<SimResult, VmError> {
-        let mut vm = Vm::new(program);
-        let mut remaining = limit;
-        let result = self.run_source(|| {
-            if remaining == 0 {
-                return Ok(None);
-            }
-            remaining -= 1;
-            vm.step()
-        })?;
-        Ok(SimResult {
-            halted: vm.halted(),
-            ..result
-        })
+        self.run_one_lane(|sim, lanes| sim.run_vm(program, limit, lanes))
     }
 
     /// Runs a pre-materialised trace (useful for tests and property
     /// checks).
     pub fn run_trace(&mut self, ops: &[DynOp]) -> SimResult {
         let mut iter = ops.iter().copied();
-        self.run_source(|| Ok(iter.next()))
+        self.run_one_lane(|sim, lanes| sim.run_source(|| Ok(iter.next()), lanes))
             .expect("a materialised trace cannot fault")
     }
 
-    fn run_source(
+    /// Runs `run` over this simulator's own lane and builds its result.
+    fn run_one_lane(
+        &mut self,
+        run: impl FnOnce(&mut Self, &mut [Lane]) -> Result<Timing, VmError>,
+    ) -> Result<SimResult, VmError> {
+        let mut lane = self
+            .lane
+            .take()
+            .expect("a one-lane simulator owns its lane");
+        let timing = run(self, std::slice::from_mut(&mut lane));
+        let result = timing.map(|t| lane.result(&t));
+        self.lane = Some(lane);
+        result
+    }
+
+    /// Interprets `program` with [`fua_vm::Vm`] (at most `limit`
+    /// instructions) and feeds the dynamic stream through the pipeline.
+    fn run_vm<A: TraceSink>(
+        &mut self,
+        program: &Program,
+        limit: u64,
+        lanes: &mut [Lane<A>],
+    ) -> Result<Timing, VmError> {
+        let mut vm = Vm::new(program);
+        let mut remaining = limit;
+        let timing = self.run_source(
+            || {
+                if remaining == 0 {
+                    return Ok(None);
+                }
+                remaining -= 1;
+                vm.step()
+            },
+            lanes,
+        )?;
+        Ok(Timing {
+            halted: vm.halted(),
+            ..timing
+        })
+    }
+
+    fn run_source<A: TraceSink>(
         &mut self,
         mut next_op: impl FnMut() -> Result<Option<DynOp>, VmError>,
-    ) -> Result<SimResult, VmError> {
+        lanes: &mut [Lane<A>],
+    ) -> Result<Timing, VmError> {
+        // Engine events describe one lane's steering; a many-lane run
+        // has no engine sink.
+        debug_assert!(!S::ENABLED || lanes.len() == 1);
         let mut source_done = false;
         let mut idle_cycles = 0u64;
         loop {
@@ -226,7 +278,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 self.wake_completions();
                 self.commit()
             });
-            let progress_issue = timed!(self, SimPhase::Issue, self.issue());
+            let progress_issue = timed!(self, SimPhase::Issue, self.issue(lanes));
             let progress_fetch = if source_done && self.skid.is_none() {
                 0
             } else {
@@ -262,14 +314,11 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 idle_cycles = 0;
             }
         }
-        Ok(SimResult {
+        Ok(Timing {
             cycles: self.cycle,
             retired: self.retired,
             halted: false,
-            ledger: self.ledger,
             occupancy: self.occupancy.clone(),
-            bit_patterns: self.bit_patterns.clone(),
-            swaps: self.swaps,
             branches: self.branches,
             cache: CacheStats {
                 hits: self.cache.hits(),
@@ -389,14 +438,14 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         }
     }
 
-    fn issue(&mut self) -> usize {
+    fn issue<A: TraceSink>(&mut self, lanes: &mut [Lane<A>]) -> usize {
         self.select_ready();
         if S::ENABLED {
             self.record_stalls();
         }
         let mut issued_total = 0;
         for class in FuClass::ALL {
-            issued_total += self.issue_class(class);
+            issued_total += self.issue_class(class, lanes);
         }
         issued_total
     }
@@ -503,7 +552,12 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         }
     }
 
-    fn issue_class(&mut self, class: FuClass) -> usize {
+    /// Issues one class's selected group: every lane steers, latches
+    /// and charges it (static swap rule, then policy, then latch, then
+    /// charge), then the engine schedules each instruction's completion.
+    /// Only the second half touches timing state, and it reads a lane
+    /// only to describe the one lane of a traced run in its events.
+    fn issue_class<A: TraceSink>(&mut self, class: FuClass, lanes: &mut [Lane<A>]) -> usize {
         let ci = class.index();
         let modules = self.config.modules(class);
         let selected = std::mem::take(&mut self.inflight.selected[ci]);
@@ -517,83 +571,50 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         let mask = self.inflight.mask;
         let slot_of = |offset: u32| ((head_serial + offset as u64) & mask) as usize;
 
-        // Build the FU operations, applying the static swap rules. The
-        // pre-decoded case bits track each op through every swap, so no
-        // operand word is re-inspected on this path.
-        let mut ops = std::mem::take(&mut self.inflight.ops_scratch);
-        let mut case_bits = std::mem::take(&mut self.inflight.bits_scratch);
-        ops.clear();
-        case_bits.clear();
-        for &offset in &selected {
-            let slot = slot_of(offset);
-            ops.push(self.inflight.fu[slot]);
-            case_bits.push(self.inflight.case_bits[slot]);
+        // Gather the group once, into the first lane; the others copy it
+        // before the first lane swaps it in place. The pre-decoded case
+        // bits track each op through every swap, so no operand word is
+        // re-inspected on this path. Every buffer is reused each cycle,
+        // so steady-state issue stays allocation-free (the gate in
+        // tests/alloc_gate.rs).
+        let mut sites = std::mem::take(&mut self.inflight.sites_scratch);
+        sites.clear();
+        if let Some((first, rest)) = lanes.split_first_mut() {
+            let (ops, case_bits) = first.group_mut();
+            for &offset in &selected {
+                let slot = slot_of(offset);
+                ops.push(self.inflight.fu[slot]);
+                case_bits.push(self.inflight.case_bits[slot]);
+                if A::ENABLED {
+                    sites.push((self.inflight.serial[slot], self.inflight.static_idx[slot]));
+                }
+            }
+            for lane in rest {
+                lane.copy_group(first);
+                self.steer_group(lane, class, &sites);
+            }
+            self.steer_group(first, class, &sites);
         }
-        if let Some(rule) = self.steering.swap_rule(class) {
-            let target = rule.case().index() as u8;
-            for i in 0..ops.len() {
-                let op = &mut ops[i];
-                if op.commutative && case_bits[i] == target {
-                    *op = op.swapped();
-                    case_bits[i] = Case::swap_index(case_bits[i]);
-                    self.swaps.rule_swaps += 1;
-                    if S::ENABLED {
-                        let serial = self.inflight.serial[slot_of(selected[i])];
-                        self.sink.record(&TraceEvent::OperandSwap {
-                            cycle: self.cycle,
-                            serial,
-                            class,
-                            kind: SwapKind::Rule,
-                        });
-                    }
+        if S::ENABLED {
+            for (i, &offset) in selected.iter().enumerate() {
+                if lanes[0].rule_swapped(i) {
+                    let serial = self.inflight.serial[slot_of(offset)];
+                    self.sink.record(&TraceEvent::OperandSwap {
+                        cycle: self.cycle,
+                        serial,
+                        class,
+                        kind: SwapKind::Rule,
+                    });
                 }
             }
         }
-        // Steer: duplicated classes consult the policy, single-module
-        // classes trivially use module 0. The choices buffer is arena
-        // scratch like `ops`: reused every cycle, so steady-state issue
-        // stays allocation-free (the gate in tests/alloc_gate.rs).
-        let mut choices = std::mem::take(&mut self.inflight.choices_scratch);
-        choices.clear();
-        if modules > 1 {
-            timed!(self, SimPhase::Steer, {
-                let policy = self
-                    .steering
-                    .policy_mut(class)
-                    .expect("duplicated classes have a policy");
-                policy.assign_into(&ops, &self.ports[ci], &mut choices);
-            })
-        } else {
-            choices.extend(ops.iter().map(|_| fua_steer::ModuleChoice {
-                module: 0,
-                swap: false,
-            }));
-        }
-        if cfg!(debug_assertions) {
-            fua_steer::validate_choices(&ops, modules, &choices);
-        }
 
-        // Latch, charge energy, schedule completion.
-        for (i, &choice) in choices.iter().enumerate() {
-            let mut op = ops[i];
-            let offset = selected[i] as usize;
-            let slot = slot_of(selected[i]);
-            // The case the steering policy saw (post rule-swap,
-            // pre policy-swap) — what a Steer trace event reports.
-            let steer_case = Case::from_index_masked(case_bits[i]);
-            if choice.swap {
-                debug_assert!(op.commutative);
-                op = op.swapped();
-                self.swaps.policy_swaps += 1;
-            }
-            let ports = &mut self.ports[ci][choice.module];
-            let bits = ports.latch(op.op1, op.op2);
-            self.ledger.charge(class, bits);
-            self.bit_patterns[ci].record(&op);
-
+        // Schedule completion.
+        for (i, &offset) in selected.iter().enumerate() {
+            let slot = slot_of(offset);
+            let offset = offset as usize;
             let opcode = self.inflight.opcode[slot];
             let serial = self.inflight.serial[slot];
-            let entry_pc = self.inflight.static_idx[slot];
 
             let mut latency = self.config.latency(opcode);
             let mut cache_event = None;
@@ -635,6 +656,10 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             }
 
             if S::ENABLED {
+                let lane = &lanes[0];
+                let (choice, bits) = lane.outcome(i);
+                let steer_case = lane.steer_case(i);
+                let entry_pc = self.inflight.static_idx[slot];
                 let module = choice.module as u8;
                 self.sink.record(&TraceEvent::Stage {
                     stage: Stage::Issue,
@@ -700,10 +725,26 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         let issued = selected.len();
         // Return the scratch buffers (and their capacity) to the arena.
         self.inflight.selected[ci] = selected;
-        self.inflight.ops_scratch = ops;
-        self.inflight.bits_scratch = case_bits;
-        self.inflight.choices_scratch = choices;
+        self.inflight.sites_scratch = sites;
         issued
+    }
+
+    /// One lane's pass over a gathered group: static swap rule, then
+    /// policy (the timed steering phase), then latch and charge.
+    #[inline]
+    fn steer_group<A: TraceSink>(
+        &mut self,
+        lane: &mut Lane<A>,
+        class: FuClass,
+        sites: &[(u64, u32)],
+    ) {
+        lane.swap(class);
+        if self.config.modules(class) > 1 {
+            timed!(self, SimPhase::Steer, lane.steer(class));
+        } else {
+            lane.steer(class);
+        }
+        lane.charge(class, self.cycle, sites);
     }
 
     // --- fetch/dispatch ---

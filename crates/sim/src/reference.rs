@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 use fua_isa::{FuClass, Program};
 use fua_power::{EnergyLedger, ModulePorts};
 use fua_stats::{BitPatternProfiler, OccupancyProfiler};
+use fua_steer::SteeringPolicy;
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
 use fua_vm::{DynOp, Vm, VmError};
 

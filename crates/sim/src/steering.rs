@@ -2,8 +2,8 @@
 
 use fua_isa::FuClass;
 use fua_steer::{
-    make_policy, FcfsPolicy, HardwareSwapRule, SteeringKind, SteeringPolicy, PAPER_FPAU_OCCUPANCY,
-    PAPER_IALU_OCCUPANCY,
+    make_policy, FcfsPolicy, HardwareSwapRule, Policy, SteeringKind, SteeringPolicy,
+    PAPER_FPAU_OCCUPANCY, PAPER_IALU_OCCUPANCY,
 };
 
 /// The steering side of a simulation: one policy per duplicated FU class
@@ -19,11 +19,12 @@ use fua_steer::{
 /// let cfg = SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true);
 /// assert!(cfg.hw_swap_enabled());
 /// ```
+#[derive(Clone)]
 pub struct SteeringConfig {
     /// IALU steering policy.
-    pub ialu: Box<dyn SteeringPolicy + Send>,
+    pub ialu: Policy,
     /// FPAU steering policy.
-    pub fpau: Box<dyn SteeringPolicy + Send>,
+    pub fpau: Policy,
     /// Static hardware swap rule for the IALU (case 01 in the paper).
     pub ialu_swap: Option<HardwareSwapRule>,
     /// Static hardware swap rule for the FPAU (case 10 in the paper).
@@ -34,8 +35,8 @@ impl SteeringConfig {
     /// The unmodified baseline machine: FCFS everywhere, no swapping.
     pub fn original() -> Self {
         SteeringConfig {
-            ialu: Box::new(FcfsPolicy::new()),
-            fpau: Box::new(FcfsPolicy::new()),
+            ialu: Policy::Fcfs(FcfsPolicy::new()),
+            fpau: Policy::Fcfs(FcfsPolicy::new()),
             ialu_swap: None,
             fpau_swap: None,
         }
@@ -136,13 +137,10 @@ impl SteeringConfig {
     }
 
     /// The steering policy for a duplicated class.
-    pub(crate) fn policy_mut(
-        &mut self,
-        class: FuClass,
-    ) -> Option<&mut (dyn SteeringPolicy + Send)> {
+    pub(crate) fn policy_mut(&mut self, class: FuClass) -> Option<&mut Policy> {
         match class {
-            FuClass::IntAlu => Some(self.ialu.as_mut()),
-            FuClass::FpAlu => Some(self.fpau.as_mut()),
+            FuClass::IntAlu => Some(&mut self.ialu),
+            FuClass::FpAlu => Some(&mut self.fpau),
             _ => None,
         }
     }

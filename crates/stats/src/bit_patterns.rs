@@ -80,14 +80,14 @@ impl BitPatternProfiler {
     /// Records one FU operation.
     pub fn record(&mut self, op: &FuOp) {
         let case = op.case();
+        let (ones1, ones2) = (op.op1.ones_fraction(), op.op2.ones_fraction());
         let b = &mut self.buckets[case.index()][op.commutative as usize];
         b.count += 1;
-        b.op1_ones += op.op1.ones_fraction();
-        b.op2_ones += op.op2.ones_fraction();
-        for w in [op.op1, op.op2] {
-            let i = w.info_bit() as usize;
-            self.info_counts[i] += 1;
-            self.info_ones[i] += w.ones_fraction();
+        b.op1_ones += ones1;
+        b.op2_ones += ones2;
+        for (i, ones) in [(case.op1_bit(), ones1), (case.op2_bit(), ones2)] {
+            self.info_counts[i as usize] += 1;
+            self.info_ones[i as usize] += ones;
         }
         self.total += 1;
     }

@@ -1,35 +1,23 @@
 //! Minimum-cost injective assignment of instructions to modules.
 
-/// Reusable working memory for [`min_cost_assignment_into`].
-///
-/// A policy keeps one of these across cycles so the per-cycle solve
-/// performs **zero heap allocations** once the buffers have grown to
-/// the machine's (fixed) issue width × module count — the steady-state
-/// contract the allocation gate enforces on the untraced hot loop.
-#[derive(Debug, Clone, Default)]
-pub struct AssignScratch {
-    /// Row-major `rows × cols` column indices, each row sorted
-    /// cheapest-first.
-    order: Vec<usize>,
-    /// The partial assignment of the branch being explored.
-    current: Vec<usize>,
-    /// Column-taken flags.
-    used: Vec<bool>,
-}
+/// The most modules of one class a steering decision covers. The
+/// assignment solver keeps its cost matrix and search state in arrays
+/// of this size on the stack, and `MachineConfig::validate` rejects a
+/// machine that duplicates a class more often.
+pub const MAX_MODULES: usize = 8;
 
 /// As [`min_cost_assignment`], but reading the cost matrix through a
 /// closure (`cost(row, col)`) and writing the winning assignment into
-/// `out` — no allocation beyond the (amortised) growth of `scratch`
-/// and `out`.
+/// `out`. Works on the stack: no allocation beyond the (amortised)
+/// growth of `out`.
 ///
 /// # Panics
 ///
-/// Panics if `rows > cols`.
+/// Panics if `rows > cols` or `cols > MAX_MODULES`.
 pub fn min_cost_assignment_into(
     rows: usize,
     cols: usize,
     cost: impl Fn(usize, usize) -> u32,
-    scratch: &mut AssignScratch,
     out: &mut Vec<usize>,
 ) {
     out.clear();
@@ -37,42 +25,17 @@ pub fn min_cost_assignment_into(
         return;
     }
     assert!(rows <= cols, "more instructions than modules");
-
-    // Explore each row's columns cheapest-first. Besides speeding up the
-    // pruning, this makes the tie-break deterministic and *row-priority*:
-    // among equal-total assignments the first row (oldest instruction)
-    // keeps its cheapest module — which matters when later rows are
-    // indistinguishable padding (see the LUT builder).
-    scratch.order.clear();
-    for row in 0..rows {
-        let lo = scratch.order.len();
-        scratch.order.extend(0..cols);
-        // `sort_unstable` is in-place (no hidden allocation); keying on
-        // `(cost, column)` reproduces the stable sort's tie-break —
-        // equal-cost columns stay in ascending index order — exactly,
-        // so the refactor cannot change a single steering decision.
-        scratch.order[lo..].sort_unstable_by_key(|&c| (cost(row, c), c));
-    }
-    scratch.current.clear();
-    scratch.current.resize(rows, 0);
-    scratch.used.clear();
-    scratch.used.resize(cols, false);
-    out.resize(rows, 0);
-
-    let mut best = u64::MAX;
-    search(
-        rows,
-        cols,
-        &cost,
-        &scratch.order,
-        0,
-        0,
-        &mut scratch.used,
-        &mut scratch.current,
-        &mut best,
-        out,
+    assert!(
+        cols <= MAX_MODULES,
+        "{cols} modules: steering covers at most {MAX_MODULES}"
     );
-    debug_assert!(best != u64::MAX, "rows <= cols guarantees a solution");
+    let mut search = Search::new(rows, cols, &cost);
+    search.visit(0, 0, 0);
+    debug_assert!(
+        search.best != u64::MAX,
+        "rows <= cols guarantees a solution"
+    );
+    out.extend(search.best_assign[..rows].iter().map(|&c| c as usize));
 }
 
 /// Finds the assignment of `n = cost.len()` instructions to distinct
@@ -84,8 +47,8 @@ pub fn min_cost_assignment_into(
 /// hardware itself never runs this (it is the reference "optimal"
 /// assignment the LUT approximates). Allocating convenience wrapper
 /// around [`min_cost_assignment_into`] for one-shot callers (the LUT
-/// builder, tests); the per-cycle policies use the `_into` form with
-/// reused scratch.
+/// builder, tests); the per-cycle policies use the `_into` form with a
+/// reused output buffer.
 ///
 /// # Panics
 ///
@@ -111,56 +74,83 @@ pub fn min_cost_assignment(cost: &[Vec<u32>]) -> Vec<usize> {
     let m = cost[0].len();
     assert!(cost.iter().all(|row| row.len() == m), "ragged cost matrix");
     let mut out = Vec::with_capacity(n);
-    min_cost_assignment_into(
-        n,
-        m,
-        |r, c| cost[r][c],
-        &mut AssignScratch::default(),
-        &mut out,
-    );
+    min_cost_assignment_into(n, m, |r, c| cost[r][c], &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search(
+/// The depth-first branch-and-bound walk: rows in order, each row's
+/// columns cheapest-first, a branch abandoned once its cost reaches the
+/// best complete assignment's. Only a strictly cheaper assignment
+/// replaces the best, so the result is the first optimum in that order.
+///
+/// Exploring cheapest-first also makes the tie-break *row-priority*:
+/// among equal-total assignments the first row (oldest instruction)
+/// keeps its cheapest module — which matters when later rows are
+/// indistinguishable padding (see the LUT builder).
+struct Search {
     rows: usize,
     cols: usize,
-    cost: &impl Fn(usize, usize) -> u32,
-    order: &[usize],
-    row: usize,
-    acc: u64,
-    used: &mut [bool],
-    current: &mut [usize],
-    best: &mut u64,
-    best_assign: &mut [usize],
-) {
-    if acc >= *best {
-        return; // prune
-    }
-    if row == rows {
-        *best = acc;
-        best_assign.copy_from_slice(current);
-        return;
-    }
-    for &col in &order[row * cols..(row + 1) * cols] {
-        if used[col] {
-            continue;
-        }
-        used[col] = true;
-        current[row] = col;
-        search(
+    cost: [[u32; MAX_MODULES]; MAX_MODULES],
+    /// Each row's columns sorted by `(cost, column)`.
+    order: [[u8; MAX_MODULES]; MAX_MODULES],
+    current: [u8; MAX_MODULES],
+    best: u64,
+    best_assign: [u8; MAX_MODULES],
+}
+
+impl Search {
+    fn new(rows: usize, cols: usize, cost: &impl Fn(usize, usize) -> u32) -> Self {
+        let mut search = Search {
             rows,
             cols,
-            cost,
-            order,
-            row + 1,
-            acc + cost(row, col) as u64,
-            used,
-            current,
-            best,
-            best_assign,
-        );
-        used[col] = false;
+            cost: [[0; MAX_MODULES]; MAX_MODULES],
+            order: [[0; MAX_MODULES]; MAX_MODULES],
+            current: [0; MAX_MODULES],
+            best: u64::MAX,
+            best_assign: [0; MAX_MODULES],
+        };
+        for row in 0..rows {
+            let (costs, order) = (&mut search.cost[row], &mut search.order[row]);
+            // Insertion sort, columns entering in ascending order and
+            // moving only past strictly costlier ones: equal costs keep
+            // ascending column order, the `(cost, column)` key.
+            for col in 0..cols {
+                let c = cost(row, col);
+                costs[col] = c;
+                let mut i = col;
+                while i > 0 && costs[order[i - 1] as usize] > c {
+                    order[i] = order[i - 1];
+                    i -= 1;
+                }
+                order[i] = col as u8;
+            }
+        }
+        search
+    }
+
+    fn visit(&mut self, row: usize, acc: u64, used: u32) {
+        if acc >= self.best {
+            return; // prune
+        }
+        if row == self.rows {
+            self.best = acc;
+            self.best_assign = self.current;
+            return;
+        }
+        for k in 0..self.cols {
+            let col = self.order[row][k] as usize;
+            let next = acc + self.cost[row][col] as u64;
+            if next >= self.best {
+                // Later columns cost at least as much: every remaining
+                // branch would be pruned on entry.
+                break;
+            }
+            if used & (1 << col) != 0 {
+                continue;
+            }
+            self.current[row] = col as u8;
+            self.visit(row + 1, next, used | (1 << col));
+        }
     }
 }
 
@@ -246,6 +236,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The solver as first written, kept as the tie-break reference: a
+    /// stable cheapest-first sort per row, then a recursive search that
+    /// replaces the best only on a strict improvement.
+    fn reference_assignment(cost: &[Vec<u32>]) -> Vec<usize> {
+        #[allow(clippy::too_many_arguments)]
+        fn search(
+            cost: &[Vec<u32>],
+            order: &[Vec<usize>],
+            row: usize,
+            acc: u64,
+            used: &mut [bool],
+            current: &mut [usize],
+            best: &mut u64,
+            best_assign: &mut [usize],
+        ) {
+            if acc >= *best {
+                return;
+            }
+            if row == cost.len() {
+                *best = acc;
+                best_assign.copy_from_slice(current);
+                return;
+            }
+            for &col in &order[row] {
+                if used[col] {
+                    continue;
+                }
+                used[col] = true;
+                current[row] = col;
+                let acc = acc + cost[row][col] as u64;
+                search(cost, order, row + 1, acc, used, current, best, best_assign);
+                used[col] = false;
+            }
+        }
+        let (n, m) = (cost.len(), cost[0].len());
+        let order: Vec<Vec<usize>> = cost
+            .iter()
+            .map(|row| {
+                let mut cols: Vec<usize> = (0..m).collect();
+                cols.sort_by_key(|&c| row[c]);
+                cols
+            })
+            .collect();
+        let (mut best, mut best_assign) = (u64::MAX, vec![0; n]);
+        search(
+            cost,
+            &order,
+            0,
+            0,
+            &mut vec![false; m],
+            &mut vec![0; n],
+            &mut best,
+            &mut best_assign,
+        );
+        best_assign
+    }
+
+    #[test]
+    fn the_solver_returns_the_reference_assignment_tie_for_tie() {
+        // Costs drawn from a tiny range, so ties are everywhere and the
+        // tie-break is what is tested.
+        let mut state = 0x9E37_79B9u64;
+        let mut next = |range: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % range) as u32
+        };
+        for range in [1, 2, 3, 40] {
+            for n in 1..=4 {
+                for m in n..=MAX_MODULES {
+                    for _ in 0..50 {
+                        let cost: Vec<Vec<u32>> = (0..n)
+                            .map(|_| (0..m).map(|_| next(range)).collect())
+                            .collect();
+                        assert_eq!(
+                            min_cost_assignment(&cost),
+                            reference_assignment(&cost),
+                            "cost={cost:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "steering covers at most")]
+    fn more_modules_than_the_limit_panics() {
+        let _ = min_cost_assignment(&[vec![0; MAX_MODULES + 1]]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use fua_power::{steering_cost, ModulePorts};
 use fua_vm::FuOp;
 
-use crate::{min_cost_assignment_into, AssignScratch, ModuleChoice, SteeringPolicy};
+use crate::{min_cost_assignment_into, ModuleChoice, SteeringPolicy};
 
 /// The paper's Figure-2 algorithm: the cost of every (instruction,
 /// module) pairing, taking the cheaper of the direct and swapped operand
@@ -50,14 +50,14 @@ pub fn assignment_costs(
 /// logic (the cost computation alone would dominate the savings); modelled
 /// here as the yardstick every practical scheme is measured against.
 ///
-/// The cost matrix and solver scratch live on the policy and are reused
-/// every cycle: steady-state assignment allocates nothing.
+/// The cost matrix and assignment buffer live on the policy and are
+/// reused every cycle, and the solver works on the stack: steady-state
+/// assignment allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FullHamPolicy {
     allow_swap: bool,
     /// Row-major `ops × modules` (cost, swapped) pairs, refilled per call.
     costs: Vec<(u32, bool)>,
-    scratch: AssignScratch,
     assignment: Vec<usize>,
 }
 
@@ -91,7 +91,6 @@ impl SteeringPolicy for FullHamPolicy {
             ops.len(),
             m,
             |r, c| costs[r * m + c].0,
-            &mut self.scratch,
             &mut self.assignment,
         );
         out.clear();

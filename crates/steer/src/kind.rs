@@ -1,10 +1,14 @@
-//! Scheme enumeration and the policy factory.
+//! Scheme enumeration, the policy enum and the policy factory.
 
 use std::fmt;
 
+use fua_power::ModulePorts;
 use fua_stats::CaseProfile;
+use fua_vm::FuOp;
 
-use crate::{FcfsPolicy, FullHamPolicy, LutBuilder, LutPolicy, OneBitHamPolicy, SteeringPolicy};
+use crate::{
+    FcfsPolicy, FullHamPolicy, LutBuilder, LutPolicy, ModuleChoice, OneBitHamPolicy, SteeringPolicy,
+};
 
 /// The steering schemes evaluated in the paper's Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +50,42 @@ impl fmt::Display for SteeringKind {
     }
 }
 
+/// A steering policy of any scheme. The engine holds one per duplicated
+/// FU class and dispatches by `match`, so the per-cycle call is a direct
+/// (inlinable) call rather than a virtual one.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// The FCFS baseline.
+    Fcfs(FcfsPolicy),
+    /// Full Hamming-distance assignment.
+    FullHam(FullHamPolicy),
+    /// Information-bit assignment.
+    OneBitHam(OneBitHamPolicy),
+    /// A static lookup table.
+    Lut(LutPolicy),
+}
+
+impl SteeringPolicy for Policy {
+    fn name(&self) -> &str {
+        match self {
+            Policy::Fcfs(p) => p.name(),
+            Policy::FullHam(p) => p.name(),
+            Policy::OneBitHam(p) => p.name(),
+            Policy::Lut(p) => p.name(),
+        }
+    }
+
+    #[inline]
+    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
+        match self {
+            Policy::Fcfs(p) => p.assign_into(ops, modules, out),
+            Policy::FullHam(p) => p.assign_into(ops, modules, out),
+            Policy::OneBitHam(p) => p.assign_into(ops, modules, out),
+            Policy::Lut(p) => p.assign_into(ops, modules, out),
+        }
+    }
+}
+
 /// Instantiates a steering policy.
 ///
 /// * `profile`/`occupancy` parameterise LUT construction (ignored by the
@@ -59,7 +99,7 @@ impl fmt::Display for SteeringKind {
 ///
 /// ```
 /// use fua_stats::CaseProfile;
-/// use fua_steer::{make_policy, SteeringKind, PAPER_IALU_OCCUPANCY};
+/// use fua_steer::{make_policy, SteeringKind, SteeringPolicy, PAPER_IALU_OCCUPANCY};
 ///
 /// let policy = make_policy(
 ///     SteeringKind::Lut { slots: 2 },
@@ -78,17 +118,17 @@ pub fn make_policy(
     modules: usize,
     width: u32,
     allow_swap: bool,
-) -> Box<dyn SteeringPolicy + Send> {
+) -> Policy {
     match kind {
-        SteeringKind::Original => Box::new(FcfsPolicy::new()),
-        SteeringKind::FullHam => Box::new(FullHamPolicy::new(allow_swap)),
-        SteeringKind::OneBitHam => Box::new(OneBitHamPolicy::new(allow_swap)),
+        SteeringKind::Original => Policy::Fcfs(FcfsPolicy::new()),
+        SteeringKind::FullHam => Policy::FullHam(FullHamPolicy::new(allow_swap)),
+        SteeringKind::OneBitHam => Policy::OneBitHam(OneBitHamPolicy::new(allow_swap)),
         SteeringKind::Lut { slots } => {
             let table = LutBuilder::new(*profile, width)
                 .occupancy(occupancy)
                 .modules(modules)
                 .build(slots);
-            Box::new(LutPolicy::new(table))
+            Policy::Lut(LutPolicy::new(table))
         }
     }
 }

@@ -18,6 +18,9 @@
 //! * [`HardwareSwapRule`] — Section 4.4's static swap rule (always swap
 //!   the chosen mixed case when legal), applied before any policy runs.
 //!
+//! [`Policy`] holds any of the four and dispatches by `match`;
+//! [`make_policy`] builds one from a [`SteeringKind`].
+//!
 //! # Examples
 //!
 //! ```
@@ -50,9 +53,9 @@ mod one_bit;
 mod policy;
 mod swap_rule;
 
-pub use assign::{min_cost_assignment, min_cost_assignment_into, AssignScratch};
+pub use assign::{min_cost_assignment, min_cost_assignment_into, MAX_MODULES};
 pub use full_ham::{assignment_costs, FullHamPolicy};
-pub use kind::{make_policy, SteeringKind};
+pub use kind::{make_policy, Policy, SteeringKind};
 pub use lut::{
     HomeStrategy, LutBuilder, LutPolicy, LutTable, PAPER_FPAU_OCCUPANCY, PAPER_IALU_OCCUPANCY,
 };

@@ -4,14 +4,15 @@ use fua_isa::Case;
 use fua_power::ModulePorts;
 use fua_vm::FuOp;
 
-use crate::{min_cost_assignment_into, AssignScratch, ModuleChoice, SteeringPolicy};
+use crate::{min_cost_assignment_into, ModuleChoice, SteeringPolicy};
 
 /// Optimal per-cycle assignment where each operand is summarised by its
 /// information bit — the *1-bit Ham* bar of Figure 4. This bounds what any
 /// scheme based solely on information bits (such as the LUTs) can achieve.
 ///
-/// The cost/swap matrices and solver scratch live on the policy and are
-/// reused every cycle: steady-state assignment allocates nothing.
+/// The cost/swap matrices and assignment buffer live on the policy and
+/// are reused every cycle, and the solver works on the stack:
+/// steady-state assignment allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct OneBitHamPolicy {
     allow_swap: bool,
@@ -21,7 +22,6 @@ pub struct OneBitHamPolicy {
     cost: Vec<u32>,
     /// Row-major `ops × modules` swap decisions.
     swap: Vec<bool>,
-    scratch: AssignScratch,
     assignment: Vec<usize>,
 }
 
@@ -79,13 +79,7 @@ impl SteeringPolicy for OneBitHamPolicy {
             }
         }
         let cost = &self.cost;
-        min_cost_assignment_into(
-            ops.len(),
-            m,
-            |r, c| cost[r * m + c],
-            &mut self.scratch,
-            &mut self.assignment,
-        );
+        min_cost_assignment_into(ops.len(), m, |r, c| cost[r * m + c], &mut self.assignment);
         out.clear();
         out.extend(
             self.assignment

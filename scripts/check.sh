@@ -14,6 +14,20 @@ cargo test -q
 # The benchmark (perfbench/) is its own workspace over the library
 # crates; build and test it so a library change cannot break it unseen.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
+# Benchmark-oracle smoke leg: a traced `ledger` run rebuilds every
+# Figure-4 cell and estimator entry as separate single-scheme runs and
+# compares them with the library's (lane-folded) artifact.
+ledger_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload ledger --seed 0 --seconds 1 --trace 1)"
+last_line="$(printf '%s\n' "$ledger_out" | tail -n 1)"
+if [[ "$last_line" != *'"correct": true'* || "$last_line" != *'"failed": 0'* ]]; then
+  echo "perfbench ledger smoke run failed: $last_line" >&2
+  exit 1
+fi
+if [[ "$ledger_out" != *"replay reproduces the artifact's figures and estimator entries: true; scheme mismatches: 0"* ]]; then
+  echo "perfbench ledger replay disagrees with the library" >&2
+  exit 1
+fi
 
 # Docs gate: every public item is documented (deny(missing_docs)) and
 # rustdoc itself is warning-clean (broken intra-doc links, bad HTML).

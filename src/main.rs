@@ -925,15 +925,17 @@ fn joint_energy_cycles_table(runs: &[fua::attr::CycleProfiledRun], top: usize) -
 }
 
 /// Prints one run's critical path: the summary line plus the last
-/// `top` nodes of the chain (the tail decides the run's length).
+/// `top` nodes of the chain (the tail ends at the run's last completion).
 fn print_critical_path(run: &fua::attr::CycleProfiledRun, top: usize) {
     let nodes = run.path.nodes();
     println!(
-        "critical path — {}: {} node(s), span {} cycles, dispatch wait {}, \
-         operand wait {}, structural wait {}",
+        "critical path — {}: {} node(s), span {} of {} cycles ({:.1}% of the run), \
+         dispatch wait {}, operand wait {}, structural wait {}",
         run.cycles.workload,
         nodes.len(),
         run.path.span_cycles(),
+        run.result.cycles,
+        100.0 * run.path.coverage(run.result.cycles),
         run.path.dispatch_wait(),
         run.path.operand_wait(),
         run.path.structural_wait(),
@@ -991,7 +993,7 @@ fn cycle_run_json(run: &fua::attr::CycleProfiledRun, top: usize) -> Json {
     );
     Json::obj([
         ("attribution", run.cycles.to_json()),
-        ("critical_path", run.path.to_json()),
+        ("critical_path", run.path.to_json(run.result.cycles)),
         ("joint", joint),
     ])
 }
@@ -1366,10 +1368,10 @@ fn cmd_estimate_verify(
         schemes.len(),
         opts.jobs
     );
-    let mut checks: Vec<EstimateCheck> = Vec::new();
-    for &scheme in &schemes {
-        checks.extend(check_suite(workloads, scheme, limit, opts.jobs));
-    }
+    let checks: Vec<EstimateCheck> = check_suite(workloads, &schemes, limit, opts.jobs)
+        .into_iter()
+        .flatten()
+        .collect();
     let violations: usize = checks.iter().map(|c| c.violations.len()).sum();
 
     if opts.json {

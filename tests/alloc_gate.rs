@@ -2,7 +2,9 @@
 //! every lazily-sized structure (the inflight arena pool, event-wheel
 //! buckets, steering tables), the untraced hot loop must allocate
 //! **zero** bytes per simulated cycle, for every workload under every
-//! Figure-4 scheme.
+//! Figure-4 scheme, and for every workload run once with twelve steering
+//! lanes (each Figure-4 scheme with and without the hardware swap — the
+//! shape of one `fua figure4` cell).
 //!
 //! Methodology: heap traffic of a run is `constant per-run setup +
 //! per-cycle cost × cycles`. After warmup at the *longer* limit, a run
@@ -17,7 +19,7 @@
 //! sibling test would bleed its allocations into the measurement
 //! window.
 
-use fua::sim::{MachineConfig, Simulator, SteeringConfig};
+use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
 
 #[global_allocator]
@@ -36,10 +38,26 @@ fn run(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
         .cycles
 }
 
-/// Allocation events performed by one run.
-fn measured_allocs(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
+/// One run of `w` feeding twelve lanes: every Figure-4 scheme with and
+/// without the hardware swap. Builds the lanes inside the measurement
+/// window, like [`run`].
+fn run_lanes(w: &fua::workloads::Workload, limit: u64) -> u64 {
+    let machine = MachineConfig::paper_default();
+    let mut lanes: Vec<Lane> = SteeringKind::FIGURE4
+        .into_iter()
+        .flat_map(|kind| [false, true].map(|hw| SteeringConfig::paper_scheme(kind, hw)))
+        .map(|scheme| Lane::new(&machine, scheme))
+        .collect();
+    assert_eq!(lanes.len(), 12);
+    Simulator::run_lanes(machine, &mut lanes, &w.program, limit)
+        .unwrap_or_else(|e| panic!("workload {} faulted with 12 lanes: {e}", w.name))[0]
+        .cycles
+}
+
+/// Allocation events performed by `run`.
+fn measured_allocs(w: &fua::workloads::Workload, run: impl FnOnce() -> u64) -> u64 {
     let before = fua::obs::alloc_snapshot();
-    let cycles = run(w, kind, limit);
+    let cycles = run();
     let delta = fua::obs::alloc_snapshot().delta(&before);
     assert!(cycles > 0, "workload {} simulated no cycles", w.name);
     delta.allocs
@@ -65,8 +83,8 @@ fn the_steady_state_hot_loop_allocates_nothing_per_cycle() {
             // Warmup at the longer limit amortises every structure that
             // grows with run length, so neither measured run resizes.
             run(w, kind, 2 * LIMIT);
-            let short = measured_allocs(w, kind, LIMIT);
-            let long = measured_allocs(w, kind, 2 * LIMIT);
+            let short = measured_allocs(w, || run(w, kind, LIMIT));
+            let long = measured_allocs(w, || run(w, kind, 2 * LIMIT));
             assert_eq!(
                 short,
                 long,
@@ -81,10 +99,26 @@ fn the_steady_state_hot_loop_allocates_nothing_per_cycle() {
             );
             checked += 1;
         }
+        run_lanes(w, 2 * LIMIT);
+        let short = measured_allocs(w, || run_lanes(w, LIMIT));
+        let long = measured_allocs(w, || run_lanes(w, 2 * LIMIT));
+        assert_eq!(
+            short,
+            long,
+            "workload {} with 12 lanes: a {}-instruction run allocated {} event(s), \
+             a {}-instruction run {} — the difference is per-cycle allocation \
+             in the steady-state hot loop",
+            w.name,
+            LIMIT,
+            short,
+            2 * LIMIT,
+            long
+        );
+        checked += 1;
     }
     assert_eq!(
         checked,
-        workloads.len() as u32 * SteeringKind::FIGURE4.len() as u32,
-        "every workload x scheme cell must be gated"
+        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 1),
+        "every workload x scheme cell, and every workload's 12-lane run, must be gated"
     );
 }

@@ -107,6 +107,8 @@ fn critical_path_is_causally_ordered_and_fits_the_run() {
         let nodes = run.path.nodes();
         assert!(!nodes.is_empty(), "{}: empty critical path", w.name);
         assert!(run.path.span_cycles() <= run.result.cycles);
+        let coverage = run.path.coverage(run.result.cycles);
+        assert!(coverage > 0.0 && coverage <= 1.0, "{}: {coverage}", w.name);
         for pair in nodes.windows(2) {
             // Each predecessor's result must be available before (or
             // exactly when) its consumer issues, and serials ascend.
@@ -206,7 +208,7 @@ fn parallel_cycle_profiling_is_byte_identical_to_serial() {
             for r in runs {
                 flame.push_str(&r.cycles.collapsed_stacks());
                 json.push_str(&r.cycles.to_json().pretty());
-                json.push_str(&r.path.to_json().pretty());
+                json.push_str(&r.path.to_json(r.result.cycles).pretty());
                 json.push('\n');
             }
             (flame, json)
