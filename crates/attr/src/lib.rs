@@ -28,7 +28,8 @@
 //!   by PC and reports where one steering [`Scheme`] saves or loses
 //!   energy, per module and per steering case;
 //! * [`attribute_suite`] fans the whole workload suite out across a
-//!   deterministic [`fua_exec`] worker pool;
+//!   deterministic [`fua_exec`] worker pool, running each workload once
+//!   with a steering lane per scheme;
 //! * [`CycleAttribution`] answers the sibling question — *where do the
 //!   cycles go?* — by resolving the stall-slot partition (every issue
 //!   slot of every cycle in exactly one taxonomy bucket) against the
@@ -66,8 +67,5 @@ pub use diff::{case_labels, AttributionDiff, ClassDelta, PcDelta};
 pub use estimate::{check_attribution, check_suite, check_workload, BoundViolation, EstimateCheck};
 pub use fua_steer::MAX_MODULES;
 pub use profile::{EnergyAttribution, Hotspot, SiteRow};
-pub use run::{
-    attribute_schemes, attribute_suite, attribute_with_config, attribute_workload, AttributedRun,
-    Scheme,
-};
+pub use run::{attribute_schemes, attribute_suite, attribute_workload, AttributedRun, Scheme};
 pub use sink::{AttributionSink, SiteKey, SiteStat};

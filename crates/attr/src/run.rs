@@ -129,49 +129,23 @@ impl AttributedRun {
 }
 
 /// Runs one workload under `scheme` with an [`AttributionSink`] attached
-/// and resolves the sites against the workload's CFG.
+/// and resolves the sites against the workload's CFG: the one-scheme
+/// case of [`attribute_schemes`].
 ///
 /// # Panics
 ///
 /// Panics if the workload program faults (workload kernels never do).
 pub fn attribute_workload(w: &Workload, scheme: Scheme, limit: u64) -> AttributedRun {
-    attribute_with_config(w, scheme.config(), scheme.label(), limit)
-}
-
-/// Runs one workload under an arbitrary steering configuration. The
-/// estimator soundness tests use this to cover the swap-disabled
-/// variants no named [`Scheme`] exposes.
-///
-/// # Panics
-///
-/// Panics if the workload program faults (workload kernels never do).
-pub fn attribute_with_config(
-    w: &Workload,
-    config: SteeringConfig,
-    label: &str,
-    limit: u64,
-) -> AttributedRun {
-    let mut sim = Simulator::with_sink(
-        MachineConfig::paper_default(),
-        config,
-        AttributionSink::new(),
-    );
-    let result = sim
-        .run_program(&w.program, limit)
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-    let sink = sim.into_sink();
-    let attribution = EnergyAttribution::build(w.name, label, &w.program, &sink);
-    AttributedRun {
-        result,
-        attribution,
-    }
+    attribute_schemes(w, &[scheme], limit)
+        .pop()
+        .expect("one run per scheme")
 }
 
 /// Runs one workload once with a steering lane per scheme in `schemes`,
 /// each with its own [`AttributionSink`], and returns one attributed run
-/// per scheme, in `schemes` order. Each equals
-/// [`attribute_workload`]`(w, scheme, limit)`: steering never moves
-/// timing, so the schemes share one pipeline run.
+/// per scheme, in `schemes` order. Steering never moves timing, so the
+/// schemes share one pipeline run, and each equals a standalone
+/// attributed run under its scheme.
 ///
 /// # Panics
 ///
@@ -195,16 +169,29 @@ pub fn attribute_schemes(w: &Workload, schemes: &[Scheme], limit: u64) -> Vec<At
         .collect()
 }
 
-/// Attributes every workload in `workloads` under `scheme`, fanning out
-/// across `jobs` workers. Results come back in workload-index order, so
-/// the output is byte-identical to the serial pass for any worker count.
+/// Attributes every workload in `workloads` under every scheme in
+/// `schemes`, fanning the workloads out across `jobs` workers. Each
+/// workload runs once, with a steering lane per scheme
+/// ([`attribute_schemes`]). Returns one `Vec` per scheme, in `schemes`
+/// order, each in workload-index order, so the output is byte-identical
+/// to the serial pass for any worker count.
 pub fn attribute_suite(
     workloads: &[Workload],
-    scheme: Scheme,
+    schemes: &[Scheme],
     limit: u64,
     jobs: Jobs,
-) -> Vec<AttributedRun> {
-    map_indexed(jobs, workloads, |_, w| attribute_workload(w, scheme, limit))
+) -> Vec<Vec<AttributedRun>> {
+    let mut per_workload = map_indexed(jobs, workloads, |_, w| {
+        attribute_schemes(w, schemes, limit).into_iter()
+    });
+    (0..schemes.len())
+        .map(|_| {
+            per_workload
+                .iter_mut()
+                .map(|runs| runs.next().expect("one run per scheme"))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -237,9 +224,9 @@ mod tests {
             .iter()
             .map(|n| fua_workloads::by_name(n, 1).unwrap())
             .collect();
-        let serial = attribute_suite(&workloads, Scheme::Lut4, 1_500, Jobs::serial());
-        let parallel = attribute_suite(&workloads, Scheme::Lut4, 1_500, Jobs::new(4).unwrap());
-        for (s, p) in serial.iter().zip(&parallel) {
+        let serial = attribute_suite(&workloads, &[Scheme::Lut4], 1_500, Jobs::serial());
+        let parallel = attribute_suite(&workloads, &[Scheme::Lut4], 1_500, Jobs::new(4).unwrap());
+        for (s, p) in serial[0].iter().zip(&parallel[0]) {
             assert_eq!(s.attribution, p.attribution);
             assert_eq!(
                 s.attribution.collapsed_stacks(),

@@ -13,7 +13,7 @@
 
 use fua_isa::{Case, FuClass, Word, INT_BITS};
 use fua_power::booth::BoothModel;
-use fua_sim::{Simulator, SteeringConfig};
+use fua_sim::{Lane, Simulator, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
 use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy, Policy};
 use fua_swap::MultiplierSwapRule;
@@ -36,21 +36,21 @@ fn for_each_fu_op(workloads: &[Workload], config: &ExperimentConfig, mut f: impl
     }
 }
 
-/// The integer suite on the configured machine under one steering
-/// scheme: the IALU case profile, occupancy distribution and switched
-/// bits, summed over the suite.
-struct IntegerRun {
+/// The integer suite on the configured machine under Original steering:
+/// the IALU case profile, occupancy distribution and switched bits,
+/// summed over the suite.
+struct OriginalRun {
     profile: CaseProfile,
     occupancy: Vec<f64>,
     ialu_bits: u64,
 }
 
-fn integer_run(config: &ExperimentConfig, steering: impl Fn() -> SteeringConfig) -> IntegerRun {
+fn original_run(config: &ExperimentConfig) -> OriginalRun {
     let mut patterns = BitPatternProfiler::new();
     let mut occupancy = OccupancyProfiler::new(config.machine.modules(FuClass::IntAlu));
     let mut ialu_bits = 0;
     for w in fua_workloads::integer(config.scale) {
-        let mut sim = Simulator::new(config.machine.clone(), steering());
+        let mut sim = Simulator::new(config.machine.clone(), SteeringConfig::original());
         let r = sim
             .run_program(&w.program, config.inst_limit)
             .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
@@ -58,39 +58,68 @@ fn integer_run(config: &ExperimentConfig, steering: impl Fn() -> SteeringConfig)
         occupancy.merge(r.occupancy_of(FuClass::IntAlu));
         ialu_bits += r.ledger.switched_bits(FuClass::IntAlu);
     }
-    IntegerRun {
+    OriginalRun {
         profile: patterns.case_profile(),
         occupancy: occupancy.distribution(),
         ialu_bits,
     }
 }
 
-/// Steers the IALU with a 4-bit LUT whose homes `strategy` picks from the
-/// Original run's profile, plus the hardware swap; the FPAU keeps
-/// Original steering, which moves no IALU bit.
-fn lut4_row(
-    setting: String,
+/// One row per `(setting, strategy)`: the IALU steered by a 4-bit LUT
+/// whose homes the strategy picks from the Original run's profile, plus
+/// the hardware swap; the FPAU keeps Original steering, which moves no
+/// IALU bit. The integer suite runs once, with a lane per row.
+fn lut4_rows(
     config: &ExperimentConfig,
-    original: &IntegerRun,
-    strategy: HomeStrategy,
-) -> LutSweepRow {
-    let lut = LutBuilder::new(original.profile, INT_BITS)
-        .occupancy(&original.occupancy)
-        .modules(config.machine.modules(FuClass::IntAlu))
-        .strategy(strategy)
-        .build(2);
-    let steered = integer_run(config, || SteeringConfig {
-        ialu: Policy::Lut(LutPolicy::new(lut.clone())),
-        fpau: Policy::Fcfs(FcfsPolicy::new()),
-        ialu_swap: Some(HardwareSwapRule::from_profile(&original.profile)),
-        fpau_swap: None,
-    });
-    LutSweepRow {
-        setting,
-        homes: lut.homes().to_vec(),
-        baseline_bits: original.ialu_bits,
-        steered_bits: steered.ialu_bits,
+    original: &OriginalRun,
+    settings: Vec<(String, HomeStrategy)>,
+) -> Vec<LutSweepRow> {
+    let (homes, schemes): (Vec<Vec<Case>>, Vec<SteeringConfig>) = settings
+        .iter()
+        .map(|&(_, strategy)| {
+            let lut = LutBuilder::new(original.profile, INT_BITS)
+                .occupancy(&original.occupancy)
+                .modules(config.machine.modules(FuClass::IntAlu))
+                .strategy(strategy)
+                .build(2);
+            let homes = lut.homes().to_vec();
+            let steering = SteeringConfig {
+                ialu: Policy::Lut(LutPolicy::new(lut)),
+                fpau: Policy::Fcfs(FcfsPolicy::new()),
+                ialu_swap: Some(HardwareSwapRule::from_profile(&original.profile)),
+                fpau_swap: None,
+            };
+            (homes, steering)
+        })
+        .unzip();
+    let mut steered_bits = vec![0; schemes.len()];
+    for w in fua_workloads::integer(config.scale) {
+        let mut lanes: Vec<Lane> = schemes
+            .iter()
+            .map(|steering| Lane::new(&config.machine, steering.clone()))
+            .collect();
+        let results = Simulator::run_lanes(
+            config.machine.clone(),
+            &mut lanes,
+            &w.program,
+            config.inst_limit,
+        )
+        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+        for (bits, r) in steered_bits.iter_mut().zip(results) {
+            *bits += r.ledger.switched_bits(FuClass::IntAlu);
+        }
     }
+    settings
+        .into_iter()
+        .zip(homes)
+        .zip(steered_bits)
+        .map(|(((setting, _), homes), steered_bits)| LutSweepRow {
+            setting,
+            homes,
+            baseline_bits: original.ialu_bits,
+            steered_bits,
+        })
+        .collect()
 }
 
 /// One information-bit width of [`FpInfoBits`].
@@ -239,13 +268,17 @@ impl LutSweep {
 pub fn module_count(config: &ExperimentConfig) -> LutSweep {
     let rows = [2, 3, 4, 6, 8]
         .into_iter()
-        .map(|modules| {
+        .flat_map(|modules| {
             let config = ExperimentConfig {
                 machine: config.machine.clone().with_duplicated_modules(modules),
                 ..config.clone()
             };
-            let original = integer_run(&config, SteeringConfig::original);
-            lut4_row(modules.to_string(), &config, &original, HomeStrategy::Auto)
+            let original = original_run(&config);
+            lut4_rows(
+                &config,
+                &original,
+                vec![(modules.to_string(), HomeStrategy::Auto)],
+            )
         })
         .collect();
     LutSweep {
@@ -258,17 +291,17 @@ pub fn module_count(config: &ExperimentConfig) -> LutSweep {
 /// paper replicates the dominant case on the IALU and gives each FPAU
 /// module its own case; `Auto` is that recipe.
 pub fn home_cases(config: &ExperimentConfig) -> LutSweep {
-    let original = integer_run(config, SteeringConfig::original);
     let strategies = [
         ("Auto (paper recipe)", HomeStrategy::Auto),
         ("Unique", HomeStrategy::Unique),
         ("Proportional", HomeStrategy::Proportional),
         ("Search", HomeStrategy::Search),
     ];
-    let rows = strategies
+    let settings = strategies
         .into_iter()
-        .map(|(name, strategy)| lut4_row(name.to_string(), config, &original, strategy))
+        .map(|(name, strategy)| (name.to_string(), strategy))
         .collect();
+    let rows = lut4_rows(config, &original_run(config), settings);
     LutSweep {
         parameter: "home-case strategy",
         rows,

@@ -4,11 +4,10 @@
 //! programs drive them — the per-benchmark view any reviewer of the
 //! original would have asked for.
 
-use fua_sim::{Simulator, SteeringConfig};
 use fua_stats::TextTable;
-use fua_steer::SteeringKind;
 use fua_workloads::{floating_point, integer};
 
+use crate::observe::original_and_observed;
 use crate::{ExperimentConfig, Unit};
 
 /// One workload's results under Original vs the 4-bit LUT + hardware
@@ -70,8 +69,8 @@ impl WorkloadBreakdown {
     }
 }
 
-/// Runs every workload of the unit's suite under Original and under the
-/// recommended design point.
+/// Runs every workload of the unit's suite once, with a steering lane
+/// for Original and one for the recommended design point.
 pub fn workload_breakdown(unit: Unit, config: &ExperimentConfig) -> WorkloadBreakdown {
     let class = unit.fu_class();
     let workloads = match unit {
@@ -81,17 +80,7 @@ pub fn workload_breakdown(unit: Unit, config: &ExperimentConfig) -> WorkloadBrea
     let rows = workloads
         .iter()
         .map(|w| {
-            let mut base_sim = Simulator::new(config.machine.clone(), SteeringConfig::original());
-            let base = base_sim
-                .run_program(&w.program, config.inst_limit)
-                .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-            let mut opt_sim = Simulator::new(
-                config.machine.clone(),
-                SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true),
-            );
-            let opt = opt_sim
-                .run_program(&w.program, config.inst_limit)
-                .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+            let [base, opt] = original_and_observed(config, w);
             let baseline_bits = base.ledger.switched_bits(class);
             let steered_bits = opt.ledger.switched_bits(class);
             BreakdownRow {

@@ -8,11 +8,10 @@
 
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
-use fua_sim::{Simulator, SteeringConfig};
 use fua_stats::TextTable;
-use fua_steer::SteeringKind;
 use fua_workloads::all;
 
+use crate::observe::original_and_observed;
 use crate::ExperimentConfig;
 
 /// Fraction of total processor power consumed by the execution units,
@@ -65,25 +64,12 @@ pub fn chip_estimate(config: &ExperimentConfig) -> ChipEstimate {
     // cannot credit (the reason the paper reports no multiplier numbers
     // either) — enabling it would charge its latch cost and credit
     // nothing.
-    let run = |steered: bool| -> EnergyLedger {
-        let mut total = EnergyLedger::new();
-        for w in all(config.scale) {
-            let steering = if steered {
-                SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
-            } else {
-                SteeringConfig::original()
-            };
-            let mut sim = Simulator::new(config.machine.clone(), steering);
-            total.merge(
-                &sim.run_program(&w.program, config.inst_limit)
-                    .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
-                    .ledger,
-            );
-        }
-        total
-    };
-    let baseline = run(false);
-    let steered = run(true);
+    let (mut baseline, mut steered) = (EnergyLedger::new(), EnergyLedger::new());
+    for w in all(config.scale) {
+        let [base, opt] = original_and_observed(config, &w);
+        baseline.merge(&base.ledger);
+        steered.merge(&opt.ledger);
+    }
 
     let total_base = baseline.total_switched_bits().max(1);
     let mut unit_reduction = [0.0; 4];

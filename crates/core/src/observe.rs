@@ -6,10 +6,11 @@
 //! [`Simulator::into_sink`]) so counters and histograms accumulate
 //! across the whole suite.
 
-use fua_sim::{Simulator, SteeringConfig};
+use fua_isa::{FuClass, Program};
+use fua_sim::{Lane, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
 use fua_trace::{MetricsRecorder, MetricsRegistry};
-use fua_workloads::{floating_point, integer};
+use fua_workloads::{floating_point, integer, Workload};
 
 use crate::{ExperimentConfig, Unit};
 
@@ -17,6 +18,33 @@ use crate::{ExperimentConfig, Unit};
 /// paper's recommended 4-bit LUT with hardware swapping.
 pub fn observed_scheme() -> SteeringConfig {
     SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
+}
+
+/// `class`'s switched bits when `program` runs under [`observed_scheme`].
+pub(crate) fn observed_bits(config: &ExperimentConfig, program: &Program, class: FuClass) -> u64 {
+    Simulator::new(config.machine.clone(), observed_scheme())
+        .run_program(program, config.inst_limit)
+        .expect("workload runs")
+        .ledger
+        .switched_bits(class)
+}
+
+/// Runs `w` once, with a steering lane for Original and one for
+/// [`observed_scheme`], and returns their results in that order.
+pub(crate) fn original_and_observed(config: &ExperimentConfig, w: &Workload) -> [SimResult; 2] {
+    let mut lanes = [
+        Lane::new(&config.machine, SteeringConfig::original()),
+        Lane::new(&config.machine, observed_scheme()),
+    ];
+    Simulator::run_lanes(
+        config.machine.clone(),
+        &mut lanes,
+        &w.program,
+        config.inst_limit,
+    )
+    .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
+    .try_into()
+    .expect("one result per lane")
 }
 
 /// Runs `unit`'s workload suite under [`observed_scheme`] with a
@@ -41,7 +69,6 @@ pub fn suite_metrics(unit: Unit, config: &ExperimentConfig) -> MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fua_isa::FuClass;
 
     #[test]
     fn suite_metrics_accumulate_across_workloads() {

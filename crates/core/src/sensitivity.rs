@@ -13,12 +13,11 @@
 //! by construction, checked here rather than assumed.
 
 use fua_isa::FuClass;
-use fua_sim::{Simulator, SteeringConfig};
 use fua_stats::TextTable;
-use fua_steer::SteeringKind;
 use fua_swap::{CompilerSwapPass, StaticSwapPass};
 use fua_workloads::integer_with_input;
 
+use crate::observe::observed_bits;
 use crate::ExperimentConfig;
 
 /// One workload's cross-input result.
@@ -83,20 +82,6 @@ impl SwapSensitivity {
     }
 }
 
-/// IALU switched bits of `program` under the recommended design point.
-fn ialu_bits(config: &ExperimentConfig, program: &fua_isa::Program, steered: bool) -> u64 {
-    let steering = if steered {
-        SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
-    } else {
-        SteeringConfig::original()
-    };
-    let mut sim = Simulator::new(config.machine.clone(), steering);
-    sim.run_program(program, config.inst_limit)
-        .expect("workload runs")
-        .ledger
-        .switched_bits(FuClass::IntAlu)
-}
-
 /// Applies the swap decisions recorded on one build of a program to
 /// another build with the same static structure (different input data).
 fn apply_swaps(target: &fua_isa::Program, swapped: &[usize]) -> fua_isa::Program {
@@ -136,17 +121,17 @@ pub fn swap_sensitivity(config: &ExperimentConfig) -> SwapSensitivity {
             };
 
             // Training input: baseline vs train-profiled rewrite.
-            let train_base = ialu_bits(config, &wt.program, true);
-            let train_opt = ialu_bits(config, &outcome.program, true);
+            let train_base = observed_bits(config, &wt.program, FuClass::IntAlu);
+            let train_opt = observed_bits(config, &outcome.program, FuClass::IntAlu);
             // Unseen input: the same static swaps, new data.
             let cross_program = apply_swaps(&wu.program, &outcome.swapped);
-            let unseen_base = ialu_bits(config, &wu.program, true);
-            let cross_opt = ialu_bits(config, &cross_program, true);
+            let unseen_base = observed_bits(config, &wu.program, FuClass::IntAlu);
+            let cross_opt = observed_bits(config, &cross_program, FuClass::IntAlu);
             // Oracle: profiled on the unseen input itself.
-            let oracle_opt = ialu_bits(config, &oracle_outcome.program, true);
+            let oracle_opt = observed_bits(config, &oracle_outcome.program, FuClass::IntAlu);
             // Static: no training run to transfer — the pass sees only
             // the text, so "train" vs "unseen" is the same rewrite.
-            let static_opt = ialu_bits(config, &static_unseen.program, true);
+            let static_opt = observed_bits(config, &static_unseen.program, FuClass::IntAlu);
 
             SensitivityRow {
                 workload: wt.name.to_string(),

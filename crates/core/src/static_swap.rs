@@ -9,13 +9,11 @@
 //! recover?* — measured on the Figure-4 harness (4-bit LUT + hardware
 //! swapping on top of each rewritten binary).
 
-use fua_isa::FuClass;
-use fua_sim::{Simulator, SteeringConfig};
 use fua_stats::TextTable;
-use fua_steer::SteeringKind;
 use fua_swap::{CompilerSwapPass, StaticSwapPass};
 use fua_workloads::{floating_point, integer, Workload};
 
+use crate::observe::observed_bits;
 use crate::{ExperimentConfig, Unit};
 
 /// One workload's switched bits under each swap pass.
@@ -114,17 +112,6 @@ impl StaticSwapComparison {
     }
 }
 
-fn switched_bits(config: &ExperimentConfig, program: &fua_isa::Program, class: FuClass) -> u64 {
-    let mut sim = Simulator::new(
-        config.machine.clone(),
-        SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true),
-    );
-    sim.run_program(program, config.inst_limit)
-        .expect("workload runs")
-        .ledger
-        .switched_bits(class)
-}
-
 /// Runs the comparison over the unit's suite: for each workload, rewrite
 /// once with the profile-guided pass (trained on the same input it is
 /// evaluated on — its best case) and once with the static pass, then
@@ -144,9 +131,9 @@ pub fn static_swap_comparison(unit: Unit, config: &ExperimentConfig) -> StaticSw
             let statically = StaticSwapPass::new().run(&w.program);
             StaticSwapRow {
                 workload: w.name.to_string(),
-                hardware_bits: switched_bits(config, &w.program, class),
-                profile_bits: switched_bits(config, &profiled.program, class),
-                static_bits: switched_bits(config, &statically.program, class),
+                hardware_bits: observed_bits(config, &w.program, class),
+                profile_bits: observed_bits(config, &profiled.program, class),
+                static_bits: observed_bits(config, &statically.program, class),
                 profile_swaps: profiled.swapped.len(),
                 static_swaps: statically.swapped.len(),
                 definite_rate: statically.definite_rate(),

@@ -300,22 +300,6 @@ impl HarnessTimeline {
             ),
         ])
     }
-
-    /// Merges this timeline's tracks into a sim trace export, so one
-    /// file shows simulated events (pids 1–2) and harness timelines
-    /// (pid 3) side by side.
-    pub fn merge_into(self, sink: ChromeTraceSink) -> Json {
-        let mut events = sink.events;
-        events.extend(self.events);
-        Json::obj([
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::Str("ms".into())),
-            (
-                "otherData",
-                Json::obj([("producer", Json::Str("fua-trace".into()))]),
-            ),
-        ])
-    }
 }
 
 impl TraceSink for ChromeTraceSink {
@@ -711,28 +695,6 @@ mod tests {
                 .and_then(Json::as_str),
             Some(hostile)
         );
-    }
-
-    #[test]
-    fn harness_tracks_merge_into_a_sim_trace() {
-        let mut sink = ChromeTraceSink::for_workload("espresso");
-        sink.record(&TraceEvent::Stage {
-            stage: Stage::Fetch,
-            cycle: 3,
-            serial: 0,
-            opcode: Opcode::Add,
-        });
-        let mut t = HarnessTimeline::new("espresso");
-        t.worker_span(2, "figure4", 0, 8, 8, 0, 5_000);
-        let doc = t.merge_into(sink).compact();
-        let parsed = Json::parse(&doc).expect("merged export parses");
-        let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let pids: Vec<u64> = events
-            .iter()
-            .filter_map(|e| e.get("pid")?.as_u64())
-            .collect();
-        assert!(pids.contains(&1), "sim pipeline process present");
-        assert!(pids.contains(&3), "harness process present");
     }
 
     #[test]

@@ -390,11 +390,6 @@ impl WindowedSeries {
         self.windows.iter().map(|w| w.retired).sum()
     }
 
-    /// Total summarised cycles.
-    pub fn total_cycles(&self) -> u64 {
-        self.windows.iter().map(|w| w.cycles).sum()
-    }
-
     /// Highest module index that saw traffic in `class`, or `None`.
     fn max_module(&self, class: usize) -> Option<usize> {
         self.windows

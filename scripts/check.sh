@@ -61,8 +61,10 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
-# Attribution-determinism gate: the energy profiler's flamegraph and
-# site table must be byte-identical between --jobs 1 and --jobs 4.
+# Attribution-determinism gate: the energy profiler's flamegraph, site
+# table and naive-vs-lut4 differential report (text and JSON; both
+# schemes are lanes of one run per workload) must be byte-identical
+# between --jobs 1 and --jobs 4.
 (
   cd "$tmpdir"
   "$repo/target/release/fua" profile-energy all --jobs 1 \
@@ -71,6 +73,13 @@ trap 'rm -rf "$tmpdir"' EXIT
     --flame flame-parallel.txt --json > attr-parallel.json
   cmp flame-serial.txt flame-parallel.txt
   cmp attr-serial.json attr-parallel.json
+  for format in "" --json; do
+    "$repo/target/release/fua" profile-energy all --jobs 1 \
+      --compare naive lut4 $format > diff-serial.out
+    "$repo/target/release/fua" profile-energy all --jobs 4 \
+      --compare naive lut4 $format > diff-parallel.out
+    cmp diff-serial.out diff-parallel.out
+  done
 )
 
 # Cycle-attribution gates: the stall partition must account every

@@ -173,7 +173,7 @@ pub const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("run", "--limit --scale --json --metrics"),
     ("trace", "--limit --scale --metrics --out --last --window --csv"),
     ("profile-energy", "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
-    ("profile-cycles", "--limit --scale --jobs --json --scheme --compare --top --flame --critical-path --progress"),
+    ("profile-cycles", "--limit --scale --jobs --json --scheme --top --flame --critical-path --progress"),
     ("bench-suite", "--limit --scale --jobs --window --tag --store --store-dir --progress"),
     ("report", "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
     ("store", "--store-dir"),
@@ -289,7 +289,7 @@ pub fn help() {
          \x20 --scheme <S>    steering scheme to attribute or bound, default lut4\n\
          \x20                 (naive|fullham|1bitham|lut2|lut4|lut8)\n\
          \x20 --compare <A> <B>  run both schemes and report where B saves or\n\
-         \x20                 loses switched bits (or cycles) vs A;\n\
+         \x20                 loses switched bits vs A;\n\
          \x20                 for estimate, diff the two schemes' static bounds\n\
          \x20 --per-block     print per-basic-block aggregates instead of the\n\
          \x20                 per-PC bound table\n\

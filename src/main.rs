@@ -33,7 +33,7 @@ use fua::report::{
     bench_suite_jobs, compare, trends, BenchReport, Finding, Severity, Tolerance, TrendError,
     DEFAULT_WINDOW_CYCLES,
 };
-use fua::sim::{MachineConfig, Simulator, SteeringConfig};
+use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
 use fua::stats::TextTable;
 use fua::steer::SteeringKind;
 use fua::store::{IndexEntry, Store};
@@ -276,17 +276,19 @@ fn cmd_run(name: &str, opts: &Options) -> CmdResult {
         baseline.ledger.switched_bits(class),
         None,
     )];
-    for kind in SteeringKind::FIGURE4 {
-        if kind == SteeringKind::Original {
-            continue;
-        }
-        let mut sim = Simulator::new(
-            MachineConfig::paper_default(),
-            SteeringConfig::paper_scheme(kind, true),
-        );
-        let r = sim
-            .run_program(&w.program, limit)
-            .map_err(|e| e.to_string())?;
+    // Every other scheme is a lane of one more run.
+    let machine = MachineConfig::paper_default();
+    let kinds: Vec<SteeringKind> = SteeringKind::FIGURE4
+        .into_iter()
+        .filter(|&kind| kind != SteeringKind::Original)
+        .collect();
+    let mut lanes: Vec<Lane> = kinds
+        .iter()
+        .map(|&kind| Lane::new(&machine, SteeringConfig::paper_scheme(kind, true)))
+        .collect();
+    let results =
+        Simulator::run_lanes(machine, &mut lanes, &w.program, limit).map_err(|e| e.to_string())?;
+    for (kind, r) in kinds.iter().zip(&results) {
         rows.push((
             format!("{kind} + hw swap"),
             r.ledger.switched_bits(class),
@@ -556,7 +558,9 @@ fn write_flame(
 /// The shared preamble of `estimate`, `profile-energy` and
 /// `profile-cycles`: rejects `--scheme` with `--compare`, then resolves
 /// the `<workload|all>` argument and the schemes to run — `--scheme`
-/// (default 4-bit LUT) alone, or `--compare`'s A with its B.
+/// (default 4-bit LUT) alone, or `--compare`'s A with its B
+/// (`profile-cycles` does not read `--compare`: cycles do not depend on
+/// the scheme).
 fn profile_inputs(
     name: &str,
     opts: &Options,
@@ -678,8 +682,10 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> CmdResult {
             workloads.len(),
             opts.jobs
         );
-        let runs_a = attribute_suite(&workloads, scheme_a, limit, opts.jobs);
-        let runs_b = attribute_suite(&workloads, scheme_b, limit, opts.jobs);
+        let [runs_a, runs_b]: [_; 2] =
+            attribute_suite(&workloads, &[scheme_a, scheme_b], limit, opts.jobs)
+                .try_into()
+                .expect("one suite per scheme");
         verify_exact(&runs_a)?;
         verify_exact(&runs_b)?;
         let diffs: Vec<AttributionDiff> = runs_a
@@ -766,7 +772,7 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> CmdResult {
         scheme.label(),
         opts.jobs
     );
-    let runs = attribute_suite(&workloads, scheme, limit, opts.jobs);
+    let runs = attribute_suite(&workloads, &[scheme], limit, opts.jobs).remove(0);
     verify_exact(&runs)?;
 
     if opts.json {
@@ -1000,119 +1006,11 @@ fn cycle_run_json(run: &fua::attr::CycleProfiledRun, top: usize) -> Json {
 
 fn cmd_profile_cycles(name: &str, opts: &Options) -> CmdResult {
     use fua::attr::profile_cycles_suite;
-    use fua::trace::StallReason;
 
-    let (workloads, scheme, compare_to) = profile_inputs(name, opts)?;
+    let (workloads, scheme, _) = profile_inputs(name, opts)?;
     let limit = opts.limit.unwrap_or(PROFILE_DEFAULT_LIMIT);
     let top = opts.top.unwrap_or(10);
     heartbeat_stage("profile-cycles: attributing");
-
-    if let Some(scheme_b) = compare_to {
-        let scheme_a = scheme;
-        eprintln!(
-            "profile-cycles: comparing {} vs {} over {} workload(s) (limit {limit}, {} job(s))",
-            scheme_a.label(),
-            scheme_b.label(),
-            workloads.len(),
-            opts.jobs
-        );
-        let runs_a = profile_cycles_suite(&workloads, scheme_a, limit, opts.jobs);
-        let runs_b = profile_cycles_suite(&workloads, scheme_b, limit, opts.jobs);
-        verify_cycles_exact(&runs_a)?;
-        verify_cycles_exact(&runs_b)?;
-
-        if opts.json {
-            let doc = Json::Arr(
-                runs_a
-                    .iter()
-                    .zip(&runs_b)
-                    .map(|(a, b)| {
-                        Json::obj([
-                            ("workload", Json::Str(a.cycles.workload.clone())),
-                            ("a", cycle_run_json(a, top)),
-                            ("b", cycle_run_json(b, top)),
-                        ])
-                    })
-                    .collect(),
-            );
-            println!("{}", doc.pretty());
-        } else {
-            let mut totals = TextTable::new([
-                "workload".to_string(),
-                format!("cycles A ({})", scheme_a.name()),
-                format!("cycles B ({})", scheme_b.name()),
-                "delta".to_string(),
-                "issued A".to_string(),
-                "issued B".to_string(),
-            ]);
-            for (a, b) in runs_a.iter().zip(&runs_b) {
-                let issued_share = |r: &fua::attr::CycleProfiledRun| {
-                    let slots = r.cycles.total_slots();
-                    if slots == 0 {
-                        0.0
-                    } else {
-                        100.0 * r.cycles.issued_slots() as f64 / slots as f64
-                    }
-                };
-                totals.push_row([
-                    a.cycles.workload.clone(),
-                    a.cycles.cycles.to_string(),
-                    b.cycles.cycles.to_string(),
-                    (b.cycles.cycles as i64 - a.cycles.cycles as i64).to_string(),
-                    format!("{:.1}%", issued_share(a)),
-                    format!("{:.1}%", issued_share(b)),
-                ]);
-            }
-            println!(
-                "cycles, {} (A) vs {} (B):",
-                scheme_a.label(),
-                scheme_b.label()
-            );
-            println!("{totals}");
-
-            // Suite-wide stall mix, side by side: where does each
-            // scheme's issue bandwidth go?
-            let sum_mix = |runs: &[fua::attr::CycleProfiledRun]| {
-                let mut mix = [0u64; 8];
-                for r in runs {
-                    for (acc, v) in mix.iter_mut().zip(r.cycles.reason_totals()) {
-                        *acc += v;
-                    }
-                }
-                mix
-            };
-            let (mix_a, mix_b) = (sum_mix(&runs_a), sum_mix(&runs_b));
-            let (slots_a, slots_b) = (
-                mix_a.iter().sum::<u64>().max(1),
-                mix_b.iter().sum::<u64>().max(1),
-            );
-            let mut mix = TextTable::new(["reason", "slots A", "share A", "slots B", "share B"]);
-            for r in StallReason::ALL {
-                mix.push_row([
-                    r.name().to_string(),
-                    mix_a[r.index()].to_string(),
-                    format!("{:.1}%", 100.0 * mix_a[r.index()] as f64 / slots_a as f64),
-                    mix_b[r.index()].to_string(),
-                    format!("{:.1}%", 100.0 * mix_b[r.index()] as f64 / slots_b as f64),
-                ]);
-            }
-            println!("suite stall mix (every issue slot, A vs B):");
-            println!("{mix}");
-            if opts.critical_path {
-                for (a, b) in runs_a.iter().zip(&runs_b) {
-                    print_critical_path(a, top);
-                    print_critical_path(b, top);
-                }
-            }
-        }
-        if let Some(path) = &opts.flame {
-            // The flamegraph shows where the cycles still go under
-            // scheme B (the "after" profile of the comparison).
-            let stacks = runs_b.iter().map(|r| r.cycles.collapsed_stacks());
-            write_flame("profile-cycles", path, stacks)?;
-        }
-        return Ok(true);
-    }
 
     eprintln!(
         "profile-cycles: attributing {} workload(s) under {} (limit {limit}, {} job(s))",

@@ -113,24 +113,42 @@ fn profiled_run_is_cycle_identical_to_an_unprofiled_one() {
 #[test]
 fn parallel_attribution_is_byte_identical_to_serial() {
     let workloads = fua::workloads::all(1);
-    for scheme in [Scheme::Naive, Scheme::Lut4] {
-        let serial = attribute_suite(&workloads, scheme, LIMIT, Jobs::serial());
-        let parallel = attribute_suite(&workloads, scheme, LIMIT, Jobs::new(4).expect("positive"));
-        let render = |runs: &[fua::attr::AttributedRun]| {
-            let mut flame = String::new();
-            let mut json = String::new();
-            for r in runs {
-                flame.push_str(&r.attribution.collapsed_stacks());
-                json.push_str(&r.attribution.to_json().pretty());
-                json.push('\n');
-            }
-            (flame, json)
-        };
-        assert_eq!(
-            render(&serial),
-            render(&parallel),
-            "{scheme:?}: jobs 4 vs 1"
-        );
+    let render = |runs: &Vec<fua::attr::AttributedRun>| {
+        let mut flame = String::new();
+        let mut json = String::new();
+        for r in runs {
+            flame.push_str(&r.attribution.collapsed_stacks());
+            json.push_str(&r.attribution.to_json().pretty());
+            json.push('\n');
+        }
+        (flame, json)
+    };
+    // The last input runs both schemes as lanes of one run per
+    // workload; it must equal the two one-scheme suites before it.
+    let mut one_scheme_suites = Vec::new();
+    for schemes in [
+        &[Scheme::Naive][..],
+        &[Scheme::Lut4],
+        &[Scheme::Naive, Scheme::Lut4],
+    ] {
+        let serial: Vec<_> = attribute_suite(&workloads, schemes, LIMIT, Jobs::serial())
+            .iter()
+            .map(render)
+            .collect();
+        let parallel: Vec<_> =
+            attribute_suite(&workloads, schemes, LIMIT, Jobs::new(4).expect("positive"))
+                .iter()
+                .map(render)
+                .collect();
+        assert_eq!(serial, parallel, "{schemes:?}: jobs 4 vs 1");
+        if schemes.len() == 1 {
+            one_scheme_suites.extend(serial);
+        } else {
+            assert_eq!(
+                serial, one_scheme_suites,
+                "{schemes:?}: lanes vs one-scheme suites"
+            );
+        }
     }
 }
 

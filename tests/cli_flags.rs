@@ -100,13 +100,12 @@ fn a_flag_missing_its_value_is_rejected() {
 
 #[test]
 fn an_unknown_scheme_lists_the_valid_names_on_every_subcommand() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 5] = [
         &["estimate", "compress", "--scheme", "lut16"],
         &["estimate", "compress", "--compare", "lut16", "lut4"],
         &["profile-energy", "compress", "--scheme", "lut16"],
         &["profile-energy", "compress", "--compare", "lut4", "lut16"],
         &["profile-cycles", "compress", "--scheme", "lut16"],
-        &["profile-cycles", "compress", "--compare", "lut16", "lut4"],
     ];
     for args in cases {
         let stderr = expect_rejection(args);
@@ -126,7 +125,7 @@ fn an_unknown_scheme_lists_the_valid_names_on_every_subcommand() {
 
 #[test]
 fn estimate_rejects_mutually_exclusive_flags() {
-    for command in ["estimate", "profile-energy", "profile-cycles"] {
+    for command in ["estimate", "profile-energy"] {
         let stderr = expect_rejection(&[
             command,
             "compress",
@@ -342,7 +341,7 @@ const COMMAND_FLAGS: &[(&[&str], &str)] = &[
     (&["run", "go"], "--limit --scale --json --metrics"),
     (&["trace", "li"], "--limit --scale --metrics --out --last --window --csv"),
     (&["profile-energy", "all"], "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
-    (&["profile-cycles", "swim"], "--limit --scale --jobs --json --scheme --compare --top --flame --critical-path --progress"),
+    (&["profile-cycles", "swim"], "--limit --scale --jobs --json --scheme --top --flame --critical-path --progress"),
     (&["bench-suite"], "--limit --scale --jobs --window --tag --store --store-dir --progress"),
     (&["report"], "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
     (&["store", "ls"], "--store-dir"),

@@ -9,13 +9,31 @@
 //! shares it — which is exactly what these tests exercise.
 
 use fua::analysis::{estimate_transitions, SwapModel};
-use fua::attr::{attribute_with_config, check_attribution, check_workload, Scheme};
-use fua::sim::SteeringConfig;
+use fua::attr::{check_attribution, check_workload, AttributionSink, EnergyAttribution, Scheme};
+use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
+use fua::workloads::Workload;
 
 /// Retired-instruction cap per run: enough to execute every kernel's
 /// hot loop several times while keeping 15 × 6 × 2 runs fast.
 const LIMIT: u64 = 2_000;
+
+/// Runs `w` once with an attributed lane per labelled steering
+/// configuration and returns each lane's attribution, in order.
+fn attribute_lanes(w: &Workload, configs: Vec<(SteeringConfig, &str)>) -> Vec<EnergyAttribution> {
+    let machine = MachineConfig::paper_default();
+    let labels: Vec<&str> = configs.iter().map(|(_, label)| *label).collect();
+    let mut lanes: Vec<_> = configs
+        .into_iter()
+        .map(|(config, _)| Lane::with_sink(&machine, config, AttributionSink::new()))
+        .collect();
+    Simulator::run_lanes(machine, &mut lanes, &w.program, LIMIT).expect("workload runs");
+    lanes
+        .iter()
+        .zip(labels)
+        .map(|(lane, label)| EnergyAttribution::build(w.name, label, &w.program, lane.sink()))
+        .collect()
+}
 
 #[test]
 fn bounds_dominate_attribution_for_every_workload_and_scheme() {
@@ -58,10 +76,12 @@ fn bounds_dominate_attribution_with_hardware_swap_disabled() {
     ];
     for w in fua::workloads::all(1) {
         let est = estimate_transitions(&w.program, SwapModel::Direct);
-        for (kind, label) in kinds {
-            let config = SteeringConfig::paper_scheme(kind, false);
-            let run = attribute_with_config(&w, config, label, LIMIT);
-            let check = check_attribution(&est, &run.attribution);
+        let configs = kinds
+            .iter()
+            .map(|&(kind, label)| (SteeringConfig::paper_scheme(kind, false), label))
+            .collect();
+        for (attribution, (_, label)) in attribute_lanes(&w, configs).iter().zip(kinds) {
+            let check = check_attribution(&est, attribution);
             assert!(
                 check.sound(),
                 "{} under {label}: {:?}",
@@ -81,8 +101,8 @@ fn the_either_model_also_covers_swap_free_runs() {
     for name in ["compress", "turb3d"] {
         let w = fua::workloads::by_name(name, 1).unwrap();
         let est = estimate_transitions(&w.program, SwapModel::Either);
-        let run = attribute_with_config(&w, SteeringConfig::original(), "naive", LIMIT);
-        let check = check_attribution(&est, &run.attribution);
+        let runs = attribute_lanes(&w, vec![(SteeringConfig::original(), "naive")]);
+        let check = check_attribution(&est, &runs[0]);
         assert!(check.sound(), "{name}: {:?}", check.violations.first());
     }
 }

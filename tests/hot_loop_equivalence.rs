@@ -122,18 +122,11 @@ fn assert_equivalent(tag: &str, new: &Outcome, reference: &Outcome) {
 fn rewrite_matches_reference_for_every_workload_and_scheme() {
     let config = MachineConfig::paper_default();
     for w in all(1) {
-        for (name, _) in schemes() {
-            // `SteeringConfig` is not `Clone` (it boxes policies), so
-            // rebuild the scheme fresh for each engine.
-            let find = |schemes: Vec<(String, SteeringConfig)>| {
-                schemes
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .expect("scheme list is stable")
-                    .1
-            };
-            let new = run_new(&config, find(schemes()), &w);
-            let reference = run_reference(&config, find(schemes()), &w);
+        for (name, scheme) in schemes() {
+            // Each engine takes its own copy of the scheme's fresh
+            // policy state.
+            let new = run_new(&config, scheme.clone(), &w);
+            let reference = run_reference(&config, scheme, &w);
             assert_equivalent(&format!("{}/{name}", w.name), &new, &reference);
         }
     }

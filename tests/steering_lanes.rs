@@ -9,7 +9,7 @@
 //! every workload × every estimator scheme with a per-lane attribution
 //! sink.
 
-use fua::attr::{attribute_schemes, attribute_workload, Scheme};
+use fua::attr::{attribute_schemes, AttributionSink, EnergyAttribution, Scheme};
 use fua::core::{profile_suite, ExperimentConfig};
 use fua::isa::{FuClass, Program};
 use fua::sim::{Lane, MachineConfig, SimResult, Simulator, SteeringConfig};
@@ -111,10 +111,17 @@ fn estimator_lanes_attribute_exactly_like_standalone_runs() {
         let runs = attribute_schemes(&w, &Scheme::ALL, LIMIT);
         assert_eq!(runs.len(), Scheme::ALL.len());
         for (scheme, run) in Scheme::ALL.iter().zip(&runs) {
-            let alone = attribute_workload(&w, *scheme, LIMIT);
+            let mut sim = Simulator::with_sink(
+                MachineConfig::paper_default(),
+                scheme.config(),
+                AttributionSink::new(),
+            );
+            let alone = sim.run_program(&w.program, LIMIT).expect("runs");
+            let attribution =
+                EnergyAttribution::build(w.name, scheme.label(), &w.program, sim.sink());
             let what = format!("{} {}", w.name, scheme.name());
-            assert_eq!(run.attribution, alone.attribution, "{what}: attribution");
-            assert_same(&run.result, &alone.result, &what);
+            assert_eq!(run.attribution, attribution, "{what}: attribution");
+            assert_same(&run.result, &alone, &what);
             assert!(
                 run.exact(),
                 "{what}: the lane's sites reassemble its ledger"
