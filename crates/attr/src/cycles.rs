@@ -86,9 +86,8 @@ impl CycleAttribution {
         let insts = program.insts();
         let rows = sink
             .sites()
-            .iter()
-            .map(|(key, &slots)| StallRow {
-                key: *key,
+            .map(|(key, slots)| StallRow {
+                key,
                 slots,
                 block: key.pc.and_then(|pc| cfg.try_block_of(pc as usize)),
                 opcode: key

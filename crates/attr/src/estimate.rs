@@ -12,9 +12,11 @@ use std::collections::BTreeMap;
 
 use fua_analysis::{estimate_transitions, SwapModel, TransitionEstimate};
 use fua_exec::{map_indexed, Jobs};
+use fua_sim::{MachineConfig, NullProfiler};
+use fua_trace::NullSink;
 use fua_workloads::Workload;
 
-use crate::{attribute_schemes, attribute_workload, EnergyAttribution, Scheme};
+use crate::{attribute_schemes, attribute_workload, AttributedRun, EnergyAttribution, Scheme};
 
 /// One soundness violation: a PC whose measured switched bits exceed
 /// the static bound.
@@ -139,13 +141,32 @@ pub fn check_workload(w: &Workload, scheme: Scheme, limit: u64) -> EstimateCheck
     check_attribution(&est, &run.attribution)
 }
 
+/// Joins one workload's attributed runs, one per scheme in `schemes` and
+/// in that order, against the static bounds under each scheme's swap
+/// model; each model is estimated once.
+pub fn check_runs(w: &Workload, schemes: &[Scheme], runs: &[AttributedRun]) -> Vec<EstimateCheck> {
+    let direct = estimate_transitions(&w.program, SwapModel::Direct);
+    let either = estimate_transitions(&w.program, SwapModel::Either);
+    schemes
+        .iter()
+        .zip(runs)
+        .map(|(scheme, run)| {
+            let est = match scheme.swap_model() {
+                SwapModel::Direct => &direct,
+                SwapModel::Either => &either,
+            };
+            check_attribution(est, &run.attribution)
+        })
+        .collect()
+}
+
 /// Checks every workload under every scheme in `schemes`, fanning the
-/// workloads out across `jobs` workers. Each workload runs once, with a
-/// steering lane per scheme ([`attribute_schemes`]), and is bounded once
-/// per swap model. Returns one `Vec` per scheme, in `schemes`
-/// order, each in workload-index order — equal to
-/// [`check_workload`] per (workload, scheme), and byte-identical to the
-/// serial pass for any worker count.
+/// workloads out across `jobs` workers. Each workload runs once on the
+/// paper's machine, with a steering lane per scheme
+/// ([`attribute_schemes`]), and is joined by [`check_runs`]. Returns
+/// one `Vec` per scheme, in `schemes` order, each in workload-index
+/// order — equal to [`check_workload`] per (workload, scheme), and
+/// byte-identical to the serial pass for any worker count.
 pub fn check_suite(
     workloads: &[Workload],
     schemes: &[Scheme],
@@ -153,20 +174,9 @@ pub fn check_suite(
     jobs: Jobs,
 ) -> Vec<Vec<EstimateCheck>> {
     let per_workload = map_indexed(jobs, workloads, |_, w| {
-        let runs = attribute_schemes(w, schemes, limit);
-        let direct = estimate_transitions(&w.program, SwapModel::Direct);
-        let either = estimate_transitions(&w.program, SwapModel::Either);
-        schemes
-            .iter()
-            .zip(&runs)
-            .map(|(scheme, run)| {
-                let est = match scheme.swap_model() {
-                    SwapModel::Direct => &direct,
-                    SwapModel::Either => &either,
-                };
-                check_attribution(est, &run.attribution)
-            })
-            .collect::<Vec<_>>()
+        let machine = MachineConfig::paper_default();
+        let (runs, ..) = attribute_schemes(w, machine, schemes, limit, NullSink, NullProfiler);
+        check_runs(w, schemes, &runs)
     });
     (0..schemes.len())
         .map(|s| {

@@ -64,7 +64,9 @@ pub use cycles::{
     CycleAttribution, CycleProfiledRun, JointRow, StallHotspot, StallRow,
 };
 pub use diff::{case_labels, AttributionDiff, ClassDelta, PcDelta};
-pub use estimate::{check_attribution, check_suite, check_workload, BoundViolation, EstimateCheck};
+pub use estimate::{
+    check_attribution, check_runs, check_suite, check_workload, BoundViolation, EstimateCheck,
+};
 pub use fua_steer::MAX_MODULES;
 pub use profile::{EnergyAttribution, Hotspot, SiteRow};
 pub use run::{attribute_schemes, attribute_suite, attribute_workload, AttributedRun, Scheme};

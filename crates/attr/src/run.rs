@@ -3,8 +3,11 @@
 
 use fua_analysis::SwapModel;
 use fua_exec::{map_indexed, Jobs};
-use fua_sim::{Lane, MachineConfig, SimResult, Simulator, SteeringConfig};
+use fua_sim::{
+    Lane, MachineConfig, NullProfiler, PhaseProfiler, SimResult, Simulator, SteeringConfig,
+};
 use fua_steer::SteeringKind;
+use fua_trace::{NullSink, TraceSink};
 use fua_workloads::Workload;
 
 use crate::{AttributionSink, EnergyAttribution};
@@ -130,35 +133,45 @@ impl AttributedRun {
 
 /// Runs one workload under `scheme` with an [`AttributionSink`] attached
 /// and resolves the sites against the workload's CFG: the one-scheme
-/// case of [`attribute_schemes`].
+/// case of [`attribute_schemes`], on the paper's machine.
 ///
 /// # Panics
 ///
 /// Panics if the workload program faults (workload kernels never do).
 pub fn attribute_workload(w: &Workload, scheme: Scheme, limit: u64) -> AttributedRun {
-    attribute_schemes(w, &[scheme], limit)
+    let machine = MachineConfig::paper_default();
+    attribute_schemes(w, machine, &[scheme], limit, NullSink, NullProfiler)
+        .0
         .pop()
         .expect("one run per scheme")
 }
 
-/// Runs one workload once with a steering lane per scheme in `schemes`,
-/// each with its own [`AttributionSink`], and returns one attributed run
-/// per scheme, in `schemes` order. Steering never moves timing, so the
-/// schemes share one pipeline run, and each equals a standalone
+/// Runs one workload once on `machine` with a steering lane per scheme
+/// in `schemes`, each with its own [`AttributionSink`], and returns one
+/// attributed run per scheme, in `schemes` order, with `sink` and
+/// `profiler`, which ride the run as in [`Simulator::run_lanes`].
+/// Steering never moves timing, so each run equals a standalone
 /// attributed run under its scheme.
 ///
 /// # Panics
 ///
 /// Panics if the workload program faults (workload kernels never do).
-pub fn attribute_schemes(w: &Workload, schemes: &[Scheme], limit: u64) -> Vec<AttributedRun> {
-    let machine = MachineConfig::paper_default();
+pub fn attribute_schemes<S: TraceSink, P: PhaseProfiler>(
+    w: &Workload,
+    machine: MachineConfig,
+    schemes: &[Scheme],
+    limit: u64,
+    sink: S,
+    profiler: P,
+) -> (Vec<AttributedRun>, S, P) {
     let mut lanes: Vec<Lane<AttributionSink>> = schemes
         .iter()
         .map(|s| Lane::with_sink(&machine, s.config(), AttributionSink::new()))
         .collect();
-    let results = Simulator::run_lanes(machine, &mut lanes, &w.program, limit)
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-    lanes
+    let (results, sink, profiler) =
+        Simulator::run_lanes(machine, sink, profiler, &mut lanes, &w.program, limit)
+            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+    let runs = lanes
         .iter()
         .zip(results)
         .zip(schemes)
@@ -166,15 +179,16 @@ pub fn attribute_schemes(w: &Workload, schemes: &[Scheme], limit: u64) -> Vec<At
             result,
             attribution: EnergyAttribution::build(w.name, scheme.label(), &w.program, lane.sink()),
         })
-        .collect()
+        .collect();
+    (runs, sink, profiler)
 }
 
 /// Attributes every workload in `workloads` under every scheme in
 /// `schemes`, fanning the workloads out across `jobs` workers. Each
-/// workload runs once, with a steering lane per scheme
-/// ([`attribute_schemes`]). Returns one `Vec` per scheme, in `schemes`
-/// order, each in workload-index order, so the output is byte-identical
-/// to the serial pass for any worker count.
+/// workload runs once on the paper's machine, with a steering lane per
+/// scheme ([`attribute_schemes`]). Returns one `Vec` per scheme, in
+/// `schemes` order, each in workload-index order, so the output is
+/// byte-identical to the serial pass for any worker count.
 pub fn attribute_suite(
     workloads: &[Workload],
     schemes: &[Scheme],
@@ -182,7 +196,10 @@ pub fn attribute_suite(
     jobs: Jobs,
 ) -> Vec<Vec<AttributedRun>> {
     let mut per_workload = map_indexed(jobs, workloads, |_, w| {
-        attribute_schemes(w, schemes, limit).into_iter()
+        let machine = MachineConfig::paper_default();
+        attribute_schemes(w, machine, schemes, limit, NullSink, NullProfiler)
+            .0
+            .into_iter()
     });
     (0..schemes.len())
         .map(|_| {

@@ -3,7 +3,7 @@
 
 use fua_isa::{Case, FuClass};
 use fua_power::EnergyLedger;
-use fua_trace::{TraceEvent, TraceSink};
+use fua_trace::{SiteTable, TraceEvent, TraceSink};
 
 use crate::MAX_MODULES;
 
@@ -45,10 +45,8 @@ pub struct SiteStat {
 /// associative and key-ordered, so per-workload sinks merged in
 /// workload-index order equal one sink threaded through a serial run.
 ///
-/// The table is dense: a block of module × case counters per charged
-/// (PC, class), found through a per-PC index, so a charge is two indexed
-/// adds rather than an ordered-map insertion. Memory grows with the
-/// highest PC charged and the number of charged (PC, class) pairs.
+/// The table is a dense [`SiteTable`]: a block of module × case
+/// counters per charged (PC, class).
 ///
 /// # Panics
 ///
@@ -56,11 +54,8 @@ pub struct SiteStat {
 /// panics: the simulator never duplicates a class that often.
 #[derive(Debug, Clone, Default)]
 pub struct AttributionSink {
-    /// Per static PC and class: 1 + the block's index in `stats`, or 0
-    /// while the pair has no charge.
-    index: Vec<[u32; 4]>,
-    /// Blocks of `BLOCK` counters, module-major then case.
-    stats: Vec<SiteStat>,
+    /// Per PC and class: module-major, then case.
+    table: SiteTable<SiteStat, BLOCK>,
     /// Counters with at least one operation.
     sites: usize,
 }
@@ -76,27 +71,18 @@ impl AttributionSink {
 
     /// The per-site stats, in (pc, class, module, case) order.
     pub fn sites(&self) -> impl Iterator<Item = (SiteKey, SiteStat)> + '_ {
-        self.index.iter().enumerate().flat_map(move |(pc, blocks)| {
-            FuClass::ALL
-                .into_iter()
-                .filter_map(move |class| match blocks[class.index()] {
-                    0 => None,
-                    b => Some((class, (b as usize - 1) * BLOCK)),
-                })
-                .flat_map(move |(class, base)| {
-                    self.stats[base..base + BLOCK]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, stat)| stat.ops > 0)
-                        .map(move |(i, stat)| {
-                            let key = SiteKey {
-                                pc: pc as u32,
-                                class,
-                                module: (i / 4) as u8,
-                                case: Case::ALL[i % 4],
-                            };
-                            (key, *stat)
-                        })
+        self.table.blocks().flat_map(|(pc, class, stats)| {
+            let stats = stats.iter().enumerate();
+            stats
+                .filter(|(_, stat)| stat.ops > 0)
+                .map(move |(i, stat)| {
+                    let key = SiteKey {
+                        pc: pc as u32,
+                        class,
+                        module: (i / 4) as u8,
+                        case: Case::ALL[i % 4],
+                    };
+                    (key, *stat)
                 })
         })
     }
@@ -153,17 +139,8 @@ impl AttributionSink {
             module < MAX_MODULES,
             "attribution covers {MAX_MODULES} modules per class, got module {module}"
         );
-        let pc = key.pc as usize;
-        if pc >= self.index.len() {
-            self.index.resize(pc + 1, [0; 4]);
-        }
-        let block = &mut self.index[pc][key.class.index()];
-        if *block == 0 {
-            self.stats
-                .resize(self.stats.len() + BLOCK, SiteStat::default());
-            *block = (self.stats.len() / BLOCK) as u32;
-        }
-        let slot = &mut self.stats[(*block as usize - 1) * BLOCK + module * 4 + key.case.index()];
+        let block = self.table.block_mut(key.pc as usize, key.class);
+        let slot = &mut block[module * 4 + key.case.index()];
         if slot.ops == 0 {
             self.sites += 1;
         }

@@ -13,10 +13,11 @@
 
 use fua_isa::{Case, FuClass, Word, INT_BITS};
 use fua_power::booth::BoothModel;
-use fua_sim::{Lane, Simulator, SteeringConfig};
+use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
 use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy, Policy};
 use fua_swap::MultiplierSwapRule;
+use fua_trace::NullSink;
 use fua_vm::{FuOp, Vm};
 use fua_workloads::Workload;
 
@@ -98,8 +99,10 @@ fn lut4_rows(
             .iter()
             .map(|steering| Lane::new(&config.machine, steering.clone()))
             .collect();
-        let results = Simulator::run_lanes(
+        let (results, ..) = Simulator::run_lanes(
             config.machine.clone(),
+            NullSink,
+            NullProfiler,
             &mut lanes,
             &w.program,
             config.inst_limit,

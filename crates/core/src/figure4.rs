@@ -3,10 +3,11 @@
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
-use fua_sim::{Lane, Simulator, SteeringConfig};
+use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
 use fua_stats::TextTable;
 use fua_steer::SteeringKind;
 use fua_swap::CompilerSwapPass;
+use fua_trace::NullSink;
 use fua_workloads::{Workload, WorkloadArena};
 
 use crate::{profile_suite, ExperimentConfig, SuiteProfile, Unit};
@@ -262,11 +263,14 @@ pub fn figure4_with_profile_jobs(
             .collect();
         Simulator::run_lanes(
             machine.clone(),
+            NullSink,
+            NullProfiler,
             &mut run_lanes,
             &workload.program,
             config.inst_limit,
         )
         .unwrap_or_else(|e| panic!("workload {} faulted: {e}", workload.name))
+        .0
         .into_iter()
         .map(|result| result.ledger)
         .collect::<Vec<EnergyLedger>>()

@@ -7,9 +7,9 @@
 //! across the whole suite.
 
 use fua_isa::{FuClass, Program};
-use fua_sim::{Lane, SimResult, Simulator, SteeringConfig};
+use fua_sim::{Lane, NullProfiler, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
-use fua_trace::{MetricsRecorder, MetricsRegistry};
+use fua_trace::{MetricsRecorder, MetricsRegistry, NullSink};
 use fua_workloads::{floating_point, integer, Workload};
 
 use crate::{ExperimentConfig, Unit};
@@ -38,11 +38,14 @@ pub(crate) fn original_and_observed(config: &ExperimentConfig, w: &Workload) -> 
     ];
     Simulator::run_lanes(
         config.machine.clone(),
+        NullSink,
+        NullProfiler,
         &mut lanes,
         &w.program,
         config.inst_limit,
     )
     .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
+    .0
     .try_into()
     .expect("one result per lane")
 }

@@ -2,16 +2,16 @@
 
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
-use fua_sim::{SimResult, Simulator, SteeringConfig};
+use fua_sim::{MachineConfig, SimResult, Simulator, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
-use fua_workloads::{Category, WorkloadArena};
+use fua_workloads::{Category, Workload, WorkloadArena};
 
 use crate::ExperimentConfig;
 
 /// Suite-wide operand and occupancy statistics, gathered by running every
 /// workload on the unmodified (Original, no-swap) machine — exactly how
 /// the paper's Tables 1–3 were measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteProfile {
     /// IALU bit patterns over the integer workloads (Table 1 left half).
     pub ialu: BitPatternProfiler,
@@ -38,9 +38,9 @@ pub fn profile_suite(config: &ExperimentConfig) -> SuiteProfile {
 /// across `jobs` workers over an already-decoded [`WorkloadArena`].
 ///
 /// Each workload's run is an independent cell; the per-category profiler
-/// merges happen afterwards on the calling thread **in suite order**, so
-/// the resulting [`SuiteProfile`] is identical to the serial pass no
-/// matter how the cells were scheduled.
+/// merges ([`SuiteProfile::fold`]) happen afterwards on the calling
+/// thread **in suite order**, so the resulting [`SuiteProfile`] is
+/// identical to the serial pass no matter how the cells were scheduled.
 ///
 /// # Panics
 ///
@@ -61,40 +61,49 @@ pub fn profile_suite_jobs(
         sim.run_program(&w.program, config.inst_limit)
             .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
     });
-
-    let modules_ialu = config.machine.modules(FuClass::IntAlu);
-    let modules_fpau = config.machine.modules(FuClass::FpAlu);
-    let mut profile = SuiteProfile {
-        ialu: BitPatternProfiler::new(),
-        fpau: BitPatternProfiler::new(),
-        imul: BitPatternProfiler::new(),
-        fpmul: BitPatternProfiler::new(),
-        ialu_occupancy: OccupancyProfiler::new(modules_ialu),
-        fpau_occupancy: OccupancyProfiler::new(modules_fpau),
-    };
-    let results: &[SimResult] = &results;
-    for (w, result) in arena.all().iter().zip(results) {
-        match w.category {
-            Category::Integer => {
-                profile.ialu.merge(result.bit_patterns_of(FuClass::IntAlu));
-                profile.imul.merge(result.bit_patterns_of(FuClass::IntMul));
-                profile
-                    .ialu_occupancy
-                    .merge(result.occupancy_of(FuClass::IntAlu));
-            }
-            Category::FloatingPoint => {
-                profile.fpau.merge(result.bit_patterns_of(FuClass::FpAlu));
-                profile.fpmul.merge(result.bit_patterns_of(FuClass::FpMul));
-                profile
-                    .fpau_occupancy
-                    .merge(result.occupancy_of(FuClass::FpAlu));
-            }
-        }
-    }
+    let profile = SuiteProfile::fold(&config.machine, arena.all(), &results);
     (profile, report)
 }
 
 impl SuiteProfile {
+    /// Folds Original-machine runs on `machine`, one per workload of
+    /// `workloads` and in the same order, into the suite profile. The
+    /// fold runs in suite order, so it is the same for any worker count
+    /// that produced the runs.
+    pub fn fold<'a>(
+        machine: &MachineConfig,
+        workloads: &[Workload],
+        results: impl IntoIterator<Item = &'a SimResult>,
+    ) -> Self {
+        let mut profile = SuiteProfile {
+            ialu: BitPatternProfiler::new(),
+            fpau: BitPatternProfiler::new(),
+            imul: BitPatternProfiler::new(),
+            fpmul: BitPatternProfiler::new(),
+            ialu_occupancy: OccupancyProfiler::new(machine.modules(FuClass::IntAlu)),
+            fpau_occupancy: OccupancyProfiler::new(machine.modules(FuClass::FpAlu)),
+        };
+        for (w, result) in workloads.iter().zip(results) {
+            match w.category {
+                Category::Integer => {
+                    profile.ialu.merge(result.bit_patterns_of(FuClass::IntAlu));
+                    profile.imul.merge(result.bit_patterns_of(FuClass::IntMul));
+                    profile
+                        .ialu_occupancy
+                        .merge(result.occupancy_of(FuClass::IntAlu));
+                }
+                Category::FloatingPoint => {
+                    profile.fpau.merge(result.bit_patterns_of(FuClass::FpAlu));
+                    profile.fpmul.merge(result.bit_patterns_of(FuClass::FpMul));
+                    profile
+                        .fpau_occupancy
+                        .merge(result.occupancy_of(FuClass::FpAlu));
+                }
+            }
+        }
+        profile
+    }
+
     /// The measured [`CaseProfile`] of one duplicated unit, for LUT
     /// construction.
     pub fn case_profile(&self, class: FuClass) -> CaseProfile {

@@ -1,26 +1,28 @@
 //! BENCH artifacts: one durable, diffable JSON ledger per suite run.
 //!
 //! [`bench_suite`] runs the paper's quick experiment suite end to end —
-//! the Figure-4 scheme sweep for both duplicated units, the Table-1/2
-//! aggregate statistics, a phase-timed + windowed telemetry pass over
-//! every workload — and packages everything, with its [`RunManifest`],
-//! into a [`BenchReport`] serialised as `BENCH_<tag>.json`. The windowed
-//! pass also *proves* the interval-telemetry exactness invariant on the
-//! spot: the time-series column sums are reassembled into an
+//! one phase-timed, windowed observation run per workload with a lane
+//! per scheme (the Table-1/2 statistics, telemetry, attribution, stall
+//! and estimator digests), the Figure-4 scheme sweep for both
+//! duplicated units, and an untraced rate pass — and packages
+//! everything, with its [`RunManifest`], into a [`BenchReport`]
+//! serialised as `BENCH_<tag>.json`. The observation run also *proves*
+//! the interval-telemetry exactness invariant on the spot: the
+//! time-series column sums are reassembled into an
 //! [`EnergyLedger`](fua_power::EnergyLedger) and compared bit-for-bit
 //! with the simulator's own ledger; the verdict is recorded in the
 //! artifact (`telemetry.exact`).
 
-use fua_attr::{check_suite, AttributionSink, EnergyAttribution, EstimateCheck, Scheme};
+use fua_attr::{attribute_schemes, check_runs, AttributedRun, EstimateCheck, Scheme};
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_power::EnergyLedger;
-use fua_sim::{PhaseTimers, SimPhase, Simulator};
+use fua_sim::{PhaseTimers, SimPhase, SimResult, Simulator};
 use fua_trace::{Json, StallReason, StallSink, ToJson, WindowedSink};
 use fua_workloads::WorkloadArena;
 
 use fua_core::{
-    figure4_with_profile_jobs, headline_from, observed_scheme, profile_suite_jobs,
-    ExperimentConfig, Figure4, Figure4Row, Unit,
+    figure4_with_profile_jobs, headline_from, observed_scheme, ExperimentConfig, Figure4,
+    Figure4Row, SuiteProfile, Unit,
 };
 
 use crate::{
@@ -81,7 +83,7 @@ pub struct OperandAggregates {
 pub struct TelemetrySummary {
     /// Window size used, in cycles.
     pub window_cycles: u64,
-    /// Windows accumulated across the telemetry pass.
+    /// Windows accumulated across the observation run.
     pub windows: u64,
     /// Per-class switched-bit totals reassembled from the time-series.
     pub switched_bits: [u64; 4],
@@ -107,7 +109,7 @@ pub struct HotspotEntry {
 }
 
 /// The `attribution` section of the artifact: the energy-attribution
-/// digest of the telemetry pass. The per-PC partition itself stays out
+/// digest of the observation run. The per-PC partition itself stays out
 /// of the artifact (it is large and workload-addressed); what is
 /// recorded is the exactness verdict and the suite-wide hotspot ranking
 /// [`compare`](crate::compare) gates on.
@@ -127,7 +129,7 @@ pub struct AttributionSummary {
 }
 
 /// The `stalls` section of the artifact: the cycle-attribution digest
-/// of the telemetry pass. Like the energy `attribution` section, the
+/// of the observation run. Like the energy `attribution` section, the
 /// per-site partition stays out of the artifact; what is recorded is
 /// the exact-partition verdict (every issue slot of every cycle counted
 /// exactly once) and the suite-wide stall mix
@@ -138,7 +140,7 @@ pub struct StallSummary {
     pub scheme: String,
     /// Issue slots per cycle on the benched machine.
     pub issue_width: u64,
-    /// Cycles summed over every workload of the telemetry pass.
+    /// Cycles summed over every workload of the observation run.
     pub cycles: u64,
     /// Issue slots accounted across every stall site.
     pub slots: u64,
@@ -151,13 +153,13 @@ pub struct StallSummary {
 
 /// The `throughput` section of the artifact: how fast the simulator
 /// itself runs — the ROADMAP item-1 headline. `cycles` and
-/// `instructions` are deterministic model totals from the telemetry
-/// pass; `hot_nanos` is the summed wall-clock of the *rate pass* — each
+/// `instructions` are deterministic model totals from the observation
+/// run; `hot_nanos` is the summed wall-clock of the *rate pass* — each
 /// workload re-run untraced and unprofiled (the configuration the
 /// Figure-4 sweeps actually use) with a single timer read per workload,
 /// so the denominator measures the optimised hot loop itself, not the
-/// instrumented telemetry build. The rate pass must reproduce the
-/// telemetry pass's cycle/instruction totals exactly (the engine is
+/// instrumented observation run. The rate pass must reproduce the
+/// observation run's cycle/instruction totals exactly (the engine is
 /// deterministic; `bench_suite_jobs` asserts it), so only the
 /// denominator is measurement. The derived MHz varies run to run and
 /// machine to machine; [`compare`](crate::compare) treats it like the
@@ -344,8 +346,8 @@ pub struct HarnessSummary {
     pub arena_fresh: u64,
 }
 
-/// Per-phase wall-clock of the telemetry pass, in nanoseconds, in
-/// [`SimPhase::ALL`] order.
+/// Per-phase wall-clock of the observation run (every lane's steering
+/// included), in nanoseconds, in [`SimPhase::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseNanos(pub [u64; 5]);
 
@@ -377,7 +379,7 @@ pub struct BenchReport {
     pub ialu_occupancy: Vec<f64>,
     /// Table-2 row 2: the FPAU occupancy distribution.
     pub fpau_occupancy: Vec<f64>,
-    /// Wall-clock per simulator hot-loop phase (telemetry pass).
+    /// Wall-clock per simulator hot-loop phase (observation run).
     pub phase_nanos: PhaseNanos,
     /// Windowed-telemetry summary and exactness verdict.
     pub telemetry: TelemetrySummary,
@@ -430,8 +432,17 @@ pub fn bench_suite_jobs(
     let manifest = RunManifest::capture(tag, config);
     let arena = WorkloadArena::build(config.scale);
 
-    // One shared profiling pass feeds both figures (and the tables).
-    let (profile, mut exec) = profile_suite_jobs(config, &arena, jobs);
+    // One observation run per workload feeds everything but the
+    // figures and the rate: its Original lane is the profile behind
+    // both figures (and the tables), its 4-bit-LUT lane 0 the
+    // telemetry, stall and attribution digests, and every lane an
+    // estimator check.
+    let (observations, mut exec) = observe(config, &arena, window_cycles, jobs);
+    let profile = SuiteProfile::fold(
+        &config.machine,
+        arena.all(),
+        observations.iter().map(|o| &o.original),
+    );
     let (fig_a, exec_a) = figure4_with_profile_jobs(Unit::Ialu, config, &arena, &profile, jobs);
     let (fig_b, exec_b) = figure4_with_profile_jobs(Unit::Fpau, config, &arena, &profile, jobs);
     exec.merge(&exec_a);
@@ -441,35 +452,11 @@ pub fn bench_suite_jobs(
     let ialu_info = profile.ialu.operand_info_stats();
     let fpau_info = profile.fpau.operand_info_stats();
 
-    // Telemetry pass: every workload under the recommended scheme with
-    // a windowed sink, an attribution sink and phase timers attached;
-    // prove both exactness invariants against the simulator's own
-    // ledger. Each cell gets its own sinks/timers/ledger; the in-order
-    // merge below reproduces the serial pass that threaded one sink
-    // through every run (every run restarts at cycle 0, so window i
-    // covers the same interval in every cell).
+    // Prove both exactness invariants against lane 0's own ledger. The
+    // in-order merge below reproduces a serial pass that threaded one
+    // sink through every run (every run restarts at cycle 0, so window
+    // i covers the same interval in every cell).
     let issue_width = config.machine.issue_width() as u64;
-    let (cells, exec_t) = map_indexed_timed(jobs, arena.all(), |_, w| {
-        let mut sim = Simulator::with_parts(
-            config.machine.clone(),
-            observed_scheme(),
-            (
-                WindowedSink::new(window_cycles),
-                (AttributionSink::new(), StallSink::new()),
-            ),
-            PhaseTimers::new(),
-        );
-        let result = sim
-            .run_program(&w.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-        let ledger = result.ledger;
-        let cycles = result.cycles;
-        let retired = result.retired;
-        let ((sink, (attr, stall)), timers) = sim.into_parts();
-        let attribution = EnergyAttribution::build(w.name, Scheme::Lut4.label(), &w.program, &attr);
-        (sink, attribution, stall, timers, ledger, cycles, retired)
-    });
-    exec.merge(&exec_t);
     let mut sink = WindowedSink::new(window_cycles);
     let mut timers = PhaseTimers::new();
     let mut ledger = EnergyLedger::new();
@@ -481,14 +468,16 @@ pub fn bench_suite_jobs(
     let mut stall_exact = true;
     let mut retired_total = 0u64;
     let mut spots: Vec<HotspotEntry> = Vec::new();
-    for (s, attribution, stall, t, l, cycles, retired) in &cells {
-        sink.merge(s);
-        timers.merge(t);
+    for o in &observations {
+        let (attribution, l) = (&o.observed.attribution, &o.observed.result.ledger);
+        let cycles = o.observed.result.cycles;
+        sink.merge(&o.windowed);
+        timers.merge(&o.timers);
         ledger.merge(l);
-        retired_total += retired;
+        retired_total += o.observed.result.retired;
         // The partition must be exact per workload *and* in aggregate.
-        stall_exact &= stall.total_slots() == cycles * issue_width;
-        stall_sink.merge(stall);
+        stall_exact &= o.stalls.total_slots() == cycles * issue_width;
+        stall_sink.merge(&o.stalls);
         stall_cycles += cycles;
         let reassembled = attribution.ledger();
         attr_exact &= reassembled == *l;
@@ -539,9 +528,9 @@ pub fn bench_suite_jobs(
     // Rate pass: the simulated-rate headline times the *untraced,
     // unprofiled* engine — the configuration the sweeps actually run —
     // with one clock read per workload, so the denominator measures the
-    // optimised hot loop rather than the instrumented telemetry build.
+    // optimised hot loop rather than the instrumented observation run.
     // The engine is deterministic, so the pass must reproduce the
-    // telemetry pass's model totals bit-for-bit.
+    // observation run's model totals bit-for-bit.
     let (rate_cells, exec_r) = map_indexed_timed(jobs, arena.all(), |_, w| {
         let start = std::time::Instant::now();
         let mut sim = Simulator::new(config.machine.clone(), observed_scheme());
@@ -566,7 +555,7 @@ pub fn bench_suite_jobs(
     assert_eq!(
         (rate_cycles, rate_retired),
         (stall_cycles, retired_total),
-        "rate pass must reproduce the telemetry pass's model totals"
+        "rate pass must reproduce the observation run's model totals"
     );
     let throughput = ThroughputSummary {
         cycles: stall_cycles,
@@ -583,21 +572,28 @@ pub fn bench_suite_jobs(
         mix: stall_sink.reason_totals(),
     };
 
-    // Static-estimator pass: join every scheme's static switched-bit
-    // bounds against a measured attribution of the whole suite, one run
-    // per workload with a lane per scheme. Pure model arithmetic —
-    // deterministic for any worker count.
-    let checks = check_suite(arena.all(), &Scheme::ALL, config.inst_limit, jobs);
+    // Static-estimator digest: every lane's static switched-bit bounds
+    // joined against its measured attribution, in `Scheme::ALL` order.
+    // Pure model arithmetic — deterministic for any worker count.
     let estimator = EstimatorSummary {
         entries: Scheme::ALL
             .iter()
-            .zip(&checks)
-            .map(|(&scheme, checks)| estimator_entry(scheme, checks))
+            .map(|&scheme| {
+                let lane = OBSERVED_LANES
+                    .iter()
+                    .position(|&s| s == scheme)
+                    .expect("every scheme is a lane");
+                let checks: Vec<EstimateCheck> = observations
+                    .iter()
+                    .map(|o| o.checks[lane].clone())
+                    .collect();
+                estimator_entry(scheme, &checks)
+            })
             .collect(),
     };
 
     // Harness digest: how the measurement machinery itself behaved.
-    // The allocation figure is normalised per telemetry-pass kilocycle
+    // The allocation figure is normalised per observation-run kilocycle
     // (a deterministic denominator); it is `Some` only when the
     // counting allocator is actually installed in this binary.
     let alloc_delta = fua_obs::alloc_snapshot().delta(&alloc_start);
@@ -641,6 +637,63 @@ pub fn bench_suite_jobs(
         )),
         harness: Some(harness),
     }
+}
+
+/// The observation run's lanes: every [`Scheme::ALL`] scheme, the
+/// 4-bit LUT first because the engine sink sees lane 0's steering, and
+/// Original last.
+const OBSERVED_LANES: [Scheme; 6] = [
+    Scheme::Lut4,
+    Scheme::FullHam,
+    Scheme::OneBitHam,
+    Scheme::Lut2,
+    Scheme::Lut8,
+    Scheme::Naive,
+];
+
+/// One workload's observation run, reduced to what the artifact reads.
+struct Observation {
+    /// Lane 0: the 4-bit LUT run and its energy attribution.
+    observed: AttributedRun,
+    /// The Original lane's result, folded into the suite profile.
+    original: SimResult,
+    /// Every lane's estimator check, in [`OBSERVED_LANES`] order.
+    checks: Vec<EstimateCheck>,
+    windowed: WindowedSink,
+    stalls: StallSink,
+    timers: PhaseTimers,
+}
+
+/// Runs every workload once with an attributed lane per
+/// [`OBSERVED_LANES`] scheme, a windowed and a stall sink on the engine
+/// and the engine's phases timed, fanning the workloads out across
+/// `jobs` workers.
+fn observe(
+    config: &ExperimentConfig,
+    arena: &WorkloadArena,
+    window_cycles: u64,
+    jobs: Jobs,
+) -> (Vec<Observation>, ExecReport) {
+    map_indexed_timed(jobs, arena.all(), |_, w| {
+        let (mut runs, (windowed, stalls), timers) = attribute_schemes(
+            w,
+            config.machine.clone(),
+            &OBSERVED_LANES,
+            config.inst_limit,
+            (WindowedSink::new(window_cycles), StallSink::new()),
+            PhaseTimers::new(),
+        );
+        let checks = check_runs(w, &OBSERVED_LANES, &runs);
+        let original = runs.pop().expect("Original is the last lane").result;
+        Observation {
+            observed: runs.swap_remove(0),
+            original,
+            checks,
+            windowed,
+            stalls,
+            timers,
+        }
+    })
 }
 
 fn unit_to_json(unit: &UnitFigure) -> Json {
@@ -1118,6 +1171,20 @@ mod tests {
     }
 
     #[test]
+    fn the_observation_run_profiles_the_suite_like_the_profiling_pass() {
+        let config = tiny_config();
+        let arena = WorkloadArena::build(config.scale);
+        let (observations, _) = observe(&config, &arena, 512, Jobs::serial());
+        let observed = SuiteProfile::fold(
+            &config.machine,
+            arena.all(),
+            observations.iter().map(|o| &o.original),
+        );
+        let (profiled, _) = fua_core::profile_suite_jobs(&config, &arena, Jobs::serial());
+        assert_eq!(observed, profiled, "Tables 1-3 inputs and occupancy");
+    }
+
+    #[test]
     fn bench_suite_produces_a_round_trippable_artifact() {
         let report = bench_suite("test", &tiny_config(), 512);
         assert_eq!(report.manifest.tag, "test");
@@ -1172,7 +1239,7 @@ mod tests {
             .expect("throughput section present");
         assert_eq!(
             t.cycles, s.cycles,
-            "throughput and stall sections count the same telemetry pass"
+            "throughput and stall sections count the same observation run"
         );
         assert!(t.instructions > 0);
         assert!(t.hot_nanos > 0);

@@ -12,7 +12,8 @@
 //! everything that does not (window, wakeup, cache, predictor,
 //! occupancy). [`Simulator::new`](crate::Simulator::new) is the one-lane
 //! case; [`Simulator::run_lanes`](crate::Simulator::run_lanes) runs
-//! many.
+//! many, and its engine sink sees lane 0's steering as a one-lane run
+//! would.
 
 use fua_isa::{Case, FuClass};
 use fua_power::{EnergyLedger, ModulePorts};
@@ -39,16 +40,16 @@ pub(crate) struct Timing {
 ///
 /// The sink receives only this lane's [`TraceEvent::Energy`] events —
 /// enough for a per-site attribution such as `fua_attr::AttributionSink`.
-/// Engine events (stages, stalls, cache, branches) go to the
-/// [`Simulator`](crate::Simulator)'s own sink, which only one-lane runs
-/// have.
+/// Engine events (stages, stalls, cache, branches) go to the engine's
+/// own sink, which also sees lane 0's steering, swap and energy events.
 ///
 /// # Examples
 ///
 /// ```
 /// use fua_isa::{IntReg, ProgramBuilder};
-/// use fua_sim::{Lane, MachineConfig, Simulator, SteeringConfig};
+/// use fua_sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
 /// use fua_steer::SteeringKind;
+/// use fua_trace::NullSink;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let r1 = IntReg::new(1);
@@ -63,7 +64,8 @@ pub(crate) struct Timing {
 ///     Lane::new(&machine, SteeringConfig::original()),
 ///     Lane::new(&machine, SteeringConfig::paper_scheme(SteeringKind::FullHam, true)),
 /// ];
-/// let results = Simulator::run_lanes(machine, &mut lanes, &program, 100)?;
+/// let (results, ..) =
+///     Simulator::run_lanes(machine, NullSink, NullProfiler, &mut lanes, &program, 100)?;
 /// assert_eq!(results[0].cycles, results[1].cycles, "steering never moves timing");
 /// # Ok(())
 /// # }

@@ -106,28 +106,6 @@ impl Simulator<NullSink> {
     pub fn new(config: MachineConfig, steering: SteeringConfig) -> Self {
         Simulator::with_sink(config, steering, NullSink)
     }
-
-    /// Runs `program` once on `config`, feeding every cycle's issue
-    /// group of every class to each lane in turn, and returns one
-    /// [`SimResult`] per lane, in lane order. Each equals what
-    /// [`Simulator::new`] with that lane's [`SteeringConfig`] would
-    /// return: steering never changes which instructions issue when, so
-    /// the lanes share one timing run. Nothing is buffered per cycle,
-    /// so memory does not grow with the run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter faults ([`VmError`]).
-    pub fn run_lanes<A: TraceSink>(
-        config: MachineConfig,
-        lanes: &mut [Lane<A>],
-        program: &Program,
-        limit: u64,
-    ) -> Result<Vec<SimResult>, VmError> {
-        let mut engine = Simulator::engine(config, NullSink, NullProfiler, None);
-        let timing = engine.run_vm(program, limit, lanes)?;
-        Ok(lanes.iter().map(|lane| lane.result(&timing)).collect())
-    }
 }
 
 impl<S: TraceSink> Simulator<S> {
@@ -150,6 +128,41 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     ) -> Self {
         let lane = Lane::new(&config, steering);
         Simulator::engine(config, sink, profiler, Some(lane))
+    }
+
+    /// Runs `program` once on `config`, feeding every cycle's issue
+    /// group of every class to each lane in turn, and returns one
+    /// [`SimResult`] per lane, in lane order, with `sink` and
+    /// `profiler`. Each result equals what [`Simulator::new`] with that
+    /// lane's [`SteeringConfig`] would return: steering never changes
+    /// which instructions issue when, so the lanes share one timing
+    /// run. Nothing is buffered per cycle, so memory does not grow.
+    ///
+    /// `sink` receives the stream [`Simulator::with_sink`] under lane
+    /// 0's scheme would: the engine's events plus lane 0's steering,
+    /// swap and energy events. `profiler` times every lane's steering.
+    /// [`NullSink`] and [`NullProfiler`] compile away.
+    ///
+    /// # Errors
+    ///
+    /// Propagates interpreter faults ([`VmError`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sink` is enabled and `lanes` is empty: its events
+    /// describe lane 0.
+    pub fn run_lanes<A: TraceSink>(
+        config: MachineConfig,
+        sink: S,
+        profiler: P,
+        lanes: &mut [Lane<A>],
+        program: &Program,
+        limit: u64,
+    ) -> Result<(Vec<SimResult>, S, P), VmError> {
+        let mut engine = Simulator::engine(config, sink, profiler, None);
+        let timing = engine.run_vm(program, limit, lanes)?;
+        let results = lanes.iter().map(|lane| lane.result(&timing)).collect();
+        Ok((results, engine.sink, engine.profiler))
     }
 
     fn engine(config: MachineConfig, sink: S, profiler: P, lane: Option<Lane>) -> Self {
@@ -268,9 +281,6 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         mut next_op: impl FnMut() -> Result<Option<DynOp>, VmError>,
         lanes: &mut [Lane<A>],
     ) -> Result<Timing, VmError> {
-        // Engine events describe one lane's steering; a many-lane run
-        // has no engine sink.
-        debug_assert!(!S::ENABLED || lanes.len() == 1);
         let mut source_done = false;
         let mut idle_cycles = 0u64;
         loop {
@@ -555,8 +565,8 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     /// Issues one class's selected group: every lane steers, latches
     /// and charges it (static swap rule, then policy, then latch, then
     /// charge), then the engine schedules each instruction's completion.
-    /// Only the second half touches timing state, and it reads a lane
-    /// only to describe the one lane of a traced run in its events.
+    /// Only the second half touches timing state, and it reads lane 0
+    /// only to describe its steering in the engine sink's events.
     fn issue_class<A: TraceSink>(&mut self, class: FuClass, lanes: &mut [Lane<A>]) -> usize {
         let ci = class.index();
         let modules = self.config.modules(class);

@@ -49,7 +49,7 @@ impl OperandInfoStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bucket {
     count: u64,
     op1_ones: f64,
@@ -61,7 +61,7 @@ struct Bucket {
 /// One profiler covers one FU channel (e.g. all IALU operations, or all
 /// integer multiplies); keep separate profilers per channel as the paper's
 /// tables do.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BitPatternProfiler {
     // [case][commutative as usize]
     buckets: [[Bucket; 2]; 4],

@@ -64,6 +64,7 @@ mod parse;
 mod perfetto;
 mod recorder;
 mod ring;
+mod sites;
 mod stall;
 mod windowed;
 
@@ -75,5 +76,6 @@ pub use parse::JsonParseError;
 pub use perfetto::{ChromeTraceSink, HarnessTimeline};
 pub use recorder::MetricsRecorder;
 pub use ring::RingBufferSink;
+pub use sites::SiteTable;
 pub use stall::{DepRecord, DepSink, StallKey, StallSink};
 pub use windowed::{WindowRecord, WindowedSeries, WindowedSink, MAX_MODULES};

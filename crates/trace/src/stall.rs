@@ -3,25 +3,23 @@
 //!
 //! [`StallSink`] mirrors the energy `AttributionSink` design: every
 //! [`Stall`](crate::TraceEvent::Stall) event lands in exactly one
-//! [`StallKey`] bucket of a `BTreeMap`, so totals reassemble the
+//! [`StallKey`] counter of a dense [`SiteTable`], so totals reassemble the
 //! machine's issue bandwidth bit-for-bit (`cycles × issue_width`
 //! slots), and [`merge`](StallSink::merge) is key-ordered addition —
 //! per-workload sinks merged in index order reproduce a serial pass
 //! exactly, which is what makes `fua profile-cycles --jobs N`
 //! byte-identical to `--jobs 1`.
 
-use std::collections::BTreeMap;
-
 use fua_isa::{Case, FuClass};
 
-use crate::{StallReason, TraceEvent, TraceSink};
+use crate::{SiteTable, StallReason, TraceEvent, TraceSink};
 
 /// One stall-slot charge site: the culprit PC (if any), the FU class
 /// owning the slot, the taxonomy reason, and the culprit's
 /// information-bit case where one exists.
 ///
-/// Derived `Ord` makes map iteration — and therefore every rendered
-/// table and export — deterministic.
+/// The ordering is derived, and [`StallSink::sites`] lists sites in it,
+/// so every rendered table and export is deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StallKey {
     /// Static PC of the culprit instruction (`None` = fetch-starved
@@ -36,12 +34,21 @@ pub struct StallKey {
 }
 
 /// Accumulates the stall-slot partition of a run: every issue slot of
-/// every cycle counted in exactly one [`StallKey`] bucket.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// every cycle counted in exactly one [`StallKey`] counter of a dense
+/// [`SiteTable`], one row per culprit (row 0: none; row `pc + 1`:
+/// static PC `pc`).
+#[derive(Debug, Clone, Default)]
 pub struct StallSink {
-    sites: BTreeMap<StallKey, u64>,
-    total_slots: u64,
+    /// Per culprit and class: reason-major, then case (`None` first,
+    /// then [`Case::ALL`]).
+    table: SiteTable<u64, BLOCK>,
 }
+
+/// Case slots per reason: no case, then every [`Case`].
+const CASES: usize = 1 + Case::ALL.len();
+
+/// Counters per (culprit, class) block.
+const BLOCK: usize = StallReason::ALL.len() * CASES;
 
 impl StallSink {
     /// An empty sink.
@@ -49,22 +56,37 @@ impl StallSink {
         Self::default()
     }
 
-    /// The per-site slot counts, keyed deterministically.
-    pub fn sites(&self) -> &BTreeMap<StallKey, u64> {
-        &self.sites
+    /// The per-site slot counts, in (pc, class, reason, case) order —
+    /// the derived [`StallKey`] order, whatever order the stalls
+    /// arrived in.
+    pub fn sites(&self) -> impl Iterator<Item = (StallKey, u64)> + '_ {
+        self.table.blocks().flat_map(|(row, class, counts)| {
+            let counts = counts.iter().enumerate();
+            counts
+                .filter(|(_, &slots)| slots > 0)
+                .map(move |(i, &slots)| {
+                    let key = StallKey {
+                        pc: row.checked_sub(1).map(|pc| pc as u32),
+                        class,
+                        reason: StallReason::ALL[i / CASES],
+                        case: (i % CASES).checked_sub(1).map(|c| Case::ALL[c]),
+                    };
+                    (key, slots)
+                })
+        })
     }
 
     /// Total slots accounted across every site — must equal
     /// `cycles × issue_width` for an instrumented run (the
     /// exact-partition invariant).
     pub fn total_slots(&self) -> u64 {
-        self.total_slots
+        self.sites().map(|(_, slots)| slots).sum()
     }
 
     /// Slot totals per [`StallReason`], in [`StallReason::ALL`] order.
     pub fn reason_totals(&self) -> [u64; 7] {
         let mut totals = [0u64; 7];
-        for (key, &slots) in &self.sites {
+        for (key, slots) in self.sites() {
             totals[key.reason.index()] += slots;
         }
         totals
@@ -74,14 +96,32 @@ impl StallSink {
     /// merging per-workload sinks in index order reproduces the sink a
     /// serial pass over the same cells would have produced.
     pub fn merge(&mut self, other: &StallSink) {
-        for (key, &slots) in &other.sites {
-            *self.sites.entry(*key).or_default() += slots;
+        for (key, slots) in other.sites() {
+            self.add(key, slots);
         }
-        self.total_slots += other.total_slots;
+    }
+
+    /// Adds `slots` to `key`'s counter.
+    #[inline]
+    fn add(&mut self, key: StallKey, slots: u64) {
+        let row = key.pc.map_or(0, |pc| pc as usize + 1);
+        let case = key.case.map_or(0, |c| c.index() + 1);
+        self.table.block_mut(row, key.class)[key.reason.index() * CASES + case] += slots;
     }
 }
 
+impl PartialEq for StallSink {
+    /// Two sinks are equal when they hold the same sites with the same
+    /// slot counts, whatever order the stalls arrived in.
+    fn eq(&self, other: &Self) -> bool {
+        self.sites().eq(other.sites())
+    }
+}
+
+impl Eq for StallSink {}
+
 impl TraceSink for StallSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
         if let TraceEvent::Stall {
             class,
@@ -98,8 +138,7 @@ impl TraceSink for StallSink {
                 reason,
                 case,
             };
-            *self.sites.entry(key).or_default() += u64::from(slots);
-            self.total_slots += u64::from(slots);
+            self.add(key, u64::from(slots));
         }
     }
 }
@@ -211,7 +250,7 @@ mod tests {
         sink.record(&stall(0, StallReason::FetchStarved, 3, None));
         sink.record(&stall(1, StallReason::Issued, 1, Some(3)));
         assert_eq!(sink.total_slots(), 5);
-        assert_eq!(sink.sites().len(), 2);
+        assert_eq!(sink.sites().count(), 2);
         let totals = sink.reason_totals();
         assert_eq!(totals[StallReason::Issued.index()], 2);
         assert_eq!(totals[StallReason::FetchStarved.index()], 3);
@@ -233,6 +272,10 @@ mod tests {
         serial.record(&stall(1, StallReason::Issued, 1, Some(7)));
         assert_eq!(merged, serial);
         assert_eq!(merged.total_slots(), 4);
+        // Sites list in key order, not arrival order.
+        let keys: Vec<StallKey> = merged.sites().map(|(key, _)| key).collect();
+        assert!(keys.windows(2).all(|k| k[0] < k[1]), "{keys:?}");
+        assert_eq!(keys[0].pc, Some(2));
     }
 
     #[test]

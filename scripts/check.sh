@@ -61,6 +61,23 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
+# Rerun gate: two artifacts of the same configuration must diff to
+# exactly zero findings — the model output is deterministic, and no
+# measured harness quantity raises a finding short of a collapse.
+(
+  cd "$tmpdir"
+  for tag in rerun-a rerun-b; do
+    "$repo/target/release/fua" bench-suite --limit 1500 --tag "$tag"
+  done
+  out="$("$repo/target/release/fua" report \
+    --baseline BENCH_rerun-a.json --current BENCH_rerun-b.json)"
+  echo "$out"
+  if [[ "$out" != *"PASS: 0 finding(s)"* ]]; then
+    echo "same-config rerun diff produced findings" >&2
+    exit 1
+  fi
+)
+
 # Attribution-determinism gate: the energy profiler's flamegraph, site
 # table and naive-vs-lut4 differential report (text and JSON; both
 # schemes are lanes of one run per workload) must be byte-identical

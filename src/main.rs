@@ -33,11 +33,11 @@ use fua::report::{
     bench_suite_jobs, compare, trends, BenchReport, Finding, Severity, Tolerance, TrendError,
     DEFAULT_WINDOW_CYCLES,
 };
-use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
+use fua::sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
 use fua::stats::TextTable;
 use fua::steer::SteeringKind;
 use fua::store::{IndexEntry, Store};
-use fua::trace::MetricsRegistry;
+use fua::trace::{MetricsRegistry, NullSink};
 
 // Every allocation in the binary routes through the counting wrapper,
 // so `harness-report` and the BENCH harness digest carry real
@@ -250,25 +250,44 @@ fn cmd_run(name: &str, opts: &Options) -> CmdResult {
     };
     let limit = opts.limit.unwrap_or(DEFAULT_LIMIT);
 
-    // Baseline run — with `--metrics` it carries a recorder so the
-    // snapshot can be cross-checked against the ledger.
-    let (baseline, registry) = if opts.metrics {
-        let mut sim = Simulator::with_sink(
-            MachineConfig::paper_default(),
-            SteeringConfig::original(),
+    // One run, Original as lane 0 — with `--metrics` the engine
+    // carries a recorder, which sees lane 0, so the snapshot can be
+    // cross-checked against the baseline ledger.
+    let machine = MachineConfig::paper_default();
+    let kinds: Vec<SteeringKind> = SteeringKind::FIGURE4
+        .into_iter()
+        .filter(|&kind| kind != SteeringKind::Original)
+        .collect();
+    let mut lanes = vec![Lane::new(&machine, SteeringConfig::original())];
+    lanes.extend(
+        kinds
+            .iter()
+            .map(|&kind| Lane::new(&machine, SteeringConfig::paper_scheme(kind, true))),
+    );
+    let (results, registry) = if opts.metrics {
+        let (results, recorder, _) = Simulator::run_lanes(
+            machine,
             fua::trace::MetricsRecorder::new(),
-        );
-        let r = sim
-            .run_program(&w.program, limit)
-            .map_err(|e| e.to_string())?;
-        (r, Some(sim.into_sink().into_registry()))
+            NullProfiler,
+            &mut lanes,
+            &w.program,
+            limit,
+        )
+        .map_err(|e| e.to_string())?;
+        (results, Some(recorder.into_registry()))
     } else {
-        let mut sim = Simulator::new(MachineConfig::paper_default(), SteeringConfig::original());
-        let r = sim
-            .run_program(&w.program, limit)
-            .map_err(|e| e.to_string())?;
-        (r, None)
+        let (results, ..) = Simulator::run_lanes(
+            machine,
+            NullSink,
+            NullProfiler,
+            &mut lanes,
+            &w.program,
+            limit,
+        )
+        .map_err(|e| e.to_string())?;
+        (results, None)
     };
+    let baseline = &results[0];
 
     // (label, switched bits, reduction vs baseline) per scheme.
     let mut rows: Vec<(String, u64, Option<f64>)> = vec![(
@@ -276,23 +295,11 @@ fn cmd_run(name: &str, opts: &Options) -> CmdResult {
         baseline.ledger.switched_bits(class),
         None,
     )];
-    // Every other scheme is a lane of one more run.
-    let machine = MachineConfig::paper_default();
-    let kinds: Vec<SteeringKind> = SteeringKind::FIGURE4
-        .into_iter()
-        .filter(|&kind| kind != SteeringKind::Original)
-        .collect();
-    let mut lanes: Vec<Lane> = kinds
-        .iter()
-        .map(|&kind| Lane::new(&machine, SteeringConfig::paper_scheme(kind, true)))
-        .collect();
-    let results =
-        Simulator::run_lanes(machine, &mut lanes, &w.program, limit).map_err(|e| e.to_string())?;
-    for (kind, r) in kinds.iter().zip(&results) {
+    for (kind, r) in kinds.iter().zip(&results[1..]) {
         rows.push((
             format!("{kind} + hw swap"),
             r.ledger.switched_bits(class),
-            Some(100.0 * r.reduction_vs(&baseline, class)),
+            Some(100.0 * r.reduction_vs(baseline, class)),
         ));
     }
 

@@ -19,8 +19,9 @@
 //! sibling test would bleed its allocations into the measurement
 //! window.
 
-use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
+use fua::sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
+use fua::trace::NullSink;
 
 #[global_allocator]
 static COUNTING: fua::obs::CountingAlloc = fua::obs::CountingAlloc;
@@ -49,8 +50,16 @@ fn run_lanes(w: &fua::workloads::Workload, limit: u64) -> u64 {
         .map(|scheme| Lane::new(&machine, scheme))
         .collect();
     assert_eq!(lanes.len(), 12);
-    Simulator::run_lanes(machine, &mut lanes, &w.program, limit)
-        .unwrap_or_else(|e| panic!("workload {} faulted with 12 lanes: {e}", w.name))[0]
+    Simulator::run_lanes(
+        machine,
+        NullSink,
+        NullProfiler,
+        &mut lanes,
+        &w.program,
+        limit,
+    )
+    .unwrap_or_else(|e| panic!("workload {} faulted with 12 lanes: {e}", w.name))
+    .0[0]
         .cycles
 }
 

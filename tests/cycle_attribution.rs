@@ -56,7 +56,7 @@ fn stall_slots_partition_the_issue_bandwidth_for_every_scheme_and_swap() {
 
                 // Provenance must be well-formed: any culprit PC points
                 // into the program text.
-                for key in sink.sites().keys() {
+                for (key, _) in sink.sites() {
                     if let Some(pc) = key.pc {
                         assert!(
                             (pc as usize) < w.program.len(),

@@ -10,8 +10,9 @@
 
 use fua::analysis::{estimate_transitions, SwapModel};
 use fua::attr::{check_attribution, check_workload, AttributionSink, EnergyAttribution, Scheme};
-use fua::sim::{Lane, MachineConfig, Simulator, SteeringConfig};
+use fua::sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
+use fua::trace::NullSink;
 use fua::workloads::Workload;
 
 /// Retired-instruction cap per run: enough to execute every kernel's
@@ -27,7 +28,15 @@ fn attribute_lanes(w: &Workload, configs: Vec<(SteeringConfig, &str)>) -> Vec<En
         .into_iter()
         .map(|(config, _)| Lane::with_sink(&machine, config, AttributionSink::new()))
         .collect();
-    Simulator::run_lanes(machine, &mut lanes, &w.program, LIMIT).expect("workload runs");
+    Simulator::run_lanes(
+        machine,
+        NullSink,
+        NullProfiler,
+        &mut lanes,
+        &w.program,
+        LIMIT,
+    )
+    .expect("workload runs");
     lanes
         .iter()
         .zip(labels)

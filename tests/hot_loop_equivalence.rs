@@ -96,8 +96,8 @@ fn assert_equivalent(tag: &str, new: &Outcome, reference: &Outcome) {
 
     // Stall digest: exact per-(reason, case, class) slot counts.
     assert_eq!(
-        new_stalls.sites(),
-        ref_stalls.sites(),
+        new_stalls.sites().collect::<Vec<_>>(),
+        ref_stalls.sites().collect::<Vec<_>>(),
         "{tag}: stall digest sites"
     );
     assert_eq!(

@@ -94,12 +94,12 @@ fn the_parallel_section_records_the_fan_out() {
     assert!(p.wall_nanos > 0, "wall-clock must be recorded");
     let cells: u64 = p.workers.iter().map(|w| w.cells).sum();
     // Every timed stage must be accounted for: one cell per workload in
-    // the profiling, telemetry and rate passes, and per unit one swap-pass
+    // the observation run and the rate pass, and per unit one swap-pass
     // cell per workload plus one sweep cell per workload and program
     // variant (original, compiler-swapped), each carrying every suite as
     // a steering lane.
     let workloads = fua::workloads::all(tiny_config().scale).len() as u64;
-    assert_eq!(cells, 3 * workloads + (1 + 2) * workloads);
+    assert_eq!(cells, 2 * workloads + (1 + 2) * workloads);
 }
 
 #[test]

@@ -7,14 +7,19 @@
 //! and without the hardware swap, built from the measured profile as
 //! `fua figure4` builds them) × {original, compiler-swapped} program, and
 //! every workload × every estimator scheme with a per-lane attribution
-//! sink.
+//! sink, an engine event sink and phase timers, lane 0 the 4-bit LUT and
+//! then Original: the engine sink records exactly what a standalone
+//! traced run under lane 0's scheme records.
 
 use fua::attr::{attribute_schemes, AttributionSink, EnergyAttribution, Scheme};
 use fua::core::{profile_suite, ExperimentConfig};
 use fua::isa::{FuClass, Program};
-use fua::sim::{Lane, MachineConfig, SimResult, Simulator, SteeringConfig};
+use fua::sim::{
+    Lane, MachineConfig, NullProfiler, PhaseTimers, SimPhase, SimResult, Simulator, SteeringConfig,
+};
 use fua::steer::SteeringKind;
 use fua::swap::CompilerSwapPass;
+use fua::trace::{NullSink, VecSink};
 
 const LIMIT: u64 = 3_000;
 
@@ -84,8 +89,15 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
                 .iter()
                 .map(|(_, scheme)| Lane::new(machine, scheme.clone()))
                 .collect();
-            let results =
-                Simulator::run_lanes(machine.clone(), &mut lanes, program, LIMIT).expect("runs");
+            let (results, ..) = Simulator::run_lanes(
+                machine.clone(),
+                NullSink,
+                NullProfiler,
+                &mut lanes,
+                program,
+                LIMIT,
+            )
+            .expect("runs");
             assert_eq!(results.len(), suites.len());
             for ((name, scheme), lane) in suites.iter().zip(&results) {
                 let alone = Simulator::new(machine.clone(), scheme.clone())
@@ -107,25 +119,64 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
 
 #[test]
 fn estimator_lanes_attribute_exactly_like_standalone_runs() {
+    let machine = MachineConfig::paper_default();
+    // Every scheme, led by the 4-bit LUT and then by Original: the
+    // engine sink must follow whichever scheme is lane 0.
+    let orders = [Scheme::Lut4, Scheme::Naive].map(|first| {
+        std::iter::once(first)
+            .chain(Scheme::ALL.into_iter().filter(|&s| s != first))
+            .collect::<Vec<Scheme>>()
+    });
     for w in fua::workloads::all(1) {
-        let runs = attribute_schemes(&w, &Scheme::ALL, LIMIT);
-        assert_eq!(runs.len(), Scheme::ALL.len());
-        for (scheme, run) in Scheme::ALL.iter().zip(&runs) {
-            let mut sim = Simulator::with_sink(
-                MachineConfig::paper_default(),
-                scheme.config(),
-                AttributionSink::new(),
+        let alone: Vec<(SimResult, EnergyAttribution, VecSink)> = Scheme::ALL
+            .iter()
+            .map(|scheme| {
+                let sink = (AttributionSink::new(), VecSink::new());
+                let mut sim = Simulator::with_sink(machine.clone(), scheme.config(), sink);
+                let result = sim.run_program(&w.program, LIMIT).expect("runs");
+                let (attr, events) = sim.into_sink();
+                let attribution =
+                    EnergyAttribution::build(w.name, scheme.label(), &w.program, &attr);
+                (result, attribution, events)
+            })
+            .collect();
+        let alone_of = |scheme: Scheme| {
+            &alone[Scheme::ALL
+                .iter()
+                .position(|&s| s == scheme)
+                .expect("every scheme")]
+        };
+        for schemes in &orders {
+            let (runs, events, timers) = attribute_schemes(
+                &w,
+                machine.clone(),
+                schemes,
+                LIMIT,
+                VecSink::new(),
+                PhaseTimers::new(),
             );
-            let alone = sim.run_program(&w.program, LIMIT).expect("runs");
-            let attribution =
-                EnergyAttribution::build(w.name, scheme.label(), &w.program, sim.sink());
-            let what = format!("{} {}", w.name, scheme.name());
-            assert_eq!(run.attribution, attribution, "{what}: attribution");
-            assert_same(&run.result, &alone, &what);
-            assert!(
-                run.exact(),
-                "{what}: the lane's sites reassemble its ledger"
-            );
+            assert_eq!(runs.len(), schemes.len());
+            let lead = format!("{} led by {}", w.name, schemes[0].name());
+            let expected = &alone_of(schemes[0]).2.events;
+            assert_eq!(events.events.len(), expected.len(), "{lead}: engine events");
+            if let Some(i) = events.events.iter().zip(expected).position(|(a, b)| a != b) {
+                panic!(
+                    "{lead}: engine event {i} is {:?}, standalone {:?}",
+                    events.events[i], expected[i]
+                );
+            }
+            assert!(timers.intervals(SimPhase::Issue) > 0, "{lead}: timed");
+            // Timed and traced, every lane still equals its standalone run.
+            for (scheme, run) in schemes.iter().zip(&runs) {
+                let (result, attribution, _) = alone_of(*scheme);
+                let what = format!("{lead}: {}", scheme.name());
+                assert_eq!(run.attribution, *attribution, "{what}: attribution");
+                assert_same(&run.result, result, &what);
+                assert!(
+                    run.exact(),
+                    "{what}: the lane's sites reassemble its ledger"
+                );
+            }
         }
     }
 }
@@ -136,9 +187,17 @@ fn a_single_lane_run_is_the_one_lane_simulator() {
     let machine = MachineConfig::paper_default();
     let scheme = SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true);
     let mut lanes = [Lane::new(&machine, scheme.clone())];
-    let lane = Simulator::run_lanes(machine.clone(), &mut lanes, &w.program, LIMIT)
-        .expect("runs")
-        .remove(0);
+    let lane = Simulator::run_lanes(
+        machine.clone(),
+        NullSink,
+        NullProfiler,
+        &mut lanes,
+        &w.program,
+        LIMIT,
+    )
+    .expect("runs")
+    .0
+    .remove(0);
     let alone = Simulator::new(machine, scheme)
         .run_program(&w.program, LIMIT)
         .expect("runs");
