@@ -1,7 +1,9 @@
 //! Golden pin of the model's outputs at a small configuration: both
 //! Figure-4 units (every row as exact f64 bit patterns, and the baseline
-//! switched bits) and every static-estimator entry of the bench suite
-//! (`pcs`, `bound_bits`, `actual_bits`, `sound`).
+//! switched bits), every static-estimator entry of the bench suite
+//! (`pcs`, `bound_bits`, `actual_bits`, `sound`), and the suite profile
+//! behind Tables 1–3 (its operand bit patterns and occupancy, as a
+//! content key of its `Debug` form).
 //!
 //! The values were recorded from the engine that re-simulated every
 //! Figure-4 suite and every estimator scheme as its own run. Any change
@@ -10,9 +12,11 @@
 //! re-record them. On a mismatch the test prints the whole table as
 //! Rust source, ready to paste back after such a change.
 
-use fua::core::ExperimentConfig;
+use fua::core::{profile_suite_jobs, ExperimentConfig};
 use fua::exec::Jobs;
 use fua::report::{bench_suite_jobs, BenchReport, UnitFigure, DEFAULT_WINDOW_CYCLES};
+use fua::store::content_key;
+use fua::workloads::WorkloadArena;
 
 const INST_LIMIT: u64 = 3_000;
 
@@ -54,6 +58,9 @@ const ESTIMATOR: [Entry; 6] = [
     ("lut8", 480, 3187248, 642966, true),
     ("naive", 480, 3159833, 730399, true),
 ];
+
+/// `content_key` of the suite profile's `Debug` form, as hex.
+const SUITE_PROFILE_KEY: &str = "fedb24264906da687821581f2756c957";
 
 fn rows(unit: &UnitFigure) -> Vec<(String, u64, u64, u64, u64)> {
     unit.rows
@@ -147,4 +154,16 @@ fn figure4_and_estimator_match_the_recorded_values() {
         .map(|&(s, pcs, bound, actual, sound)| (s.to_string(), pcs, bound, actual, sound))
         .collect();
     assert_eq!(entries(&report), pinned, "measured:\n{source}");
+}
+
+#[test]
+fn the_suite_profile_matches_the_recorded_key() {
+    let config = ExperimentConfig {
+        inst_limit: INST_LIMIT,
+        ..ExperimentConfig::quick()
+    };
+    let arena = WorkloadArena::build(config.scale);
+    let (profile, _) = profile_suite_jobs(&config, &arena, Jobs::serial());
+    let key = content_key(format!("{profile:?}").as_bytes()).hex();
+    assert_eq!(key, SUITE_PROFILE_KEY, "measured: {key}");
 }
