@@ -10,7 +10,7 @@ use fua_swap::CompilerSwapPass;
 use fua_trace::NullSink;
 use fua_workloads::{Workload, WorkloadArena};
 
-use crate::{profile_suite, ExperimentConfig, SuiteProfile, Unit};
+use crate::{profile_suite_jobs, ExperimentConfig, SuiteProfile, Unit};
 
 /// The three stacked bars of each Figure-4 column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,32 +120,18 @@ struct SuiteSpec {
 /// Regenerates Figure 4(a) (`Unit::Ialu`) or 4(b) (`Unit::Fpau`):
 /// profiles the suite, builds every scheme from the *measured* statistics
 /// (as the paper's authors did from their profiling runs), and measures
-/// switched bits per scheme × swap variant.
-pub fn figure4(unit: Unit, config: &ExperimentConfig) -> Figure4 {
-    figure4_with_profile(unit, config, &profile_suite(config))
-}
-
-/// As [`figure4`], fanning the sweep's cells out across `jobs` workers.
+/// switched bits per scheme × swap variant, fanning the cells out across
+/// `jobs` workers ([`Jobs::serial`] for the serial path).
 pub fn figure4_jobs(unit: Unit, config: &ExperimentConfig, jobs: Jobs) -> Figure4 {
     let arena = WorkloadArena::build(config.scale);
-    let (profile, _) = crate::profile_suite_jobs(config, &arena, jobs);
+    let (profile, _) = profile_suite_jobs(config, &arena, jobs);
     figure4_with_profile_jobs(unit, config, &arena, &profile, jobs).0
 }
 
-/// As [`figure4`], reusing an already-measured [`SuiteProfile`] — the
-/// profiling pass runs the whole suite, so callers producing both
+/// As [`figure4_jobs`], reusing an already-measured [`SuiteProfile`] —
+/// the profiling pass runs the whole suite, so callers producing both
 /// figures (e.g. the `fua-report` bench ledger) should profile once and
-/// share it.
-pub fn figure4_with_profile(
-    unit: Unit,
-    config: &ExperimentConfig,
-    profile: &SuiteProfile,
-) -> Figure4 {
-    let arena = WorkloadArena::build(config.scale);
-    figure4_with_profile_jobs(unit, config, &arena, profile, Jobs::serial()).0
-}
-
-/// The parallel core of the figure. Steering never moves timing, so each
+/// share it. Steering never moves timing, so each
 /// workload runs once per program variant (original and compiler-swapped)
 /// with one steering lane per suite of that variant — 12 each — and
 /// those (workload × variant) cells fan out across `jobs` workers over a
@@ -345,21 +331,12 @@ pub struct Headline {
 }
 
 /// Computes the headline numbers from both Figure-4 runs (one shared
-/// profiling pass).
-pub fn headline(config: &ExperimentConfig) -> Headline {
-    let profile = profile_suite(config);
-    headline_from(
-        &figure4_with_profile(Unit::Ialu, config, &profile),
-        &figure4_with_profile(Unit::Fpau, config, &profile),
-    )
-}
-
-/// As [`headline`], fanning the profiling pass and both figures' sweep
-/// cells out across `jobs` workers. The result is identical to the
-/// serial [`headline`] for any worker count.
+/// profiling pass), fanning the profiling pass and both figures' sweep
+/// cells out across `jobs` workers. The result is the same for any
+/// worker count.
 pub fn headline_jobs(config: &ExperimentConfig, jobs: Jobs) -> Headline {
     let arena = WorkloadArena::build(config.scale);
-    let (profile, _) = crate::profile_suite_jobs(config, &arena, jobs);
+    let (profile, _) = profile_suite_jobs(config, &arena, jobs);
     headline_from(
         &figure4_with_profile_jobs(Unit::Ialu, config, &arena, &profile, jobs).0,
         &figure4_with_profile_jobs(Unit::Fpau, config, &arena, &profile, jobs).0,
@@ -388,7 +365,7 @@ mod tests {
 
     #[test]
     fn figure4_shape_holds_at_small_scale() {
-        let fig = figure4(Unit::Ialu, &ExperimentConfig::quick());
+        let fig = figure4_jobs(Unit::Ialu, &ExperimentConfig::quick(), Jobs::serial());
         assert_eq!(fig.rows.len(), 6);
         let get = |name: &str| fig.row(name).expect("row exists").hardware_pct;
         let full = get("Full Ham");
@@ -412,7 +389,7 @@ mod tests {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
-        let serial = figure4(Unit::Fpau, &config);
+        let serial = figure4_jobs(Unit::Fpau, &config, Jobs::serial());
         let parallel = figure4_jobs(Unit::Fpau, &config, Jobs::new(3).unwrap());
         assert_eq!(
             serial.baseline_switched_bits,

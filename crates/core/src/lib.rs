@@ -7,19 +7,20 @@
 //! | Table 2 (module occupancy) | [`SuiteProfile::table2`] |
 //! | Table 3 (multiplication bit patterns) | [`SuiteProfile::table3`] |
 //! | Figure 1 (routing example) | [`routing_example`] |
-//! | Figure 4(a)/(b) (energy reduction per scheme) | [`figure4`] |
+//! | Figure 4(a)/(b) (energy reduction per scheme) | [`figure4_jobs`] |
 //! | §5 hardware cost (58 gates / 6 levels, …) | [`synthesis_report`] |
 //! | §1 chip-level extrapolation ("roughly 4%") | [`chip_estimate`] |
-//! | Headline numbers (17% / 18% / 26%) | [`headline`] |
+//! | Headline numbers (17% / 18% / 26%) | [`headline_jobs`] |
 //! | Ablations of the paper's fixed choices | [`ablation`] |
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use fua_core::{figure4, ExperimentConfig, Unit};
+//! use fua_core::{figure4_jobs, ExperimentConfig, Unit};
+//! use fua_exec::Jobs;
 //!
 //! let config = ExperimentConfig::default();
-//! let fig = figure4(Unit::Ialu, &config);
+//! let fig = figure4_jobs(Unit::Ialu, &config, Jobs::serial());
 //! println!("{}", fig.render());
 //! ```
 
@@ -44,12 +45,12 @@ pub use chip::{chip_estimate, ChipEstimate, EXECUTION_UNIT_POWER_SHARE};
 pub use config::{ExperimentConfig, Unit};
 pub use fig1::{routing_example, RoutingExample};
 pub use figure4::{
-    figure4, figure4_jobs, figure4_with_profile, figure4_with_profile_jobs, headline,
-    headline_from, headline_jobs, Figure4, Figure4Row, Headline, SwapVariant,
+    figure4_jobs, figure4_with_profile_jobs, headline_from, headline_jobs, Figure4, Figure4Row,
+    Headline, SwapVariant,
 };
 pub use json::{Json, ToJson};
 pub use observe::{observed_scheme, suite_metrics};
 pub use sensitivity::{swap_sensitivity, SensitivityRow, SwapSensitivity};
 pub use static_swap::{static_swap_comparison, StaticSwapComparison, StaticSwapRow};
-pub use suite::{profile_suite, profile_suite_jobs, SuiteProfile};
+pub use suite::{profile_suite_jobs, SuiteProfile};
 pub use synthesis::{synthesis_report, SynthesisReport, SynthesisRow};

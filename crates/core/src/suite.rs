@@ -28,13 +28,7 @@ pub struct SuiteProfile {
 }
 
 /// Runs the whole suite on the baseline machine and collects the paper's
-/// measurement tables.
-pub fn profile_suite(config: &ExperimentConfig) -> SuiteProfile {
-    let arena = WorkloadArena::build(config.scale);
-    profile_suite_jobs(config, &arena, Jobs::serial()).0
-}
-
-/// As [`profile_suite`], fanning the per-workload profiling runs out
+/// measurement tables, fanning the per-workload profiling runs out
 /// across `jobs` workers over an already-decoded [`WorkloadArena`].
 ///
 /// Each workload's run is an independent cell; the per-category profiler
@@ -66,10 +60,11 @@ pub fn profile_suite_jobs(
 }
 
 impl SuiteProfile {
-    /// Folds Original-machine runs on `machine`, one per workload of
-    /// `workloads` and in the same order, into the suite profile. The
-    /// fold runs in suite order, so it is the same for any worker count
-    /// that produced the runs.
+    /// Folds runs on `machine`, one per workload of `workloads` and in
+    /// the same order, into the suite profile. The runs may be under any
+    /// steering scheme: occupancy and bit patterns are recorded as
+    /// issued, before any swap. The fold runs in suite order, so it is
+    /// the same for any worker count that produced the runs.
     pub fn fold<'a>(
         machine: &MachineConfig,
         workloads: &[Workload],
@@ -220,7 +215,8 @@ mod tests {
     use super::*;
 
     fn quick_profile() -> SuiteProfile {
-        profile_suite(&ExperimentConfig::quick())
+        let config = ExperimentConfig::quick();
+        profile_suite_jobs(&config, &WorkloadArena::build(config.scale), Jobs::serial()).0
     }
 
     #[test]

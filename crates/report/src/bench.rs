@@ -1,6 +1,6 @@
 //! BENCH artifacts: one durable, diffable JSON ledger per suite run.
 //!
-//! [`bench_suite`] runs the paper's quick experiment suite end to end —
+//! [`bench_suite_jobs`] runs the paper's quick experiment suite end to end —
 //! one phase-timed, windowed observation run per workload with a lane
 //! per scheme (the Table-1/2 statistics, telemetry, attribution, stall
 //! and estimator digests), the Figure-4 scheme sweep for both
@@ -16,7 +16,7 @@
 use fua_attr::{attribute_schemes, check_runs, AttributedRun, EstimateCheck, Scheme};
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_power::EnergyLedger;
-use fua_sim::{PhaseTimers, SimPhase, SimResult, Simulator};
+use fua_sim::{PhaseTimers, SimPhase, Simulator};
 use fua_trace::{Json, StallReason, StallSink, ToJson, WindowedSink};
 use fua_workloads::WorkloadArena;
 
@@ -402,17 +402,12 @@ pub struct BenchReport {
 }
 
 /// Runs the full bench suite under `config` and assembles the artifact,
-/// on the serial reference path (`--jobs 1`).
+/// fanning every stage's cells out across `jobs` workers over a shared,
+/// decode-once [`WorkloadArena`] ([`Jobs::serial`] is `--jobs 1`).
 ///
 /// The model metrics (figures, tables) are deterministic — two runs
 /// under the same manifest produce identical values; only `phase_nanos`
 /// and the `parallel` section are wall-clock and vary run to run.
-pub fn bench_suite(tag: &str, config: &ExperimentConfig, window_cycles: u64) -> BenchReport {
-    bench_suite_jobs(tag, config, window_cycles, Jobs::serial())
-}
-
-/// As [`bench_suite`], fanning every stage's cells out across `jobs`
-/// workers over a shared, decode-once [`WorkloadArena`].
 ///
 /// Each cell runs with its own [`WindowedSink`], [`PhaseTimers`] and
 /// [`EnergyLedger`]; the calling thread merges them **in cell-index
@@ -433,15 +428,15 @@ pub fn bench_suite_jobs(
     let arena = WorkloadArena::build(config.scale);
 
     // One observation run per workload feeds everything but the
-    // figures and the rate: its Original lane is the profile behind
-    // both figures (and the tables), its 4-bit-LUT lane 0 the
-    // telemetry, stall and attribution digests, and every lane an
-    // estimator check.
+    // figures and the rate: its 4-bit-LUT lane 0 is the profile behind
+    // both figures (and the tables), since occupancy and bit patterns
+    // are engine state, and the telemetry, stall and attribution
+    // digests; every lane is an estimator check.
     let (observations, mut exec) = observe(config, &arena, window_cycles, jobs);
     let profile = SuiteProfile::fold(
         &config.machine,
         arena.all(),
-        observations.iter().map(|o| &o.original),
+        observations.iter().map(|o| &o.observed.result),
     );
     let (fig_a, exec_a) = figure4_with_profile_jobs(Unit::Ialu, config, &arena, &profile, jobs);
     let (fig_b, exec_b) = figure4_with_profile_jobs(Unit::Fpau, config, &arena, &profile, jobs);
@@ -640,8 +635,7 @@ pub fn bench_suite_jobs(
 }
 
 /// The observation run's lanes: every [`Scheme::ALL`] scheme, the
-/// 4-bit LUT first because the engine sink sees lane 0's steering, and
-/// Original last.
+/// 4-bit LUT first because the engine sink sees lane 0's steering.
 const OBSERVED_LANES: [Scheme; 6] = [
     Scheme::Lut4,
     Scheme::FullHam,
@@ -655,8 +649,6 @@ const OBSERVED_LANES: [Scheme; 6] = [
 struct Observation {
     /// Lane 0: the 4-bit LUT run and its energy attribution.
     observed: AttributedRun,
-    /// The Original lane's result, folded into the suite profile.
-    original: SimResult,
     /// Every lane's estimator check, in [`OBSERVED_LANES`] order.
     checks: Vec<EstimateCheck>,
     windowed: WindowedSink,
@@ -684,10 +676,8 @@ fn observe(
             PhaseTimers::new(),
         );
         let checks = check_runs(w, &OBSERVED_LANES, &runs);
-        let original = runs.pop().expect("Original is the last lane").result;
         Observation {
             observed: runs.swap_remove(0),
-            original,
             checks,
             windowed,
             stalls,
@@ -1178,7 +1168,7 @@ mod tests {
         let observed = SuiteProfile::fold(
             &config.machine,
             arena.all(),
-            observations.iter().map(|o| &o.original),
+            observations.iter().map(|o| &o.observed.result),
         );
         let (profiled, _) = fua_core::profile_suite_jobs(&config, &arena, Jobs::serial());
         assert_eq!(observed, profiled, "Tables 1-3 inputs and occupancy");
@@ -1186,7 +1176,7 @@ mod tests {
 
     #[test]
     fn bench_suite_produces_a_round_trippable_artifact() {
-        let report = bench_suite("test", &tiny_config(), 512);
+        let report = bench_suite_jobs("test", &tiny_config(), 512, Jobs::serial());
         assert_eq!(report.manifest.tag, "test");
         assert_eq!(report.ialu.rows.len(), 6);
         assert_eq!(report.fpau.rows.len(), 6);
@@ -1265,7 +1255,7 @@ mod tests {
 
     #[test]
     fn model_metrics_are_deterministic_across_runs_and_job_counts() {
-        let a = bench_suite("a", &tiny_config(), 512);
+        let a = bench_suite_jobs("a", &tiny_config(), 512, Jobs::serial());
         let b = bench_suite_jobs("b", &tiny_config(), 512, Jobs::new(3).unwrap());
         assert_eq!(a.ialu, b.ialu);
         assert_eq!(a.fpau, b.fpau);
@@ -1297,7 +1287,7 @@ mod tests {
 
     #[test]
     fn an_allocs_figure_survives_the_round_trip_when_present() {
-        let mut report = bench_suite("withallocs", &tiny_config(), 512);
+        let mut report = bench_suite_jobs("withallocs", &tiny_config(), 512, Jobs::serial());
         report.harness.as_mut().unwrap().allocs_per_kcycle = Some(12.5);
         let rendered = report.to_json().pretty();
         assert!(rendered.contains("\"allocs_per_kcycle\": 12.5"));
@@ -1307,7 +1297,7 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let report = bench_suite("x", &tiny_config(), 512);
+        let report = bench_suite_jobs("x", &tiny_config(), 512, Jobs::serial());
         let mut json = report.to_json();
         if let Json::Obj(fields) = &mut json {
             fields[0].1 = Json::Str("fua-bench/999".into());
@@ -1326,7 +1316,7 @@ mod tests {
 
     #[test]
     fn malformed_artifacts_are_rejected_naming_the_field_path() {
-        let base = bench_suite("bad", &tiny_config(), 512).to_json();
+        let base = bench_suite_jobs("bad", &tiny_config(), 512, Jobs::serial()).to_json();
         assert!(BenchReport::from_json(&base).is_ok());
         // The array at `path` with its first element appended again.
         let doubled = |path: &str| {

@@ -406,8 +406,9 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &Tolerance) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::bench_suite;
+    use crate::bench::bench_suite_jobs;
     use fua_core::ExperimentConfig;
+    use fua_exec::Jobs;
     use fua_trace::StallReason;
 
     fn tiny() -> crate::BenchReport {
@@ -415,7 +416,7 @@ mod tests {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
-        bench_suite("tiny", &config, 512)
+        bench_suite_jobs("tiny", &config, 512, Jobs::serial())
     }
 
     #[test]

@@ -374,9 +374,10 @@ pub(crate) fn catalogue(shape: &BenchReport, tol: &Tolerance) -> Vec<Metric> {
 #[cfg(test)]
 mod tests {
     use super::{band, BandKind, Verdict};
-    use crate::bench::{bench_suite, BenchReport};
+    use crate::bench::{bench_suite_jobs, BenchReport};
     use crate::{compare, trends, Tolerance};
     use fua_core::ExperimentConfig;
+    use fua_exec::Jobs;
     use fua_trace::StallReason;
 
     /// A tiny suite run with every timer above the floor and an
@@ -386,7 +387,7 @@ mod tests {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
-        let mut r = bench_suite("tiny", &config, 512);
+        let mut r = bench_suite_jobs("tiny", &config, 512, Jobs::serial());
         r.phase_nanos.0 = [10_000_000; 5];
         r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
         r.harness.as_mut().unwrap().allocs_per_kcycle = Some(5.0);

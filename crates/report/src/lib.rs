@@ -8,7 +8,7 @@
 //!    under: experiment knobs, the full machine description, and each
 //!    workload's deterministic data seed. Two artifacts are only diffed
 //!    when their manifests agree (tag aside).
-//! 2. [`BenchReport`] / [`bench_suite`] — one suite run captured as a
+//! 2. [`BenchReport`] / [`bench_suite_jobs`] — one suite run captured as a
 //!    schema-stable JSON artifact (`BENCH_<tag>.json`): the Figure-4
 //!    scheme sweeps, headline reductions, Table-1/2 aggregates,
 //!    per-phase wall-clock of the simulator hot loop, and a windowed
@@ -34,10 +34,10 @@ mod manifest;
 mod trends;
 
 pub use bench::{
-    bench_suite, bench_suite_jobs, AttributionSummary, BenchReport, EstimatorEntry,
-    EstimatorSummary, HarnessSummary, HotspotEntry, OperandAggregates, ParallelSummary, PhaseNanos,
-    StallSummary, TelemetrySummary, ThroughputSummary, UnitFigure, WorkerNanos,
-    ATTRIBUTION_HOTSPOTS, BENCH_SCHEMA, DEFAULT_WINDOW_CYCLES,
+    bench_suite_jobs, AttributionSummary, BenchReport, EstimatorEntry, EstimatorSummary,
+    HarnessSummary, HotspotEntry, OperandAggregates, ParallelSummary, PhaseNanos, StallSummary,
+    TelemetrySummary, ThroughputSummary, UnitFigure, WorkerNanos, ATTRIBUTION_HOTSPOTS,
+    BENCH_SCHEMA, DEFAULT_WINDOW_CYCLES,
 };
 pub use compare::{compare, Comparison, Finding, Severity, Tolerance};
 pub use gate::BandKind;

@@ -305,8 +305,9 @@ pub fn trends(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::bench_suite;
+    use crate::bench::bench_suite_jobs;
     use fua_core::ExperimentConfig;
+    use fua_exec::Jobs;
 
     /// A tiny suite run with its phase timers and rate pass pinned at
     /// 10 ms: measured, some sit near the 5 ms floor in a debug build,
@@ -316,7 +317,7 @@ mod tests {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
-        let mut r = bench_suite("tiny", &config, 512);
+        let mut r = bench_suite_jobs("tiny", &config, 512, Jobs::serial());
         r.phase_nanos.0 = [10_000_000; 5];
         r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
         r

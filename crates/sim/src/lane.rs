@@ -6,18 +6,17 @@
 //! engine run can feed the same issue groups to any number of lanes, and
 //! each lane ends up exactly where a standalone run under its
 //! [`SteeringConfig`] would: same module latches, same
-//! [`EnergyLedger`], same [`SwapStats`], same bit patterns.
+//! [`EnergyLedger`], same [`SwapStats`].
 //!
 //! A lane holds everything that depends on the scheme; the engine keeps
 //! everything that does not (window, wakeup, cache, predictor,
-//! occupancy). [`Simulator::new`](crate::Simulator::new) is the one-lane
+//! occupancy, and the operand bit patterns of the issued ops). [`Simulator::new`](crate::Simulator::new) is the one-lane
 //! case; [`Simulator::run_lanes`](crate::Simulator::run_lanes) runs
 //! many, and its engine sink sees lane 0's steering as a one-lane run
 //! would.
 
 use fua_isa::{Case, FuClass};
 use fua_power::{EnergyLedger, ModulePorts};
-use fua_stats::BitPatternProfiler;
 use fua_steer::{ModuleChoice, SteeringPolicy};
 use fua_trace::{NullSink, TraceEvent, TraceSink};
 use fua_vm::FuOp;
@@ -30,13 +29,14 @@ pub(crate) struct Timing {
     pub retired: u64,
     pub halted: bool,
     pub occupancy: Vec<fua_stats::OccupancyProfiler>,
+    pub bit_patterns: Vec<fua_stats::BitPatternProfiler>,
     pub branches: crate::BranchStats,
     pub cache: crate::CacheStats,
 }
 
 /// One steering scheme's state through a run: its [`SteeringConfig`],
-/// module input latches, energy ledger, swap counters and post-swap
-/// operand bit patterns, plus an optional sink.
+/// module input latches, energy ledger and swap counters, plus an
+/// optional sink.
 ///
 /// The sink receives only this lane's [`TraceEvent::Energy`] events —
 /// enough for a per-site attribution such as `fua_attr::AttributionSink`.
@@ -75,7 +75,6 @@ pub struct Lane<A: TraceSink = NullSink> {
     sink: A,
     ports: Vec<Vec<ModulePorts>>,
     ledger: EnergyLedger,
-    bit_patterns: Vec<BitPatternProfiler>,
     swaps: SwapStats,
 
     // --- per-group scratch, reused every cycle ---
@@ -114,7 +113,6 @@ impl<A: TraceSink> Lane<A> {
             sink,
             ports,
             ledger: EnergyLedger::new(),
-            bit_patterns: vec![BitPatternProfiler::new(); 4],
             swaps: SwapStats::default(),
             ops: Vec::with_capacity(width),
             case_bits: Vec::with_capacity(width),
@@ -204,7 +202,6 @@ impl<A: TraceSink> Lane<A> {
             }
             let bits = self.ports[ci][choice.module].latch(op.op1, op.op2);
             self.ledger.charge(class, bits);
-            self.bit_patterns[ci].record(&op);
             self.bits.push(bits);
             if A::ENABLED {
                 let (serial, pc) = sites[i];
@@ -245,7 +242,7 @@ impl<A: TraceSink> Lane<A> {
             halted: timing.halted,
             ledger: self.ledger,
             occupancy: timing.occupancy.clone(),
-            bit_patterns: self.bit_patterns.clone(),
+            bit_patterns: timing.bit_patterns.clone(),
             swaps: self.swaps,
             branches: timing.branches,
             cache: timing.cache,

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use fua_isa::{Case, FuClass, Program};
-use fua_stats::OccupancyProfiler;
+use fua_stats::{BitPatternProfiler, OccupancyProfiler};
 use fua_trace::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
 use fua_vm::{DynOp, Vm, VmError};
 
@@ -98,6 +98,9 @@ pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     skid: Option<DynOp>,
 
     occupancy: Vec<OccupancyProfiler>,
+    /// Per-class operand bit patterns of the issued ops, before any
+    /// lane's swap: like occupancy, they depend only on the op stream.
+    bit_patterns: Vec<BitPatternProfiler>,
     branches: BranchStats,
 }
 
@@ -191,6 +194,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             fetch_blocked_by: None,
             skid: None,
             occupancy,
+            bit_patterns: vec![BitPatternProfiler::new(); 4],
             branches: BranchStats::default(),
         }
     }
@@ -329,6 +333,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             retired: self.retired,
             halted: false,
             occupancy: self.occupancy.clone(),
+            bit_patterns: self.bit_patterns.clone(),
             branches: self.branches,
             cache: CacheStats {
                 hits: self.cache.hits(),
@@ -562,8 +567,9 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         }
     }
 
-    /// Issues one class's selected group: every lane steers, latches
-    /// and charges it (static swap rule, then policy, then latch, then
+    /// Issues one class's selected group: the engine records its
+    /// occupancy and bit patterns, every lane steers, latches and
+    /// charges it (static swap rule, then policy, then latch, then
     /// charge), then the engine schedules each instruction's completion.
     /// Only the second half touches timing state, and it reads lane 0
     /// only to describe its steering in the engine sink's events.
@@ -581,9 +587,10 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         let mask = self.inflight.mask;
         let slot_of = |offset: u32| ((head_serial + offset as u64) & mask) as usize;
 
-        // Gather the group once, into the first lane; the others copy it
-        // before the first lane swaps it in place. The pre-decoded case
-        // bits track each op through every swap, so no operand word is
+        // Gather the group once, into the first lane, recording each op's
+        // bit patterns as issued; the other lanes copy the group before
+        // the first lane swaps it in place. The pre-decoded case bits
+        // track each op through every swap, so no operand word is
         // re-inspected on this path. Every buffer is reused each cycle,
         // so steady-state issue stays allocation-free (the gate in
         // tests/alloc_gate.rs).
@@ -593,7 +600,9 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
             let (ops, case_bits) = first.group_mut();
             for &offset in &selected {
                 let slot = slot_of(offset);
-                ops.push(self.inflight.fu[slot]);
+                let op = self.inflight.fu[slot];
+                self.bit_patterns[ci].record(&op);
+                ops.push(op);
                 case_bits.push(self.inflight.case_bits[slot]);
                 if A::ENABLED {
                     sites.push((self.inflight.serial[slot], self.inflight.static_idx[slot]));

@@ -97,7 +97,8 @@ pub struct SimResult {
     pub ledger: EnergyLedger,
     /// Per-class issue occupancy (Table 2 inputs).
     pub occupancy: Vec<OccupancyProfiler>,
-    /// Per-class operand bit patterns *as issued* (post-swap).
+    /// Per-class operand bit patterns *as issued*, before any swap, so
+    /// the same under every steering scheme (Tables 1 and 3 inputs).
     pub bit_patterns: Vec<BitPatternProfiler>,
     /// Swap counters.
     pub swaps: SwapStats,

@@ -22,12 +22,12 @@ use cli::{
 };
 use fua::attr::Scheme;
 use fua::core::{
-    ablation, chip_estimate, figure4_jobs, headline_jobs, profile_suite, routing_example,
+    ablation, chip_estimate, figure4_jobs, headline_jobs, profile_suite_jobs, routing_example,
     static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, ChipEstimate,
     ExperimentConfig, Figure4, Headline, Json, RoutingExample, StaticSwapComparison,
     SwapSensitivity, SynthesisReport, ToJson, Unit, WorkloadBreakdown,
 };
-use fua::exec::{enable_heartbeat, heartbeat_stage};
+use fua::exec::{enable_heartbeat, heartbeat_stage, Jobs};
 use fua::isa::FuClass;
 use fua::report::{
     bench_suite_jobs, compare, trends, BenchReport, Finding, Severity, Tolerance, TrendError,
@@ -51,7 +51,9 @@ static COUNTING_ALLOC: fua::obs::CountingAlloc = fua::obs::CountingAlloc;
 type CmdResult = Result<bool, String>;
 
 fn cmd_tables(opts: &Options) -> CmdResult {
-    let p = profile_suite(&config(opts));
+    let cfg = config(opts);
+    let arena = fua::workloads::WorkloadArena::build(cfg.scale);
+    let (p, _) = profile_suite_jobs(&cfg, &arena, Jobs::serial());
     println!("{}", p.table1());
     println!("{}", p.table2());
     println!("{}", p.table3());
@@ -1800,7 +1802,7 @@ fn cmd_harness_report(opts: &Options) -> CmdResult {
     let arena_before = fua::obs::arena_counters();
     let alloc_before = fua::obs::alloc_snapshot();
     let (serial_cells, serial_exec) =
-        fua::exec::map_indexed_timed(fua::exec::Jobs::serial(), &workloads, |_, w| {
+        fua::exec::map_indexed_timed(Jobs::serial(), &workloads, |_, w| {
             harness_cell(w, &cfg.machine, cfg.inst_limit)
         });
     let alloc_delta = fua::obs::alloc_snapshot().delta(&alloc_before);

@@ -2,7 +2,8 @@
 //! reduced experiment scale (absolute magnitudes are workload-dependent
 //! and recorded in EXPERIMENTS.md; ordering and sign are the invariants).
 
-use fua::core::{figure4, ExperimentConfig, Unit};
+use fua::core::{figure4_jobs, ExperimentConfig, Unit};
+use fua::exec::Jobs;
 
 fn config() -> ExperimentConfig {
     ExperimentConfig {
@@ -13,7 +14,7 @@ fn config() -> ExperimentConfig {
 
 #[test]
 fn ialu_scheme_ordering_matches_the_paper() {
-    let fig = figure4(Unit::Ialu, &config());
+    let fig = figure4_jobs(Unit::Ialu, &config(), Jobs::serial());
     let hw = |name: &str| fig.row(name).expect("row").hardware_pct;
 
     // Figure 4(a): Full Ham bounds 1-bit Ham bounds the LUTs; wider
@@ -32,7 +33,7 @@ fn ialu_scheme_ordering_matches_the_paper() {
 
 #[test]
 fn ialu_swapping_is_additive() {
-    let fig = figure4(Unit::Ialu, &config());
+    let fig = figure4_jobs(Unit::Ialu, &config(), Jobs::serial());
     let row = fig.row("4-bit LUT").expect("row");
     // Hardware swapping adds on top of steering; compiler swapping adds
     // on top of hardware swapping (paper Section 6, insights 1 and 4).
@@ -56,7 +57,7 @@ fn ialu_swapping_is_additive() {
 
 #[test]
 fn fpau_is_insensitive_to_lut_width() {
-    let fig = figure4(Unit::Fpau, &config());
+    let fig = figure4_jobs(Unit::Fpau, &config(), Jobs::serial());
     let base = |name: &str| fig.row(name).expect("row").base_pct;
     // Paper insight 5: the FPAU barely distinguishes 4- and 8-bit LUTs
     // because multi-issue is rare (Table 2).
@@ -71,7 +72,7 @@ fn fpau_hardware_swapping_is_ineffective() {
     // Paper insight 2: FP steering gains come from the base method;
     // hardware swapping adds little (and may even cost a little when it
     // merges the conversion stream into the adder stream).
-    let fig = figure4(Unit::Fpau, &config());
+    let fig = figure4_jobs(Unit::Fpau, &config(), Jobs::serial());
     let row = fig.row("4-bit LUT").expect("row");
     let delta = row.hardware_pct - row.base_pct;
     assert!(

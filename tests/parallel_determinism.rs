@@ -3,7 +3,7 @@
 //! the serial (`--jobs 1`) run once the wall-clock-only sections are set
 //! aside — and `fua report` must diff the two to exactly zero findings.
 
-use fua::core::{figure4, figure4_jobs, headline, headline_jobs, ExperimentConfig, Unit};
+use fua::core::{figure4_jobs, headline_jobs, ExperimentConfig, Unit};
 use fua::exec::Jobs;
 use fua::report::{bench_suite_jobs, compare, BenchReport, Tolerance};
 
@@ -107,7 +107,7 @@ fn figures_and_headline_match_their_serial_twins() {
     let config = tiny_config();
     let jobs = Jobs::new(4).unwrap();
 
-    let fig_serial = figure4(Unit::Ialu, &config);
+    let fig_serial = figure4_jobs(Unit::Ialu, &config, Jobs::serial());
     let fig_parallel = figure4_jobs(Unit::Ialu, &config, jobs);
     assert_eq!(fig_serial.rows, fig_parallel.rows);
     assert_eq!(
@@ -115,7 +115,7 @@ fn figures_and_headline_match_their_serial_twins() {
         fig_parallel.baseline_switched_bits
     );
 
-    let h_serial = headline(&config);
+    let h_serial = headline_jobs(&config, Jobs::serial());
     let h_parallel = headline_jobs(&config, jobs);
     assert_eq!(h_serial.ialu_pct.to_bits(), h_parallel.ialu_pct.to_bits());
     assert_eq!(h_serial.fpau_pct.to_bits(), h_parallel.fpau_pct.to_bits());

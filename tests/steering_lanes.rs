@@ -1,7 +1,9 @@
 //! Steering lanes are exact: one engine run feeding many lanes ends each
 //! lane exactly where a standalone run under its scheme ends, and the
-//! timing every lane reports is the same — cycle counts do not depend on
-//! the scheme. A timing-dependent steering model would fail here first.
+//! timing and operand bit patterns every lane reports are the same —
+//! cycle counts and the issued ops' operands do not depend on the scheme,
+//! so every lane's patterns equal a standalone Original run's. A
+//! timing-dependent steering model would fail here first.
 //!
 //! Covers every workload × every Figure-4 suite (six schemes, each with
 //! and without the hardware swap, built from the measured profile as
@@ -12,7 +14,8 @@
 //! traced run under lane 0's scheme records.
 
 use fua::attr::{attribute_schemes, AttributionSink, EnergyAttribution, Scheme};
-use fua::core::{profile_suite, ExperimentConfig};
+use fua::core::{profile_suite_jobs, ExperimentConfig};
+use fua::exec::Jobs;
 use fua::isa::{FuClass, Program};
 use fua::sim::{
     Lane, MachineConfig, NullProfiler, PhaseTimers, SimPhase, SimResult, Simulator, SteeringConfig,
@@ -23,19 +26,24 @@ use fua::trace::{NullSink, VecSink};
 
 const LIMIT: u64 = 3_000;
 
-/// Every field of a lane's result must match the standalone run's.
-fn assert_same(lane: &SimResult, alone: &SimResult, what: &str) {
-    assert_eq!(lane.ledger, alone.ledger, "{what}: ledger");
-    assert_eq!(lane.swaps, alone.swaps, "{what}: swap counters");
+/// Both results recorded the same operand bit patterns.
+fn assert_same_patterns(a: &SimResult, b: &SimResult, what: &str) {
     for class in FuClass::ALL {
         // The profilers accumulate floats in record order, so equal
         // renderings mean equal records in equal order.
         assert_eq!(
-            format!("{:?}", lane.bit_patterns_of(class)),
-            format!("{:?}", alone.bit_patterns_of(class)),
+            format!("{:?}", a.bit_patterns_of(class)),
+            format!("{:?}", b.bit_patterns_of(class)),
             "{what}: {class} bit patterns"
         );
     }
+}
+
+/// Every field of a lane's result must match the standalone run's.
+fn assert_same(lane: &SimResult, alone: &SimResult, what: &str) {
+    assert_eq!(lane.ledger, alone.ledger, "{what}: ledger");
+    assert_eq!(lane.swaps, alone.swaps, "{what}: swap counters");
+    assert_same_patterns(lane, alone, what);
     assert_eq!(lane.occupancy, alone.occupancy, "{what}: occupancy");
     assert_eq!(
         (lane.cycles, lane.retired, lane.halted),
@@ -53,7 +61,8 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
         ..ExperimentConfig::quick()
     };
     let machine = &config.machine;
-    let profile = profile_suite(&config);
+    let arena = fua::workloads::WorkloadArena::build(config.scale);
+    let (profile, _) = profile_suite_jobs(&config, &arena, Jobs::serial());
     let ialu = profile.case_profile(FuClass::IntAlu);
     let fpau = profile.case_profile(FuClass::FpAlu);
     let ialu_occ = profile.ialu_occupancy.distribution();
@@ -78,7 +87,7 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
     assert_eq!(suites.len(), 12, "six schemes x two swap settings");
 
     let mut checked = 0;
-    for w in fua::workloads::all(config.scale) {
+    for w in arena.all() {
         let swapped = CompilerSwapPass::with_limit(LIMIT)
             .run(&w.program)
             .expect("the swap pass runs every kernel")
@@ -99,11 +108,16 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
             )
             .expect("runs");
             assert_eq!(results.len(), suites.len());
+            let original = Simulator::new(machine.clone(), SteeringConfig::original())
+                .run_program(program, LIMIT)
+                .expect("runs");
             for ((name, scheme), lane) in suites.iter().zip(&results) {
                 let alone = Simulator::new(machine.clone(), scheme.clone())
                     .run_program(program, LIMIT)
                     .expect("runs");
-                assert_same(lane, &alone, &format!("{} {variant} {name}", w.name));
+                let what = format!("{} {variant} {name}", w.name);
+                assert_same(lane, &alone, &what);
+                assert_same_patterns(lane, &original, &format!("{what} vs Original"));
                 assert_eq!(
                     (lane.cycles, lane.retired),
                     (results[0].cycles, results[0].retired),
