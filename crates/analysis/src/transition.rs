@@ -195,6 +195,16 @@ pub enum SwapModel {
     Either,
 }
 
+impl SwapModel {
+    /// The lowercase name reports print (`"direct"`, `"either"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SwapModel::Direct => "direct",
+            SwapModel::Either => "either",
+        }
+    }
+}
+
 /// The static switched-bit bound of one FU-occupying instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcBound {
@@ -270,6 +280,16 @@ impl TransitionEstimate {
     /// Per-block aggregates, in block order (FU-free blocks omitted).
     pub fn blocks(&self) -> &[BlockBound] {
         &self.blocks
+    }
+
+    /// The label of block `block`, or `"bb{block}"` for a block with no
+    /// FU operations (every bounded PC's block has one, so its label is
+    /// always found).
+    pub fn block_label(&self, block: usize) -> String {
+        match self.blocks.binary_search_by_key(&block, |b| b.block) {
+            Ok(i) => self.blocks[i].label.clone(),
+            Err(_) => format!("bb{block}"),
+        }
     }
 
     /// Per-class sums of the per-PC bounds, indexed by

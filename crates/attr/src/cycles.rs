@@ -12,12 +12,12 @@ use std::collections::BTreeMap;
 use fua_analysis::Cfg;
 use fua_exec::{map_indexed, Jobs};
 use fua_isa::Program;
-use fua_sim::{MachineConfig, SimResult, Simulator};
-use fua_trace::{DepSink, Json, StallKey, StallReason, StallSink};
+use fua_sim::{MachineConfig, NullProfiler, SimResult};
+use fua_trace::{DepSink, Json, StallKey, StallReason, StallSink, TextTable, ToJson};
 use fua_workloads::Workload;
 
 use crate::profile::frame;
-use crate::{AttributionSink, EnergyAttribution, Scheme};
+use crate::{attribute_schemes, rank_suite, EnergyAttribution, ExactPartition, Scheme};
 
 /// One stall site with its CFG context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -577,10 +577,108 @@ impl CycleProfiledRun {
     pub fn exact(&self) -> bool {
         self.energy.ledger() == self.result.ledger && self.cycles.exact()
     }
+
+    /// The run as a JSON document: the slot attribution, the critical
+    /// path, and the top-`top` joint energy × cycles rows.
+    pub fn to_json(&self, top: usize) -> Json {
+        let joint = joint_table(&self.energy, &self.cycles, top)
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("pc", Json::UInt(r.pc as u64)),
+                    ("block", Json::Str(r.block.clone())),
+                    ("opcode", Json::Str(r.opcode.clone())),
+                    ("bits", Json::UInt(r.bits)),
+                    ("ops", Json::UInt(r.ops)),
+                    ("bits_per_op", Json::Float(r.bits_per_op)),
+                    ("issued_slots", Json::UInt(r.issued_slots)),
+                    ("stalled_slots", Json::UInt(r.stalled_slots)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("attribution", self.cycles.to_json()),
+            ("critical_path", self.path.to_json(self.result.cycles)),
+            ("joint", Json::Arr(joint)),
+        ])
+    }
+
+    /// The critical-path view: the summary line, then the last `top`
+    /// nodes of the chain (the tail ends at the run's last completion).
+    fn render_critical_path(&self, top: usize) -> String {
+        let nodes = self.path.nodes();
+        let mut out = format!(
+            "critical path — {}: {} node(s), span {} of {} cycles ({:.1}% of the run), \
+             dispatch wait {}, operand wait {}, structural wait {}\n",
+            self.cycles.workload,
+            nodes.len(),
+            self.path.span_cycles(),
+            self.result.cycles,
+            100.0 * self.path.coverage(self.result.cycles),
+            self.path.dispatch_wait(),
+            self.path.operand_wait(),
+            self.path.structural_wait(),
+        );
+        let shown = nodes.len().min(top);
+        let mut t = TextTable::new([
+            "serial",
+            "pc",
+            "opcode",
+            "dispatch",
+            "issue",
+            "done",
+            "disp wait",
+            "op wait",
+            "struct wait",
+        ]);
+        for n in &nodes[nodes.len() - shown..] {
+            t.push_row([
+                format!("#{}", n.serial),
+                format!("pc{}", n.pc),
+                n.opcode.clone(),
+                n.dispatch_cycle.to_string(),
+                n.issue_cycle.to_string(),
+                n.done_cycle.to_string(),
+                n.dispatch_wait.to_string(),
+                n.operand_wait.to_string(),
+                n.structural_wait.to_string(),
+            ]);
+        }
+        if shown < nodes.len() {
+            out += &format!("(last {shown} of {} nodes)\n", nodes.len());
+        }
+        out + &t.to_string()
+    }
 }
 
-/// Runs one workload under `scheme` with energy, stall and dependence
-/// sinks attached, and builds both attributions plus the critical path.
+impl ExactPartition for CycleProfiledRun {
+    fn summary(&self) -> String {
+        let c = &self.cycles;
+        format!(
+            "{} under {}: {} cycles x {} slots = {} issue slots over {} sites, exact: {}",
+            c.workload,
+            c.scheme,
+            c.cycles,
+            c.issue_width,
+            c.total_slots(),
+            c.rows().len(),
+            self.exact()
+        )
+    }
+
+    fn inexact(&self) -> Option<String> {
+        (!self.exact()).then(|| {
+            format!(
+                "cycle attribution for {} did not partition the issue bandwidth exactly",
+                self.cycles.workload
+            )
+        })
+    }
+}
+
+/// Runs one workload under `scheme`, as the one lane of
+/// [`attribute_schemes`] with stall and dependence sinks riding the
+/// engine, and builds both attributions plus the critical path.
 ///
 /// # Panics
 ///
@@ -588,16 +686,16 @@ impl CycleProfiledRun {
 pub fn profile_cycles_workload(w: &Workload, scheme: Scheme, limit: u64) -> CycleProfiledRun {
     let machine = MachineConfig::paper_default();
     let issue_width = machine.issue_width() as u64;
-    let mut sim = Simulator::with_sink(
+    let (mut runs, (stall_sink, dep_sink), _) = attribute_schemes(
+        w,
         machine,
-        scheme.config(),
-        (AttributionSink::new(), (StallSink::new(), DepSink::new())),
+        &[scheme],
+        limit,
+        (StallSink::new(), DepSink::new()),
+        NullProfiler,
     );
-    let result = sim
-        .run_program(&w.program, limit)
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-    let (energy_sink, (stall_sink, dep_sink)) = sim.into_sink();
-    let energy = EnergyAttribution::build(w.name, scheme.label(), &w.program, &energy_sink);
+    let run = runs.pop().expect("one run per scheme");
+    let (result, energy) = (run.result, run.attribution);
     let cycles = CycleAttribution::build(
         w.name,
         scheme.label(),
@@ -630,9 +728,171 @@ pub fn profile_cycles_suite(
     })
 }
 
+/// `fua profile-cycles`' report on one scheme's suite. The text shows
+/// the per-workload issue-slot mix, the suite-wide top-`top` stall
+/// hotspots and joint energy × cycles rows, and (with `critical_path`)
+/// every run's critical path; the JSON is every run's
+/// [`to_json`](CycleProfiledRun::to_json).
+#[derive(Debug)]
+pub struct CycleProfile {
+    /// The scheme every run used.
+    pub scheme: Scheme,
+    /// Hotspot, joint and critical-path rows to print.
+    pub top: usize,
+    /// Whether the text report ends with every run's critical path.
+    pub critical_path: bool,
+    /// One profiled run per workload, in workload order.
+    pub runs: Vec<CycleProfiledRun>,
+}
+
+impl CycleProfile {
+    /// The text report.
+    pub fn render(&self) -> String {
+        let label = self.scheme.label();
+        let top = self.top;
+        let mut out = format!(
+            "issue-slot mix under {label} ({} slots/cycle; every slot accounted):\n{}\n\
+             top {top} stall hotspot(s) under {label}:\n{}\n\
+             energy x cycles, top {top} PC(s) by switched bits:\n{}",
+            self.runs.first().map_or(0, |r| r.cycles.issue_width),
+            self.stall_mix_table(),
+            self.stall_hotspot_table(),
+            self.joint_table(),
+        );
+        if self.critical_path {
+            for run in &self.runs {
+                out.push('\n');
+                out += &run.render_critical_path(top);
+            }
+        }
+        out
+    }
+
+    /// Every run's collapsed stacks, weighted by issue slots.
+    pub fn collapsed_stacks(&self) -> String {
+        self.runs
+            .iter()
+            .map(|r| r.cycles.collapsed_stacks())
+            .collect()
+    }
+
+    /// One row per run, one percentage column per [`StallReason`].
+    fn stall_mix_table(&self) -> TextTable {
+        let mut headers = vec![
+            "workload".to_string(),
+            "cycles".to_string(),
+            "IPC".to_string(),
+        ];
+        headers.extend(StallReason::ALL.iter().map(|r| r.name().to_string()));
+        let mut t = TextTable::new(headers);
+        for run in &self.runs {
+            let totals = run.cycles.reason_totals();
+            let slots = run.cycles.total_slots();
+            let mut row = vec![
+                run.cycles.workload.clone(),
+                run.cycles.cycles.to_string(),
+                format!("{:.2}", run.result.ipc()),
+            ];
+            row.extend(StallReason::ALL.iter().map(|r| {
+                let share = if slots == 0 {
+                    0.0
+                } else {
+                    100.0 * totals[r.index()] as f64 / slots as f64
+                };
+                format!("{share:.1}%")
+            }));
+            t.push_row(row);
+        }
+        t
+    }
+
+    /// The suite-wide top stall hotspots, with each site's share of the
+    /// suite's non-issued slots.
+    fn stall_hotspot_table(&self) -> TextTable {
+        let suite_stalled: u64 = self
+            .runs
+            .iter()
+            .map(|r| r.cycles.total_slots() - r.cycles.issued_slots())
+            .sum();
+        let spots = rank_suite(
+            self.runs.iter().flat_map(|r| {
+                let workload = r.cycles.workload.as_str();
+                r.cycles
+                    .hotspots(self.top)
+                    .into_iter()
+                    .map(move |h| (workload, h))
+            }),
+            self.top,
+            |h| h.stalled,
+            |h| (h.pc.is_none(), h.pc),
+        );
+        let mut table = TextTable::new([
+            "workload", "pc", "block", "opcode", "reason", "stalled", "issued", "share",
+        ]);
+        for (workload, h) in spots {
+            let share = if suite_stalled == 0 {
+                0.0
+            } else {
+                100.0 * h.stalled as f64 / suite_stalled as f64
+            };
+            table.push_row([
+                workload.to_string(),
+                h.pc.map_or_else(|| "-".to_string(), |pc| format!("pc{pc}")),
+                h.block,
+                h.opcode,
+                h.top_reason.name().to_string(),
+                h.stalled.to_string(),
+                h.issued.to_string(),
+                format!("{share:.2}%"),
+            ]);
+        }
+        table
+    }
+
+    /// The suite-wide joint energy × cycles table, ranked by switched
+    /// bits.
+    fn joint_table(&self) -> TextTable {
+        let rows = rank_suite(
+            self.runs.iter().flat_map(|r| {
+                let workload = r.cycles.workload.as_str();
+                joint_table(&r.energy, &r.cycles, self.top)
+                    .into_iter()
+                    .map(move |row| (workload, row))
+            }),
+            self.top,
+            |r| r.bits,
+            |r| r.pc,
+        );
+        let mut table = TextTable::new([
+            "workload", "pc", "block", "opcode", "bits", "ops", "bits/op", "issued", "stalled",
+        ]);
+        for (workload, r) in rows {
+            table.push_row([
+                workload.to_string(),
+                format!("pc{}", r.pc),
+                r.block,
+                r.opcode,
+                r.bits.to_string(),
+                r.ops.to_string(),
+                format!("{:.1}", r.bits_per_op),
+                r.issued_slots.to_string(),
+                r.stalled_slots.to_string(),
+            ]);
+        }
+        table
+    }
+}
+
+impl ToJson for CycleProfile {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.runs.iter().map(|r| r.to_json(self.top)).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttributionSink;
     use fua_isa::FuClass;
     use fua_trace::{TraceEvent, TraceSink};
 

@@ -1,10 +1,11 @@
 //! Differential attribution: where one steering scheme saves (or loses)
 //! energy relative to another, aligned by static PC.
 
-use fua_isa::{Case, FuClass};
-use fua_trace::Json;
+use fua_isa::FuClass;
+use fua_trace::{Json, TextTable, ToJson};
 
-use crate::{EnergyAttribution, MAX_MODULES};
+use crate::run::{breakdown_table, energy_stacks};
+use crate::{rank_suite, AttributedRun, EnergyAttribution, Scheme, MAX_MODULES};
 
 /// One PC's movement between two schemes. `delta` is
 /// `bits_b - bits_a`: negative means scheme B switched fewer bits at
@@ -32,7 +33,7 @@ pub struct ClassDelta {
     pub class: FuClass,
     /// Per-module `bits_b - bits_a`, in module order.
     pub module_delta: [i128; MAX_MODULES],
-    /// Per-case `bits_b - bits_a`, in [`Case::ALL`] order.
+    /// Per-case `bits_b - bits_a`, in [`Case::ALL`](fua_isa::Case::ALL) order.
     pub case_delta: [i128; 4],
 }
 
@@ -228,16 +229,121 @@ impl AttributionDiff {
     }
 }
 
-/// Aligns per-case deltas with case labels for rendering.
-pub fn case_labels() -> [String; 4] {
-    Case::ALL.map(|c| c.to_string())
+/// `fua profile-energy --compare A B`'s report: both schemes attributed
+/// over the same suite and diffed per workload. The text shows the
+/// per-workload totals, the suite-wide top-`top` movers and each
+/// side's per-module / per-case breakdown; the JSON is every diff.
+#[derive(Debug)]
+pub struct EnergyComparison {
+    /// Side A, the baseline of the comparison.
+    pub scheme_a: Scheme,
+    /// Side B.
+    pub scheme_b: Scheme,
+    /// Mover rows to print.
+    pub top: usize,
+    /// Side A's runs, in workload order.
+    pub runs_a: Vec<AttributedRun>,
+    /// Side B's runs, in the same order.
+    pub runs_b: Vec<AttributedRun>,
+    /// One diff per workload, B against A.
+    pub diffs: Vec<AttributionDiff>,
+}
+
+impl EnergyComparison {
+    /// Diffs every workload's B run against its A run.
+    pub fn new(
+        scheme_a: Scheme,
+        scheme_b: Scheme,
+        top: usize,
+        runs_a: Vec<AttributedRun>,
+        runs_b: Vec<AttributedRun>,
+    ) -> Self {
+        let diffs = runs_a
+            .iter()
+            .zip(&runs_b)
+            .map(|(a, b)| AttributionDiff::between(&a.attribution, &b.attribution))
+            .collect();
+        EnergyComparison {
+            scheme_a,
+            scheme_b,
+            top,
+            runs_a,
+            runs_b,
+            diffs,
+        }
+    }
+
+    /// The text report.
+    pub fn render(&self) -> String {
+        let mut totals = TextTable::new([
+            "workload".to_string(),
+            format!("bits A ({})", self.scheme_a.name()),
+            format!("bits B ({})", self.scheme_b.name()),
+            "delta".to_string(),
+            "saving".to_string(),
+        ]);
+        for d in &self.diffs {
+            totals.push_row([
+                d.workload.clone(),
+                d.total_a.to_string(),
+                d.total_b.to_string(),
+                d.total_delta().to_string(),
+                format!("{:.2}%", d.saving_pct()),
+            ]);
+        }
+        let movers = rank_suite(
+            self.diffs
+                .iter()
+                .flat_map(|d| d.movers.iter().map(move |m| (d.workload.as_str(), m))),
+            self.top,
+            |m| m.delta.unsigned_abs(),
+            |m| m.pc,
+        );
+        let mut table = TextTable::new([
+            "workload", "pc", "block", "opcode", "bits A", "bits B", "delta",
+        ]);
+        for (w, m) in &movers {
+            table.push_row([
+                w.to_string(),
+                format!("pc{}", m.pc),
+                m.block.clone(),
+                m.opcode.clone(),
+                m.bits_a.to_string(),
+                m.bits_b.to_string(),
+                m.delta.to_string(),
+            ]);
+        }
+        format!(
+            "switched bits, {} (A) vs {} (B):\n{totals}\n\
+             top {} mover(s) by |delta| (negative = B saves):\n{table}\n\
+             per-module / per-case switched bits under A:\n{}\n\
+             per-module / per-case switched bits under B:\n{}",
+            self.scheme_a.label(),
+            self.scheme_b.label(),
+            movers.len(),
+            breakdown_table(&self.runs_a),
+            breakdown_table(&self.runs_b)
+        )
+    }
+
+    /// Side B's collapsed stacks: where the energy still goes under the
+    /// scheme being compared (the "after" profile).
+    pub fn collapsed_stacks(&self) -> String {
+        energy_stacks(&self.runs_b)
+    }
+}
+
+impl ToJson for EnergyComparison {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.diffs.iter().map(AttributionDiff::to_json).collect())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::AttributionSink;
-    use fua_isa::{IntReg, Program, ProgramBuilder};
+    use fua_isa::{Case, IntReg, Program, ProgramBuilder};
     use fua_trace::{TraceEvent, TraceSink};
 
     fn program() -> Program {

@@ -12,8 +12,9 @@ use std::collections::BTreeMap;
 
 use fua_analysis::{estimate_transitions, SwapModel, TransitionEstimate};
 use fua_exec::{map_indexed, Jobs};
+use fua_isa::FuClass;
 use fua_sim::{MachineConfig, NullProfiler};
-use fua_trace::NullSink;
+use fua_trace::{Json, NullSink, TextTable, ToJson};
 use fua_workloads::Workload;
 
 use crate::{attribute_schemes, attribute_workload, AttributedRun, EnergyAttribution, Scheme};
@@ -68,6 +69,44 @@ impl EstimateCheck {
         } else {
             self.bound_bits as f64 / self.actual_bits as f64
         }
+    }
+}
+
+impl ToJson for EstimateCheck {
+    fn to_json(&self) -> Json {
+        let violations = self
+            .violations
+            .iter()
+            .map(|v| {
+                Json::obj([
+                    ("pc", Json::UInt(v.pc as u64)),
+                    ("bound_bits", Json::UInt(v.bound_bits)),
+                    ("actual_bits", Json::UInt(v.actual_bits)),
+                    ("ops", Json::UInt(v.ops)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("workload", Json::Str(self.workload.clone())),
+            ("scheme", Json::Str(self.scheme.clone())),
+            ("pcs", Json::UInt(self.pcs as u64)),
+            ("bound_bits", Json::UInt(self.bound_bits)),
+            ("actual_bits", Json::UInt(self.actual_bits)),
+            ("ratio", Json::Float(self.ratio())),
+            ("sound", Json::Bool(self.sound())),
+            (
+                "worst_block",
+                self.worst_block
+                    .as_ref()
+                    .map_or(Json::Null, |(label, ratio)| {
+                        Json::obj([
+                            ("block", Json::Str(label.clone())),
+                            ("ratio", Json::Float(*ratio)),
+                        ])
+                    }),
+            ),
+            ("violations", Json::Arr(violations)),
+        ])
     }
 }
 
@@ -186,6 +225,326 @@ pub fn check_suite(
                 .collect()
         })
         .collect()
+}
+
+/// `fua estimate --verify`'s report: every workload × scheme check of
+/// the static bounds against the measured attribution.
+#[derive(Debug)]
+pub struct EstimateVerification {
+    /// The checks, scheme-major, each scheme's in workload order.
+    pub checks: Vec<EstimateCheck>,
+}
+
+impl EstimateVerification {
+    /// Checks every workload under every scheme ([`check_suite`]).
+    pub fn run(workloads: &[Workload], schemes: &[Scheme], limit: u64, jobs: Jobs) -> Self {
+        let checks = check_suite(workloads, schemes, limit, jobs)
+            .into_iter()
+            .flatten()
+            .collect();
+        EstimateVerification { checks }
+    }
+
+    /// Static bounds the measurement exceeded, over every check.
+    pub fn violations(&self) -> usize {
+        self.checks.iter().map(|c| c.violations.len()).sum()
+    }
+
+    /// The text report: one row per check, then the totals.
+    pub fn render(&self) -> String {
+        let mut t = TextTable::new([
+            "workload",
+            "scheme",
+            "PCs",
+            "bound bits",
+            "actual bits",
+            "ratio",
+            "worst block",
+            "sound",
+        ]);
+        for c in &self.checks {
+            t.push_row([
+                c.workload.clone(),
+                c.scheme.clone(),
+                c.pcs.to_string(),
+                c.bound_bits.to_string(),
+                c.actual_bits.to_string(),
+                format!("{:.2}x", c.ratio()),
+                c.worst_block
+                    .as_ref()
+                    .map_or_else(|| "-".to_string(), |(l, r)| format!("{l} ({r:.2}x)")),
+                if c.sound() { "yes" } else { "NO" }.to_string(),
+            ]);
+        }
+        let checks = self.checks.len();
+        let mean = self.checks.iter().map(EstimateCheck::ratio).sum::<f64>() / checks.max(1) as f64;
+        format!(
+            "static-vs-dynamic soundness and precision:\n{t}\n\
+             {checks} check(s), {} violation(s); mean bound/actual ratio {mean:.2}x",
+            self.violations()
+        )
+    }
+}
+
+impl ToJson for EstimateVerification {
+    fn to_json(&self) -> Json {
+        Json::arr(&self.checks)
+    }
+}
+
+/// The FU classes in [`FuClass::index`] order, the estimate tables'
+/// class columns.
+const ESTIMATE_CLASSES: [FuClass; 4] = [
+    FuClass::IntAlu,
+    FuClass::IntMul,
+    FuClass::FpAlu,
+    FuClass::FpMul,
+];
+
+/// One workload's static estimate under `scheme` as a JSON document.
+fn estimate_json(scheme: Scheme, workload: &str, est: &TransitionEstimate) -> Json {
+    let (bounded, definite) = est.coverage();
+    let class_bits = est.class_bits_per_pass();
+    let classes = ESTIMATE_CLASSES
+        .iter()
+        .map(|c| (c.to_string(), Json::UInt(class_bits[c.index()])))
+        .collect();
+    let pcs = est
+        .pc_bounds()
+        .map(|b| {
+            Json::obj([
+                ("pc", Json::UInt(b.pc as u64)),
+                ("block", Json::Str(est.block_label(b.block))),
+                ("opcode", Json::Str(b.opcode.clone())),
+                ("class", Json::Str(b.class.to_string())),
+                (
+                    "case",
+                    b.case.map_or(Json::Null, |c| Json::Str(c.to_string())),
+                ),
+                ("bits_per_op", Json::UInt(b.bits_per_op as u64)),
+            ])
+        })
+        .collect();
+    let blocks = est
+        .blocks()
+        .iter()
+        .map(|b| {
+            Json::obj([
+                ("block", Json::Str(b.label.clone())),
+                ("ops", Json::UInt(b.ops as u64)),
+                ("bits_per_pass", Json::UInt(b.bits_per_pass)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("workload", Json::Str(workload.to_string())),
+        ("scheme", Json::Str(scheme.name().to_string())),
+        ("model", Json::Str(est.model().name().to_string())),
+        ("bounded_pcs", Json::UInt(bounded as u64)),
+        ("definite_cases", Json::UInt(definite as u64)),
+        ("total_bits_per_pass", Json::UInt(est.total_bits_per_pass())),
+        ("class_bits_per_pass", Json::Obj(classes)),
+        ("pc_bounds", Json::Arr(pcs)),
+        ("blocks", Json::Arr(blocks)),
+    ])
+}
+
+/// Estimates every workload under `model`, fanning the workloads out
+/// across `jobs` workers; results come back in workload order.
+fn estimate_suite(
+    workloads: &[Workload],
+    model: SwapModel,
+    jobs: Jobs,
+) -> Vec<(String, TransitionEstimate)> {
+    map_indexed(jobs, workloads, |_, w| {
+        (w.name.to_string(), estimate_transitions(&w.program, model))
+    })
+}
+
+/// `fua estimate`'s report: every workload's static switched-bit bounds
+/// under one scheme. The text shows each workload's per-PC (or, with
+/// `per_block`, per-block) table when there is one workload or
+/// `per_block` is set, then a suite summary when there are several.
+#[derive(Debug)]
+pub struct EstimateReport {
+    /// The scheme whose swap model the bounds assume.
+    pub scheme: Scheme,
+    /// Whether the per-workload tables aggregate per basic block.
+    pub per_block: bool,
+    /// `(workload, estimate)`, in workload order.
+    pub estimates: Vec<(String, TransitionEstimate)>,
+}
+
+impl EstimateReport {
+    /// Estimates every workload under `scheme`'s swap model.
+    pub fn run(workloads: &[Workload], scheme: Scheme, per_block: bool, jobs: Jobs) -> Self {
+        EstimateReport {
+            scheme,
+            per_block,
+            estimates: estimate_suite(workloads, scheme.swap_model(), jobs),
+        }
+    }
+
+    /// The text report.
+    pub fn render(&self) -> String {
+        let label = self.scheme.label();
+        let model = self.scheme.swap_model().name();
+        let mut out = Vec::new();
+        let several = self.estimates.len() > 1;
+        for (w, est) in &self.estimates {
+            if several && !self.per_block {
+                continue;
+            }
+            let (bounded, definite) = est.coverage();
+            let table = if self.per_block {
+                let mut t = TextTable::new(["block", "ops", "bits/pass"]);
+                for b in est.blocks() {
+                    t.push_row([
+                        b.label.clone(),
+                        b.ops.to_string(),
+                        b.bits_per_pass.to_string(),
+                    ]);
+                }
+                t
+            } else {
+                let mut t = TextTable::new(["pc", "block", "opcode", "class", "case", "bits/op"]);
+                for b in est.pc_bounds() {
+                    t.push_row([
+                        format!("pc{}", b.pc),
+                        est.block_label(b.block),
+                        b.opcode.clone(),
+                        b.class.to_string(),
+                        b.case.map_or_else(|| "?".to_string(), |c| c.to_string()),
+                        b.bits_per_op.to_string(),
+                    ]);
+                }
+                t
+            };
+            out.push(format!(
+                "{w}: static switched-bit bounds under {label} ({model} operand order)"
+            ));
+            out.push(table.to_string());
+            out.push(format!(
+                "{bounded} FU instruction(s) bounded ({definite} with a definite case); \
+                 <= {} bits per straight-line pass\n",
+                est.total_bits_per_pass()
+            ));
+        }
+        if several {
+            let mut headers = vec![
+                "workload".to_string(),
+                "PCs".to_string(),
+                "definite".to_string(),
+                "bits/pass".to_string(),
+            ];
+            headers.extend(ESTIMATE_CLASSES.iter().map(|c| c.to_string()));
+            let mut t = TextTable::new(headers);
+            for (w, est) in &self.estimates {
+                let (bounded, definite) = est.coverage();
+                let class_bits = est.class_bits_per_pass();
+                let mut row = vec![
+                    w.clone(),
+                    bounded.to_string(),
+                    definite.to_string(),
+                    est.total_bits_per_pass().to_string(),
+                ];
+                row.extend(
+                    ESTIMATE_CLASSES
+                        .iter()
+                        .map(|c| class_bits[c.index()].to_string()),
+                );
+                t.push_row(row);
+            }
+            out.push(format!(
+                "static bits/pass upper bounds under {label} ({model} operand order):"
+            ));
+            out.push(t.to_string());
+        }
+        out.join("\n")
+    }
+}
+
+impl ToJson for EstimateReport {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.estimates
+                .iter()
+                .map(|(w, e)| estimate_json(self.scheme, w, e))
+                .collect(),
+        )
+    }
+}
+
+/// `fua estimate --compare A B`'s report: every workload's static
+/// bits-per-pass bound under both schemes.
+#[derive(Debug)]
+pub struct EstimateComparison {
+    /// Side A.
+    pub scheme_a: Scheme,
+    /// Side B.
+    pub scheme_b: Scheme,
+    /// `(workload, A's estimate, B's estimate)`, in workload order.
+    pub estimates: Vec<(String, TransitionEstimate, TransitionEstimate)>,
+}
+
+impl EstimateComparison {
+    /// Estimates every workload under both schemes' swap models.
+    pub fn run(workloads: &[Workload], scheme_a: Scheme, scheme_b: Scheme, jobs: Jobs) -> Self {
+        let estimates = map_indexed(jobs, workloads, |_, w| {
+            (
+                w.name.to_string(),
+                estimate_transitions(&w.program, scheme_a.swap_model()),
+                estimate_transitions(&w.program, scheme_b.swap_model()),
+            )
+        });
+        EstimateComparison {
+            scheme_a,
+            scheme_b,
+            estimates,
+        }
+    }
+
+    /// The text report: one row per workload with both bounds and their
+    /// difference.
+    pub fn render(&self) -> String {
+        let mut t = TextTable::new([
+            "workload".to_string(),
+            format!("bits/pass A ({})", self.scheme_a.name()),
+            format!("bits/pass B ({})", self.scheme_b.name()),
+            "delta".to_string(),
+        ]);
+        for (w, ea, eb) in &self.estimates {
+            let (a, b) = (ea.total_bits_per_pass(), eb.total_bits_per_pass());
+            t.push_row([
+                w.clone(),
+                a.to_string(),
+                b.to_string(),
+                (b as i64 - a as i64).to_string(),
+            ]);
+        }
+        format!(
+            "static bits/pass bounds, {} (A) vs {} (B):\n{t}",
+            self.scheme_a.label(),
+            self.scheme_b.label()
+        )
+    }
+}
+
+impl ToJson for EstimateComparison {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.estimates
+                .iter()
+                .map(|(w, ea, eb)| {
+                    Json::obj([
+                        ("workload", Json::Str(w.clone())),
+                        ("a", estimate_json(self.scheme_a, w, ea)),
+                        ("b", estimate_json(self.scheme_b, w, eb)),
+                    ])
+                })
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -56,18 +56,24 @@ mod cycles;
 mod diff;
 mod estimate;
 mod profile;
+mod rank;
 mod run;
 mod sink;
 
 pub use cycles::{
     joint_table, profile_cycles_suite, profile_cycles_workload, CriticalNode, CriticalPath,
-    CycleAttribution, CycleProfiledRun, JointRow, StallHotspot, StallRow,
+    CycleAttribution, CycleProfile, CycleProfiledRun, JointRow, StallHotspot, StallRow,
 };
-pub use diff::{case_labels, AttributionDiff, ClassDelta, PcDelta};
+pub use diff::{AttributionDiff, ClassDelta, EnergyComparison, PcDelta};
 pub use estimate::{
     check_attribution, check_runs, check_suite, check_workload, BoundViolation, EstimateCheck,
+    EstimateComparison, EstimateReport, EstimateVerification,
 };
 pub use fua_steer::MAX_MODULES;
 pub use profile::{EnergyAttribution, Hotspot, SiteRow};
-pub use run::{attribute_schemes, attribute_suite, attribute_workload, AttributedRun, Scheme};
+pub use rank::{rank_suite, suite_hotspots};
+pub use run::{
+    attribute_schemes, attribute_suite, attribute_workload, AttributedRun, EnergyProfile,
+    ExactPartition, Scheme, SchemeRun,
+};
 pub use sink::{AttributionSink, SiteKey, SiteStat};

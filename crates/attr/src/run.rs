@@ -1,16 +1,18 @@
 //! Named steering schemes and attribution runners — the glue the
-//! `fua profile-energy` front end drives.
+//! `fua profile-energy` and `fua run` front ends drive — and the reports
+//! they print.
 
 use fua_analysis::SwapModel;
 use fua_exec::{map_indexed, Jobs};
+use fua_isa::FuClass;
 use fua_sim::{
     Lane, MachineConfig, NullProfiler, PhaseProfiler, SimResult, Simulator, SteeringConfig,
 };
 use fua_steer::SteeringKind;
-use fua_trace::{NullSink, TraceSink};
-use fua_workloads::Workload;
+use fua_trace::{Json, MetricsRecorder, MetricsRegistry, NullSink, TextTable, ToJson, TraceSink};
+use fua_workloads::{Category, Workload};
 
-use crate::{AttributionSink, EnergyAttribution};
+use crate::{suite_hotspots, AttributionSink, EnergyAttribution};
 
 /// A steering scheme addressable by name on the command line.
 ///
@@ -94,6 +96,17 @@ impl Scheme {
     }
 }
 
+/// The schemes `fua run` compares, in its row order: Original, then the
+/// hardware-swap schemes in Figure-4 bar order.
+const RUN_SCHEMES: [Scheme; 6] = [
+    Scheme::Naive,
+    Scheme::FullHam,
+    Scheme::OneBitHam,
+    Scheme::Lut8,
+    Scheme::Lut4,
+    Scheme::Lut2,
+];
+
 impl std::str::FromStr for Scheme {
     type Err = String;
 
@@ -128,6 +141,43 @@ impl AttributedRun {
     /// bit-for-bit — the exact-partition invariant.
     pub fn exact(&self) -> bool {
         self.attribution.ledger() == self.result.ledger
+    }
+}
+
+/// A profiled run whose attribution must partition its measurement
+/// exactly. The profiling front ends log [`summary`](Self::summary) for
+/// every run and stop at the first run with an [`inexact`](Self::inexact)
+/// error.
+pub trait ExactPartition {
+    /// One log line: workload, scheme, what was partitioned, and the
+    /// exactness verdict.
+    fn summary(&self) -> String;
+
+    /// Why the partition is not exact, or `None` when it is.
+    fn inexact(&self) -> Option<String>;
+}
+
+impl ExactPartition for AttributedRun {
+    fn summary(&self) -> String {
+        let a = &self.attribution;
+        format!(
+            "{} under {}: {} cycles, {} switched bits over {} sites, exact: {}",
+            a.workload,
+            a.scheme,
+            self.result.cycles,
+            a.total_bits(),
+            a.rows().len(),
+            self.exact()
+        )
+    }
+
+    fn inexact(&self) -> Option<String> {
+        (!self.exact()).then(|| {
+            format!(
+                "attribution for {} did not reproduce the energy ledger",
+                self.attribution.workload
+            )
+        })
     }
 }
 
@@ -209,6 +259,229 @@ pub fn attribute_suite(
                 .collect()
         })
         .collect()
+}
+
+/// The per-module and per-case switched-bit breakdown of the duplicated
+/// FU classes, summed across `runs`.
+pub(crate) fn breakdown_table(runs: &[AttributedRun]) -> TextTable {
+    let mut table = TextTable::new(["class", "m0", "m1", "m2", "m3", "c00", "c01", "c10", "c11"]);
+    for class in [FuClass::IntAlu, FuClass::FpAlu] {
+        let mut modules = [0u64; crate::MAX_MODULES];
+        let mut cases = [0u64; 4];
+        for run in runs {
+            let m = run.attribution.module_bits(class);
+            let c = run.attribution.case_bits(class);
+            for (acc, v) in modules.iter_mut().zip(m) {
+                *acc += v;
+            }
+            for (acc, v) in cases.iter_mut().zip(c) {
+                *acc += v;
+            }
+        }
+        table.push_row(
+            std::iter::once(class.to_string())
+                .chain(modules.iter().take(4).map(u64::to_string))
+                .chain(cases.iter().map(u64::to_string)),
+        );
+    }
+    table
+}
+
+/// The collapsed stacks of every run, concatenated in run order.
+pub(crate) fn energy_stacks(runs: &[AttributedRun]) -> String {
+    runs.iter()
+        .map(|r| r.attribution.collapsed_stacks())
+        .collect()
+}
+
+/// `fua profile-energy`'s report on one scheme's suite: the suite-wide
+/// top-`top` hotspot table and the per-module / per-case breakdown as
+/// text, every run's attribution as JSON.
+#[derive(Debug)]
+pub struct EnergyProfile {
+    /// The scheme every run used.
+    pub scheme: Scheme,
+    /// Hotspot rows to print.
+    pub top: usize,
+    /// One attributed run per workload, in workload order.
+    pub runs: Vec<AttributedRun>,
+}
+
+impl EnergyProfile {
+    /// The text report.
+    pub fn render(&self) -> String {
+        let mut table =
+            TextTable::new(["workload", "pc", "block", "opcode", "bits", "ops", "share"]);
+        for (workload, h) in suite_hotspots(self.runs.iter().map(|r| &r.attribution), self.top) {
+            table.push_row([
+                workload.to_string(),
+                format!("pc{}", h.pc),
+                h.block,
+                h.opcode,
+                h.bits.to_string(),
+                h.ops.to_string(),
+                format!("{:.2}%", h.share_pct),
+            ]);
+        }
+        format!(
+            "top {} energy hotspot(s) under {}:\n{table}\n\
+             per-module / per-case switched bits:\n{}",
+            self.top,
+            self.scheme.label(),
+            breakdown_table(&self.runs)
+        )
+    }
+
+    /// Every run's collapsed stacks, for a flamegraph.
+    pub fn collapsed_stacks(&self) -> String {
+        energy_stacks(&self.runs)
+    }
+}
+
+impl ToJson for EnergyProfile {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.runs.iter().map(|r| r.attribution.to_json()).collect())
+    }
+}
+
+/// `fua run`'s report: one workload run once, with a steering lane per
+/// scheme, Original first; each scheme's switched bits on the
+/// workload's duplicated FU class and its reduction against Original.
+#[derive(Debug)]
+pub struct SchemeRun {
+    /// The workload run.
+    pub workload: String,
+    /// The duplicated FU class the workload's category drives.
+    pub class: FuClass,
+    /// The Original lane's result.
+    pub baseline: SimResult,
+    /// `(scheme, switched bits, reduction vs Original in percent)` per
+    /// scheme, Original (with no reduction) first.
+    pub rows: Vec<(Scheme, u64, Option<f64>)>,
+    /// The metrics a recorder on the engine gathered (it sees the
+    /// Original lane), when one rode the run.
+    pub metrics: Option<MetricsRegistry>,
+}
+
+impl SchemeRun {
+    /// Runs `w` for at most `limit` instructions on the paper's machine
+    /// with a lane per scheme, a [`MetricsRecorder`] riding the engine
+    /// when `metrics` is set.
+    pub fn run(w: &Workload, limit: u64, metrics: bool) -> Result<Self, String> {
+        let class = match w.category {
+            Category::Integer => FuClass::IntAlu,
+            Category::FloatingPoint => FuClass::FpAlu,
+        };
+        let machine = MachineConfig::paper_default();
+        let mut lanes: Vec<Lane> = RUN_SCHEMES
+            .iter()
+            .map(|s| Lane::new(&machine, s.config()))
+            .collect();
+        let (results, registry) = if metrics {
+            let (results, recorder, _) = Simulator::run_lanes(
+                machine,
+                MetricsRecorder::new(),
+                NullProfiler,
+                &mut lanes,
+                &w.program,
+                limit,
+            )
+            .map_err(|e| e.to_string())?;
+            (results, Some(recorder.into_registry()))
+        } else {
+            let (results, ..) = Simulator::run_lanes(
+                machine,
+                NullSink,
+                NullProfiler,
+                &mut lanes,
+                &w.program,
+                limit,
+            )
+            .map_err(|e| e.to_string())?;
+            (results, None)
+        };
+        let baseline = &results[0];
+        let rows = RUN_SCHEMES
+            .iter()
+            .zip(&results)
+            .map(|(&scheme, r)| {
+                let reduction =
+                    (scheme != Scheme::Naive).then(|| 100.0 * r.reduction_vs(baseline, class));
+                (scheme, r.ledger.switched_bits(class), reduction)
+            })
+            .collect();
+        Ok(SchemeRun {
+            workload: w.name.to_string(),
+            class,
+            baseline: results.into_iter().next().expect("one result per lane"),
+            rows,
+            metrics: registry,
+        })
+    }
+
+    /// The text report: the baseline run's summary line, the scheme
+    /// table, then the metrics when present.
+    pub fn render(&self) -> String {
+        let b = &self.baseline;
+        let mut out = vec![format!(
+            "{}: retired {} in {} cycles (IPC {:.2}), branch mispredict {:.1}%, \
+             D-cache hit {:.1}%",
+            self.workload,
+            b.retired,
+            b.cycles,
+            b.ipc(),
+            100.0 * b.branches.mispredict_rate(),
+            100.0 * b.cache.hit_rate(),
+        )];
+        let bits = format!("{} bits", self.class);
+        let mut t = TextTable::new(["scheme", bits.as_str(), "reduction"]);
+        for (scheme, bits, red) in &self.rows {
+            t.push_row([
+                scheme.label().to_string(),
+                bits.to_string(),
+                red.map_or_else(|| "-".to_string(), |r| format!("{r:.1}%")),
+            ]);
+        }
+        out.push(t.to_string());
+        if let Some(reg) = &self.metrics {
+            out.push(format!("metrics — baseline (Original) run:\n{reg}"));
+        }
+        out.join("\n")
+    }
+}
+
+impl ToJson for SchemeRun {
+    fn to_json(&self) -> Json {
+        let b = &self.baseline;
+        let schemes = self
+            .rows
+            .iter()
+            .map(|(scheme, bits, red)| {
+                Json::obj([
+                    ("scheme", Json::Str(scheme.label().to_string())),
+                    ("switched_bits", Json::UInt(*bits)),
+                    ("reduction_pct", red.map_or(Json::Null, Json::Float)),
+                ])
+            })
+            .collect();
+        let mut fields = vec![
+            ("workload".to_string(), Json::Str(self.workload.clone())),
+            ("class".to_string(), Json::Str(self.class.to_string())),
+            ("retired".to_string(), Json::UInt(b.retired)),
+            ("cycles".to_string(), Json::UInt(b.cycles)),
+            ("ipc".to_string(), Json::Float(b.ipc())),
+            ("halted".to_string(), Json::Bool(b.halted)),
+            ("branches".to_string(), b.branches.to_json()),
+            ("cache".to_string(), b.cache.to_json()),
+            ("swaps".to_string(), b.swaps.to_json()),
+            ("ledger".to_string(), b.ledger.to_json()),
+            ("schemes".to_string(), Json::Arr(schemes)),
+        ];
+        if let Some(reg) = &self.metrics {
+            fields.push(("metrics".to_string(), reg.to_json()));
+        }
+        Json::Obj(fields)
+    }
 }
 
 #[cfg(test)]

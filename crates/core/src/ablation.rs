@@ -14,10 +14,11 @@
 use fua_isa::{Case, FuClass, Word, INT_BITS};
 use fua_power::booth::BoothModel;
 use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
-use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
+use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler};
 use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy, Policy};
 use fua_swap::MultiplierSwapRule;
 use fua_trace::NullSink;
+use fua_trace::TextTable;
 use fua_vm::{FuOp, Vm};
 use fua_workloads::Workload;
 

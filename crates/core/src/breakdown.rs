@@ -4,7 +4,7 @@
 //! programs drive them — the per-benchmark view any reviewer of the
 //! original would have asked for.
 
-use fua_stats::TextTable;
+use fua_trace::TextTable;
 use fua_workloads::{floating_point, integer};
 
 use crate::observe::original_and_observed;

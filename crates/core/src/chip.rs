@@ -8,7 +8,7 @@
 
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
-use fua_stats::TextTable;
+use fua_trace::TextTable;
 use fua_workloads::all;
 
 use crate::observe::original_and_observed;

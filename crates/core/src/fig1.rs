@@ -2,8 +2,8 @@
 
 use fua_isa::{FuClass, Word};
 use fua_power::{pair_cost, ModulePorts};
-use fua_stats::TextTable;
 use fua_steer::{FullHamPolicy, SteeringPolicy};
+use fua_trace::TextTable;
 use fua_vm::FuOp;
 
 /// The regenerated Figure-1 example: per-routing switching energy for the

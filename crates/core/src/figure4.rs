@@ -4,34 +4,13 @@ use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_power::EnergyLedger;
 use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
-use fua_stats::TextTable;
 use fua_steer::SteeringKind;
 use fua_swap::CompilerSwapPass;
 use fua_trace::NullSink;
+use fua_trace::TextTable;
 use fua_workloads::{Workload, WorkloadArena};
 
 use crate::{profile_suite_jobs, ExperimentConfig, SuiteProfile, Unit};
-
-/// The three stacked bars of each Figure-4 column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwapVariant {
-    /// Base: steering only, no operand swapping anywhere.
-    Base,
-    /// Base + the hardware swap rule (cost-based swap for the Ham
-    /// schemes).
-    Hardware,
-    /// Base + hardware + the profile-guided compiler swap pass.
-    HardwareCompiler,
-}
-
-impl SwapVariant {
-    /// All variants, in the paper's stacking order.
-    pub const ALL: [SwapVariant; 3] = [
-        SwapVariant::Base,
-        SwapVariant::Hardware,
-        SwapVariant::HardwareCompiler,
-    ];
-}
 
 /// One Figure-4 column: a steering scheme with its swap variants, as
 /// percentage energy reduction relative to Original/Base. The paper's
@@ -328,6 +307,18 @@ pub struct Headline {
     pub fpau_pct: f64,
     /// IALU reduction, 4-bit LUT + hardware + compiler swap (percent).
     pub ialu_compiler_pct: f64,
+}
+
+impl Headline {
+    /// The three headline lines, each next to the paper's figure.
+    pub fn render(&self) -> String {
+        format!(
+            "IALU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~17%)\n\
+             FPAU 4-bit LUT + hw swap:            {:>6.1}%   (paper ~18%)\n\
+             IALU 4-bit LUT + hw + compiler swap: {:>6.1}%   (paper ~26%)",
+            self.ialu_pct, self.fpau_pct, self.ialu_compiler_pct
+        )
+    }
 }
 
 /// Computes the headline numbers from both Figure-4 runs (one shared

@@ -34,6 +34,7 @@ mod config;
 mod fig1;
 mod figure4;
 mod json;
+mod listing;
 mod observe;
 mod sensitivity;
 mod static_swap;
@@ -46,9 +47,10 @@ pub use config::{ExperimentConfig, Unit};
 pub use fig1::{routing_example, RoutingExample};
 pub use figure4::{
     figure4_jobs, figure4_with_profile_jobs, headline_from, headline_jobs, Figure4, Figure4Row,
-    Headline, SwapVariant,
+    Headline,
 };
 pub use json::{Json, ToJson};
+pub use listing::{info_bit_report, workload_table};
 pub use observe::{observed_scheme, suite_metrics};
 pub use sensitivity::{swap_sensitivity, SensitivityRow, SwapSensitivity};
 pub use static_swap::{static_swap_comparison, StaticSwapComparison, StaticSwapRow};

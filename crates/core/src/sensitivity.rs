@@ -13,8 +13,8 @@
 //! by construction, checked here rather than assumed.
 
 use fua_isa::FuClass;
-use fua_stats::TextTable;
 use fua_swap::{CompilerSwapPass, StaticSwapPass};
+use fua_trace::TextTable;
 use fua_workloads::integer_with_input;
 
 use crate::observe::observed_bits;

@@ -9,8 +9,8 @@
 //! recover?* — measured on the Figure-4 harness (4-bit LUT + hardware
 //! swapping on top of each rewritten binary).
 
-use fua_stats::TextTable;
 use fua_swap::{CompilerSwapPass, StaticSwapPass};
+use fua_trace::TextTable;
 use fua_workloads::{floating_point, integer, Workload};
 
 use crate::observe::observed_bits;

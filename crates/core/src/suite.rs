@@ -3,7 +3,8 @@
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_sim::{MachineConfig, SimResult, Simulator, SteeringConfig};
-use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler, TextTable};
+use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler};
+use fua_trace::TextTable;
 use fua_workloads::{Category, Workload, WorkloadArena};
 
 use crate::ExperimentConfig;

@@ -8,9 +8,10 @@
 
 use fua_analysis::verify_lut;
 use fua_isa::{FP_MANTISSA_BITS, INT_BITS};
-use fua_stats::{CaseProfile, TextTable};
+use fua_stats::CaseProfile;
 use fua_steer::{LutBuilder, PAPER_FPAU_OCCUPANCY, PAPER_IALU_OCCUPANCY};
 use fua_synth::routing_cost;
+use fua_trace::TextTable;
 
 /// One row of the hardware-cost report.
 #[derive(Debug, Clone)]

@@ -13,12 +13,14 @@
 //! with the simulator's own ledger; the verdict is recorded in the
 //! artifact (`telemetry.exact`).
 
-use fua_attr::{attribute_schemes, check_runs, AttributedRun, EstimateCheck, Scheme};
+use fua_attr::{
+    attribute_schemes, check_runs, suite_hotspots, AttributedRun, EstimateCheck, Scheme,
+};
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_power::EnergyLedger;
-use fua_sim::{PhaseTimers, SimPhase, Simulator};
-use fua_trace::{Json, StallReason, StallSink, ToJson, WindowedSink};
-use fua_workloads::WorkloadArena;
+use fua_sim::{MachineConfig, PhaseTimers, SimPhase, Simulator};
+use fua_trace::{Json, StallReason, ToJson, WindowedSink};
+use fua_workloads::{Workload, WorkloadArena};
 
 use fua_core::{
     figure4_with_profile_jobs, headline_from, observed_scheme, ExperimentConfig, Figure4,
@@ -458,35 +460,25 @@ pub fn bench_suite_jobs(
     let mut attr_ledger = EnergyLedger::new();
     let mut attr_exact = true;
     let mut attr_sites = 0u64;
-    let mut stall_sink = StallSink::new();
     let mut stall_cycles = 0u64;
     let mut stall_exact = true;
     let mut retired_total = 0u64;
-    let mut spots: Vec<HotspotEntry> = Vec::new();
     for o in &observations {
         let (attribution, l) = (&o.observed.attribution, &o.observed.result.ledger);
         let cycles = o.observed.result.cycles;
-        sink.merge(&o.windowed);
         timers.merge(&o.timers);
         ledger.merge(l);
         retired_total += o.observed.result.retired;
-        // The partition must be exact per workload *and* in aggregate.
-        stall_exact &= o.stalls.total_slots() == cycles * issue_width;
-        stall_sink.merge(&o.stalls);
+        // The stall partition must be exact per workload *and* in
+        // aggregate; the windowed sink counts every stall event's slots.
+        let slots: u64 = o.windowed.total_stall_slots().iter().sum();
+        stall_exact &= slots == cycles * issue_width;
+        sink.merge(&o.windowed);
         stall_cycles += cycles;
         let reassembled = attribution.ledger();
         attr_exact &= reassembled == *l;
         attr_ledger.merge(&reassembled);
         attr_sites += attribution.rows().len() as u64;
-        for h in attribution.hotspots(ATTRIBUTION_HOTSPOTS) {
-            spots.push(HotspotEntry {
-                workload: attribution.workload.clone(),
-                pc: h.pc as u64,
-                block: h.block,
-                bits: h.bits,
-                share_pct: 0.0, // filled in once the suite total is known
-            });
-        }
     }
     let series = sink.into_series();
     let mut reassembled = EnergyLedger::new();
@@ -500,25 +492,25 @@ pub fn bench_suite_jobs(
     // The attribution partition must reassemble per workload *and* in
     // aggregate; hotspot shares are fractions of the suite total.
     attr_exact &= attr_ledger == ledger;
-    let suite_bits = ledger.total_switched_bits();
-    for spot in &mut spots {
-        if suite_bits > 0 {
-            spot.share_pct = 100.0 * spot.bits as f64 / suite_bits as f64;
-        }
-    }
-    spots.sort_by(|a, b| {
-        b.bits
-            .cmp(&a.bits)
-            .then_with(|| a.workload.cmp(&b.workload))
-            .then(a.pc.cmp(&b.pc))
-    });
-    spots.truncate(ATTRIBUTION_HOTSPOTS);
+    let top_hotspots = suite_hotspots(
+        observations.iter().map(|o| &o.observed.attribution),
+        ATTRIBUTION_HOTSPOTS,
+    )
+    .into_iter()
+    .map(|(workload, h)| HotspotEntry {
+        workload: workload.to_string(),
+        pc: h.pc as u64,
+        block: h.block,
+        bits: h.bits,
+        share_pct: h.share_pct,
+    })
+    .collect();
     let attribution = AttributionSummary {
         scheme: Scheme::Lut4.label().to_string(),
         sites: attr_sites,
         switched_bits: attr_ledger.switched_array(),
         exact: attr_exact,
-        top_hotspots: spots,
+        top_hotspots,
     };
     // Rate pass: the simulated-rate headline times the *untraced,
     // unprofiled* engine — the configuration the sweeps actually run —
@@ -527,16 +519,7 @@ pub fn bench_suite_jobs(
     // The engine is deterministic, so the pass must reproduce the
     // observation run's model totals bit-for-bit.
     let (rate_cells, exec_r) = map_indexed_timed(jobs, arena.all(), |_, w| {
-        let start = std::time::Instant::now();
-        let mut sim = Simulator::new(config.machine.clone(), observed_scheme());
-        let result = sim
-            .run_program(&w.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
-        (
-            start.elapsed().as_nanos() as u64,
-            result.cycles,
-            result.retired,
-        )
+        rate_cell(&config.machine, w, config.inst_limit)
     });
     exec.merge(&exec_r);
     let mut hot_nanos = 0u64;
@@ -557,14 +540,16 @@ pub fn bench_suite_jobs(
         instructions: retired_total,
         hot_nanos,
     };
-    stall_exact &= stall_sink.total_slots() == stall_cycles * issue_width;
+    let mix = series.total_stall_slots();
+    let slots: u64 = mix.iter().sum();
+    stall_exact &= slots == stall_cycles * issue_width;
     let stalls = StallSummary {
         scheme: Scheme::Lut4.label().to_string(),
         issue_width,
         cycles: stall_cycles,
-        slots: stall_sink.total_slots(),
+        slots,
         exact: stall_exact,
-        mix: stall_sink.reason_totals(),
+        mix,
     };
 
     // Static-estimator digest: every lane's static switched-bit bounds
@@ -634,6 +619,26 @@ pub fn bench_suite_jobs(
     }
 }
 
+/// One rate cell: `w` run untraced and unprofiled under
+/// [`observed_scheme`] — the configuration the sweeps spend their time
+/// in — with one clock read on each side. Returns the wall nanoseconds,
+/// the simulated cycles and the retired instructions.
+///
+/// # Panics
+///
+/// Panics if the workload program faults (workload kernels never do).
+pub(crate) fn rate_cell(machine: &MachineConfig, w: &Workload, limit: u64) -> (u64, u64, u64) {
+    let start = std::time::Instant::now();
+    let result = Simulator::new(machine.clone(), observed_scheme())
+        .run_program(&w.program, limit)
+        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+    (
+        start.elapsed().as_nanos() as u64,
+        result.cycles,
+        result.retired,
+    )
+}
+
 /// The observation run's lanes: every [`Scheme::ALL`] scheme, the
 /// 4-bit LUT first because the engine sink sees lane 0's steering.
 const OBSERVED_LANES: [Scheme; 6] = [
@@ -652,14 +657,13 @@ struct Observation {
     /// Every lane's estimator check, in [`OBSERVED_LANES`] order.
     checks: Vec<EstimateCheck>,
     windowed: WindowedSink,
-    stalls: StallSink,
     timers: PhaseTimers,
 }
 
 /// Runs every workload once with an attributed lane per
-/// [`OBSERVED_LANES`] scheme, a windowed and a stall sink on the engine
-/// and the engine's phases timed, fanning the workloads out across
-/// `jobs` workers.
+/// [`OBSERVED_LANES`] scheme, a windowed sink on the engine and the
+/// engine's phases timed, fanning the workloads out across `jobs`
+/// workers.
 fn observe(
     config: &ExperimentConfig,
     arena: &WorkloadArena,
@@ -667,12 +671,12 @@ fn observe(
     jobs: Jobs,
 ) -> (Vec<Observation>, ExecReport) {
     map_indexed_timed(jobs, arena.all(), |_, w| {
-        let (mut runs, (windowed, stalls), timers) = attribute_schemes(
+        let (mut runs, windowed, timers) = attribute_schemes(
             w,
             config.machine.clone(),
             &OBSERVED_LANES,
             config.inst_limit,
-            (WindowedSink::new(window_cycles), StallSink::new()),
+            WindowedSink::new(window_cycles),
             PhaseTimers::new(),
         );
         let checks = check_runs(w, &OBSERVED_LANES, &runs);
@@ -680,7 +684,6 @@ fn observe(
             observed: runs.swap_remove(0),
             checks,
             windowed,
-            stalls,
             timers,
         }
     })

@@ -120,11 +120,41 @@ impl Comparison {
 
     /// Number of regression-severity findings.
     pub fn regressions(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Regression)
-            .count()
+        regressions(&self.findings)
     }
+
+    /// The `fua report` text: one line per finding, then the verdict
+    /// against the baseline tagged `baseline_tag`.
+    pub fn render(&self, baseline_tag: &str) -> String {
+        render_verdict(&self.findings, &format!("vs baseline \"{baseline_tag}\""))
+    }
+}
+
+/// Number of regression-severity findings among `findings`.
+pub(crate) fn regressions(findings: &[Finding]) -> usize {
+    findings
+        .iter()
+        .filter(|f| f.severity == Severity::Regression)
+        .count()
+}
+
+/// One line per finding, regressions flagged, then the verdict line:
+/// `PASS`/`FAIL`, the finding and regression counts, and `context`.
+pub(crate) fn render_verdict(findings: &[Finding], context: &str) -> String {
+    let mut out = String::new();
+    for f in findings {
+        let tag = match f.severity {
+            Severity::Regression => "REGRESSION",
+            Severity::Info => "info",
+        };
+        out += &format!("{tag:<10} [{}] {}\n", f.category, f.message);
+    }
+    let regressions = regressions(findings);
+    out + &format!(
+        "{}: {} finding(s), {regressions} regression(s) {context}",
+        if regressions == 0 { "PASS" } else { "FAIL" },
+        findings.len(),
+    )
 }
 
 /// Findings under construction.

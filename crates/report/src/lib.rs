@@ -30,6 +30,7 @@
 mod bench;
 mod compare;
 mod gate;
+mod harness;
 mod manifest;
 mod trends;
 
@@ -41,6 +42,7 @@ pub use bench::{
 };
 pub use compare::{compare, Comparison, Finding, Severity, Tolerance};
 pub use gate::BandKind;
+pub use harness::HarnessReport;
 pub use manifest::{RunManifest, WorkloadEntry};
 pub use trends::{
     sparkline, trends, TrendError, TrendReport, TrendSeries, TRENDS_SCHEMA, TREND_WINDOW,

@@ -24,9 +24,9 @@
 //! [`sparkline`] renders as a gap.
 
 use crate::bench::BenchReport;
-use crate::compare::{Finding, Severity, Tolerance};
+use crate::compare::{regressions, render_verdict, Finding, Severity, Tolerance};
 use crate::gate::{band, catalogue, describe, BandKind, Verdict};
-use fua_trace::Json;
+use fua_trace::{Json, TextTable, ToJson};
 use std::fmt;
 
 /// Schema identifier stamped into `trends --json` output.
@@ -79,14 +79,35 @@ impl TrendReport {
 
     /// Number of regression-severity findings.
     pub fn regressions(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Regression)
-            .count()
+        regressions(&self.findings)
     }
 
+    /// The `fua trends` text: one sparkline row per metric, then the
+    /// findings and the verdict on the newest run.
+    pub fn render(&self) -> String {
+        let mut table = TextTable::new(["metric", "trend", "newest"]);
+        for series in &self.series {
+            table.push_row([
+                series.metric.clone(),
+                sparkline(&series.values),
+                series
+                    .newest()
+                    .map_or_else(|| "-".to_string(), |v| format!("{v:.3}")),
+            ]);
+        }
+        format!(
+            "trends over {} stored run(s) ({} .. {}):\n{table}\n{}",
+            self.labels.len(),
+            self.labels.first().map_or("-", String::as_str),
+            self.labels.last().map_or("-", String::as_str),
+            render_verdict(&self.findings, "on the newest run")
+        )
+    }
+}
+
+impl ToJson for TrendReport {
     /// Renders the report as a stable JSON document.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let series = self
             .series
             .iter()

@@ -36,9 +36,7 @@
 mod bit_patterns;
 mod occupancy;
 mod profile;
-mod table;
 
 pub use bit_patterns::{BitPatternProfiler, BitPatternRow, OperandInfoStats};
 pub use occupancy::OccupancyProfiler;
 pub use profile::CaseProfile;
-pub use table::TextTable;

@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fua_report::{BenchReport, ReportError, RunManifest, BENCH_SCHEMA};
-use fua_trace::{Json, ToJson};
+use fua_trace::{Json, TextTable, ToJson};
 
 /// The index file's schema identifier; bump on any breaking change.
 pub const STORE_SCHEMA: &str = "fua-store/1";
@@ -615,6 +615,36 @@ impl Store {
             reference: reference.to_string(),
             available: self.availability(&entries),
         })
+    }
+
+    /// The `fua store ls` listing: one row per stored run, newest last,
+    /// then the run and configuration counts — or one line saying the
+    /// store is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`entries`](Store::entries).
+    pub fn listing(&self) -> Result<String, StoreError> {
+        let entries = self.entries()?;
+        if entries.is_empty() {
+            return Ok(format!("store at {} is empty", self.root.display()));
+        }
+        let mut table = TextTable::new(["seq", "key", "tag", "schema", "bytes"]);
+        for e in &entries {
+            table.push_row([
+                e.seq.to_string(),
+                e.key[..12].to_string(),
+                e.tag.clone(),
+                e.bench_schema.clone(),
+                e.bytes.to_string(),
+            ]);
+        }
+        Ok(format!(
+            "{table}\n{} run(s) over {} configuration(s) in {}",
+            entries.len(),
+            Store::summarize(&entries).len(),
+            self.root.display()
+        ))
     }
 
     /// One line per stored configuration, for listings and errors.

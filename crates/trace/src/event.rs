@@ -1,5 +1,7 @@
 //! The structured event model and the sink contract.
 
+use std::fmt;
+
 use fua_isa::{Case, FuClass, Opcode};
 
 /// A pipeline stage an instruction can enter.
@@ -303,6 +305,118 @@ impl TraceEvent {
             | TraceEvent::Stall { cycle, .. }
             | TraceEvent::Dependence { cycle, .. }
             | TraceEvent::CycleSummary { cycle, .. } => cycle,
+        }
+    }
+}
+
+/// One line of the terminal tail view (`fua trace --last N`): the cycle
+/// right-aligned in brackets, the event kind padded to a column, then
+/// the event's fields.
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TraceEvent as E;
+        match *self {
+            E::Stage {
+                stage,
+                cycle,
+                serial,
+                opcode,
+            } => write!(f, "[{cycle:>7}] {:<9} #{serial} {opcode}", stage.name()),
+            E::Steer {
+                cycle,
+                serial,
+                class,
+                case,
+                module,
+                swap,
+                cost_bits,
+            } => write!(
+                f,
+                "[{cycle:>7}] steer     #{serial} {class} case{case} -> m{module}{} ({cost_bits} bits)",
+                if swap { " swapped" } else { "" }
+            ),
+            E::OperandSwap {
+                cycle,
+                serial,
+                class,
+                kind,
+            } => write!(f, "[{cycle:>7}] swap      #{serial} {class} ({})", kind.name()),
+            E::Energy {
+                cycle,
+                serial,
+                pc,
+                class,
+                module,
+                case,
+                bits,
+            } => write!(
+                f,
+                "[{cycle:>7}] energy    #{serial} pc{pc} {class}.m{module} case{case} +{bits} bits"
+            ),
+            E::Execute {
+                cycle,
+                serial,
+                class,
+                module,
+                latency,
+                opcode,
+            } => write!(
+                f,
+                "[{cycle:>7}] execute   #{serial} {opcode} on {class}.m{module} ({latency} cy)"
+            ),
+            E::Cache {
+                cycle,
+                serial,
+                addr,
+                hit,
+                latency,
+            } => write!(
+                f,
+                "[{cycle:>7}] d-cache   #{serial} @{addr:#010x} {} ({latency} cy)",
+                if hit { "hit" } else { "miss" }
+            ),
+            E::Branch {
+                cycle,
+                serial,
+                taken,
+                predicted,
+            } => write!(
+                f,
+                "[{cycle:>7}] branch    #{serial} taken={taken} predicted={predicted}"
+            ),
+            E::Stall {
+                cycle,
+                class,
+                reason,
+                slots,
+                pc,
+                ..
+            } => {
+                write!(f, "[{cycle:>7}] stall     {class} {} x{slots}", reason.name())?;
+                match pc {
+                    Some(pc) => write!(f, " pc{pc}"),
+                    None => Ok(()),
+                }
+            }
+            E::Dependence {
+                cycle,
+                serial,
+                pc,
+                dep1,
+                dep2,
+            } => {
+                write!(f, "[{cycle:>7}] deps      #{serial} pc{pc} <- ")?;
+                match (dep1, dep2) {
+                    (None, None) => write!(f, "none"),
+                    (Some(a), None) | (None, Some(a)) => write!(f, "#{a}"),
+                    (Some(a), Some(b)) => write!(f, "#{a} #{b}"),
+                }
+            }
+            E::CycleSummary {
+                cycle,
+                window,
+                issued,
+            } => write!(f, "[{cycle:>7}] cycle     window={window} issued={issued}"),
         }
     }
 }

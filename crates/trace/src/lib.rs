@@ -40,7 +40,9 @@
 //! ([`Json`]/[`ToJson`]), which moved here from `fua-core` so sinks can
 //! serialise without a dependency cycle through the experiment layer,
 //! and its matching parser ([`Json::parse`]) used by the baseline-
-//! comparison tooling in `fua-report`.
+//! comparison tooling in `fua-report`. Next to it sits [`TextTable`],
+//! the fixed-width text table every report renders through, so each
+//! report's text and JSON views can live next to the type they render.
 //!
 //! # Examples
 //!
@@ -66,6 +68,7 @@ mod recorder;
 mod ring;
 mod sites;
 mod stall;
+mod table;
 mod windowed;
 
 pub use event::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink, VecSink};
@@ -78,4 +81,5 @@ pub use recorder::MetricsRecorder;
 pub use ring::RingBufferSink;
 pub use sites::SiteTable;
 pub use stall::{DepRecord, DepSink, StallKey, StallSink};
+pub use table::TextTable;
 pub use windowed::{WindowRecord, WindowedSeries, WindowedSink, MAX_MODULES};

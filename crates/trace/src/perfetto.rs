@@ -15,7 +15,7 @@
 
 use fua_isa::FuClass;
 
-use crate::{Json, Stage, TraceEvent, TraceSink};
+use crate::{Json, Stage, TraceEvent, TraceSink, WindowedSeries};
 
 const PID_PIPELINE: u64 = 1;
 const PID_UNITS: u64 = 2;
@@ -170,6 +170,14 @@ impl ChromeTraceSink {
                 Json::obj([("producer", Json::Str("fua-trace".into()))]),
             ),
         ])
+    }
+
+    /// The complete trace with `series`' counter tracks appended, so
+    /// Perfetto shows the windowed counters alongside the
+    /// per-instruction slices.
+    pub fn into_json_with_counters(mut self, series: &WindowedSeries) -> Json {
+        self.events.extend(series.counter_events());
+        self.into_json()
     }
 }
 

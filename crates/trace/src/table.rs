@@ -7,7 +7,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use fua_stats::TextTable;
+/// use fua_trace::TextTable;
 ///
 /// let mut t = TextTable::new(["case", "freq"]);
 /// t.push_row(["00", "69.5%"]);

@@ -168,6 +168,17 @@ impl WindowRecord {
     }
 }
 
+/// Per-reason stall-slot totals summed over `windows`.
+fn stall_totals(windows: &[WindowRecord]) -> [u64; 7] {
+    let mut t = [0u64; 7];
+    for w in windows {
+        for (acc, v) in t.iter_mut().zip(w.stall_slots) {
+            *acc += v;
+        }
+    }
+    t
+}
+
 /// A [`TraceSink`] that folds the event stream into per-K-cycle
 /// [`WindowRecord`]s; call [`into_series`](WindowedSink::into_series)
 /// after the run.
@@ -229,6 +240,12 @@ impl WindowedSink {
         for (acc, w) in self.windows.iter_mut().zip(&other.windows) {
             acc.merge(w);
         }
+    }
+
+    /// Per-reason stall-slot totals over every window so far — the
+    /// running form of [`WindowedSeries::total_stall_slots`].
+    pub fn total_stall_slots(&self) -> [u64; 7] {
+        stall_totals(&self.windows)
     }
 
     /// Finishes the run and yields the time-series.
@@ -376,13 +393,7 @@ impl WindowedSeries {
     /// grand total equals `cycles × issue_width` — and equals the
     /// matching [`StallSink`](crate::StallSink) totals bit-for-bit.
     pub fn total_stall_slots(&self) -> [u64; 7] {
-        let mut t = [0u64; 7];
-        for w in &self.windows {
-            for (acc, v) in t.iter_mut().zip(w.stall_slots) {
-                *acc += v;
-            }
-        }
-        t
+        stall_totals(&self.windows)
     }
 
     /// Total retired instructions.

@@ -16,6 +16,7 @@ use fua::exec::Jobs;
 use fua::report::DEFAULT_WINDOW_CYCLES;
 use fua::sim::MachineConfig;
 use fua::store::DEFAULT_STORE_DIR;
+use fua::workloads::Workload;
 
 /// Default retired-instruction cap for simulation commands.
 pub const DEFAULT_LIMIT: u64 = 150_000;
@@ -509,14 +510,17 @@ pub fn unknown_workload(name: &str, scale: u32) -> String {
     )
 }
 
+/// The workload a `<workload>` sub-argument names.
+pub fn workload(name: &str, scale: u32) -> Result<Workload, String> {
+    fua::workloads::by_name(name, scale).ok_or_else(|| unknown_workload(name, scale))
+}
+
 /// The workload set a `<workload|all>` sub-argument names.
-pub fn profile_workloads(name: &str, scale: u32) -> Result<Vec<fua::workloads::Workload>, String> {
+pub fn profile_workloads(name: &str, scale: u32) -> Result<Vec<Workload>, String> {
     if name == "all" {
         Ok(fua::workloads::all(scale))
     } else {
-        Ok(vec![
-            fua::workloads::by_name(name, scale).ok_or_else(|| unknown_workload(name, scale))?
-        ])
+        Ok(vec![workload(name, scale)?])
     }
 }
 
