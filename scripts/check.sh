@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: format, lints, build, the whole test suite, and the
-# BENCH regression gate against the committed seed baseline.
+# BENCH regression gate against the committed seed baseline. CI runs
+# exactly this script. Every leg's artifacts stay in target/check (wiped
+# at the start of each run) for inspection and upload.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,25 +38,39 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Observability gate: a fresh quick-suite BENCH artifact must pass the
 # tolerance-banded comparison against the committed seed baseline.
 repo="$(pwd)"
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
+outdir="$repo/target/check"
+rm -rf "$outdir"
+mkdir -p "$outdir"
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" bench-suite --tag check
   "$repo/target/release/fua" report \
     --baseline "$repo/BENCH_seed.json" --current BENCH_check.json
+)
+
+# Shape-regression gate: an artifact whose first hardware-swap
+# reduction is seeded to -40% must fail the report gate.
+(
+  cd "$outdir"
+  sed '0,/"hardware_pct": [0-9.eE+-]*/s//"hardware_pct": -40.0/' BENCH_check.json \
+    > BENCH_corrupt.json
+  if "$repo/target/release/fua" report \
+      --baseline "$repo/BENCH_seed.json" --current BENCH_corrupt.json; then
+    echo "corrupted artifact unexpectedly passed the gate" >&2
+    exit 1
+  fi
 )
 
 # Parallel-determinism gate: a --jobs 4 artifact must diff to exactly
 # zero findings against the serial (--jobs 1) artifact of the same
 # configuration — byte-identical model output, wall-clock aside.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" bench-suite --jobs 1 --tag serial
   "$repo/target/release/fua" bench-suite --jobs 4 --tag parallel
   out="$("$repo/target/release/fua" report \
     --baseline BENCH_serial.json --current BENCH_parallel.json)"
-  echo "$out"
+  echo "$out" | tee parallel-vs-serial-diff.txt
   if [[ "$out" != *"PASS: 0 finding(s)"* ]]; then
     echo "serial-vs-parallel diff produced findings" >&2
     exit 1
@@ -65,7 +81,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # exactly zero findings — the model output is deterministic, and no
 # measured harness quantity raises a finding short of a collapse.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   for tag in rerun-a rerun-b; do
     "$repo/target/release/fua" bench-suite --limit 1500 --tag "$tag"
   done
@@ -83,19 +99,21 @@ trap 'rm -rf "$tmpdir"' EXIT
 # schemes are lanes of one run per workload) must be byte-identical
 # between --jobs 1 and --jobs 4.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" profile-energy all --jobs 1 \
     --flame flame-serial.txt --json > attr-serial.json
   "$repo/target/release/fua" profile-energy all --jobs 4 \
     --flame flame-parallel.txt --json > attr-parallel.json
   cmp flame-serial.txt flame-parallel.txt
   cmp attr-serial.json attr-parallel.json
-  for format in "" --json; do
+  for format in txt json; do
+    flag=""
+    [[ "$format" == json ]] && flag=--json
     "$repo/target/release/fua" profile-energy all --jobs 1 \
-      --compare naive lut4 $format > diff-serial.out
+      --compare naive lut4 $flag > "diff-naive-vs-lut4-serial.$format"
     "$repo/target/release/fua" profile-energy all --jobs 4 \
-      --compare naive lut4 $format > diff-parallel.out
-    cmp diff-serial.out diff-parallel.out
+      --compare naive lut4 $flag > "diff-naive-vs-lut4.$format"
+    cmp "diff-naive-vs-lut4-serial.$format" "diff-naive-vs-lut4.$format"
   done
 )
 
@@ -105,19 +123,21 @@ trap 'rm -rf "$tmpdir"' EXIT
 # JSON slot table and critical path must be byte-identical between
 # --jobs 1 and --jobs 4.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" profile-cycles all --jobs 1 --critical-path \
     --flame cycles-flame-serial.txt --json > cycles-serial.json
   "$repo/target/release/fua" profile-cycles all --jobs 4 --critical-path \
     --flame cycles-flame-parallel.txt --json > cycles-parallel.json
   cmp cycles-flame-serial.txt cycles-flame-parallel.txt
   cmp cycles-serial.json cycles-parallel.json
+  "$repo/target/release/fua" profile-cycles all --jobs 4 --critical-path \
+    > cycles-critical-path.txt
 )
 
 # Stall-partition gate: a BENCH artifact whose stall digest violates
 # the exact-partition invariant must fail the report gate.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   awk '
     /"stalls": \{/ { in_stalls = 1 }
     in_stalls && /"exact": true/ { sub(/"exact": true/, "\"exact\": false"); in_stalls = 0 }
@@ -134,7 +154,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # counts, and must dominate the measured attribution for every
 # workload x scheme (nonzero exit on any violated bound).
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" estimate all --jobs 1 --json > est-serial.json
   "$repo/target/release/fua" estimate all --jobs 4 --json > est-parallel.json
   cmp est-serial.json est-parallel.json
@@ -148,7 +168,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # `report --store`; stored artifacts must survive `store gc` byte-
 # identically.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" bench-suite --limit 1500 --store --tag t1
   "$repo/target/release/fua" bench-suite --limit 1500 --store --tag t2
   "$repo/target/release/fua" trends | tee trends-clean.txt
@@ -177,7 +197,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # catalogue, so a third run with Table 2's IALU P(k=1) lowered by 0.2
 # and P(k=2) raised by 0.2 must fail both.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o1
   "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o2
   "$repo/target/release/fua" store show 2 --store-dir .occupancy-store > occupancy.json
@@ -198,25 +218,24 @@ trap 'rm -rf "$tmpdir"' EXIT
   fi
 )
 
-# Throughput gate (mirrors the CI `throughput` job, see
-# docs/PERFORMANCE.md). The simulated-MHz rate is gated through a
-# dedicated run store: two fresh runs must trend clean and pass the
-# slowdown-only sim-rate band.
+# Throughput gate (see docs/PERFORMANCE.md). The simulated-MHz rate is
+# gated through a dedicated run store: two fresh runs must trend clean
+# and pass the slowdown-only sim-rate band.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   mkdir -p rate && cd rate
   "$repo/target/release/fua" bench-suite --store --store-dir .rate-store --tag rate1
   "$repo/target/release/fua" bench-suite --store --store-dir .rate-store --tag rate2
-  "$repo/target/release/fua" report --store --store-dir .rate-store
-  "$repo/target/release/fua" trends --store-dir .rate-store | tee rate-trends.txt
-  grep -q "PASS: 0 finding(s)" rate-trends.txt
+  "$repo/target/release/fua" report --store --store-dir .rate-store | tee sim-rate-gate.txt
+  "$repo/target/release/fua" trends --store-dir .rate-store | tee sim-rate-trends.txt
+  grep -q "PASS: 0 finding(s)" sim-rate-trends.txt
 )
 
 # Ablation gate: every study `fua ablation` prints must run, print a
 # table and print the same bytes twice; an unknown study must exit
 # nonzero and list the four names.
 (
-  cd "$tmpdir"
+  cd "$outdir"
   for name in fp-info-bits modules homes multiplier; do
     "$repo/target/release/fua" ablation "$name" --limit 5000 > "ablation-$name.txt"
     test -s "ablation-$name.txt"
@@ -232,7 +251,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # Progress-isolation gate: --progress must not change a single stdout
 # byte (heartbeat lines are stderr-only).
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" figure4 ialu --limit 2000 > fig-plain.txt
   "$repo/target/release/fua" figure4 ialu --limit 2000 --progress > fig-progress.txt \
     2> fig-progress-err.txt
@@ -248,7 +267,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # the Perfetto timeline, folded stacks and OpenMetrics exposition.
 cargo test -q --test alloc_gate
 (
-  cd "$tmpdir"
+  cd "$outdir"
   "$repo/target/release/fua" harness-report --jobs 1 \
     --out harness-timeline.json --openmetrics harness.om \
     --flame harness.folded > harness-serial.txt
