@@ -4,8 +4,7 @@
 use fua_isa::FuClass;
 use fua_trace::{Json, TextTable, ToJson};
 
-use crate::run::{breakdown_table, energy_stacks};
-use crate::{rank_suite, AttributedRun, EnergyAttribution, Scheme, MAX_MODULES};
+use crate::{rank_suite, EnergyAttribution, EnergyProfile, MAX_MODULES};
 
 /// One PC's movement between two schemes. `delta` is
 /// `bits_b - bits_a`: negative means scheme B switched fewer bits at
@@ -231,54 +230,36 @@ impl AttributionDiff {
 
 /// `fua profile-energy --compare A B`'s report: both schemes attributed
 /// over the same suite and diffed per workload. The text shows the
-/// per-workload totals, the suite-wide top-`top` movers and each
-/// side's per-module / per-case breakdown; the JSON is every diff.
+/// per-workload totals, the suite-wide top movers (side A's `top`) and
+/// each side's per-module / per-case breakdown; the JSON is every diff.
 #[derive(Debug)]
 pub struct EnergyComparison {
     /// Side A, the baseline of the comparison.
-    pub scheme_a: Scheme,
-    /// Side B.
-    pub scheme_b: Scheme,
-    /// Mover rows to print.
-    pub top: usize,
-    /// Side A's runs, in workload order.
-    pub runs_a: Vec<AttributedRun>,
-    /// Side B's runs, in the same order.
-    pub runs_b: Vec<AttributedRun>,
+    pub a: EnergyProfile,
+    /// Side B, run over the same workloads in the same order.
+    pub b: EnergyProfile,
     /// One diff per workload, B against A.
     pub diffs: Vec<AttributionDiff>,
 }
 
 impl EnergyComparison {
     /// Diffs every workload's B run against its A run.
-    pub fn new(
-        scheme_a: Scheme,
-        scheme_b: Scheme,
-        top: usize,
-        runs_a: Vec<AttributedRun>,
-        runs_b: Vec<AttributedRun>,
-    ) -> Self {
-        let diffs = runs_a
+    pub fn new(a: EnergyProfile, b: EnergyProfile) -> Self {
+        let diffs = a
+            .runs
             .iter()
-            .zip(&runs_b)
-            .map(|(a, b)| AttributionDiff::between(&a.attribution, &b.attribution))
+            .zip(&b.runs)
+            .map(|(ra, rb)| AttributionDiff::between(&ra.attribution, &rb.attribution))
             .collect();
-        EnergyComparison {
-            scheme_a,
-            scheme_b,
-            top,
-            runs_a,
-            runs_b,
-            diffs,
-        }
+        EnergyComparison { a, b, diffs }
     }
 
     /// The text report.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new([
             "workload".to_string(),
-            format!("bits A ({})", self.scheme_a.name()),
-            format!("bits B ({})", self.scheme_b.name()),
+            format!("bits A ({})", self.a.scheme.name()),
+            format!("bits B ({})", self.b.scheme.name()),
             "delta".to_string(),
             "saving".to_string(),
         ]);
@@ -295,7 +276,7 @@ impl EnergyComparison {
             self.diffs
                 .iter()
                 .flat_map(|d| d.movers.iter().map(move |m| (d.workload.as_str(), m))),
-            self.top,
+            self.a.top,
             |m| m.delta.unsigned_abs(),
             |m| m.pc,
         );
@@ -318,18 +299,12 @@ impl EnergyComparison {
              top {} mover(s) by |delta| (negative = B saves):\n{table}\n\
              per-module / per-case switched bits under A:\n{}\n\
              per-module / per-case switched bits under B:\n{}",
-            self.scheme_a.label(),
-            self.scheme_b.label(),
+            self.a.scheme.label(),
+            self.b.scheme.label(),
             movers.len(),
-            breakdown_table(&self.runs_a),
-            breakdown_table(&self.runs_b)
+            self.a.breakdown_table(),
+            self.b.breakdown_table()
         )
-    }
-
-    /// Side B's collapsed stacks: where the energy still goes under the
-    /// scheme being compared (the "after" profile).
-    pub fn collapsed_stacks(&self) -> String {
-        energy_stacks(&self.runs_b)
     }
 }
 

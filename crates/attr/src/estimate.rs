@@ -349,18 +349,6 @@ fn estimate_json(scheme: Scheme, workload: &str, est: &TransitionEstimate) -> Js
     ])
 }
 
-/// Estimates every workload under `model`, fanning the workloads out
-/// across `jobs` workers; results come back in workload order.
-fn estimate_suite(
-    workloads: &[Workload],
-    model: SwapModel,
-    jobs: Jobs,
-) -> Vec<(String, TransitionEstimate)> {
-    map_indexed(jobs, workloads, |_, w| {
-        (w.name.to_string(), estimate_transitions(&w.program, model))
-    })
-}
-
 /// `fua estimate`'s report: every workload's static switched-bit bounds
 /// under one scheme. The text shows each workload's per-PC (or, with
 /// `per_block`, per-block) table when there is one workload or
@@ -376,12 +364,17 @@ pub struct EstimateReport {
 }
 
 impl EstimateReport {
-    /// Estimates every workload under `scheme`'s swap model.
+    /// Estimates every workload under `scheme`'s swap model, fanning
+    /// the workloads out across `jobs` workers.
     pub fn run(workloads: &[Workload], scheme: Scheme, per_block: bool, jobs: Jobs) -> Self {
+        let model = scheme.swap_model();
+        let estimates = map_indexed(jobs, workloads, |_, w| {
+            (w.name.to_string(), estimate_transitions(&w.program, model))
+        });
         EstimateReport {
             scheme,
             per_block,
-            estimates: estimate_suite(workloads, scheme.swap_model(), jobs),
+            estimates,
         }
     }
 
@@ -480,28 +473,27 @@ impl ToJson for EstimateReport {
 #[derive(Debug)]
 pub struct EstimateComparison {
     /// Side A.
-    pub scheme_a: Scheme,
-    /// Side B.
-    pub scheme_b: Scheme,
-    /// `(workload, A's estimate, B's estimate)`, in workload order.
-    pub estimates: Vec<(String, TransitionEstimate, TransitionEstimate)>,
+    pub a: EstimateReport,
+    /// Side B, over the same workloads in the same order.
+    pub b: EstimateReport,
 }
 
 impl EstimateComparison {
     /// Estimates every workload under both schemes' swap models.
     pub fn run(workloads: &[Workload], scheme_a: Scheme, scheme_b: Scheme, jobs: Jobs) -> Self {
-        let estimates = map_indexed(jobs, workloads, |_, w| {
-            (
-                w.name.to_string(),
-                estimate_transitions(&w.program, scheme_a.swap_model()),
-                estimate_transitions(&w.program, scheme_b.swap_model()),
-            )
-        });
         EstimateComparison {
-            scheme_a,
-            scheme_b,
-            estimates,
+            a: EstimateReport::run(workloads, scheme_a, false, jobs),
+            b: EstimateReport::run(workloads, scheme_b, false, jobs),
         }
+    }
+
+    /// Each workload's `(name, A's estimate, B's estimate)`.
+    fn pairs(&self) -> impl Iterator<Item = (&str, &TransitionEstimate, &TransitionEstimate)> {
+        self.a
+            .estimates
+            .iter()
+            .zip(&self.b.estimates)
+            .map(|((w, ea), (_, eb))| (w.as_str(), ea, eb))
     }
 
     /// The text report: one row per workload with both bounds and their
@@ -509,14 +501,14 @@ impl EstimateComparison {
     pub fn render(&self) -> String {
         let mut t = TextTable::new([
             "workload".to_string(),
-            format!("bits/pass A ({})", self.scheme_a.name()),
-            format!("bits/pass B ({})", self.scheme_b.name()),
+            format!("bits/pass A ({})", self.a.scheme.name()),
+            format!("bits/pass B ({})", self.b.scheme.name()),
             "delta".to_string(),
         ]);
-        for (w, ea, eb) in &self.estimates {
+        for (w, ea, eb) in self.pairs() {
             let (a, b) = (ea.total_bits_per_pass(), eb.total_bits_per_pass());
             t.push_row([
-                w.clone(),
+                w.to_string(),
                 a.to_string(),
                 b.to_string(),
                 (b as i64 - a as i64).to_string(),
@@ -524,8 +516,8 @@ impl EstimateComparison {
         }
         format!(
             "static bits/pass bounds, {} (A) vs {} (B):\n{t}",
-            self.scheme_a.label(),
-            self.scheme_b.label()
+            self.a.scheme.label(),
+            self.b.scheme.label()
         )
     }
 }
@@ -533,13 +525,12 @@ impl EstimateComparison {
 impl ToJson for EstimateComparison {
     fn to_json(&self) -> Json {
         Json::Arr(
-            self.estimates
-                .iter()
+            self.pairs()
                 .map(|(w, ea, eb)| {
                     Json::obj([
-                        ("workload", Json::Str(w.clone())),
-                        ("a", estimate_json(self.scheme_a, w, ea)),
-                        ("b", estimate_json(self.scheme_b, w, eb)),
+                        ("workload", Json::Str(w.to_string())),
+                        ("a", estimate_json(self.a.scheme, w, ea)),
+                        ("b", estimate_json(self.b.scheme, w, eb)),
                     ])
                 })
                 .collect(),

@@ -261,39 +261,6 @@ pub fn attribute_suite(
         .collect()
 }
 
-/// The per-module and per-case switched-bit breakdown of the duplicated
-/// FU classes, summed across `runs`.
-pub(crate) fn breakdown_table(runs: &[AttributedRun]) -> TextTable {
-    let mut table = TextTable::new(["class", "m0", "m1", "m2", "m3", "c00", "c01", "c10", "c11"]);
-    for class in [FuClass::IntAlu, FuClass::FpAlu] {
-        let mut modules = [0u64; crate::MAX_MODULES];
-        let mut cases = [0u64; 4];
-        for run in runs {
-            let m = run.attribution.module_bits(class);
-            let c = run.attribution.case_bits(class);
-            for (acc, v) in modules.iter_mut().zip(m) {
-                *acc += v;
-            }
-            for (acc, v) in cases.iter_mut().zip(c) {
-                *acc += v;
-            }
-        }
-        table.push_row(
-            std::iter::once(class.to_string())
-                .chain(modules.iter().take(4).map(u64::to_string))
-                .chain(cases.iter().map(u64::to_string)),
-        );
-    }
-    table
-}
-
-/// The collapsed stacks of every run, concatenated in run order.
-pub(crate) fn energy_stacks(runs: &[AttributedRun]) -> String {
-    runs.iter()
-        .map(|r| r.attribution.collapsed_stacks())
-        .collect()
-}
-
 /// `fua profile-energy`'s report on one scheme's suite: the suite-wide
 /// top-`top` hotspot table and the per-module / per-case breakdown as
 /// text, every run's attribution as JSON.
@@ -328,13 +295,43 @@ impl EnergyProfile {
              per-module / per-case switched bits:\n{}",
             self.top,
             self.scheme.label(),
-            breakdown_table(&self.runs)
+            self.breakdown_table()
         )
     }
 
     /// Every run's collapsed stacks, for a flamegraph.
     pub fn collapsed_stacks(&self) -> String {
-        energy_stacks(&self.runs)
+        self.runs
+            .iter()
+            .map(|r| r.attribution.collapsed_stacks())
+            .collect()
+    }
+
+    /// The per-module and per-case switched-bit breakdown of the
+    /// duplicated FU classes, summed across the runs.
+    pub(crate) fn breakdown_table(&self) -> TextTable {
+        let mut table =
+            TextTable::new(["class", "m0", "m1", "m2", "m3", "c00", "c01", "c10", "c11"]);
+        for class in [FuClass::IntAlu, FuClass::FpAlu] {
+            let mut modules = [0u64; crate::MAX_MODULES];
+            let mut cases = [0u64; 4];
+            for run in &self.runs {
+                let m = run.attribution.module_bits(class);
+                let c = run.attribution.case_bits(class);
+                for (acc, v) in modules.iter_mut().zip(m) {
+                    *acc += v;
+                }
+                for (acc, v) in cases.iter_mut().zip(c) {
+                    *acc += v;
+                }
+            }
+            table.push_row(
+                std::iter::once(class.to_string())
+                    .chain(modules.iter().take(4).map(u64::to_string))
+                    .chain(cases.iter().map(u64::to_string)),
+            );
+        }
+        table
     }
 }
 

@@ -144,7 +144,8 @@ pub struct StallSummary {
     pub issue_width: u64,
     /// Cycles summed over every workload of the observation run.
     pub cycles: u64,
-    /// Issue slots accounted across every stall site.
+    /// Issue slots the run's stall events accounted, summed over the
+    /// telemetry windows.
     pub slots: u64,
     /// Whether `slots == cycles × issue_width` bit-for-bit — the
     /// exact-partition invariant over the whole suite.
@@ -695,26 +696,8 @@ fn unit_to_json(unit: &UnitFigure) -> Json {
             "baseline_switched_bits",
             Json::UInt(unit.baseline_switched_bits),
         ),
-        (
-            "rows",
-            Json::Arr(
-                unit.rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("scheme", Json::Str(r.scheme.clone())),
-                            ("base_pct", Json::Float(r.base_pct)),
-                            ("hardware_pct", Json::Float(r.hardware_pct)),
-                            (
-                                "hardware_compiler_pct",
-                                Json::Float(r.hardware_compiler_pct),
-                            ),
-                            ("compiler_only_pct", Json::Float(r.compiler_only_pct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        // The rows serialise as Figure 4's own rows do.
+        ("rows", Json::arr(&unit.rows)),
     ])
 }
 

@@ -24,12 +24,12 @@ use fua::attr::{
     EstimateComparison, EstimateReport, EstimateVerification, ExactPartition, Scheme, SchemeRun,
 };
 use fua::core::{
-    ablation, chip_estimate, figure4_jobs, headline_jobs, profile_suite_jobs, routing_example,
-    static_swap_comparison, swap_sensitivity, synthesis_report, workload_breakdown, ChipEstimate,
-    ExperimentConfig, Figure4, Headline, Json, RoutingExample, StaticSwapComparison,
-    SwapSensitivity, SynthesisReport, ToJson, Unit, WorkloadBreakdown,
+    ablation, chip_estimate, figure4_jobs, headline_jobs, info_bit_report, profile_suite_jobs,
+    routing_example, static_swap_comparison, swap_sensitivity, synthesis_report,
+    workload_breakdown, workload_table, ChipEstimate, ExperimentConfig, Figure4, Headline, Json,
+    RoutingExample, StaticSwapComparison, SwapSensitivity, SynthesisReport, ToJson, Unit,
+    WorkloadBreakdown,
 };
-use fua::core::{info_bit_report, workload_table};
 use fua::exec::{enable_heartbeat, heartbeat_stage, Jobs};
 use fua::report::{
     bench_suite_jobs, compare, trends, BenchReport, HarnessReport, Tolerance, TrendError,
@@ -325,9 +325,22 @@ fn cmd_profile_energy(name: &str, opts: &Options) -> CmdResult {
                 .expect("one suite per scheme");
         verify_exact("profile-energy", &runs_a)?;
         verify_exact("profile-energy", &runs_b)?;
-        let cmp = EnergyComparison::new(scheme, scheme_b, top, runs_a, runs_b);
+        let cmp = EnergyComparison::new(
+            EnergyProfile {
+                scheme,
+                top,
+                runs: runs_a,
+            },
+            EnergyProfile {
+                scheme: scheme_b,
+                top,
+                runs: runs_b,
+            },
+        );
         emit(&cmp, EnergyComparison::render, &[], opts.json)?;
-        return write_flame("profile-energy", opts, || cmp.collapsed_stacks());
+        // The flamegraph shows where the energy still goes under scheme
+        // B, the "after" profile of the comparison.
+        return write_flame("profile-energy", opts, || cmp.b.collapsed_stacks());
     }
 
     eprintln!(
