@@ -232,7 +232,7 @@ pub fn check_suite(
 #[derive(Debug)]
 pub struct EstimateVerification {
     /// The checks, scheme-major, each scheme's in workload order.
-    pub checks: Vec<EstimateCheck>,
+    checks: Vec<EstimateCheck>,
 }
 
 impl EstimateVerification {
@@ -356,11 +356,11 @@ fn estimate_json(scheme: Scheme, workload: &str, est: &TransitionEstimate) -> Js
 #[derive(Debug)]
 pub struct EstimateReport {
     /// The scheme whose swap model the bounds assume.
-    pub scheme: Scheme,
+    scheme: Scheme,
     /// Whether the per-workload tables aggregate per basic block.
-    pub per_block: bool,
+    per_block: bool,
     /// `(workload, estimate)`, in workload order.
-    pub estimates: Vec<(String, TransitionEstimate)>,
+    estimates: Vec<(String, TransitionEstimate)>,
 }
 
 impl EstimateReport {
@@ -472,10 +472,9 @@ impl ToJson for EstimateReport {
 /// bits-per-pass bound under both schemes.
 #[derive(Debug)]
 pub struct EstimateComparison {
-    /// Side A.
-    pub a: EstimateReport,
-    /// Side B, over the same workloads in the same order.
-    pub b: EstimateReport,
+    /// Side B runs over the same workloads in the same order as A.
+    a: EstimateReport,
+    b: EstimateReport,
 }
 
 impl EstimateComparison {

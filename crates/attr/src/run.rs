@@ -346,18 +346,17 @@ impl ToJson for EnergyProfile {
 /// workload's duplicated FU class and its reduction against Original.
 #[derive(Debug)]
 pub struct SchemeRun {
-    /// The workload run.
-    pub workload: String,
+    workload: String,
     /// The duplicated FU class the workload's category drives.
-    pub class: FuClass,
+    class: FuClass,
     /// The Original lane's result.
-    pub baseline: SimResult,
-    /// `(scheme, switched bits, reduction vs Original in percent)` per
-    /// scheme, Original (with no reduction) first.
-    pub rows: Vec<(Scheme, u64, Option<f64>)>,
-    /// The metrics a recorder on the engine gathered (it sees the
-    /// Original lane), when one rode the run.
-    pub metrics: Option<MetricsRegistry>,
+    baseline: SimResult,
+    /// `(scheme, switched bits, reduction vs Original in percent)`,
+    /// Original (with no reduction) first.
+    rows: Vec<(Scheme, u64, Option<f64>)>,
+    /// What a recorder riding the engine (it sees the Original lane)
+    /// gathered, under `--metrics`.
+    metrics: Option<MetricsRegistry>,
 }
 
 impl SchemeRun {

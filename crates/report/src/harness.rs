@@ -29,26 +29,19 @@ use crate::bench::rate_cell;
 /// wall-clock observations behind the side exports.
 #[derive(Debug)]
 pub struct HarnessReport {
-    /// Workload cells per pass.
-    pub cells: u64,
-    /// Simulated cycles per pass (both passes agree).
-    pub cycles: u64,
-    /// Retired instructions per pass.
-    pub retired: u64,
-    /// Arena-pool traffic of the serial pass.
-    pub serial_arena: ArenaCounters,
-    /// Arena-pool traffic of the parallel sweep.
-    pub parallel_arena: ArenaCounters,
+    // Per pass (both passes agree on every model total).
+    cells: u64,
+    cycles: u64,
+    retired: u64,
+    serial_arena: ArenaCounters,
+    parallel_arena: ArenaCounters,
     /// Heap allocations of the serial pass.
-    pub allocations: AllocSnapshot,
-    /// Executor accounting of the serial pass.
-    pub serial_exec: ExecReport,
-    /// Executor accounting of the parallel sweep.
-    pub parallel_exec: ExecReport,
-    /// Worker spans collected over both passes.
-    pub spans: Vec<HarnessSpan>,
-    /// Arena lease/return events collected over both passes.
-    pub arena_events: Vec<ArenaEvent>,
+    allocations: AllocSnapshot,
+    serial_exec: ExecReport,
+    parallel_exec: ExecReport,
+    /// Worker spans and arena events collected over both passes.
+    spans: Vec<HarnessSpan>,
+    arena_events: Vec<ArenaEvent>,
 }
 
 impl HarnessReport {
@@ -123,6 +116,21 @@ impl HarnessReport {
             "{table}\nretired {} instruction(s) per pass\n\
              serial-pass allocations: {} alloc(s), {} byte(s)",
             self.retired, self.allocations.allocs, self.allocations.bytes
+        )
+    }
+
+    /// The parallel sweep's wall-clock summary, for the log.
+    pub fn sweep_summary(&self) -> String {
+        let exec = &self.parallel_exec;
+        format!(
+            "parallel sweep busy {:.1}% over {} worker(s), imbalance {:.2}, \
+             wall {:.3}s ({} span(s), {} arena event(s) collected)",
+            exec.busy_fraction() * 100.0,
+            exec.jobs,
+            exec.imbalance(),
+            exec.wall_nanos as f64 / 1e9,
+            self.spans.len(),
+            self.arena_events.len()
         )
     }
 

@@ -673,17 +673,7 @@ fn cmd_harness_report(opts: &Options) -> CmdResult {
     let report = HarnessReport::run(&workloads, &cfg, opts.jobs)?;
     emit(&report, HarnessReport::render, &[], opts.json)?;
 
-    let exec = &report.parallel_exec;
-    eprintln!(
-        "harness-report: parallel sweep busy {:.1}% over {} worker(s), imbalance {:.2}, \
-         wall {:.3}s ({} span(s), {} arena event(s) collected)",
-        exec.busy_fraction() * 100.0,
-        exec.jobs,
-        exec.imbalance(),
-        exec.wall_nanos as f64 / 1e9,
-        report.spans.len(),
-        report.arena_events.len()
-    );
+    eprintln!("harness-report: {}", report.sweep_summary());
     if let Some(path) = &opts.out {
         write_file(path, report.timeline())?;
         eprintln!("harness-report: wrote Perfetto timeline to {path}");
