@@ -696,7 +696,6 @@ fn unit_to_json(unit: &UnitFigure) -> Json {
             "baseline_switched_bits",
             Json::UInt(unit.baseline_switched_bits),
         ),
-        // The rows serialise as Figure 4's own rows do.
         ("rows", Json::arr(&unit.rows)),
     ])
 }
