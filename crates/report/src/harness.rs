@@ -10,8 +10,9 @@
 //! counts, simulated cycles, arena-lease totals, and the serial-pass
 //! allocation counts (constant for a given build) — so they are
 //! byte-identical for every worker count. Everything wall-clock (worker
-//! busy spans, utilization, imbalance) goes to the side exports:
-//! [`timeline`](HarnessReport::timeline),
+//! busy spans, utilization, imbalance) goes to the log line
+//! ([`sweep_summary`](HarnessReport::sweep_summary)) and the side
+//! exports: [`timeline`](HarnessReport::timeline),
 //! [`folded_stacks`](HarnessReport::folded_stacks) and
 //! [`metrics`](HarnessReport::metrics).
 
