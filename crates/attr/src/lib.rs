@@ -11,11 +11,10 @@
 //! bucket, so the reassembled [`ledger`](AttributionSink::ledger) equals
 //! the simulator's own bit-for-bit, for every scheme and swap setting —
 //! the same invariant the windowed-telemetry sink proves over time
-//! intervals, proved here over static sites. And because
-//! [`merge`](AttributionSink::merge) is key-ordered addition,
-//! per-workload sinks merged in index order reproduce a serial pass
-//! exactly, which is what makes `fua profile-energy --jobs N`
-//! byte-identical to `--jobs 1`.
+//! intervals, proved here over static sites. [`fua_exec::map_indexed`]
+//! returns each workload's result at the workload's index whatever the
+//! worker count, and suites read them in that order, which is what
+//! makes `fua profile-energy --jobs N` byte-identical to `--jobs 1`.
 //!
 //! On top of the raw partition:
 //!

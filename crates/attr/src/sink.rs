@@ -12,8 +12,7 @@ use crate::MAX_MODULES;
 ///
 /// The ordering is derived, and every listing of sites runs in that
 /// (pc, class, module, case) order regardless of the order charges
-/// arrived in — the property the parallel merge and every rendered
-/// report rely on.
+/// arrived in — the property every rendered report relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteKey {
     /// Static program counter (instruction index) of the issuing
@@ -41,9 +40,7 @@ pub struct SiteStat {
 /// Every [`TraceEvent::Energy`] is counted in exactly one [`SiteKey`]
 /// bucket, so the column sums reproduce the simulator's own
 /// [`EnergyLedger`] bit-for-bit — see [`ledger`](AttributionSink::ledger).
-/// All other events are ignored. [`merge`](AttributionSink::merge) is
-/// associative and key-ordered, so per-workload sinks merged in
-/// workload-index order equal one sink threaded through a serial run.
+/// All other events are ignored.
 ///
 /// The table is a dense [`SiteTable`]: a block of module × case
 /// counters per charged (PC, class).
@@ -95,13 +92,6 @@ impl AttributionSink {
     /// Whether no charges have been recorded.
     pub fn is_empty(&self) -> bool {
         self.sites == 0
-    }
-
-    /// Folds another sink's sites into this one (key-wise addition).
-    pub fn merge(&mut self, other: &AttributionSink) {
-        for (key, stat) in other.sites() {
-            self.add(key, stat);
-        }
     }
 
     /// Per-class switched-bit totals across all sites.
@@ -232,34 +222,5 @@ mod tests {
             issued: 1,
         });
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn merge_is_order_independent_and_matches_one_sink() {
-        let events = [
-            energy(1, FuClass::IntAlu, 0, Case::C00, 4),
-            energy(2, FuClass::IntMul, 0, Case::C10, 9),
-            energy(1, FuClass::IntAlu, 0, Case::C00, 1),
-            energy(5, FuClass::FpMul, 0, Case::C11, 2),
-        ];
-        let mut one = AttributionSink::new();
-        for e in &events {
-            one.record(e);
-        }
-        let mut a = AttributionSink::new();
-        let mut b = AttributionSink::new();
-        for (i, e) in events.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(e);
-            } else {
-                b.record(e);
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, one);
-        assert_eq!(ba, one);
     }
 }

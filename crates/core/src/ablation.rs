@@ -38,9 +38,9 @@ fn for_each_fu_op(workloads: &[Workload], config: &ExperimentConfig, mut f: impl
     }
 }
 
-/// The integer suite on the configured machine under Original steering:
-/// the IALU case profile, occupancy distribution and switched bits,
-/// summed over the suite.
+/// The integer suite on the configured machine under Original steering,
+/// on a lane that measures the IALU alone: the IALU case profile,
+/// occupancy distribution and switched bits, summed over the suite.
 struct OriginalRun {
     profile: CaseProfile,
     occupancy: Vec<f64>,
@@ -52,10 +52,18 @@ fn original_run(config: &ExperimentConfig) -> OriginalRun {
     let mut occupancy = OccupancyProfiler::new(config.machine.modules(FuClass::IntAlu));
     let mut ialu_bits = 0;
     for w in fua_workloads::integer(config.scale) {
-        let mut sim = Simulator::new(config.machine.clone(), SteeringConfig::original());
-        let r = sim
-            .run_program(&w.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+        let mut lanes =
+            [Lane::new(&config.machine, SteeringConfig::original()).measuring(FuClass::IntAlu)];
+        let (results, ..) = Simulator::run_lanes(
+            config.machine.clone(),
+            NullSink,
+            NullProfiler,
+            &mut lanes,
+            &w.program,
+            config.inst_limit,
+        )
+        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+        let r = &results[0];
         patterns.merge(r.bit_patterns_of(FuClass::IntAlu));
         occupancy.merge(r.occupancy_of(FuClass::IntAlu));
         ialu_bits += r.ledger.switched_bits(FuClass::IntAlu);
@@ -69,8 +77,8 @@ fn original_run(config: &ExperimentConfig) -> OriginalRun {
 
 /// One row per `(setting, strategy)`: the IALU steered by a 4-bit LUT
 /// whose homes the strategy picks from the Original run's profile, plus
-/// the hardware swap; the FPAU keeps Original steering, which moves no
-/// IALU bit. The integer suite runs once, with a lane per row.
+/// the hardware swap. The integer suite runs once, with a lane per row
+/// that measures the IALU alone.
 fn lut4_rows(
     config: &ExperimentConfig,
     original: &OriginalRun,
@@ -98,7 +106,7 @@ fn lut4_rows(
     for w in fua_workloads::integer(config.scale) {
         let mut lanes: Vec<Lane> = schemes
             .iter()
-            .map(|steering| Lane::new(&config.machine, steering.clone()))
+            .map(|steering| Lane::new(&config.machine, steering.clone()).measuring(FuClass::IntAlu))
             .collect();
         let (results, ..) = Simulator::run_lanes(
             config.machine.clone(),

@@ -70,7 +70,8 @@ impl WorkloadBreakdown {
 }
 
 /// Runs every workload of the unit's suite once, with a steering lane
-/// for Original and one for the recommended design point.
+/// for Original and one for the recommended design point, each
+/// measuring only the unit's class.
 pub fn workload_breakdown(unit: Unit, config: &ExperimentConfig) -> WorkloadBreakdown {
     let class = unit.fu_class();
     let workloads = match unit {
@@ -80,7 +81,7 @@ pub fn workload_breakdown(unit: Unit, config: &ExperimentConfig) -> WorkloadBrea
     let rows = workloads
         .iter()
         .map(|w| {
-            let [base, opt] = original_and_observed(config, w);
+            let [base, opt] = original_and_observed(config, w, Some(class));
             let baseline_bits = base.ledger.switched_bits(class);
             let steered_bits = opt.ledger.switched_bits(class);
             BreakdownRow {

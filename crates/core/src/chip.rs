@@ -66,7 +66,7 @@ pub fn chip_estimate(config: &ExperimentConfig) -> ChipEstimate {
     // nothing.
     let (mut baseline, mut steered) = (EnergyLedger::new(), EnergyLedger::new());
     for w in all(config.scale) {
-        let [base, opt] = original_and_observed(config, &w);
+        let [base, opt] = original_and_observed(config, &w, None);
         baseline.merge(&base.ledger);
         steered.merge(&opt.ledger);
     }

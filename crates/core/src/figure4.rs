@@ -112,7 +112,8 @@ pub fn figure4_jobs(unit: Unit, config: &ExperimentConfig, jobs: Jobs) -> Figure
 /// figures (e.g. the `fua-report` bench ledger) should profile once and
 /// share it. Steering never moves timing, so each
 /// workload runs once per program variant (original and compiler-swapped)
-/// with one steering lane per suite of that variant — 12 each — and
+/// with one steering lane per suite of that variant — 12 each, each
+/// measuring only `unit`'s class — and
 /// those (workload × variant) cells fan out across `jobs` workers over a
 /// shared read-only [`WorkloadArena`]. Per suite, the lanes' ledgers are
 /// then folded **in workload order** — so the figure is identical to the
@@ -224,7 +225,7 @@ pub fn figure4_with_profile_jobs(
         let workload = if v == 1 { &swapped[w] } else { &workloads[w] };
         let mut run_lanes: Vec<Lane> = lanes[v]
             .iter()
-            .map(|&s| Lane::new(machine, schemes[s].clone()))
+            .map(|&s| Lane::new(machine, schemes[s].clone()).measuring(class))
             .collect();
         Simulator::run_lanes(
             machine.clone(),

@@ -20,22 +20,40 @@ pub fn observed_scheme() -> SteeringConfig {
     SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true)
 }
 
-/// `class`'s switched bits when `program` runs under [`observed_scheme`].
+/// `class`'s switched bits when `program` runs under [`observed_scheme`],
+/// on a lane that measures `class` alone.
 pub(crate) fn observed_bits(config: &ExperimentConfig, program: &Program, class: FuClass) -> u64 {
-    Simulator::new(config.machine.clone(), observed_scheme())
-        .run_program(program, config.inst_limit)
-        .expect("workload runs")
+    let mut lanes = [Lane::new(&config.machine, observed_scheme()).measuring(class)];
+    Simulator::run_lanes(
+        config.machine.clone(),
+        NullSink,
+        NullProfiler,
+        &mut lanes,
+        program,
+        config.inst_limit,
+    )
+    .expect("workload runs")
+    .0[0]
         .ledger
         .switched_bits(class)
 }
 
 /// Runs `w` once, with a steering lane for Original and one for
-/// [`observed_scheme`], and returns their results in that order.
-pub(crate) fn original_and_observed(config: &ExperimentConfig, w: &Workload) -> [SimResult; 2] {
-    let mut lanes = [
-        Lane::new(&config.machine, SteeringConfig::original()),
-        Lane::new(&config.machine, observed_scheme()),
-    ];
+/// [`observed_scheme`], and returns their results in that order. With
+/// `class`, both lanes measure that class alone; without, every class.
+pub(crate) fn original_and_observed(
+    config: &ExperimentConfig,
+    w: &Workload,
+    class: Option<FuClass>,
+) -> [SimResult; 2] {
+    let lane = |steering| {
+        let lane = Lane::new(&config.machine, steering);
+        match class {
+            Some(class) => lane.measuring(class),
+            None => lane,
+        }
+    };
+    let mut lanes = [lane(SteeringConfig::original()), lane(observed_scheme())];
     Simulator::run_lanes(
         config.machine.clone(),
         NullSink,

@@ -14,6 +14,12 @@
 //! case; [`Simulator::run_lanes`](crate::Simulator::run_lanes) runs
 //! many, and its engine sink sees lane 0's steering as a one-lane run
 //! would.
+//!
+//! A lane built with [`Lane::measuring`] measures one FU class: it
+//! steers, latches and charges only that class's issue groups, so a
+//! sweep that reads one unit does no lane work for the others. The
+//! engine checks lane 0's class once per (cycle, class), so all lanes of
+//! a run measure the same classes.
 
 use fua_isa::{Case, FuClass};
 use fua_power::{EnergyLedger, ModulePorts};
@@ -36,7 +42,8 @@ pub(crate) struct Timing {
 
 /// One steering scheme's state through a run: its [`SteeringConfig`],
 /// module input latches, energy ledger and swap counters, plus an
-/// optional sink.
+/// optional sink. A lane measures every FU class unless
+/// [`Lane::measuring`] restricts it to one.
 ///
 /// The sink receives only this lane's [`TraceEvent::Energy`] events —
 /// enough for a per-site attribution such as `fua_attr::AttributionSink`.
@@ -72,6 +79,8 @@ pub(crate) struct Timing {
 /// ```
 pub struct Lane<A: TraceSink = NullSink> {
     steering: SteeringConfig,
+    /// The one class this lane steers and charges; `None` for all.
+    measured: Option<FuClass>,
     sink: A,
     ports: Vec<Vec<ModulePorts>>,
     ledger: EnergyLedger,
@@ -110,6 +119,7 @@ impl<A: TraceSink> Lane<A> {
         let width = machine.fu_counts.iter().copied().max().unwrap_or(1);
         Lane {
             steering,
+            measured: None,
             sink,
             ports,
             ledger: EnergyLedger::new(),
@@ -120,6 +130,58 @@ impl<A: TraceSink> Lane<A> {
             bits: Vec::with_capacity(width),
             rule_swapped: 0,
         }
+    }
+
+    /// Restricts the lane to `class`: it runs the swap rule, the policy,
+    /// the latch and the charge only for `class`'s issue groups. Its
+    /// result's ledger and swap counts then hold `class` alone (zero for
+    /// every other class); timing, occupancy and bit patterns are the
+    /// engine's and still cover every class.
+    ///
+    /// [`Simulator::run_lanes`](crate::Simulator::run_lanes) requires
+    /// every lane of a run to measure the same classes, and an enabled
+    /// engine sink requires lanes that measure every class.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fua_isa::{FpReg, FuClass, IntReg, ProgramBuilder};
+    /// use fua_sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
+    /// use fua_trace::NullSink;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let (r1, f1) = (IntReg::new(1), FpReg::new(1));
+    /// let mut b = ProgramBuilder::new();
+    /// b.li(r1, 7);
+    /// b.add(r1, r1, r1);
+    /// b.fadd(f1, f1, f1);
+    /// b.halt();
+    /// let program = b.build()?;
+    ///
+    /// let machine = MachineConfig::default();
+    /// let lane = Lane::new(&machine, SteeringConfig::original()).measuring(FuClass::FpAlu);
+    /// let mut lanes = vec![lane];
+    /// let (results, ..) =
+    ///     Simulator::run_lanes(machine, NullSink, NullProfiler, &mut lanes, &program, 100)?;
+    /// assert_eq!(results[0].ledger.ops(FuClass::FpAlu), 1);
+    /// assert_eq!(results[0].ledger.ops(FuClass::IntAlu), 0, "IALU ops are not charged");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn measuring(mut self, class: FuClass) -> Self {
+        self.measured = Some(class);
+        self
+    }
+
+    /// The one class this lane measures, or `None` if it measures all.
+    pub(crate) fn measured(&self) -> Option<FuClass> {
+        self.measured
+    }
+
+    /// Whether this lane steers and charges `class`.
+    #[inline]
+    pub(crate) fn measures(&self, class: FuClass) -> bool {
+        self.measured.is_none_or(|c| c == class)
     }
 
     /// The attached sink.

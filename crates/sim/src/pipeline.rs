@@ -146,14 +146,19 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     /// swap and energy events. `profiler` times every lane's steering.
     /// [`NullSink`] and [`NullProfiler`] compile away.
     ///
+    /// Lanes built with [`Lane::measuring`] skip every other class's
+    /// issue groups; the engine checks lane 0's class once per (cycle,
+    /// class), so all lanes must measure the same classes.
+    ///
     /// # Errors
     ///
     /// Propagates interpreter faults ([`VmError`]).
     ///
     /// # Panics
     ///
-    /// Panics if `sink` is enabled and `lanes` is empty: its events
-    /// describe lane 0.
+    /// Panics if `sink` is enabled and `lanes` is empty or measures one
+    /// class only: its events describe lane 0's steering of every class.
+    /// Panics if the lanes do not all measure the same classes.
     pub fn run_lanes<A: TraceSink>(
         config: MachineConfig,
         sink: S,
@@ -162,6 +167,15 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         program: &Program,
         limit: u64,
     ) -> Result<(Vec<SimResult>, S, P), VmError> {
+        let measured = lanes.first().map(Lane::measured);
+        assert!(
+            lanes.iter().all(|lane| Some(lane.measured()) == measured),
+            "every lane of one run must measure the same classes"
+        );
+        assert!(
+            !S::ENABLED || measured == Some(None),
+            "an enabled engine sink needs lanes that measure every class"
+        );
         let mut engine = Simulator::engine(config, sink, profiler, None);
         let timing = engine.run_vm(program, limit, lanes)?;
         let results = lanes.iter().map(|lane| lane.result(&timing)).collect();
@@ -572,7 +586,8 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     /// charges it (static swap rule, then policy, then latch, then
     /// charge), then the engine schedules each instruction's completion.
     /// Only the second half touches timing state, and it reads lane 0
-    /// only to describe its steering in the engine sink's events.
+    /// only to describe its steering in the engine sink's events. When
+    /// the lanes measure another class, the lane loop is skipped whole.
     fn issue_class<A: TraceSink>(&mut self, class: FuClass, lanes: &mut [Lane<A>]) -> usize {
         let ci = class.index();
         let modules = self.config.modules(class);
@@ -596,7 +611,10 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         // tests/alloc_gate.rs).
         let mut sites = std::mem::take(&mut self.inflight.sites_scratch);
         sites.clear();
-        if let Some((first, rest)) = lanes.split_first_mut() {
+        let first_lane = lanes
+            .split_first_mut()
+            .filter(|(first, _)| first.measures(class));
+        if let Some((first, rest)) = first_lane {
             let (ops, case_bits) = first.group_mut();
             for &offset in &selected {
                 let slot = slot_of(offset);
@@ -613,6 +631,8 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
                 self.steer_group(lane, class, &sites);
             }
             self.steer_group(first, class, &sites);
+        } else {
+            self.record_bit_patterns(class, &selected);
         }
         if S::ENABLED {
             for (i, &offset) in selected.iter().enumerate() {
@@ -746,6 +766,17 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
         self.inflight.selected[ci] = selected;
         self.inflight.sites_scratch = sites;
         issued
+    }
+
+    /// Records the bit patterns of a group no lane measures. Out of line,
+    /// so this path adds no code to the all-class path's loop.
+    #[inline(never)]
+    fn record_bit_patterns(&mut self, class: FuClass, selected: &[u32]) {
+        let profiler = &mut self.bit_patterns[class.index()];
+        for &offset in selected {
+            let slot = ((self.head_serial + offset as u64) & self.inflight.mask) as usize;
+            profiler.record(&self.inflight.fu[slot]);
+        }
     }
 
     /// One lane's pass over a gathered group: static swap rule, then

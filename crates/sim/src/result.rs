@@ -93,14 +93,17 @@ pub struct SimResult {
     pub retired: u64,
     /// Whether the program halted (vs hitting the instruction limit).
     pub halted: bool,
-    /// Switched input bits and operation counts per FU class.
+    /// Switched input bits and operation counts per FU class. A lane
+    /// built with [`Lane::measuring`](crate::Lane::measuring) charges its
+    /// class only, and every other class reads zero.
     pub ledger: EnergyLedger,
     /// Per-class issue occupancy (Table 2 inputs).
     pub occupancy: Vec<OccupancyProfiler>,
     /// Per-class operand bit patterns *as issued*, before any swap, so
     /// the same under every steering scheme (Tables 1 and 3 inputs).
     pub bit_patterns: Vec<BitPatternProfiler>,
-    /// Swap counters.
+    /// Swap counters, of the measured class only for a lane built with
+    /// [`Lane::measuring`](crate::Lane::measuring).
     pub swaps: SwapStats,
     /// Branch-predictor statistics.
     pub branches: BranchStats,

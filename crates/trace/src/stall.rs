@@ -5,10 +5,8 @@
 //! [`Stall`](crate::TraceEvent::Stall) event lands in exactly one
 //! [`StallKey`] counter of a dense [`SiteTable`], so totals reassemble the
 //! machine's issue bandwidth bit-for-bit (`cycles × issue_width`
-//! slots), and [`merge`](StallSink::merge) is key-ordered addition —
-//! per-workload sinks merged in index order reproduce a serial pass
-//! exactly, which is what makes `fua profile-cycles --jobs N`
-//! byte-identical to `--jobs 1`.
+//! slots), and [`StallSink::sites`] lists sites in key order whatever
+//! order the stalls arrived in.
 
 use fua_isa::{Case, FuClass};
 
@@ -90,15 +88,6 @@ impl StallSink {
             totals[key.reason.index()] += slots;
         }
         totals
-    }
-
-    /// Adds another sink's counts into this one. Key-ordered addition:
-    /// merging per-workload sinks in index order reproduces the sink a
-    /// serial pass over the same cells would have produced.
-    pub fn merge(&mut self, other: &StallSink) {
-        for (key, slots) in other.sites() {
-            self.add(key, slots);
-        }
     }
 
     /// Adds `slots` to `key`'s counter.
@@ -254,28 +243,6 @@ mod tests {
         let totals = sink.reason_totals();
         assert_eq!(totals[StallReason::Issued.index()], 2);
         assert_eq!(totals[StallReason::FetchStarved.index()], 3);
-    }
-
-    #[test]
-    fn merge_is_key_ordered_addition() {
-        let mut a = StallSink::new();
-        a.record(&stall(0, StallReason::Issued, 1, Some(7)));
-        let mut b = StallSink::new();
-        b.record(&stall(1, StallReason::OperandWait, 2, Some(2)));
-        b.record(&stall(1, StallReason::Issued, 1, Some(7)));
-        let mut merged = a.clone();
-        merged.merge(&b);
-
-        let mut serial = StallSink::new();
-        serial.record(&stall(0, StallReason::Issued, 1, Some(7)));
-        serial.record(&stall(1, StallReason::OperandWait, 2, Some(2)));
-        serial.record(&stall(1, StallReason::Issued, 1, Some(7)));
-        assert_eq!(merged, serial);
-        assert_eq!(merged.total_slots(), 4);
-        // Sites list in key order, not arrival order.
-        let keys: Vec<StallKey> = merged.sites().map(|(key, _)| key).collect();
-        assert!(keys.windows(2).all(|k| k[0] < k[1]), "{keys:?}");
-        assert_eq!(keys[0].pc, Some(2));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! every lazily-sized structure (the inflight arena pool, event-wheel
 //! buckets, steering tables), the untraced hot loop must allocate
 //! **zero** bytes per simulated cycle, for every workload under every
-//! Figure-4 scheme, and for every workload run once with twelve steering
-//! lanes (each Figure-4 scheme with and without the hardware swap — the
-//! shape of one `fua figure4` cell).
+//! Figure-4 scheme, and for every workload run with twelve steering
+//! lanes (each Figure-4 scheme with and without the hardware swap),
+//! once with lanes that measure every class and once with lanes that
+//! measure the FPAU alone — the shape of one `fua figure4 fpau` cell.
 //!
 //! Methodology: heap traffic of a run is `constant per-run setup +
 //! per-cycle cost × cycles`. After warmup at the *longer* limit, a run
@@ -19,6 +20,7 @@
 //! sibling test would bleed its allocations into the measurement
 //! window.
 
+use fua::isa::FuClass;
 use fua::sim::{Lane, MachineConfig, NullProfiler, Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
 use fua::trace::NullSink;
@@ -40,14 +42,21 @@ fn run(w: &fua::workloads::Workload, kind: SteeringKind, limit: u64) -> u64 {
 }
 
 /// One run of `w` feeding twelve lanes: every Figure-4 scheme with and
-/// without the hardware swap. Builds the lanes inside the measurement
-/// window, like [`run`].
-fn run_lanes(w: &fua::workloads::Workload, limit: u64) -> u64 {
+/// without the hardware swap, each measuring `measured` (every class
+/// when `None`). Builds the lanes inside the measurement window, like
+/// [`run`].
+fn run_lanes(w: &fua::workloads::Workload, measured: Option<FuClass>, limit: u64) -> u64 {
     let machine = MachineConfig::paper_default();
     let mut lanes: Vec<Lane> = SteeringKind::FIGURE4
         .into_iter()
         .flat_map(|kind| [false, true].map(|hw| SteeringConfig::paper_scheme(kind, hw)))
-        .map(|scheme| Lane::new(&machine, scheme))
+        .map(|scheme| {
+            let lane = Lane::new(&machine, scheme);
+            match measured {
+                Some(class) => lane.measuring(class),
+                None => lane,
+            }
+        })
         .collect();
     assert_eq!(lanes.len(), 12);
     Simulator::run_lanes(
@@ -108,26 +117,28 @@ fn the_steady_state_hot_loop_allocates_nothing_per_cycle() {
             );
             checked += 1;
         }
-        run_lanes(w, 2 * LIMIT);
-        let short = measured_allocs(w, || run_lanes(w, LIMIT));
-        let long = measured_allocs(w, || run_lanes(w, 2 * LIMIT));
-        assert_eq!(
-            short,
-            long,
-            "workload {} with 12 lanes: a {}-instruction run allocated {} event(s), \
-             a {}-instruction run {} — the difference is per-cycle allocation \
-             in the steady-state hot loop",
-            w.name,
-            LIMIT,
-            short,
-            2 * LIMIT,
-            long
-        );
-        checked += 1;
+        for measured in [None, Some(FuClass::FpAlu)] {
+            run_lanes(w, measured, 2 * LIMIT);
+            let short = measured_allocs(w, || run_lanes(w, measured, LIMIT));
+            let long = measured_allocs(w, || run_lanes(w, measured, 2 * LIMIT));
+            assert_eq!(
+                short,
+                long,
+                "workload {} with 12 lanes measuring {measured:?}: a {}-instruction run \
+                 allocated {} event(s), a {}-instruction run {} — the difference is \
+                 per-cycle allocation in the steady-state hot loop",
+                w.name,
+                LIMIT,
+                short,
+                2 * LIMIT,
+                long
+            );
+            checked += 1;
+        }
     }
     assert_eq!(
         checked,
-        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 1),
-        "every workload x scheme cell, and every workload's 12-lane run, must be gated"
+        workloads.len() as u32 * (SteeringKind::FIGURE4.len() as u32 + 2),
+        "every workload x scheme cell, and every workload's two 12-lane runs, must be gated"
     );
 }

@@ -12,6 +12,12 @@
 //! sink, an engine event sink and phase timers, lane 0 the 4-bit LUT and
 //! then Original: the engine sink records exactly what a standalone
 //! traced run under lane 0's scheme records.
+//!
+//! A lane restricted to one class ([`Lane::measuring`]) charges that
+//! class exactly as an all-class lane of the same scheme does, charges
+//! no other class, and shares the run's timing, occupancy and bit
+//! patterns. A run whose lanes mix class sets, or whose enabled engine
+//! sink would describe a restricted lane 0, panics.
 
 use fua::attr::{attribute_schemes, AttributionSink, EnergyAttribution, Scheme};
 use fua::core::{profile_suite_jobs, ExperimentConfig};
@@ -22,7 +28,8 @@ use fua::sim::{
 };
 use fua::steer::SteeringKind;
 use fua::swap::CompilerSwapPass;
-use fua::trace::{NullSink, VecSink};
+use fua::trace::{NullSink, TraceSink, VecSink};
+use fua::workloads::{Workload, WorkloadArena};
 
 const LIMIT: u64 = 3_000;
 
@@ -54,15 +61,23 @@ fn assert_same(lane: &SimResult, alone: &SimResult, what: &str) {
     assert_eq!(lane.cache, alone.cache, "{what}: cache");
 }
 
-#[test]
-fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
-    let config = ExperimentConfig {
+/// The quick configuration at [`LIMIT`] instructions.
+fn config() -> ExperimentConfig {
+    ExperimentConfig {
         inst_limit: LIMIT,
         ..ExperimentConfig::quick()
-    };
+    }
+}
+
+/// The twelve Figure-4 suites (six schemes, each with and without the
+/// hardware swap), built from the measured profile as `fua figure4`
+/// builds them, with their names.
+fn figure4_suites(
+    config: &ExperimentConfig,
+    arena: &WorkloadArena,
+) -> Vec<(String, SteeringConfig)> {
     let machine = &config.machine;
-    let arena = fua::workloads::WorkloadArena::build(config.scale);
-    let (profile, _) = profile_suite_jobs(&config, &arena, Jobs::serial());
+    let (profile, _) = profile_suite_jobs(config, arena, Jobs::serial());
     let ialu = profile.case_profile(FuClass::IntAlu);
     let fpau = profile.case_profile(FuClass::FpAlu);
     let ialu_occ = profile.ialu_occupancy.distribution();
@@ -85,29 +100,63 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
         })
         .collect();
     assert_eq!(suites.len(), 12, "six schemes x two swap settings");
+    suites
+}
+
+/// `w`'s program as written and after the compiler swap pass.
+fn variants(w: &Workload) -> [(&'static str, Program); 2] {
+    let swapped = CompilerSwapPass::with_limit(LIMIT)
+        .run(&w.program)
+        .expect("the swap pass runs every kernel")
+        .program;
+    [("original", w.program.clone()), ("swapped", swapped)]
+}
+
+/// A lane under `scheme` measuring `measured` (every class when `None`).
+fn lane(machine: &MachineConfig, scheme: SteeringConfig, measured: Option<FuClass>) -> Lane {
+    let lane = Lane::new(machine, scheme);
+    match measured {
+        Some(class) => lane.measuring(class),
+        None => lane,
+    }
+}
+
+/// One run of `program` with a lane per suite, each measuring `measured`
+/// (every class when `None`).
+fn run_suites(
+    machine: &MachineConfig,
+    suites: &[(String, SteeringConfig)],
+    measured: Option<FuClass>,
+    program: &Program,
+) -> Vec<SimResult> {
+    let mut lanes: Vec<Lane> = suites
+        .iter()
+        .map(|(_, scheme)| lane(machine, scheme.clone(), measured))
+        .collect();
+    let (results, ..) = Simulator::run_lanes(
+        machine.clone(),
+        NullSink,
+        NullProfiler,
+        &mut lanes,
+        program,
+        LIMIT,
+    )
+    .expect("runs");
+    assert_eq!(results.len(), suites.len());
+    results
+}
+
+#[test]
+fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
+    let config = config();
+    let machine = &config.machine;
+    let arena = WorkloadArena::build(config.scale);
+    let suites = figure4_suites(&config, &arena);
 
     let mut checked = 0;
     for w in arena.all() {
-        let swapped = CompilerSwapPass::with_limit(LIMIT)
-            .run(&w.program)
-            .expect("the swap pass runs every kernel")
-            .program;
-        let variants: [(&str, &Program); 2] = [("original", &w.program), ("swapped", &swapped)];
-        for (variant, program) in variants {
-            let mut lanes: Vec<Lane> = suites
-                .iter()
-                .map(|(_, scheme)| Lane::new(machine, scheme.clone()))
-                .collect();
-            let (results, ..) = Simulator::run_lanes(
-                machine.clone(),
-                NullSink,
-                NullProfiler,
-                &mut lanes,
-                program,
-                LIMIT,
-            )
-            .expect("runs");
-            assert_eq!(results.len(), suites.len());
+        for (variant, program) in &variants(w) {
+            let results = run_suites(machine, &suites, None, program);
             let original = Simulator::new(machine.clone(), SteeringConfig::original())
                 .run_program(program, LIMIT)
                 .expect("runs");
@@ -129,6 +178,86 @@ fn figure4_lanes_match_standalone_runs_and_share_one_timing() {
         }
     }
     assert_eq!(checked, 15 * 2 * 12, "every workload x variant x suite");
+}
+
+#[test]
+fn class_restricted_lanes_charge_their_class_exactly_and_nothing_else() {
+    let config = config();
+    let machine = &config.machine;
+    let arena = WorkloadArena::build(config.scale);
+    let suites = figure4_suites(&config, &arena);
+
+    let mut checked = 0;
+    for w in arena.all() {
+        for (variant, program) in &variants(w) {
+            let all = run_suites(machine, &suites, None, program);
+            for unit in [FuClass::IntAlu, FuClass::FpAlu] {
+                let restricted = run_suites(machine, &suites, Some(unit), program);
+                for (((name, _), lane), full) in suites.iter().zip(&restricted).zip(&all) {
+                    let what = format!("{} {variant} {name} measuring {unit}", w.name);
+                    for class in FuClass::ALL {
+                        let (bits, ops) = if class == unit {
+                            (full.ledger.switched_bits(class), full.ledger.ops(class))
+                        } else {
+                            (0, 0)
+                        };
+                        assert_eq!(
+                            (lane.ledger.switched_bits(class), lane.ledger.ops(class)),
+                            (bits, ops),
+                            "{what}: {class} switched bits and ops"
+                        );
+                    }
+                    assert!(
+                        lane.swaps.rule_swaps <= full.swaps.rule_swaps
+                            && lane.swaps.policy_swaps <= full.swaps.policy_swaps,
+                        "{what}: a restricted lane counts a subset of the swaps"
+                    );
+                    assert_eq!(
+                        (lane.cycles, lane.retired, lane.halted),
+                        (full.cycles, full.retired, full.halted),
+                        "{what}: timing"
+                    );
+                    assert_eq!(lane.occupancy, full.occupancy, "{what}: occupancy");
+                    assert_same_patterns(lane, full, &what);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        checked,
+        15 * 2 * 2 * 12,
+        "every workload x variant x unit x suite"
+    );
+}
+
+/// One run of `compress` into `sink` with two Original lanes, measuring
+/// `first` and `second`.
+fn run_two_lanes<S: TraceSink>(sink: S, first: Option<FuClass>, second: Option<FuClass>) {
+    let w = fua::workloads::by_name("compress", 1).expect("bundled workload");
+    let machine = MachineConfig::paper_default();
+    let mut lanes = [first, second].map(|m| lane(&machine, SteeringConfig::original(), m));
+    Simulator::run_lanes(
+        machine.clone(),
+        sink,
+        NullProfiler,
+        &mut lanes,
+        &w.program,
+        LIMIT,
+    )
+    .expect("runs");
+}
+
+#[test]
+#[should_panic(expected = "every lane of one run must measure the same classes")]
+fn lanes_of_one_run_must_measure_the_same_classes() {
+    run_two_lanes(NullSink, None, Some(FuClass::IntAlu));
+}
+
+#[test]
+#[should_panic(expected = "an enabled engine sink needs lanes that measure every class")]
+fn an_engine_sink_needs_lanes_that_measure_every_class() {
+    run_two_lanes(VecSink::new(), Some(FuClass::FpAlu), Some(FuClass::FpAlu));
 }
 
 #[test]
