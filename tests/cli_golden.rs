@@ -5,11 +5,14 @@
 //! The values were recorded from the binary that rendered every command
 //! inline. Moving a renderer (into the library, next to the type it
 //! renders) or merging two renderers must reproduce them byte for byte;
-//! only a deliberate change of output may re-record them. The last four
-//! pins were recorded before those commands' lanes measured only the
-//! unit they report; restricting the lanes must reproduce them too. On
-//! a mismatch the test prints the whole table as Rust source, ready to
-//! paste back after such a change.
+//! only a deliberate change of output may re-record them. The four
+//! pins from `figure4 fpau` to `sensitivity` were recorded before those
+//! commands' lanes measured only the unit they report; restricting the
+//! lanes must reproduce them too. The last five were recorded before
+//! their commands' engine runs went through one shared fua-core helper,
+//! which must reproduce them as well. On a mismatch the test prints
+//! the whole table as Rust source, ready to paste back after such a
+//! change.
 //!
 //! `harness-report` prints the serial pass's allocation counts, which
 //! depend on the build (debug or release, allocator, toolchain), so
@@ -23,7 +26,7 @@ use fua::store::content_key;
 type Pin = (&'static str, i32, &'static str);
 
 #[rustfmt::skip]
-const PINS: [Pin; 25] = [
+const PINS: [Pin; 30] = [
     ("run compress --limit 2000", 0, "058f20483993fb569cbca9a8f4e9a3a2"),
     ("run compress --json --metrics --limit 2000", 0, "974077b0b4aeb517496e827d4cb08a9e"),
     ("trace compress --last 20 --metrics --limit 2000", 0, "9089961f0e7d77979bb19e8617d7213d"),
@@ -49,6 +52,11 @@ const PINS: [Pin; 25] = [
     ("breakdown fpau --limit 2000", 0, "0ffc33b30f65e66e89d7ad24ece5edeb"),
     ("staticswap fpau --limit 2000", 0, "2e816064723320df662ee26ec8eb8f41"),
     ("sensitivity --limit 2000", 0, "22d5b637211543a721ba72b64cff9007"),
+    ("chip --limit 2000", 0, "74c817d61a016557e9ac844ffc99d84a"),
+    ("breakdown ialu --limit 2000", 0, "aa67de7db60732121bc3359b2f04fe11"),
+    ("staticswap ialu --limit 2000", 0, "93ce39137f791388459a178ea4796748"),
+    ("ablation homes --limit 2000", 0, "254b06c7aa6997524fac62654bbb0a4d"),
+    ("ablation modules --limit 2000", 0, "14f22c0c5231decf834506ad9377a4f1"),
 ];
 
 /// Replaces the build-dependent allocation counts of `harness-report`
