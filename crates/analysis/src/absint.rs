@@ -170,7 +170,6 @@ pub struct InfoBitAnalysis {
     cfg: Cfg,
     ports: Vec<Option<PortPrediction>>,
     reachable_inst: Vec<bool>,
-    entry_states: Vec<AbsState>,
 }
 
 impl InfoBitAnalysis {
@@ -221,7 +220,6 @@ impl InfoBitAnalysis {
             cfg,
             ports,
             reachable_inst,
-            entry_states: entry,
         }
     }
 
@@ -246,12 +244,6 @@ impl InfoBitAnalysis {
     /// Whether instruction `idx` is reachable from the entry.
     pub fn is_reachable(&self, idx: usize) -> bool {
         self.reachable_inst.get(idx).copied().unwrap_or(false)
-    }
-
-    /// The abstract state at entry of the block owning instruction
-    /// `idx` (exposed for the soundness property tests).
-    pub fn entry_state_of(&self, idx: usize) -> &AbsState {
-        &self.entry_states[self.cfg.block_of(idx)]
     }
 
     /// Counts of (instructions with an FU, both-bits-definite

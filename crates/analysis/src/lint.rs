@@ -33,17 +33,6 @@ pub enum LintKind {
     InfiniteLoop,
 }
 
-impl LintKind {
-    /// Whether the finding describes a runtime fault or guaranteed
-    /// mis-termination (as opposed to dead or suspicious code).
-    pub fn is_error(self) -> bool {
-        matches!(
-            self,
-            LintKind::TargetOutOfRange | LintKind::FallsOffEnd | LintKind::NoHaltReachable
-        )
-    }
-}
-
 impl fmt::Display for LintKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

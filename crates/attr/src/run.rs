@@ -364,37 +364,32 @@ impl SchemeRun {
     /// with a lane per scheme, a [`MetricsRecorder`] riding the engine
     /// when `metrics` is set.
     pub fn run(w: &Workload, limit: u64, metrics: bool) -> Result<Self, String> {
+        /// Runs `w` with a lane per scheme and `sink` riding the engine.
+        fn run_with<S: TraceSink>(
+            w: &Workload,
+            limit: u64,
+            sink: S,
+        ) -> Result<(Vec<SimResult>, S), String> {
+            let machine = MachineConfig::paper_default();
+            let mut lanes: Vec<Lane> = RUN_SCHEMES
+                .iter()
+                .map(|s| Lane::new(&machine, s.config()))
+                .collect();
+            let (results, sink, _) =
+                Simulator::run_lanes(machine, sink, NullProfiler, &mut lanes, &w.program, limit)
+                    .map_err(|e| e.to_string())?;
+            Ok((results, sink))
+        }
+
         let class = match w.category {
             Category::Integer => FuClass::IntAlu,
             Category::FloatingPoint => FuClass::FpAlu,
         };
-        let machine = MachineConfig::paper_default();
-        let mut lanes: Vec<Lane> = RUN_SCHEMES
-            .iter()
-            .map(|s| Lane::new(&machine, s.config()))
-            .collect();
         let (results, registry) = if metrics {
-            let (results, recorder, _) = Simulator::run_lanes(
-                machine,
-                MetricsRecorder::new(),
-                NullProfiler,
-                &mut lanes,
-                &w.program,
-                limit,
-            )
-            .map_err(|e| e.to_string())?;
+            let (results, recorder) = run_with(w, limit, MetricsRecorder::new())?;
             (results, Some(recorder.into_registry()))
         } else {
-            let (results, ..) = Simulator::run_lanes(
-                machine,
-                NullSink,
-                NullProfiler,
-                &mut lanes,
-                &w.program,
-                limit,
-            )
-            .map_err(|e| e.to_string())?;
-            (results, None)
+            (run_with(w, limit, NullSink)?.0, None)
         };
         let baseline = &results[0];
         let rows = RUN_SCHEMES

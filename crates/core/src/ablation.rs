@@ -13,7 +13,7 @@
 
 use fua_isa::{Case, FuClass, Word, INT_BITS};
 use fua_power::booth::BoothModel;
-use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
+use fua_sim::SteeringConfig;
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler};
 use fua_steer::{FcfsPolicy, HardwareSwapRule, HomeStrategy, LutBuilder, LutPolicy, Policy};
 use fua_swap::MultiplierSwapRule;
@@ -22,6 +22,7 @@ use fua_trace::TextTable;
 use fua_vm::{FuOp, Vm};
 use fua_workloads::Workload;
 
+use crate::observe::run_lanes;
 use crate::ExperimentConfig;
 
 /// Calls `f` with every FU operation the workloads retire within the
@@ -52,17 +53,9 @@ fn original_run(config: &ExperimentConfig) -> OriginalRun {
     let mut occupancy = OccupancyProfiler::new(config.machine.modules(FuClass::IntAlu));
     let mut ialu_bits = 0;
     for w in fua_workloads::integer(config.scale) {
-        let mut lanes =
-            [Lane::new(&config.machine, SteeringConfig::original()).measuring(FuClass::IntAlu)];
-        let (results, ..) = Simulator::run_lanes(
-            config.machine.clone(),
-            NullSink,
-            NullProfiler,
-            &mut lanes,
-            &w.program,
-            config.inst_limit,
-        )
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+        let original = [SteeringConfig::original()];
+        let ialu = Some(FuClass::IntAlu);
+        let (results, _) = run_lanes(config, w.name, &w.program, original, ialu, NullSink);
         let r = &results[0];
         patterns.merge(r.bit_patterns_of(FuClass::IntAlu));
         occupancy.merge(r.occupancy_of(FuClass::IntAlu));
@@ -104,19 +97,9 @@ fn lut4_rows(
         .unzip();
     let mut steered_bits = vec![0; schemes.len()];
     for w in fua_workloads::integer(config.scale) {
-        let mut lanes: Vec<Lane> = schemes
-            .iter()
-            .map(|steering| Lane::new(&config.machine, steering.clone()).measuring(FuClass::IntAlu))
-            .collect();
-        let (results, ..) = Simulator::run_lanes(
-            config.machine.clone(),
-            NullSink,
-            NullProfiler,
-            &mut lanes,
-            &w.program,
-            config.inst_limit,
-        )
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
+        let lanes = schemes.iter().cloned();
+        let ialu = Some(FuClass::IntAlu);
+        let (results, _) = run_lanes(config, w.name, &w.program, lanes, ialu, NullSink);
         for (bits, r) in steered_bits.iter_mut().zip(results) {
             *bits += r.ledger.switched_bits(FuClass::IntAlu);
         }

@@ -5,7 +5,6 @@
 //! original would have asked for.
 
 use fua_trace::TextTable;
-use fua_workloads::{floating_point, integer};
 
 use crate::observe::original_and_observed;
 use crate::{ExperimentConfig, Unit};
@@ -74,11 +73,8 @@ impl WorkloadBreakdown {
 /// measuring only the unit's class.
 pub fn workload_breakdown(unit: Unit, config: &ExperimentConfig) -> WorkloadBreakdown {
     let class = unit.fu_class();
-    let workloads = match unit {
-        Unit::Ialu => integer(config.scale),
-        Unit::Fpau => floating_point(config.scale),
-    };
-    let rows = workloads
+    let rows = unit
+        .suite(config.scale)
         .iter()
         .map(|w| {
             let [base, opt] = original_and_observed(config, w, Some(class));

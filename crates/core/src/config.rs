@@ -2,6 +2,7 @@
 
 use fua_isa::FuClass;
 use fua_sim::MachineConfig;
+use fua_workloads::{floating_point, integer, Workload};
 
 /// Which duplicated unit an experiment targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +19,15 @@ impl Unit {
         match self {
             Unit::Ialu => FuClass::IntAlu,
             Unit::Fpau => FuClass::FpAlu,
+        }
+    }
+
+    /// The unit's workload suite at `scale`: the integer workloads for
+    /// the IALU, the FP workloads for the FPAU.
+    pub(crate) fn suite(self, scale: u32) -> Vec<Workload> {
+        match self {
+            Unit::Ialu => integer(scale),
+            Unit::Fpau => floating_point(scale),
         }
     }
 }

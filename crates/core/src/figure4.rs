@@ -2,14 +2,13 @@
 
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
-use fua_power::EnergyLedger;
-use fua_sim::{Lane, NullProfiler, Simulator, SteeringConfig};
+use fua_sim::SteeringConfig;
 use fua_steer::SteeringKind;
 use fua_swap::CompilerSwapPass;
-use fua_trace::NullSink;
-use fua_trace::TextTable;
+use fua_trace::{NullSink, TextTable};
 use fua_workloads::{Workload, WorkloadArena};
 
+use crate::observe::run_lanes;
 use crate::{profile_suite_jobs, ExperimentConfig, SuiteProfile, Unit};
 
 /// One Figure-4 column: a steering scheme with its swap variants, as
@@ -79,23 +78,6 @@ impl Figure4 {
     }
 }
 
-fn workloads_for(unit: Unit, arena: &WorkloadArena) -> &[Workload] {
-    match unit {
-        Unit::Ialu => arena.integer(),
-        Unit::Fpau => arena.floating_point(),
-    }
-}
-
-/// One suite-wide measurement of the sweep: a steering scheme, a swap
-/// variant, and which program set (original or compiler-swapped) it runs
-/// over. A suite is one steering lane in each run of its program set.
-#[derive(Debug, Clone, Copy)]
-struct SuiteSpec {
-    kind: SteeringKind,
-    hw_swap: bool,
-    compiler_swapped: bool,
-}
-
 /// Regenerates Figure 4(a) (`Unit::Ialu`) or 4(b) (`Unit::Fpau`):
 /// profiles the suite, builds every scheme from the *measured* statistics
 /// (as the paper's authors did from their profiling runs), and measures
@@ -110,13 +92,13 @@ pub fn figure4_jobs(unit: Unit, config: &ExperimentConfig, jobs: Jobs) -> Figure
 /// As [`figure4_jobs`], reusing an already-measured [`SuiteProfile`] —
 /// the profiling pass runs the whole suite, so callers producing both
 /// figures (e.g. the `fua-report` bench ledger) should profile once and
-/// share it. Steering never moves timing, so each
-/// workload runs once per program variant (original and compiler-swapped)
-/// with one steering lane per suite of that variant — 12 each, each
-/// measuring only `unit`'s class — and
-/// those (workload × variant) cells fan out across `jobs` workers over a
-/// shared read-only [`WorkloadArena`]. Per suite, the lanes' ledgers are
-/// then folded **in workload order** — so the figure is identical to the
+/// share it. Steering never moves timing, so each workload runs once
+/// per program variant (original and compiler-swapped) with one
+/// steering lane per scheme × hardware-swap setting — 12 each, each
+/// measuring only `unit`'s class — and those (workload × variant)
+/// cells fan out across `jobs` workers over a shared read-only
+/// [`WorkloadArena`]. Each bar sums one lane's switched bits over the
+/// workloads, an exact integer sum, so the figure is identical to the
 /// serial one regardless of worker count or scheduling.
 ///
 /// # Panics
@@ -141,7 +123,10 @@ pub fn figure4_with_profile_jobs(
     let ialu_occ = profile.ialu_occupancy.distribution();
     let fpau_occ = profile.fpau_occupancy.distribution();
 
-    let workloads = workloads_for(unit, arena);
+    let workloads = match unit {
+        Unit::Ialu => arena.integer(),
+        Unit::Fpau => arena.floating_point(),
+    };
     // Compiler-swapped twins, shared by every scheme — one independent
     // cell per workload.
     let (swapped, mut report) = map_indexed_timed(jobs, workloads, |_, w| {
@@ -154,138 +139,70 @@ pub fn figure4_with_profile_jobs(
         }
     });
 
+    // Lane `2k + hw` of every run is `SteeringKind::FIGURE4[k]`, with
+    // hardware swapping when `hw` is 1.
     let machine = &config.machine;
-    let make_scheme = |kind: SteeringKind, hw_swap: bool| {
-        SteeringConfig::from_profiles_with_occupancy(
-            kind,
-            hw_swap,
-            &ialu_profile,
-            &fpau_profile,
-            &ialu_occ,
-            &fpau_occ,
-            machine.modules(FuClass::IntAlu),
-            machine.modules(FuClass::FpAlu),
-        )
-    };
-
-    // Suite 0 is the Original/no-swap baseline (the denominator); the
-    // rest cover every scheme × swap variant. Original's no-swap suite
-    // is not re-run — its row reuses the baseline, like the serial code
-    // always did.
-    let mut suites = vec![SuiteSpec {
-        kind: SteeringKind::Original,
-        hw_swap: false,
-        compiler_swapped: false,
-    }];
-    for kind in SteeringKind::FIGURE4 {
-        if kind != SteeringKind::Original {
-            suites.push(SuiteSpec {
-                kind,
-                hw_swap: false,
-                compiler_swapped: false,
-            });
-        }
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: true,
-            compiler_swapped: false,
-        });
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: true,
-            compiler_swapped: true,
-        });
-        suites.push(SuiteSpec {
-            kind,
-            hw_swap: false,
-            compiler_swapped: true,
-        });
-    }
-
-    // Each suite is a lane of its program variant's runs: `lanes[v]`
-    // lists variant v's suites (0 = original, 1 = compiler-swapped) in
-    // suite order, and `lane_of[s]` is suite s's position there.
-    let schemes: Vec<SteeringConfig> = suites
-        .iter()
-        .map(|spec| make_scheme(spec.kind, spec.hw_swap))
+    let schemes: Vec<SteeringConfig> = SteeringKind::FIGURE4
+        .into_iter()
+        .flat_map(|kind| {
+            [false, true].map(|hw_swap| {
+                SteeringConfig::from_profiles_with_occupancy(
+                    kind,
+                    hw_swap,
+                    &ialu_profile,
+                    &fpau_profile,
+                    &ialu_occ,
+                    &fpau_occ,
+                    machine.modules(FuClass::IntAlu),
+                    machine.modules(FuClass::FpAlu),
+                )
+            })
+        })
         .collect();
-    let mut lanes: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-    let mut lane_of = Vec::with_capacity(suites.len());
-    for (s, spec) in suites.iter().enumerate() {
-        let variant = &mut lanes[spec.compiler_swapped as usize];
-        lane_of.push(variant.len());
-        variant.push(s);
-    }
 
-    // One cell per (variant, workload) run; workers return one ledger
-    // per lane, and nothing is merged off the calling thread.
+    // One cell per (variant, workload) run, variant 0 over the original
+    // programs and 1 over their compiler-swapped twins; workers return
+    // each lane's switched bits.
     let n = workloads.len();
     let cells: Vec<(usize, usize)> = (0..2).flat_map(|v| (0..n).map(move |w| (v, w))).collect();
-    let (ledgers, sweep_report) = map_indexed_timed(jobs, &cells, |_, &(v, w)| {
-        let workload = if v == 1 { &swapped[w] } else { &workloads[w] };
-        let mut run_lanes: Vec<Lane> = lanes[v]
+    let (bits, sweep_report) = map_indexed_timed(jobs, &cells, |_, &(v, w)| {
+        let Workload { name, program, .. } = if v == 1 { &swapped[w] } else { &workloads[w] };
+        let lanes = schemes.iter().cloned();
+        let (results, _) = run_lanes(config, name, program, lanes, Some(class), NullSink);
+        results
             .iter()
-            .map(|&s| Lane::new(machine, schemes[s].clone()).measuring(class))
-            .collect();
-        Simulator::run_lanes(
-            machine.clone(),
-            NullSink,
-            NullProfiler,
-            &mut run_lanes,
-            &workload.program,
-            config.inst_limit,
-        )
-        .unwrap_or_else(|e| panic!("workload {} faulted: {e}", workload.name))
-        .0
-        .into_iter()
-        .map(|result| result.ledger)
-        .collect::<Vec<EnergyLedger>>()
+            .map(|result| result.ledger.switched_bits(class))
+            .collect::<Vec<u64>>()
     });
     report.merge(&sweep_report);
 
-    // Deterministic reduction: per suite, merge its lane's ledgers in
-    // workload order — the exact fold the serial loop performed.
-    let suite_ledger = |s: usize| {
-        let v = suites[s].compiler_swapped as usize;
-        let mut total = EnergyLedger::new();
-        for w in 0..n {
-            total.merge(&ledgers[v * n + w][lane_of[s]]);
-        }
-        total
+    // Variant `v`'s lane `lane`, summed over the suite.
+    let total = |v: usize, lane: usize| -> u64 {
+        bits[v * n..(v + 1) * n].iter().map(|cell| cell[lane]).sum()
     };
-
-    let baseline = suite_ledger(0);
-    let base_bits = baseline.switched_bits(class);
-    let pct = |ledger: &EnergyLedger| {
+    let original = SteeringKind::FIGURE4
+        .iter()
+        .position(|&kind| kind == SteeringKind::Original)
+        .expect("Figure 4 plots Original");
+    let base_bits = total(0, 2 * original);
+    let pct = |bits: u64| {
         if base_bits == 0 {
             0.0
         } else {
-            100.0 * (1.0 - ledger.switched_bits(class) as f64 / base_bits as f64)
+            100.0 * (1.0 - bits as f64 / base_bits as f64)
         }
     };
-
-    let mut rows = Vec::new();
-    let mut next = 1; // suite 0 is the baseline
-    for kind in SteeringKind::FIGURE4 {
-        let base = if kind == SteeringKind::Original {
-            pct(&baseline)
-        } else {
-            let l = suite_ledger(next);
-            next += 1;
-            pct(&l)
-        };
-        let hardware = pct(&suite_ledger(next));
-        let compiler = pct(&suite_ledger(next + 1));
-        let compiler_only = pct(&suite_ledger(next + 2));
-        next += 3;
-        rows.push(Figure4Row {
+    let rows = SteeringKind::FIGURE4
+        .iter()
+        .enumerate()
+        .map(|(k, kind)| Figure4Row {
             scheme: kind.to_string(),
-            base_pct: base,
-            hardware_pct: hardware,
-            hardware_compiler_pct: compiler,
-            compiler_only_pct: compiler_only,
-        });
-    }
+            base_pct: pct(total(0, 2 * k)),
+            hardware_pct: pct(total(0, 2 * k + 1)),
+            hardware_compiler_pct: pct(total(1, 2 * k + 1)),
+            compiler_only_pct: pct(total(1, 2 * k)),
+        })
+        .collect();
 
     (
         Figure4 {
@@ -387,8 +304,8 @@ mod tests {
             serial.baseline_switched_bits,
             parallel.baseline_switched_bits
         );
-        // Exact float equality on purpose: the parallel fold must follow
-        // the serial merge order, so every percentage is bit-identical.
+        // Exact float equality on purpose: every bar is an integer sum
+        // over the cells, so every percentage is bit-identical.
         assert_eq!(serial.rows, parallel.rows);
     }
 }

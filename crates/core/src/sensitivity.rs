@@ -120,18 +120,19 @@ pub fn swap_sensitivity(config: &ExperimentConfig) -> SwapSensitivity {
                 }
             };
 
+            let bits = |program| observed_bits(config, wt.name, program, FuClass::IntAlu);
             // Training input: baseline vs train-profiled rewrite.
-            let train_base = observed_bits(config, &wt.program, FuClass::IntAlu);
-            let train_opt = observed_bits(config, &outcome.program, FuClass::IntAlu);
+            let train_base = bits(&wt.program);
+            let train_opt = bits(&outcome.program);
             // Unseen input: the same static swaps, new data.
             let cross_program = apply_swaps(&wu.program, &outcome.swapped);
-            let unseen_base = observed_bits(config, &wu.program, FuClass::IntAlu);
-            let cross_opt = observed_bits(config, &cross_program, FuClass::IntAlu);
+            let unseen_base = bits(&wu.program);
+            let cross_opt = bits(&cross_program);
             // Oracle: profiled on the unseen input itself.
-            let oracle_opt = observed_bits(config, &oracle_outcome.program, FuClass::IntAlu);
+            let oracle_opt = bits(&oracle_outcome.program);
             // Static: no training run to transfer — the pass sees only
             // the text, so "train" vs "unseen" is the same rewrite.
-            let static_opt = observed_bits(config, &static_unseen.program, FuClass::IntAlu);
+            let static_opt = bits(&static_unseen.program);
 
             SensitivityRow {
                 workload: wt.name.to_string(),

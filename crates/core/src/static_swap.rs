@@ -11,7 +11,6 @@
 
 use fua_swap::{CompilerSwapPass, StaticSwapPass};
 use fua_trace::TextTable;
-use fua_workloads::{floating_point, integer, Workload};
 
 use crate::observe::observed_bits;
 use crate::{ExperimentConfig, Unit};
@@ -118,22 +117,20 @@ impl StaticSwapComparison {
 /// measure switched bits under the recommended design point.
 pub fn static_swap_comparison(unit: Unit, config: &ExperimentConfig) -> StaticSwapComparison {
     let class = unit.fu_class();
-    let workloads: Vec<Workload> = match unit {
-        Unit::Ialu => integer(config.scale),
-        Unit::Fpau => floating_point(config.scale),
-    };
-    let rows = workloads
+    let rows = unit
+        .suite(config.scale)
         .iter()
         .map(|w| {
             let profiled = CompilerSwapPass::with_limit(config.inst_limit)
                 .run(&w.program)
                 .unwrap_or_else(|e| panic!("{}: swap pass faulted: {e}", w.name));
             let statically = StaticSwapPass::new().run(&w.program);
+            let bits = |program| observed_bits(config, w.name, program, class);
             StaticSwapRow {
                 workload: w.name.to_string(),
-                hardware_bits: observed_bits(config, &w.program, class),
-                profile_bits: observed_bits(config, &profiled.program, class),
-                static_bits: observed_bits(config, &statically.program, class),
+                hardware_bits: bits(&w.program),
+                profile_bits: bits(&profiled.program),
+                static_bits: bits(&statically.program),
                 profile_swaps: profiled.swapped.len(),
                 static_swaps: statically.swapped.len(),
                 definite_rate: statically.definite_rate(),

@@ -2,11 +2,12 @@
 
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
-use fua_sim::{MachineConfig, SimResult, Simulator, SteeringConfig};
+use fua_sim::{MachineConfig, SimResult, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler};
-use fua_trace::TextTable;
+use fua_trace::{NullSink, TextTable};
 use fua_workloads::{Category, Workload, WorkloadArena};
 
+use crate::observe::run_lanes;
 use crate::ExperimentConfig;
 
 /// Suite-wide operand and occupancy statistics, gathered by running every
@@ -52,9 +53,10 @@ pub fn profile_suite_jobs(
         "arena scale must match the experiment configuration"
     );
     let (results, report) = map_indexed_timed(jobs, arena.all(), |_, w| {
-        let mut sim = Simulator::new(config.machine.clone(), SteeringConfig::original());
-        sim.run_program(&w.program, config.inst_limit)
-            .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name))
+        let original = [SteeringConfig::original()];
+        run_lanes(config, w.name, &w.program, original, None, NullSink)
+            .0
+            .remove(0)
     });
     let profile = SuiteProfile::fold(&config.machine, arena.all(), &results);
     (profile, report)

@@ -105,15 +105,6 @@ impl Program {
     pub fn replace_inst(&mut self, index: usize, inst: Inst) {
         self.insts[index] = inst;
     }
-
-    /// A disassembly listing, one instruction per line.
-    pub fn disassemble(&self) -> String {
-        let mut out = String::new();
-        for (i, inst) in self.insts.iter().enumerate() {
-            out.push_str(&format!("{i:5}: {inst}\n"));
-        }
-        out
-    }
 }
 
 /// Assembles a [`Program`], resolving labels and validating the result.

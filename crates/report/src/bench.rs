@@ -158,10 +158,10 @@ pub struct StallSummary {
 /// itself runs — the ROADMAP item-1 headline. `cycles` and
 /// `instructions` are deterministic model totals from the observation
 /// run; `hot_nanos` is the summed wall-clock of the *rate pass* — each
-/// workload re-run untraced and unprofiled (the configuration the
-/// Figure-4 sweeps actually use) with a single timer read per workload,
-/// so the denominator measures the optimised hot loop itself, not the
-/// instrumented observation run. The rate pass must reproduce the
+/// workload re-run on the default engine (one lane measuring every
+/// class, untraced and unprofiled) with a single timer read per
+/// workload, so the denominator measures the optimised hot loop itself,
+/// not the instrumented observation run. The rate pass must reproduce the
 /// observation run's cycle/instruction totals exactly (the engine is
 /// deterministic; `bench_suite_jobs` asserts it), so only the
 /// denominator is measurement. The derived MHz varies run to run and
@@ -513,9 +513,9 @@ pub fn bench_suite_jobs(
         exact: attr_exact,
         top_hotspots,
     };
-    // Rate pass: the simulated-rate headline times the *untraced,
-    // unprofiled* engine — the configuration the sweeps actually run —
-    // with one clock read per workload, so the denominator measures the
+    // Rate pass: the simulated-rate headline times the default engine —
+    // one lane measuring every class, untraced and unprofiled — with one
+    // clock read per workload, so the denominator measures the
     // optimised hot loop rather than the instrumented observation run.
     // The engine is deterministic, so the pass must reproduce the
     // observation run's model totals bit-for-bit.
@@ -620,9 +620,9 @@ pub fn bench_suite_jobs(
     }
 }
 
-/// One rate cell: `w` run untraced and unprofiled under
-/// [`observed_scheme`] — the configuration the sweeps spend their time
-/// in — with one clock read on each side. Returns the wall nanoseconds,
+/// One rate cell: `w` run on the default engine — one lane under
+/// [`observed_scheme`] measuring every class, untraced and unprofiled —
+/// with one clock read on each side. Returns the wall nanoseconds,
 /// the simulated cycles and the retired instructions.
 ///
 /// # Panics

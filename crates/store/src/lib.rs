@@ -693,12 +693,6 @@ impl Store {
         )
     }
 
-    /// The store-holdings summary, public for CLI error messages.
-    pub fn describe(&self) -> Result<String, StoreError> {
-        let entries = self.entries()?;
-        Ok(self.availability(&entries))
-    }
-
     /// Sweeps unreferenced objects and staging leftovers. Indexed
     /// artifacts are never touched: removal candidates are exactly the
     /// object files whose content hash no index entry references.
@@ -876,7 +870,9 @@ mod tests {
         ));
         let store = Store::open(&dir).unwrap();
         assert!(store.entries().unwrap().is_empty());
-        assert!(store.describe().unwrap().contains("empty"));
+        let err = store.resolve("1").unwrap_err();
+        assert!(matches!(err, StoreError::NotFound { .. }), "{err}");
+        assert!(err.to_string().contains("empty"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -74,18 +74,6 @@ impl<'p> Vm<'p> {
         self.fregs[r.index()]
     }
 
-    /// Sets an integer register (useful for parameterising workloads).
-    #[inline]
-    pub fn set_int_reg(&mut self, r: IntReg, v: i32) {
-        self.iregs[r.index()] = v;
-    }
-
-    /// Sets a floating-point register.
-    #[inline]
-    pub fn set_fp_reg(&mut self, r: FpReg, v: f64) {
-        self.fregs[r.index()] = v;
-    }
-
     /// Whether the program has executed `halt`.
     #[inline]
     pub fn halted(&self) -> bool {
