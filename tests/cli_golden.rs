@@ -95,6 +95,49 @@ fn measure(args: &str) -> (i32, String) {
     (code, content_key(stdout.as_bytes()).hex())
 }
 
+/// (arguments, a file the command writes, `content_key` of the file as
+/// hex).
+type FilePin = (&'static str, &'static str, &'static str);
+
+/// The side files of `trace`: the windowed-telemetry CSV and the Chrome
+/// trace with its telemetry counter tracks. Recorded before the windowed
+/// series and the `--metrics` snapshot shared one counter fold; that
+/// change must reproduce them.
+#[rustfmt::skip]
+const FILE_PINS: [FilePin; 2] = [
+    ("trace compress --limit 2000 --window 256 --csv t.csv --out t.json", "t.csv", "c3e3a56ef031805c7d3e540cf85c29e7"),
+    ("trace compress --limit 2000 --window 256 --csv t.csv --out t.json", "t.json", "49788c9711975c5e373d8275d6125438"),
+];
+
+#[test]
+fn every_written_file_matches_the_recorded_output() {
+    let dir = std::env::temp_dir().join(format!("fua-golden-files-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let measured: Vec<(&str, &str, String)> = FILE_PINS
+        .iter()
+        .map(|&(args, file, _)| {
+            let out = Command::new(env!("CARGO_BIN_EXE_fua"))
+                .current_dir(&dir)
+                .args(args.split(' '))
+                .output()
+                .expect("spawn fua binary");
+            assert!(out.status.success(), "fua {args} failed");
+            let bytes = std::fs::read(dir.join(file)).expect("the file was written");
+            (args, file, content_key(&bytes).hex())
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let pinned: Vec<(&str, &str, String)> = FILE_PINS
+        .iter()
+        .map(|&(args, file, key)| (args, file, key.to_string()))
+        .collect();
+    let source: String = measured
+        .iter()
+        .map(|(args, file, key)| format!("    ({args:?}, {file:?}, {key:?}),\n"))
+        .collect();
+    assert_eq!(measured, pinned, "measured:\n{source}");
+}
+
 #[test]
 fn every_rendered_command_matches_the_recorded_output() {
     let measured: Vec<(&str, i32, String)> = PINS
