@@ -9,7 +9,7 @@ use fua_sim::{
     Lane, MachineConfig, NullProfiler, PhaseProfiler, SimResult, Simulator, SteeringConfig,
 };
 use fua_steer::SteeringKind;
-use fua_trace::{Json, MetricsRecorder, MetricsRegistry, NullSink, TextTable, ToJson, TraceSink};
+use fua_trace::{Json, MetricsRecorder, NullSink, TextTable, ToJson, TraceSink};
 use fua_workloads::{Category, Workload};
 
 use crate::{suite_hotspots, AttributionSink, EnergyAttribution};
@@ -356,7 +356,7 @@ pub struct SchemeRun {
     rows: Vec<(Scheme, u64, Option<f64>)>,
     /// What a recorder riding the engine (it sees the Original lane)
     /// gathered, under `--metrics`.
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<MetricsRecorder>,
 }
 
 impl SchemeRun {
@@ -385,9 +385,9 @@ impl SchemeRun {
             Category::Integer => FuClass::IntAlu,
             Category::FloatingPoint => FuClass::FpAlu,
         };
-        let (results, registry) = if metrics {
+        let (results, recorder) = if metrics {
             let (results, recorder) = run_with(w, limit, MetricsRecorder::new())?;
-            (results, Some(recorder.into_registry()))
+            (results, Some(recorder))
         } else {
             (run_with(w, limit, NullSink)?.0, None)
         };
@@ -406,7 +406,7 @@ impl SchemeRun {
             class,
             baseline: results.into_iter().next().expect("one result per lane"),
             rows,
-            metrics: registry,
+            metrics: recorder,
         })
     }
 
@@ -434,8 +434,8 @@ impl SchemeRun {
             ]);
         }
         out.push(t.to_string());
-        if let Some(reg) = &self.metrics {
-            out.push(format!("metrics — baseline (Original) run:\n{reg}"));
+        if let Some(recorder) = &self.metrics {
+            out.push(format!("metrics — baseline (Original) run:\n{recorder}"));
         }
         out.join("\n")
     }
@@ -468,8 +468,8 @@ impl ToJson for SchemeRun {
             ("ledger".to_string(), b.ledger.to_json()),
             ("schemes".to_string(), Json::Arr(schemes)),
         ];
-        if let Some(reg) = &self.metrics {
-            fields.push(("metrics".to_string(), reg.to_json()));
+        if let Some(recorder) = &self.metrics {
+            fields.push(("metrics".to_string(), recorder.to_json()));
         }
         Json::Obj(fields)
     }

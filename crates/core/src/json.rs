@@ -1,7 +1,7 @@
 //! JSON emission for the CLI's `--json` flag.
 //!
 //! The value type and trait live in `fua-trace` (the bottom of the
-//! dependency stack) so the trace sinks and metrics registry can emit
+//! dependency stack) so the trace sinks and metrics recorder can emit
 //! JSON too; this module re-exports them and keeps the hand-written
 //! conversions for every report the experiment layer produces.
 

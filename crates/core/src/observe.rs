@@ -10,7 +10,7 @@
 use fua_isa::{FuClass, Program};
 use fua_sim::{Lane, NullProfiler, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
-use fua_trace::{MetricsRecorder, MetricsRegistry, NullSink, TraceSink};
+use fua_trace::{MetricsRecorder, NullSink, TraceSink};
 use fua_workloads::Workload;
 
 use crate::{ExperimentConfig, Unit};
@@ -94,18 +94,17 @@ pub(crate) fn original_and_observed(
         .expect("one result per lane")
 }
 
-/// Runs `unit`'s workload suite under [`observed_scheme`] with a
-/// [`MetricsRecorder`] attached and returns the accumulated registry
-/// (stage counters, per-module switched-bit totals, Hamming-distance
-/// and occupancy histograms, ...).
-pub fn suite_metrics(unit: Unit, config: &ExperimentConfig) -> MetricsRegistry {
+/// Runs `unit`'s workload suite under [`observed_scheme`] with one
+/// [`MetricsRecorder`] attached and returns it, holding the counters
+/// and histograms of every run (stage counts, per-module switched bits,
+/// Hamming-distance and occupancy distributions, ...).
+pub fn suite_metrics(unit: Unit, config: &ExperimentConfig) -> MetricsRecorder {
     unit.suite(config.scale)
         .iter()
         .fold(MetricsRecorder::new(), |recorder, w| {
             let schemes = [observed_scheme()];
             run_lanes(config, w.name, &w.program, schemes, None, recorder).1
         })
-        .into_registry()
 }
 
 #[cfg(test)]
@@ -120,15 +119,33 @@ mod tests {
             inst_limit: 2_000,
             ..ExperimentConfig::quick()
         };
-        let registry = suite_metrics(Unit::Ialu, &config);
-        let retired = registry
-            .counter_value("stage.retire")
-            .expect("retire counter registered");
-        assert!(retired > 0, "suite must retire instructions");
+        let totals = *suite_metrics(Unit::Ialu, &config).totals();
+        assert!(totals.retired() > 0, "suite must retire instructions");
         // Every steered IALU op charges the ledger exactly once, so the
         // per-module energy counters must be non-trivial too.
-        let bits = registry.sum_counters(&format!("switched_bits.{}.", FuClass::IntAlu));
-        assert!(bits > 0, "IALU switched-bit counters must accumulate");
+        let c = FuClass::IntAlu.index();
+        assert!(
+            totals.module_bits[c].iter().sum::<u64>() > 0,
+            "IALU switched-bit counters must accumulate"
+        );
+        // Every run summarises each of its cycles once, so the suite's
+        // cycle count is the sum over its workloads, not the last one's.
+        let summed: u64 = Unit::Ialu
+            .suite(config.scale)
+            .iter()
+            .map(|w| {
+                let (results, _) = run_lanes(
+                    &config,
+                    w.name,
+                    &w.program,
+                    [observed_scheme()],
+                    None,
+                    NullSink,
+                );
+                results[0].cycles
+            })
+            .sum();
+        assert_eq!(totals.cycles, summed);
     }
 
     #[test]

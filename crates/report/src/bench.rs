@@ -472,7 +472,7 @@ pub fn bench_suite_jobs(
         retired_total += o.observed.result.retired;
         // The stall partition must be exact per workload *and* in
         // aggregate; the windowed sink counts every stall event's slots.
-        let slots: u64 = o.windowed.total_stall_slots().iter().sum();
+        let slots: u64 = o.windowed.total().stall_slots.iter().sum();
         stall_exact &= slots == cycles * issue_width;
         sink.merge(&o.windowed);
         stall_cycles += cycles;
@@ -482,12 +482,13 @@ pub fn bench_suite_jobs(
         attr_sites += attribution.rows().len() as u64;
     }
     let series = sink.into_series();
+    let total = series.total();
     let mut reassembled = EnergyLedger::new();
-    reassembled.accumulate(series.total_switched_bits(), series.total_ops());
+    reassembled.accumulate(total.switched_bits(), total.ops());
     let telemetry = TelemetrySummary {
         window_cycles,
         windows: series.len() as u64,
-        switched_bits: series.total_switched_bits(),
+        switched_bits: total.switched_bits(),
         exact: reassembled == ledger,
     };
     // The attribution partition must reassemble per workload *and* in
@@ -541,7 +542,7 @@ pub fn bench_suite_jobs(
         instructions: retired_total,
         hot_nanos,
     };
-    let mix = series.total_stall_slots();
+    let mix = total.stall_slots;
     let slots: u64 = mix.iter().sum();
     stall_exact &= slots == stall_cycles * issue_width;
     let stalls = StallSummary {

@@ -12,16 +12,15 @@
 //! byte-identical for every worker count. Everything wall-clock (worker
 //! busy spans, utilization, imbalance) goes to the log line
 //! ([`sweep_summary`](HarnessReport::sweep_summary)) and the side
-//! exports: [`timeline`](HarnessReport::timeline),
-//! [`folded_stacks`](HarnessReport::folded_stacks) and
-//! [`metrics`](HarnessReport::metrics).
+//! exports: [`timeline`](HarnessReport::timeline) and
+//! [`folded_stacks`](HarnessReport::folded_stacks).
 
 use std::collections::BTreeMap;
 
 use fua_core::ExperimentConfig;
 use fua_exec::{heartbeat_stage, map_indexed_timed, ExecReport, Jobs};
 use fua_obs::{AllocSnapshot, ArenaCounters, ArenaEvent, HarnessSpan};
-use fua_trace::{metric_name, HarnessTimeline, Json, MetricsRegistry, TextTable, ToJson};
+use fua_trace::{HarnessTimeline, Json, TextTable, ToJson};
 use fua_workloads::Workload;
 
 use crate::bench::rate_cell;
@@ -38,7 +37,6 @@ pub struct HarnessReport {
     parallel_arena: ArenaCounters,
     /// Heap allocations of the serial pass.
     allocations: AllocSnapshot,
-    serial_exec: ExecReport,
     parallel_exec: ExecReport,
     /// Worker spans and arena events collected over both passes.
     spans: Vec<HarnessSpan>,
@@ -65,7 +63,7 @@ impl HarnessReport {
         heartbeat_stage("harness-report: serial pass");
         let arena_before = fua_obs::arena_counters();
         let alloc_before = fua_obs::alloc_snapshot();
-        let (serial_cells, serial_exec) = map_indexed_timed(Jobs::serial(), workloads, cell);
+        let (serial_cells, _) = map_indexed_timed(Jobs::serial(), workloads, cell);
         let allocations = fua_obs::alloc_snapshot().delta(&alloc_before);
         let serial_arena = fua_obs::arena_counters().delta(&arena_before);
 
@@ -92,7 +90,6 @@ impl HarnessReport {
             serial_arena,
             parallel_arena,
             allocations,
-            serial_exec,
             parallel_exec,
             spans: fua_obs::drain_spans(),
             arena_events: fua_obs::drain_arena_events(),
@@ -173,50 +170,6 @@ impl HarnessReport {
             .iter()
             .map(|((worker, stage), nanos)| format!("harness;worker-{worker};{stage} {nanos}\n"))
             .collect()
-    }
-
-    /// The harness metrics (per-pass utilization, per-worker busy time,
-    /// the queue-depth histogram, arena and allocation totals), for the
-    /// OpenMetrics exposition.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for (stage, exec) in [
-            ("serial", &self.serial_exec),
-            ("parallel", &self.parallel_exec),
-        ] {
-            let labels = [("stage", stage)];
-            let id = reg.counter(&metric_name("fua.harness.cells", &labels));
-            reg.add(id, exec.cells());
-            let id = reg.counter(&metric_name("fua.harness.busy_nanos", &labels));
-            reg.add(id, exec.busy_nanos());
-            let id = reg.counter(&metric_name("fua.harness.wall_nanos", &labels));
-            reg.add(id, exec.wall_nanos);
-            let id = reg.gauge(&metric_name("fua.harness.busy_fraction", &labels));
-            reg.set(id, exec.busy_fraction());
-            let id = reg.gauge(&metric_name("fua.harness.imbalance", &labels));
-            reg.set(id, exec.imbalance());
-        }
-        for (i, w) in self.parallel_exec.workers.iter().enumerate() {
-            let worker = i.to_string();
-            let labels = [("worker", worker.as_str())];
-            let id = reg.counter(&metric_name("fua.harness.worker.busy_nanos", &labels));
-            reg.add(id, w.nanos);
-            let id = reg.counter(&metric_name("fua.harness.worker.cells", &labels));
-            reg.add(id, w.cells);
-        }
-        let qd = reg.histogram("fua.harness.queue_depth", &[0, 1, 2, 4, 8, 16, 32]);
-        for s in &self.spans {
-            reg.observe(qd, s.queue_depth as u64);
-        }
-        let id = reg.counter("fua.harness.arena.leases");
-        reg.add(id, self.serial_arena.leases + self.parallel_arena.leases);
-        let id = reg.counter("fua.harness.arena.fresh");
-        reg.add(id, self.serial_arena.fresh + self.parallel_arena.fresh);
-        let id = reg.counter("fua.harness.allocs");
-        reg.add(id, self.allocations.allocs);
-        let id = reg.counter("fua.harness.alloc_bytes");
-        reg.add(id, self.allocations.bytes);
-        reg
     }
 }
 

@@ -219,7 +219,7 @@ impl<S: TraceSink, P: PhaseProfiler> Simulator<S, P> {
     }
 
     /// Consumes the simulator, returning the sink (to read a ring buffer
-    /// or metrics registry after a run, or to thread one sink through a
+    /// or metrics recorder after a run, or to thread one sink through a
     /// sequence of runs).
     pub fn into_sink(self) -> S {
         self.sink

@@ -1,5 +1,5 @@
 //! Cycle-level observability for the steering pipeline: structured trace
-//! events, pluggable sinks, a metrics registry, and Chrome
+//! events, pluggable sinks, one counter fold, and Chrome
 //! trace-event/Perfetto export.
 //!
 //! The paper's argument is per-cycle — which module each ready
@@ -14,14 +14,14 @@
 //!
 //! * [`RingBufferSink`] — bounded tail of the event stream for
 //!   post-mortem inspection;
-//! * [`MetricsRecorder`] — folds events into a [`MetricsRegistry`] of
-//!   counters, gauges and fixed-bucket histograms (per-module switching,
-//!   Hamming-distance and occupancy distributions);
-//! * [`ChromeTraceSink`] — Chrome trace-event JSON that loads directly in
-//!   Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
 //! * [`WindowedSink`] — per-K-cycle interval telemetry whose column sums
 //!   reproduce the final energy ledger exactly (CSV + Perfetto counter
 //!   export);
+//! * [`MetricsRecorder`] — the `--metrics` snapshot: one whole-run
+//!   record plus fixed-bucket [`Histogram`]s (per-module Hamming
+//!   distance, window occupancy, issue width);
+//! * [`ChromeTraceSink`] — Chrome trace-event JSON that loads directly in
+//!   Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
 //! * [`StallSink`] — the cycle-side twin of the energy attribution: an
 //!   exact partition of every issue slot of every cycle into the
 //!   [`StallReason`] taxonomy, keyed by culprit site;
@@ -30,9 +30,14 @@
 //! * [`VecSink`] — unbounded capture for tests;
 //! * tuples `(A, B)` — fan-out to several sinks at once.
 //!
-//! Beyond the sinks, the crate renders a [`MetricsRegistry`] as the
-//! OpenMetrics text exposition ([`render_openmetrics`], the `/metrics`
-//! wire format) and exports **harness** worker timelines
+//! The windowed and metrics sinks count through one fold:
+//! [`WindowRecord::record`] adds an event to a record of counters
+//! (switched bits and ops per class and module, steering cases, stages,
+//! swaps, cache, branch and stall counts). [`WindowedSink`] keeps one
+//! record per window, [`MetricsRecorder`] one for the whole run, so the
+//! series' column sums equal the recorder's totals by construction.
+//!
+//! Beyond the sinks, the crate exports **harness** worker timelines
 //! ([`HarnessTimeline`]) as a third Perfetto process next to the
 //! simulated pipeline and functional units.
 //!
@@ -52,7 +57,8 @@
 //! let mut sink = (RingBufferSink::new(1024), MetricsRecorder::new());
 //! sink.record(&TraceEvent::CycleSummary { cycle: 0, window: 4, issued: 2 });
 //! assert_eq!(sink.0.recorded(), 1);
-//! assert!(sink.1.registry().to_json().pretty().contains("window.occupancy"));
+//! assert_eq!(sink.1.totals().cycles, 1);
+//! assert!(sink.1.to_json().pretty().contains("window.occupancy"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,7 +67,6 @@
 mod event;
 mod json;
 mod metrics;
-mod openmetrics;
 mod parse;
 mod perfetto;
 mod recorder;
@@ -73,8 +78,7 @@ mod windowed;
 
 pub use event::{NullSink, Stage, StallReason, SwapKind, TraceEvent, TraceSink, VecSink};
 pub use json::{Json, ToJson};
-pub use metrics::{Histogram, Metric, MetricId, MetricsRegistry};
-pub use openmetrics::{escape_label_value, metric_name, render_openmetrics, sanitize_name};
+pub use metrics::Histogram;
 pub use parse::JsonParseError;
 pub use perfetto::{ChromeTraceSink, HarnessTimeline};
 pub use recorder::MetricsRecorder;

@@ -1,12 +1,10 @@
-//! Counters, gauges, and fixed-bucket histograms with a JSON snapshot.
-
-use std::fmt;
+//! Fixed-bucket histograms with a JSON snapshot.
 
 use crate::{Json, ToJson};
 
 /// A fixed-bucket histogram: bucket `i` counts observations `v <=
 /// bounds[i]`, plus one implicit overflow bucket. Bounds are fixed at
-/// registration, so two runs that observe the same values snapshot
+/// construction, so two runs that observe the same values snapshot
 /// identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -107,193 +105,6 @@ impl ToJson for Histogram {
     }
 }
 
-/// One registered metric.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Metric {
-    /// A monotonically increasing count.
-    Counter(u64),
-    /// A point-in-time value.
-    Gauge(f64),
-    /// A fixed-bucket distribution.
-    Histogram(Histogram),
-}
-
-/// A handle to a registered metric — cheap to copy, valid only for the
-/// registry that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(usize);
-
-/// An insertion-ordered collection of named metrics, snapshotable to
-/// [`Json`] and renderable as text.
-///
-/// Registration is idempotent per name; re-registering returns the
-/// existing handle (and, for histograms, keeps the original bounds).
-///
-/// # Examples
-///
-/// ```
-/// use fua_trace::{MetricsRegistry, ToJson};
-///
-/// let mut m = MetricsRegistry::new();
-/// let issued = m.counter("issued");
-/// m.add(issued, 3);
-/// let ham = m.histogram("ham.IALU.m0", &[0, 4, 16, 64]);
-/// m.observe(ham, 12);
-/// assert_eq!(m.counter_value("issued"), Some(3));
-/// assert!(m.to_json().pretty().contains("\"issued\": 3"));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    entries: Vec<(String, Metric)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(&mut self, name: &str, make: impl FnOnce() -> Metric) -> MetricId {
-        if let Some(i) = self.entries.iter().position(|(n, _)| n == name) {
-            return MetricId(i);
-        }
-        self.entries.push((name.to_string(), make()));
-        MetricId(self.entries.len() - 1)
-    }
-
-    /// Registers (or finds) a counter.
-    pub fn counter(&mut self, name: &str) -> MetricId {
-        self.register(name, || Metric::Counter(0))
-    }
-
-    /// Registers (or finds) a gauge.
-    pub fn gauge(&mut self, name: &str) -> MetricId {
-        self.register(name, || Metric::Gauge(0.0))
-    }
-
-    /// Registers (or finds) a histogram with the given bucket bounds.
-    pub fn histogram(&mut self, name: &str, bounds: &[u64]) -> MetricId {
-        self.register(name, || Metric::Histogram(Histogram::new(bounds)))
-    }
-
-    /// Increments a counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not name a counter.
-    pub fn add(&mut self, id: MetricId, delta: u64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Counter(v) => *v += delta,
-            other => panic!("add() on non-counter {other:?}"),
-        }
-    }
-
-    /// Sets a gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not name a gauge.
-    pub fn set(&mut self, id: MetricId, value: f64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Gauge(v) => *v = value,
-            other => panic!("set() on non-gauge {other:?}"),
-        }
-    }
-
-    /// Records a histogram observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not name a histogram.
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Histogram(h) => h.observe(value),
-            other => panic!("observe() on non-histogram {other:?}"),
-        }
-    }
-
-    /// Looks a metric up by name.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, m)| m)
-    }
-
-    /// A counter's current value, if `name` is a registered counter.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.get(name)? {
-            Metric::Counter(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Iterates metrics in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.entries.iter().map(|(n, m)| (n.as_str(), m))
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sums the values of every counter whose name starts with `prefix`.
-    pub fn sum_counters(&self, prefix: &str) -> u64 {
-        self.entries
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .filter_map(|(_, m)| match m {
-                Metric::Counter(v) => Some(*v),
-                _ => None,
-            })
-            .sum()
-    }
-}
-
-impl ToJson for MetricsRegistry {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.entries
-                .iter()
-                .map(|(name, metric)| {
-                    let value = match metric {
-                        Metric::Counter(v) => Json::UInt(*v),
-                        Metric::Gauge(v) => Json::Float(*v),
-                        Metric::Histogram(h) => h.to_json(),
-                    };
-                    (name.clone(), value)
-                })
-                .collect(),
-        )
-    }
-}
-
-impl fmt::Display for MetricsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, metric) in &self.entries {
-            match metric {
-                Metric::Counter(v) => writeln!(f, "{name:width$}  {v}")?,
-                Metric::Gauge(v) => writeln!(f, "{name:width$}  {v:.3}")?,
-                Metric::Histogram(h) => {
-                    write!(f, "{name:width$}  n={} mean={:.2} |", h.count(), h.mean())?;
-                    for (le, count) in h.buckets() {
-                        match le {
-                            Some(b) => write!(f, " ≤{b}:{count}")?,
-                            None => write!(f, " inf:{count}")?,
-                        }
-                    }
-                    writeln!(f)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,67 +119,6 @@ mod tests {
         assert_eq!(counts, [1, 2, 2, 2]); // {0}, {1,4}, {5,16}, {17,1000}
         assert_eq!(h.count(), 7);
         assert_eq!(h.sum(), 1043);
-    }
-
-    #[test]
-    fn registration_is_idempotent() {
-        let mut m = MetricsRegistry::new();
-        let a = m.counter("x");
-        let b = m.counter("x");
-        assert_eq!(a, b);
-        m.add(a, 2);
-        m.add(b, 3);
-        assert_eq!(m.counter_value("x"), Some(5));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn sum_counters_matches_prefix() {
-        let mut m = MetricsRegistry::new();
-        for (name, v) in [("sw.a", 1), ("sw.b", 2), ("other", 4)] {
-            let id = m.counter(name);
-            m.add(id, v);
-        }
-        assert_eq!(m.sum_counters("sw."), 3);
-        assert_eq!(m.sum_counters(""), 7);
-    }
-
-    #[test]
-    fn snapshot_is_ordered_and_typed() {
-        let mut m = MetricsRegistry::new();
-        let c = m.counter("count");
-        m.add(c, 1);
-        let g = m.gauge("gauge");
-        m.set(g, 2.5);
-        let h = m.histogram("hist", &[1]);
-        m.observe(h, 9);
-        let json = m.to_json().pretty();
-        let count_pos = json.find("\"count\"").expect("counter present");
-        let gauge_pos = json.find("\"gauge\"").expect("gauge present");
-        let hist_pos = json.find("\"hist\"").expect("histogram present");
-        assert!(count_pos < gauge_pos && gauge_pos < hist_pos);
-        assert!(json.contains("\"gauge\": 2.5"));
-        assert!(json.contains("\"type\": \"histogram\""));
-        let text = m.to_string();
-        assert!(text.contains("count") && text.contains("inf:1"));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-counter")]
-    fn type_confusion_panics() {
-        let mut m = MetricsRegistry::new();
-        let g = m.gauge("g");
-        m.add(g, 1);
-    }
-
-    #[test]
-    fn empty_registry_serializes_cleanly() {
-        let m = MetricsRegistry::new();
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
-        assert_eq!(m.to_json().compact(), "{}");
-        assert_eq!(m.to_string(), "");
-        assert_eq!(m.sum_counters(""), 0);
     }
 
     #[test]
@@ -394,37 +144,5 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 2);
         assert!(h.mean() > 0.0);
-    }
-
-    #[test]
-    fn name_collision_across_types_keeps_the_first_registration() {
-        // Registration is keyed purely by name: a later registration
-        // under the same name — even as a different metric type —
-        // returns the original handle, and the original type wins.
-        let mut m = MetricsRegistry::new();
-        let c = m.counter("shared");
-        let g = m.gauge("shared");
-        let h = m.histogram("shared", &[1, 2]);
-        assert_eq!(c, g);
-        assert_eq!(c, h);
-        assert_eq!(m.len(), 1);
-        m.add(c, 5);
-        assert!(matches!(m.get("shared"), Some(Metric::Counter(5))));
-    }
-
-    #[test]
-    fn histogram_rebounds_on_collision_keep_original_bounds() {
-        let mut m = MetricsRegistry::new();
-        let a = m.histogram("h", &[1, 2, 3]);
-        let b = m.histogram("h", &[100]);
-        assert_eq!(a, b);
-        m.observe(a, 2);
-        match m.get("h") {
-            Some(Metric::Histogram(h)) => {
-                let bounds: Vec<Option<u64>> = h.buckets().map(|(le, _)| le).collect();
-                assert_eq!(bounds, [Some(1), Some(2), Some(3), None]);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 }

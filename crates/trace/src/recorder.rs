@@ -1,8 +1,15 @@
-//! A sink that folds the event stream into a [`MetricsRegistry`].
+//! A sink that folds the whole event stream into one [`WindowRecord`]
+//! plus the distributions a sum cannot hold.
 
-use fua_isa::FuClass;
+use std::fmt;
 
-use crate::{MetricId, MetricsRegistry, Stage, StallReason, SwapKind, TraceEvent, TraceSink};
+use fua_isa::{Case, FuClass};
+
+use crate::windowed::module_slot;
+use crate::{
+    Histogram, Json, Stage, StallReason, SwapKind, ToJson, TraceEvent, TraceSink, WindowRecord,
+    MAX_MODULES,
+};
 
 /// Upper bounds for per-module switched-bit (inter-arrival Hamming
 /// distance) histograms: a 32-bit pair can toggle at most 64 bits, an FP
@@ -15,112 +22,143 @@ const WINDOW_BOUNDS: [u64; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
 /// Upper bounds for the per-cycle issue-width histogram.
 const ISSUE_BOUNDS: [u64; 6] = [0, 1, 2, 3, 4, 8];
 
-/// Maximum modules per FU class the recorder tracks individually.
-const MAX_MODULES: usize = 8;
-
-#[derive(Debug, Clone, Copy)]
-struct PerModule {
-    switched: MetricId,
-    ops: MetricId,
-    ham: MetricId,
-}
-
-/// Builds the standard simulator metrics from the trace-event stream:
-/// pipeline-stage throughput counters, per-cycle occupancy histograms,
-/// per-FU-module switching counters and Hamming-distance histograms,
-/// steering case counts, swap/branch/cache counters.
+/// The `--metrics` snapshot: the whole-run [`WindowRecord`] (stage
+/// throughput, per-module switching and ops, steering cases, swap,
+/// branch, cache and stall counters) plus per-module Hamming-distance,
+/// window-occupancy and issue-width histograms.
 ///
-/// Because the registry is populated from the same [`TraceEvent`]s the
-/// energy ledger is built from, the per-module `switched_bits.*` counters
-/// sum exactly to the ledger's per-class totals — the invariant the
-/// `--metrics` CLI flag and the observability tests rely on.
+/// The counters come from [`WindowRecord::record`], the fold every
+/// [`WindowedSink`](crate::WindowedSink) window uses, so the per-module
+/// switched bits sum exactly to the energy ledger's per-class totals
+/// and to the windowed series' column sums.
+///
+/// The text and JSON views list the fixed metrics, then per class in
+/// [`FuClass::ALL`] order the steering cases (when the class was
+/// steered) and each module that latched an operation, ascending.
+/// Recorders threaded through several runs accumulate, so `cycles` is
+/// the number of cycles summarised over all of them.
+///
+/// # Examples
+///
+/// ```
+/// use fua_isa::{Case, FuClass};
+/// use fua_trace::{MetricsRecorder, TraceEvent, TraceSink};
+///
+/// let mut rec = MetricsRecorder::new();
+/// rec.record(&TraceEvent::Energy {
+///     cycle: 0, serial: 0, pc: 0, class: FuClass::IntAlu, module: 1, case: Case::C00, bits: 9,
+/// });
+/// assert_eq!(rec.totals().module_bits[FuClass::IntAlu.index()][1], 9);
+/// assert!(rec.to_string().contains("switched_bits.IALU.m1  9"));
+/// ```
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
-    registry: MetricsRegistry,
-    stage: [MetricId; 6],
-    cycles: MetricId,
-    window_h: MetricId,
-    issue_h: MetricId,
-    branches: MetricId,
-    mispredicts: MetricId,
-    cache_hits: MetricId,
-    cache_misses: MetricId,
-    swaps: [MetricId; 2],
-    stalls: [MetricId; 7],
-    per_module: [[Option<PerModule>; MAX_MODULES]; 4],
-    cases: [Option<[MetricId; 4]>; 4],
+    totals: WindowRecord,
+    hamming: [[Histogram; MAX_MODULES]; 4],
+    occupancy: Histogram,
+    issue_width: Histogram,
+}
+
+/// One rendered metric's value.
+enum Value<'a> {
+    Count(u64),
+    Gauge(f64),
+    Histogram(&'a Histogram),
 }
 
 impl MetricsRecorder {
-    /// A recorder with the fixed metrics pre-registered (per-module and
-    /// per-case metrics appear on first use, in event order).
+    /// An empty recorder.
     pub fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
-        let stage = Stage::ALL.map(|s| registry.counter(&format!("stage.{}", s.name())));
-        let cycles = registry.gauge("cycles");
-        let window_h = registry.histogram("window.occupancy", &WINDOW_BOUNDS);
-        let issue_h = registry.histogram("issue.width", &ISSUE_BOUNDS);
-        let branches = registry.counter("branch.executed");
-        let mispredicts = registry.counter("branch.mispredicted");
-        let cache_hits = registry.counter("cache.hits");
-        let cache_misses = registry.counter("cache.misses");
-        let swaps = [SwapKind::Rule, SwapKind::Policy]
-            .map(|k| registry.counter(&format!("swaps.{}", k.name())));
-        let stalls = StallReason::ALL.map(|r| registry.counter(&format!("stall.{}", r.name())));
         MetricsRecorder {
-            registry,
-            stage,
-            cycles,
-            window_h,
-            issue_h,
-            branches,
-            mispredicts,
-            cache_hits,
-            cache_misses,
-            swaps,
-            stalls,
-            per_module: [[None; MAX_MODULES]; 4],
-            cases: [None; 4],
+            totals: WindowRecord::ZERO,
+            hamming: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new(&HAM_BOUNDS))),
+            occupancy: Histogram::new(&WINDOW_BOUNDS),
+            issue_width: Histogram::new(&ISSUE_BOUNDS),
         }
     }
 
-    /// The populated registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// The counters of every event recorded so far.
+    pub fn totals(&self) -> &WindowRecord {
+        &self.totals
     }
 
-    /// Consumes the recorder, returning the registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
+    /// The switched-bit distribution of `class`'s module `module` (past
+    /// [`MAX_MODULES`], the last slot's).
+    pub fn hamming(&self, class: FuClass, module: u8) -> &Histogram {
+        &self.hamming[class.index()][module_slot(module)]
     }
 
-    fn module_ids(&mut self, class: FuClass, module: u8) -> PerModule {
-        let m = (module as usize).min(MAX_MODULES - 1);
-        let slot = &mut self.per_module[class.index()][m];
-        if let Some(ids) = *slot {
-            return ids;
+    /// The end-of-cycle instruction-window occupancy distribution.
+    pub fn occupancy(&self) -> &Histogram {
+        &self.occupancy
+    }
+
+    /// The per-cycle issue-width distribution.
+    pub fn issue_width(&self) -> &Histogram {
+        &self.issue_width
+    }
+
+    /// Every metric, named, in rendering order.
+    fn metrics(&self) -> Vec<(String, Value<'_>)> {
+        let t = &self.totals;
+        let mut out: Vec<(String, Value<'_>)> = Stage::ALL
+            .iter()
+            .map(|&s| {
+                (
+                    format!("stage.{}", s.name()),
+                    Value::Count(t.stages[s as usize]),
+                )
+            })
+            .collect();
+        out.push(("cycles".into(), Value::Gauge(t.cycles as f64)));
+        out.push(("window.occupancy".into(), Value::Histogram(&self.occupancy)));
+        out.push(("issue.width".into(), Value::Histogram(&self.issue_width)));
+        for (name, n) in [
+            ("branch.executed", t.branches),
+            ("branch.mispredicted", t.mispredicts),
+            ("cache.hits", t.cache_hits),
+            ("cache.misses", t.cache_misses),
+        ] {
+            out.push((name.into(), Value::Count(n)));
         }
-        let ids = PerModule {
-            switched: self
-                .registry
-                .counter(&format!("switched_bits.{class}.m{m}")),
-            ops: self.registry.counter(&format!("ops.{class}.m{m}")),
-            ham: self
-                .registry
-                .histogram(&format!("ham.{class}.m{m}"), &HAM_BOUNDS),
-        };
-        *slot = Some(ids);
-        ids
-    }
-
-    fn case_ids(&mut self, class: FuClass) -> [MetricId; 4] {
-        if let Some(ids) = self.cases[class.index()] {
-            return ids;
+        for kind in [SwapKind::Rule, SwapKind::Policy] {
+            out.push((
+                format!("swaps.{}", kind.name()),
+                Value::Count(t.swaps[kind as usize]),
+            ));
         }
-        let ids =
-            fua_isa::Case::ALL.map(|c| self.registry.counter(&format!("steer.{class}.case{c}")));
-        self.cases[class.index()] = Some(ids);
-        ids
+        for r in StallReason::ALL {
+            out.push((
+                format!("stall.{}", r.name()),
+                Value::Count(t.stall_slots[r.index()]),
+            ));
+        }
+        for class in FuClass::ALL {
+            let c = class.index();
+            if t.steer_cases[c].iter().any(|&n| n > 0) {
+                for case in Case::ALL {
+                    out.push((
+                        format!("steer.{class}.case{case}"),
+                        Value::Count(t.steer_cases[c][case.index()]),
+                    ));
+                }
+            }
+            for m in (0..MAX_MODULES).filter(|&m| t.module_ops[c][m] > 0) {
+                out.push((
+                    format!("switched_bits.{class}.m{m}"),
+                    Value::Count(t.module_bits[c][m]),
+                ));
+                out.push((
+                    format!("ops.{class}.m{m}"),
+                    Value::Count(t.module_ops[c][m]),
+                ));
+                out.push((
+                    format!("ham.{class}.m{m}"),
+                    Value::Histogram(&self.hamming[c][m]),
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -132,91 +170,95 @@ impl Default for MetricsRecorder {
 
 impl TraceSink for MetricsRecorder {
     fn record(&mut self, event: &TraceEvent) {
+        self.totals.record(event);
         match *event {
-            TraceEvent::Stage { stage, .. } => {
-                self.registry.add(self.stage[stage as usize], 1);
-            }
-            TraceEvent::Steer { class, case, .. } => {
-                let ids = self.case_ids(class);
-                self.registry.add(ids[case.index()], 1);
-            }
-            TraceEvent::OperandSwap { kind, .. } => {
-                self.registry.add(self.swaps[kind as usize], 1);
-            }
             TraceEvent::Energy {
                 class,
                 module,
                 bits,
                 ..
-            } => {
-                let ids = self.module_ids(class, module);
-                self.registry.add(ids.switched, bits as u64);
-                self.registry.add(ids.ops, 1);
-                self.registry.observe(ids.ham, bits as u64);
+            } => self.hamming[class.index()][module_slot(module)].observe(bits as u64),
+            TraceEvent::CycleSummary { window, issued, .. } => {
+                self.occupancy.observe(window as u64);
+                self.issue_width.observe(issued as u64);
             }
-            TraceEvent::Execute { .. } => {
-                self.registry.add(self.stage[Stage::Execute as usize], 1);
-            }
-            TraceEvent::Cache { hit, .. } => {
-                let id = if hit {
-                    self.cache_hits
-                } else {
-                    self.cache_misses
-                };
-                self.registry.add(id, 1);
-            }
-            TraceEvent::Branch {
-                taken, predicted, ..
-            } => {
-                self.registry.add(self.branches, 1);
-                if taken != predicted {
-                    self.registry.add(self.mispredicts, 1);
+            _ => {}
+        }
+    }
+}
+
+impl ToJson for MetricsRecorder {
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.metrics()
+                .into_iter()
+                .map(|(name, value)| {
+                    let value = match value {
+                        Value::Count(v) => Json::UInt(v),
+                        Value::Gauge(v) => Json::Float(v),
+                        Value::Histogram(h) => h.to_json(),
+                    };
+                    (name, value)
+                })
+                .collect(),
+        )
+    }
+}
+
+impl fmt::Display for MetricsRecorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let metrics = self.metrics();
+        let width = metrics.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, value) in metrics {
+            match value {
+                Value::Count(v) => writeln!(f, "{name:width$}  {v}")?,
+                Value::Gauge(v) => writeln!(f, "{name:width$}  {v:.3}")?,
+                Value::Histogram(h) => {
+                    write!(f, "{name:width$}  n={} mean={:.2} |", h.count(), h.mean())?;
+                    for (le, count) in h.buckets() {
+                        match le {
+                            Some(b) => write!(f, " ≤{b}:{count}")?,
+                            None => write!(f, " inf:{count}")?,
+                        }
+                    }
+                    writeln!(f)?;
                 }
             }
-            TraceEvent::Stall { reason, slots, .. } => {
-                self.registry.add(self.stalls[reason.index()], slots as u64);
-            }
-            // Dependence records are per-instruction critical-path
-            // inputs; the registry keeps aggregate counters only.
-            TraceEvent::Dependence { .. } => {}
-            TraceEvent::CycleSummary {
-                cycle,
-                window,
-                issued,
-            } => {
-                self.registry.set(self.cycles, (cycle + 1) as f64);
-                self.registry.observe(self.window_h, window as u64);
-                self.registry.observe(self.issue_h, issued as u64);
-            }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ToJson;
-    use fua_isa::{Case, Opcode};
+    use fua_isa::Opcode;
+
+    fn energy(class: FuClass, module: u8, bits: u32) -> TraceEvent {
+        TraceEvent::Energy {
+            cycle: 1,
+            serial: 0,
+            pc: 0,
+            class,
+            module,
+            case: Case::C00,
+            bits,
+        }
+    }
 
     #[test]
     fn energy_events_build_per_module_counters() {
         let mut rec = MetricsRecorder::new();
         for (module, bits) in [(0u8, 5u32), (1, 7), (0, 3)] {
-            rec.record(&TraceEvent::Energy {
-                cycle: 1,
-                serial: 0,
-                pc: 0,
-                class: FuClass::IntAlu,
-                module,
-                case: Case::C00,
-                bits,
-            });
+            rec.record(&energy(FuClass::IntAlu, module, bits));
         }
-        let reg = rec.registry();
-        assert_eq!(reg.counter_value("switched_bits.IALU.m0"), Some(8));
-        assert_eq!(reg.counter_value("switched_bits.IALU.m1"), Some(7));
-        assert_eq!(reg.counter_value("ops.IALU.m0"), Some(2));
-        assert_eq!(reg.sum_counters("switched_bits.IALU"), 15);
+        let t = rec.totals();
+        let c = FuClass::IntAlu.index();
+        assert_eq!(t.module_bits[c][..2], [8, 7]);
+        assert_eq!(t.module_ops[c][..2], [2, 1]);
+        assert_eq!(t.switched_bits()[c], 15);
+        let ham = rec.hamming(FuClass::IntAlu, 0);
+        assert_eq!((ham.count(), ham.sum()), (2, 8));
     }
 
     #[test]
@@ -237,10 +279,17 @@ mod tests {
             class: FuClass::FpAlu,
             kind: SwapKind::Policy,
         });
-        let reg = rec.registry();
-        assert_eq!(reg.counter_value("steer.FPAU.case01"), Some(1));
-        assert_eq!(reg.counter_value("steer.FPAU.case00"), Some(0));
-        assert_eq!(reg.counter_value("swaps.policy"), Some(1));
+        assert_eq!(
+            rec.totals().steer_cases[FuClass::FpAlu.index()],
+            [0, 1, 0, 0]
+        );
+        assert_eq!(rec.totals().swaps[SwapKind::Policy as usize], 1);
+        let json = rec.to_json().compact();
+        assert!(json.contains("\"steer.FPAU.case00\":0"), "{json}");
+        assert!(
+            !json.contains("steer.IALU"),
+            "an unsteered class is not listed"
+        );
     }
 
     #[test]
@@ -262,10 +311,10 @@ mod tests {
             pc: None,
             case: None,
         });
-        let reg = rec.registry();
-        assert_eq!(reg.counter_value("stall.operand-wait"), Some(1));
-        assert_eq!(reg.counter_value("stall.fetch-starved"), Some(4));
-        assert_eq!(reg.counter_value("stall.issued"), Some(0));
+        let slots = rec.totals().stall_slots;
+        assert_eq!(slots[StallReason::OperandWait.index()], 1);
+        assert_eq!(slots[StallReason::FetchStarved.index()], 4);
+        assert_eq!(slots[StallReason::Issued.index()], 0);
     }
 
     #[test]
@@ -277,14 +326,36 @@ mod tests {
             serial: 0,
             opcode: Opcode::Add,
         });
-        rec.record(&TraceEvent::CycleSummary {
-            cycle: 9,
-            window: 3,
-            issued: 2,
-        });
-        let reg = rec.registry();
-        assert_eq!(reg.counter_value("stage.fetch"), Some(1));
-        let json = reg.to_json().pretty();
+        for cycle in 0..10 {
+            rec.record(&TraceEvent::CycleSummary {
+                cycle,
+                window: 3,
+                issued: 2,
+            });
+        }
+        assert_eq!(rec.totals().stages[Stage::Fetch as usize], 1);
+        assert_eq!(rec.occupancy().count(), 10);
+        assert_eq!(rec.issue_width().sum(), 20);
+        let json = rec.to_json().pretty();
         assert!(json.contains("\"cycles\": 10"));
+    }
+
+    #[test]
+    fn modules_render_in_class_then_module_order() {
+        let mut rec = MetricsRecorder::new();
+        rec.record(&energy(FuClass::FpAlu, 1, 4));
+        rec.record(&energy(FuClass::IntAlu, 0, 2));
+        rec.record(&energy(FuClass::FpAlu, 0, 6));
+        let text = rec.to_string();
+        let names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("switched_bits."))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(names, ["IALU.m0", "FPAU.m0", "FPAU.m1"]);
+        let json = rec.to_json().compact();
+        let at = |key: &str| json.find(key).expect(key);
+        assert!(at("\"ham.IALU.m0\"") < at("\"ham.FPAU.m0\""));
+        assert!(at("\"ham.FPAU.m0\"") < at("\"ham.FPAU.m1\""));
     }
 }

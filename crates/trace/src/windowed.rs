@@ -32,44 +32,52 @@
 //! });
 //! let series = sink.into_series();
 //! assert_eq!(series.len(), 2);
-//! assert_eq!(series.total_switched_bits(), [13, 0, 0, 0]);
+//! assert_eq!(series.total().switched_bits(), [13, 0, 0, 0]);
 //! ```
 
 use fua_isa::FuClass;
 
 use crate::{Json, Stage, StallReason, ToJson, TraceEvent, TraceSink};
 
-/// Per-class module capacity tracked by the windowed sink — matches
-/// [`MetricsRecorder`](crate::MetricsRecorder)'s bound; modules past it
-/// fold into the last slot (the paper's machine uses at most 4).
+/// Per-class module capacity tracked by [`WindowRecord`]; modules past
+/// it fold into the last slot (the paper's machine uses at most 4).
 pub const MAX_MODULES: usize = 8;
 
 /// The telemetry process id in Chrome trace exports (pid 1 is the
 /// pipeline, pid 2 the functional units — see [`crate::ChromeTraceSink`]).
 const PID_TELEMETRY: u64 = 3;
 
-/// Accumulated deltas for one window of `K` cycles.
+/// Adds `from` into `acc` element-wise.
+fn add_into<const N: usize>(acc: &mut [u64; N], from: &[u64; N]) {
+    for (a, v) in acc.iter_mut().zip(from) {
+        *a += v;
+    }
+}
+
+/// Counters folded from a slice of the event stream: one window of `K`
+/// cycles in a [`WindowedSink`], or a whole run in a
+/// [`MetricsRecorder`](crate::MetricsRecorder).
 ///
-/// All fields are *deltas within the window*, never cumulative values;
+/// All fields are *deltas within the slice*, never cumulative values;
 /// cumulative series are recovered by prefix sums, and run totals by
 /// column sums (exactly — see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowRecord {
-    /// Switched input bits charged per FU class (indexed by
-    /// [`FuClass::index`]).
-    pub switched_bits: [u64; 4],
-    /// Switched bits per class × module (modules ≥ [`MAX_MODULES`] fold
+    /// Switched input bits charged per FU class × module (classes
+    /// indexed by [`FuClass::index`]; modules ≥ [`MAX_MODULES`] fold
     /// into the last slot).
     pub module_bits: [[u64; MAX_MODULES]; 4],
-    /// Operations latched (energy charges) per FU class.
-    pub ops: [u64; 4],
+    /// Operations latched (energy charges) per class × module, folded
+    /// like `module_bits`.
+    pub module_ops: [[u64; MAX_MODULES]; 4],
     /// Steering decisions per class × information-bit case.
     pub steer_cases: [[u64; 4]; 4],
     /// Operand swaps by mechanism (indexed rule/policy, the
     /// [`crate::SwapKind`] order).
     pub swaps: [u64; 2],
-    /// Instructions retired (commit-stage events).
-    pub retired: u64,
+    /// Pipeline-stage events per [`Stage`], in [`Stage::ALL`] order
+    /// (the execute count is the [`TraceEvent::Execute`] events).
+    pub stages: [u64; 6],
     /// Instructions issued (summed from cycle summaries).
     pub issued: u64,
     /// Cycles summarised in this window (< K only for the last window).
@@ -94,13 +102,13 @@ pub struct WindowRecord {
 }
 
 impl WindowRecord {
-    const ZERO: WindowRecord = WindowRecord {
-        switched_bits: [0; 4],
+    /// The record of no events.
+    pub const ZERO: WindowRecord = WindowRecord {
         module_bits: [[0; MAX_MODULES]; 4],
-        ops: [0; 4],
+        module_ops: [[0; MAX_MODULES]; 4],
         steer_cases: [[0; 4]; 4],
         swaps: [0; 2],
-        retired: 0,
+        stages: [0; 6],
         issued: 0,
         cycles: 0,
         occupancy_sum: 0,
@@ -111,32 +119,75 @@ impl WindowRecord {
         stall_slots: [0; 7],
     };
 
-    /// Adds another window's deltas into this one, field-wise. Window
-    /// deltas are unsigned counters, so accumulation is associative and
+    /// Folds one event into the counters. This is the one per-event
+    /// fold of the crate's counting sinks: [`WindowedSink`] applies it
+    /// to the event's window, [`MetricsRecorder`](crate::MetricsRecorder)
+    /// to its whole-run record.
+    #[inline]
+    pub fn record(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Stage { stage, .. } => self.stages[stage as usize] += 1,
+            TraceEvent::Steer { class, case, .. } => {
+                self.steer_cases[class.index()][case.index()] += 1;
+            }
+            TraceEvent::OperandSwap { kind, .. } => self.swaps[kind as usize] += 1,
+            TraceEvent::Energy {
+                class,
+                module,
+                bits,
+                ..
+            } => {
+                let (c, m) = (class.index(), module_slot(module));
+                self.module_bits[c][m] += bits as u64;
+                self.module_ops[c][m] += 1;
+            }
+            TraceEvent::Execute { .. } => self.stages[Stage::Execute as usize] += 1,
+            TraceEvent::Cache { hit, .. } => {
+                if hit {
+                    self.cache_hits += 1;
+                } else {
+                    self.cache_misses += 1;
+                }
+            }
+            TraceEvent::Branch {
+                taken, predicted, ..
+            } => {
+                self.branches += 1;
+                if taken != predicted {
+                    self.mispredicts += 1;
+                }
+            }
+            TraceEvent::Stall { reason, slots, .. } => {
+                self.stall_slots[reason.index()] += slots as u64;
+            }
+            // Dependence records feed critical-path extraction only;
+            // the counters have no per-instruction columns.
+            TraceEvent::Dependence { .. } => {}
+            TraceEvent::CycleSummary { window, issued, .. } => {
+                self.cycles += 1;
+                self.issued += issued as u64;
+                self.occupancy_sum += window as u64;
+            }
+        }
+    }
+
+    /// Adds another record's deltas into this one, field-wise. The
+    /// counters are unsigned, so accumulation is associative and
     /// commutative — merging per-run sinks window-by-window yields the
     /// identical record a single sink threaded through the same runs
     /// would hold.
     pub fn merge(&mut self, other: &WindowRecord) {
-        for (acc, v) in self.switched_bits.iter_mut().zip(other.switched_bits) {
-            *acc += v;
+        for (acc, v) in self.module_bits.iter_mut().zip(&other.module_bits) {
+            add_into(acc, v);
         }
-        for (accs, vs) in self.module_bits.iter_mut().zip(other.module_bits) {
-            for (acc, v) in accs.iter_mut().zip(vs) {
-                *acc += v;
-            }
+        for (acc, v) in self.module_ops.iter_mut().zip(&other.module_ops) {
+            add_into(acc, v);
         }
-        for (acc, v) in self.ops.iter_mut().zip(other.ops) {
-            *acc += v;
+        for (acc, v) in self.steer_cases.iter_mut().zip(&other.steer_cases) {
+            add_into(acc, v);
         }
-        for (accs, vs) in self.steer_cases.iter_mut().zip(other.steer_cases) {
-            for (acc, v) in accs.iter_mut().zip(vs) {
-                *acc += v;
-            }
-        }
-        for (acc, v) in self.swaps.iter_mut().zip(other.swaps) {
-            *acc += v;
-        }
-        self.retired += other.retired;
+        add_into(&mut self.swaps, &other.swaps);
+        add_into(&mut self.stages, &other.stages);
         self.issued += other.issued;
         self.cycles += other.cycles;
         self.occupancy_sum += other.occupancy_sum;
@@ -144,9 +195,22 @@ impl WindowRecord {
         self.cache_misses += other.cache_misses;
         self.branches += other.branches;
         self.mispredicts += other.mispredicts;
-        for (acc, v) in self.stall_slots.iter_mut().zip(other.stall_slots) {
-            *acc += v;
-        }
+        add_into(&mut self.stall_slots, &other.stall_slots);
+    }
+
+    /// Switched input bits per FU class: the module columns summed.
+    pub fn switched_bits(&self) -> [u64; 4] {
+        self.module_bits.map(|m| m.iter().sum())
+    }
+
+    /// Operations latched per FU class: the module columns summed.
+    pub fn ops(&self) -> [u64; 4] {
+        self.module_ops.map(|m| m.iter().sum())
+    }
+
+    /// Instructions retired (commit-stage events).
+    pub fn retired(&self) -> u64 {
+        self.stages[Stage::Retire as usize]
     }
 
     /// Retired instructions per summarised cycle (0 for an empty window).
@@ -154,7 +218,7 @@ impl WindowRecord {
         if self.cycles == 0 {
             0.0
         } else {
-            self.retired as f64 / self.cycles as f64
+            self.retired() as f64 / self.cycles as f64
         }
     }
 
@@ -168,15 +232,19 @@ impl WindowRecord {
     }
 }
 
-/// Per-reason stall-slot totals summed over `windows`.
-fn stall_totals(windows: &[WindowRecord]) -> [u64; 7] {
-    let mut t = [0u64; 7];
+/// The slot a module's counters land in: its index, with modules past
+/// [`MAX_MODULES`] folded into the last slot.
+pub(crate) fn module_slot(module: u8) -> usize {
+    (module as usize).min(MAX_MODULES - 1)
+}
+
+/// The column sums of `windows`: one record of every event they hold.
+fn column_sums(windows: &[WindowRecord]) -> WindowRecord {
+    let mut total = WindowRecord::ZERO;
     for w in windows {
-        for (acc, v) in t.iter_mut().zip(w.stall_slots) {
-            *acc += v;
-        }
+        total.merge(w);
     }
-    t
+    total
 }
 
 /// A [`TraceSink`] that folds the event stream into per-K-cycle
@@ -242,10 +310,10 @@ impl WindowedSink {
         }
     }
 
-    /// Per-reason stall-slot totals over every window so far — the
-    /// running form of [`WindowedSeries::total_stall_slots`].
-    pub fn total_stall_slots(&self) -> [u64; 7] {
-        stall_totals(&self.windows)
+    /// The column sums of every window so far — the running form of
+    /// [`WindowedSeries::total`].
+    pub fn total(&self) -> WindowRecord {
+        column_sums(&self.windows)
     }
 
     /// Finishes the run and yields the time-series.
@@ -266,58 +334,7 @@ impl Default for WindowedSink {
 
 impl TraceSink for WindowedSink {
     fn record(&mut self, event: &TraceEvent) {
-        let w = self.window(event.cycle());
-        match *event {
-            TraceEvent::Stage { stage, .. } => {
-                if stage == Stage::Retire {
-                    w.retired += 1;
-                }
-            }
-            TraceEvent::Steer { class, case, .. } => {
-                w.steer_cases[class.index()][case.index()] += 1;
-            }
-            TraceEvent::OperandSwap { kind, .. } => {
-                w.swaps[kind as usize] += 1;
-            }
-            TraceEvent::Energy {
-                class,
-                module,
-                bits,
-                ..
-            } => {
-                let c = class.index();
-                w.switched_bits[c] += bits as u64;
-                w.module_bits[c][(module as usize).min(MAX_MODULES - 1)] += bits as u64;
-                w.ops[c] += 1;
-            }
-            TraceEvent::Execute { .. } => {}
-            TraceEvent::Cache { hit, .. } => {
-                if hit {
-                    w.cache_hits += 1;
-                } else {
-                    w.cache_misses += 1;
-                }
-            }
-            TraceEvent::Branch {
-                taken, predicted, ..
-            } => {
-                w.branches += 1;
-                if taken != predicted {
-                    w.mispredicts += 1;
-                }
-            }
-            TraceEvent::Stall { reason, slots, .. } => {
-                w.stall_slots[reason.index()] += slots as u64;
-            }
-            // Dependence records feed critical-path extraction only;
-            // the interval series has no per-instruction columns.
-            TraceEvent::Dependence { .. } => {}
-            TraceEvent::CycleSummary { window, issued, .. } => {
-                w.cycles += 1;
-                w.issued += issued as u64;
-                w.occupancy_sum += window as u64;
-            }
-        }
+        self.window(event.cycle()).record(event);
     }
 }
 
@@ -349,70 +366,13 @@ impl WindowedSeries {
         &self.windows
     }
 
-    /// Per-class switched-bit totals summed over every window. By the
-    /// exactness invariant this equals the final `EnergyLedger`'s
-    /// per-class `switched_bits` exactly.
-    pub fn total_switched_bits(&self) -> [u64; 4] {
-        let mut t = [0u64; 4];
-        for w in &self.windows {
-            for (acc, v) in t.iter_mut().zip(w.switched_bits) {
-                *acc += v;
-            }
-        }
-        t
-    }
-
-    /// Per-class operation totals summed over every window (equals the
-    /// ledger's per-class `ops`).
-    pub fn total_ops(&self) -> [u64; 4] {
-        let mut t = [0u64; 4];
-        for w in &self.windows {
-            for (acc, v) in t.iter_mut().zip(w.ops) {
-                *acc += v;
-            }
-        }
-        t
-    }
-
-    /// Per-class × per-module switched-bit totals (equals the metrics
-    /// registry's `switched_bits.{class}.m{N}` counters).
-    pub fn total_module_bits(&self) -> [[u64; MAX_MODULES]; 4] {
-        let mut t = [[0u64; MAX_MODULES]; 4];
-        for w in &self.windows {
-            for (tc, wc) in t.iter_mut().zip(w.module_bits) {
-                for (acc, v) in tc.iter_mut().zip(wc) {
-                    *acc += v;
-                }
-            }
-        }
-        t
-    }
-
-    /// Per-reason stall-slot totals summed over every window, in
-    /// [`StallReason::ALL`] order. By the exact-partition invariant the
-    /// grand total equals `cycles × issue_width` — and equals the
-    /// matching [`StallSink`](crate::StallSink) totals bit-for-bit.
-    pub fn total_stall_slots(&self) -> [u64; 7] {
-        stall_totals(&self.windows)
-    }
-
-    /// Total retired instructions.
-    pub fn total_retired(&self) -> u64 {
-        self.windows.iter().map(|w| w.retired).sum()
-    }
-
-    /// Highest module index that saw traffic in `class`, or `None`.
-    fn max_module(&self, class: usize) -> Option<usize> {
-        self.windows
-            .iter()
-            .flat_map(|w| {
-                w.module_bits[class]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| **b > 0)
-                    .map(|(m, _)| m)
-            })
-            .max()
+    /// The column sums of every window: the record of the whole run.
+    /// By the exactness invariant its per-class `switched_bits()` and
+    /// `ops()` equal the final `EnergyLedger`'s, and its `stall_slots`
+    /// equal the matching [`StallSink`](crate::StallSink) totals, bit
+    /// for bit.
+    pub fn total(&self) -> WindowRecord {
+        column_sums(&self.windows)
     }
 
     /// Renders the series as CSV: one row per window, a fixed header of
@@ -420,11 +380,11 @@ impl WindowedSeries {
     /// that saw traffic (so the column set is a function of the machine
     /// configuration, not of the run length).
     pub fn to_csv(&self) -> String {
-        let module_cols: Vec<(usize, usize)> = FuClass::ALL
-            .iter()
-            .flat_map(|class| {
-                let c = class.index();
-                (0..=self.max_module(c).map_or(0, |m| m)).map(move |m| (c, m))
+        let total = self.total();
+        let module_cols: Vec<(usize, usize)> = (0..4)
+            .flat_map(|c| {
+                let last = total.module_bits[c].iter().rposition(|&b| b > 0);
+                (0..=last.unwrap_or(0)).map(move |m| (c, m))
             })
             .collect();
 
@@ -453,13 +413,13 @@ impl WindowedSeries {
                 "{i},{},{},{},{},{:.4},{:.4}",
                 i as u64 * self.window_cycles,
                 w.cycles,
-                w.retired,
+                w.retired(),
                 w.issued,
                 w.ipc(),
                 w.mean_occupancy(),
             ));
-            for c in 0..4 {
-                out.push_str(&format!(",{},{}", w.switched_bits[c], w.ops[c]));
+            for (bits, ops) in w.switched_bits().iter().zip(w.ops()) {
+                out.push_str(&format!(",{bits},{ops}"));
             }
             for &(c, m) in &module_cols {
                 out.push_str(&format!(",{}", w.module_bits[c][m]));
@@ -503,13 +463,14 @@ impl WindowedSeries {
         };
         for (i, w) in self.windows.iter().enumerate() {
             let ts = i as u64 * self.window_cycles;
+            let bits = w.switched_bits();
             events.push(counter(
                 "window.switched_bits",
                 ts,
                 Json::Obj(
                     FuClass::ALL
                         .iter()
-                        .map(|c| (c.to_string(), Json::UInt(w.switched_bits[c.index()])))
+                        .map(|c| (c.to_string(), Json::UInt(bits[c.index()])))
                         .collect(),
                 ),
             ));
@@ -584,12 +545,12 @@ impl ToJson for WindowedSeries {
                                 (
                                     "switched_bits",
                                     Json::Arr(
-                                        w.switched_bits.iter().map(|&b| Json::UInt(b)).collect(),
+                                        w.switched_bits().map(Json::UInt).to_vec(),
                                     ),
                                 ),
                                 (
                                     "ops",
-                                    Json::Arr(w.ops.iter().map(|&b| Json::UInt(b)).collect()),
+                                    Json::Arr(w.ops().map(Json::UInt).to_vec()),
                                 ),
                                 (
                                     "stall_slots",
@@ -597,7 +558,7 @@ impl ToJson for WindowedSeries {
                                         w.stall_slots.iter().map(|&s| Json::UInt(s)).collect(),
                                     ),
                                 ),
-                                ("retired", Json::UInt(w.retired)),
+                                ("retired", Json::UInt(w.retired())),
                                 ("issued", Json::UInt(w.issued)),
                                 ("cycles", Json::UInt(w.cycles)),
                                 ("ipc", Json::Float(w.ipc())),
@@ -637,8 +598,8 @@ mod tests {
         sink.record(&energy(10, FuClass::FpAlu, 0, 5));
         let series = sink.into_series();
         assert_eq!(series.len(), 2);
-        assert_eq!(series.windows()[0].switched_bits[0], 7);
-        assert_eq!(series.windows()[1].switched_bits[FuClass::FpAlu.index()], 5);
+        assert_eq!(series.windows()[0].switched_bits()[0], 7);
+        assert_eq!(series.windows()[1].switched_bits()[FuClass::FpAlu.index()], 5);
     }
 
     #[test]
@@ -656,36 +617,30 @@ mod tests {
         sink.record(&energy(955, FuClass::IntAlu, 2, 6));
         let series = sink.into_series();
         assert_eq!(series.len(), 10);
-        assert_eq!(series.windows()[3].switched_bits[0], 8);
-        assert_eq!(series.windows()[9].switched_bits[0], 6);
-        assert_eq!(series.total_switched_bits(), [14, 0, 0, 0]);
+        assert_eq!(series.windows()[3].switched_bits()[0], 8);
+        assert_eq!(series.windows()[9].switched_bits()[0], 6);
+        assert_eq!(series.total().switched_bits(), [14, 0, 0, 0]);
     }
 
     #[test]
     fn totals_sum_every_window_exactly() {
         let mut sink = WindowedSink::new(7);
-        let mut expect_bits = [0u64; 4];
-        let mut expect_ops = [0u64; 4];
+        let mut expect_bits = [[0u64; MAX_MODULES]; 4];
+        let mut expect_ops = [[0u64; MAX_MODULES]; 4];
         // A deterministic pseudo-stream across all classes and modules.
         for i in 0..1000u64 {
             let class = FuClass::ALL[(i % 4) as usize];
             let module = (i % 5) as u8;
             let bits = (i * 7 % 33) as u32;
             sink.record(&energy(i * 3 % 400, class, module, bits));
-            expect_bits[class.index()] += bits as u64;
-            expect_ops[class.index()] += 1;
+            expect_bits[class.index()][module as usize] += bits as u64;
+            expect_ops[class.index()][module as usize] += 1;
         }
-        let series = sink.into_series();
-        assert_eq!(series.total_switched_bits(), expect_bits);
-        assert_eq!(series.total_ops(), expect_ops);
-        let module_totals = series.total_module_bits();
-        for c in 0..4 {
-            assert_eq!(
-                module_totals[c].iter().sum::<u64>(),
-                expect_bits[c],
-                "module partition of class {c}"
-            );
-        }
+        let total = sink.into_series().total();
+        assert_eq!(total.module_bits, expect_bits);
+        assert_eq!(total.module_ops, expect_ops);
+        assert_eq!(total.switched_bits()[1], expect_bits[1].iter().sum::<u64>());
+        assert_eq!(total.ops(), [250; 4]);
     }
 
     #[test]
@@ -708,7 +663,7 @@ mod tests {
         let w = &series.windows()[0];
         assert_eq!(w.cycles, 4);
         assert_eq!(w.issued, 8);
-        assert_eq!(w.retired, 4);
+        assert_eq!(w.retired(), 4);
         assert!((w.ipc() - 1.0).abs() < 1e-12);
         assert!((w.mean_occupancy() - 6.0).abs() < 1e-12);
     }
@@ -812,7 +767,7 @@ mod tests {
             series.windows()[0].stall_slots[StallReason::FetchStarved.index()],
             9
         );
-        let totals = series.total_stall_slots();
+        let totals = series.total().stall_slots;
         assert_eq!(totals[StallReason::Issued.index()], 1);
         assert_eq!(totals[StallReason::OperandWait.index()], 2);
         assert_eq!(totals.iter().sum::<u64>(), 12);
@@ -870,7 +825,7 @@ mod tests {
             series.windows()[0].module_bits[FuClass::IntMul.index()][MAX_MODULES - 1],
             7
         );
-        assert_eq!(series.total_switched_bits()[FuClass::IntMul.index()], 7);
+        assert_eq!(series.total().switched_bits()[FuClass::IntMul.index()], 7);
     }
 
     #[test]
@@ -929,7 +884,7 @@ mod tests {
         short.merge(&long);
         let series = short.into_series();
         assert_eq!(series.len(), 10);
-        assert_eq!(series.total_switched_bits(), [5, 0, 0, 0]);
+        assert_eq!(series.total().switched_bits(), [5, 0, 0, 0]);
     }
 
     #[test]

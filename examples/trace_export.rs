@@ -43,11 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {event:?}");
     }
 
-    let registry = recorder.into_registry();
-    println!("\nmetrics snapshot:\n{registry}");
+    println!("\nmetrics snapshot:\n{recorder}");
 
     // The metrics partition the energy ledger exactly.
-    let recorded = registry.sum_counters(&format!("switched_bits.{}.", FuClass::IntAlu));
+    let recorded: u64 = recorder.totals().module_bits[FuClass::IntAlu.index()]
+        .iter()
+        .sum();
     assert_eq!(recorded, result.ledger.switched_bits(FuClass::IntAlu));
     println!("per-module counters sum to the IALU ledger total: {recorded} switched bits");
     Ok(())

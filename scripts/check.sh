@@ -274,16 +274,14 @@ mkdir -p "$outdir"
 # regression fails with its own headline. Then the binary (which always
 # installs the counting allocator) must produce a harness-report whose
 # stdout is byte-identical between --jobs 1 and --jobs 4 while emitting
-# the Perfetto timeline, folded stacks and OpenMetrics exposition.
+# the Perfetto timeline and folded stacks.
 cargo test -q --test alloc_gate
 (
   cd "$outdir"
   "$repo/target/release/fua" harness-report --jobs 1 \
-    --out harness-timeline.json --openmetrics harness.om \
-    --flame harness.folded > harness-serial.txt
+    --out harness-timeline.json --flame harness.folded > harness-serial.txt
   "$repo/target/release/fua" harness-report --jobs 4 > harness-parallel.txt
   cmp harness-serial.txt harness-parallel.txt
   grep -q "alloc(s)" harness-serial.txt
-  grep -q "# EOF" harness.om
 )
 echo "all checks passed"

@@ -52,7 +52,6 @@ pub struct Options {
     pub store: bool,
     pub store_dir: Option<String>,
     pub progress: bool,
-    pub openmetrics: Option<String>,
 }
 
 impl Options {
@@ -179,7 +178,7 @@ pub const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("report", "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
     ("store", "--store-dir"),
     ("trends", "--json --store-dir"),
-    ("harness-report", "--limit --scale --jobs --json --out --flame --openmetrics --progress"),
+    ("harness-report", "--limit --scale --jobs --json --out --flame --progress"),
 ];
 
 /// Whether a space-separated flag list holds `flag`.
@@ -267,7 +266,7 @@ pub fn help() {
          \x20                         arena-pool traffic and allocation counts\n\
          \x20                         (stdout is byte-identical for every --jobs N;\n\
          \x20                         wall-clock views go to the side files:\n\
-         \x20                         --openmetrics, --flame, --out for Perfetto)\n\
+         \x20                         --flame, --out for Perfetto)\n\
          \n\
          options (the table after them lists the flags each command reads):\n\
          \x20 --limit <N>     retired-instruction cap per run\n\
@@ -317,9 +316,6 @@ pub fn help() {
          \x20                 (elapsed, stage, cells done/total, eta) plus a\n\
          \x20                 per-stage worker-utilization summary; stdout and\n\
          \x20                 artifacts are byte-identical with or without it\n\
-         \x20 --openmetrics <FILE>  write harness metrics (worker utilization,\n\
-         \x20                 queue-depth histogram, imbalance, allocations) as\n\
-         \x20                 an OpenMetrics text exposition\n\
          \x20 --version, -V   print the version and exit\n\
          \x20 --help, -h      print this help and exit\n\
          \n\
@@ -386,7 +382,6 @@ pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> 
         store: false,
         store_dir: None,
         progress: false,
-        openmetrics: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -470,10 +465,6 @@ pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> 
                 opts.store_dir = Some(v.clone());
             }
             "--progress" => opts.progress = true,
-            "--openmetrics" => {
-                let v = it.next().ok_or("--openmetrics needs a file path")?;
-                opts.openmetrics = Some(v.clone());
-            }
             other => return Err(format!("unknown option: {other}")),
         }
     }

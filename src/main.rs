@@ -37,7 +37,7 @@ use fua::report::{
 };
 use fua::sim::{MachineConfig, Simulator};
 use fua::store::{IndexEntry, Store};
-use fua::trace::MetricsRegistry;
+use fua::trace::MetricsRecorder;
 use fua::workloads::Workload;
 
 // Every allocation in the binary routes through the counting wrapper,
@@ -85,7 +85,7 @@ fn unit_metrics(
     units: &[Unit],
     cfg: &ExperimentConfig,
     opts: &Options,
-) -> Vec<(Unit, MetricsRegistry)> {
+) -> Vec<(Unit, MetricsRecorder)> {
     if !opts.metrics {
         return Vec::new();
     }
@@ -97,11 +97,11 @@ fn unit_metrics(
 
 /// Prints a report as JSON or as its text rendering. With metrics, JSON
 /// output wraps the report as `{"report": ..., "metrics": {...}}` and
-/// text output appends the rendered registries.
+/// text output appends the rendered recorders.
 fn emit<T: ToJson>(
     value: &T,
     render: impl FnOnce(&T) -> String,
-    metrics: &[(Unit, MetricsRegistry)],
+    metrics: &[(Unit, MetricsRecorder)],
     json: bool,
 ) -> CmdResult {
     if json && metrics.is_empty() {
@@ -117,8 +117,8 @@ fn emit<T: ToJson>(
         println!("{}", doc.pretty());
     } else {
         println!("{}", render(value));
-        for (unit, registry) in metrics {
-            println!("\nmetrics — {unit} suite under 4-bit LUT + hardware swap:\n{registry}");
+        for (unit, recorder) in metrics {
+            println!("\nmetrics — {unit} suite under 4-bit LUT + hardware swap:\n{recorder}");
         }
     }
     Ok(true)
@@ -205,7 +205,6 @@ fn cmd_trace(name: &str, opts: &Options) -> CmdResult {
         .run_program(&w.program, limit)
         .map_err(|e| e.to_string())?;
     let (chrome, (ring, (recorder, windowed))) = sim.into_sink();
-    let registry = recorder.into_registry();
     let series = windowed.into_series();
 
     // Progress lines go to stderr; stdout stays machine-clean for
@@ -243,7 +242,7 @@ fn cmd_trace(name: &str, opts: &Options) -> CmdResult {
     }
 
     if opts.metrics {
-        println!("\nmetrics:\n{registry}");
+        println!("\nmetrics:\n{recorder}");
     } else {
         eprintln!(
             "(--metrics prints the counter/histogram snapshot; \
@@ -658,8 +657,7 @@ fn cmd_trends(opts: &Options) -> CmdResult {
 /// [`HarnessReport`]). Stdout carries only model-deterministic figures
 /// and is byte-identical for every `--jobs N`; everything wall-clock
 /// goes to stderr and the opt-in side files: `--out` (Perfetto
-/// timeline), `--flame` (folded stacks), `--openmetrics` (text
-/// exposition).
+/// timeline) and `--flame` (folded stacks).
 fn cmd_harness_report(opts: &Options) -> CmdResult {
     let cfg = bench_config(opts);
     let workloads = fua::workloads::all(cfg.scale);
@@ -681,14 +679,6 @@ fn cmd_harness_report(opts: &Options) -> CmdResult {
     if let Some(path) = &opts.flame {
         write_file(path, report.folded_stacks())?;
         eprintln!("harness-report: wrote folded stacks to {path}");
-    }
-    if let Some(path) = &opts.openmetrics {
-        let reg = report.metrics();
-        write_file(path, fua::trace::render_openmetrics(&reg))?;
-        eprintln!(
-            "harness-report: wrote OpenMetrics exposition to {path} ({} metric(s))",
-            reg.len()
-        );
     }
     Ok(true)
 }

@@ -346,11 +346,11 @@ const COMMAND_FLAGS: &[(&[&str], &str)] = &[
     (&["report"], "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
     (&["store", "ls"], "--store-dir"),
     (&["trends"], "--json --store-dir"),
-    (&["harness-report"], "--limit --scale --jobs --json --out --flame --openmetrics --progress"),
+    (&["harness-report"], "--limit --scale --jobs --json --out --flame --progress"),
 ];
 
 /// Every flag, followed by valid values.
-const FLAGS: [&str; 23] = [
+const FLAGS: [&str; 22] = [
     "--limit 5",
     "--scale 1",
     "--jobs 1",
@@ -373,7 +373,6 @@ const FLAGS: [&str; 23] = [
     "--store",
     "--store-dir s",
     "--progress",
-    "--openmetrics t.om",
 ];
 
 #[test]

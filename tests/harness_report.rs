@@ -3,8 +3,8 @@
 //! The report's stdout is derived only from deterministic model state,
 //! so it must be byte-identical across worker counts; the measured
 //! timing lives on stderr and in side files. The side files must be
-//! well-formed: the OpenMetrics exposition ends with `# EOF` and the
-//! Perfetto timeline parses as JSON with worker thread tracks.
+//! well-formed: the Perfetto timeline parses as JSON with worker thread
+//! tracks, and the folded stacks carry one frame path per line.
 
 use std::path::Path;
 use std::process::Command;
@@ -104,8 +104,6 @@ fn side_files_are_well_formed() {
             "2",
             "--out",
             "timeline.json",
-            "--openmetrics",
-            "harness.om",
             "--flame",
             "harness.folded",
         ],
@@ -115,16 +113,6 @@ fn side_files_are_well_formed() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    // OpenMetrics text exposition: ends with the mandated EOF marker and
-    // declares the queue-depth histogram.
-    let om = std::fs::read_to_string(tmp.0.join("harness.om")).expect("openmetrics written");
-    assert!(om.ends_with("# EOF\n"), "exposition must end with # EOF");
-    assert!(
-        om.contains("# TYPE fua_harness_queue_depth histogram"),
-        "{om}"
-    );
-    assert!(om.contains("fua_harness_busy_nanos"), "{om}");
 
     // Perfetto timeline: parses as JSON, and every worker span rides a
     // named thread track.

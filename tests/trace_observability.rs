@@ -24,11 +24,10 @@ fn identical_runs_trace_identically() {
             (RingBufferSink::default(), MetricsRecorder::new()),
         );
         sim.run_program(&w.program, LIMIT).expect("runs");
-        let (ring, recorder) = sim.into_sink();
-        (ring, recorder.into_registry())
+        sim.into_sink()
     };
-    let (ring_a, registry_a) = run();
-    let (ring_b, registry_b) = run();
+    let (ring_a, recorder_a) = run();
+    let (ring_b, recorder_b) = run();
     assert_eq!(ring_a.recorded(), ring_b.recorded());
     assert_eq!(
         ring_a.events(),
@@ -36,8 +35,8 @@ fn identical_runs_trace_identically() {
         "same seed must give byte-identical ring contents"
     );
     assert_eq!(
-        registry_a.to_json().pretty(),
-        registry_b.to_json().pretty(),
+        recorder_a.to_json().pretty(),
+        recorder_b.to_json().pretty(),
         "same seed must give identical metrics snapshots"
     );
 }
@@ -74,50 +73,40 @@ fn metrics_agree_with_the_architectural_counters() {
         MetricsRecorder::new(),
     );
     let result = sim.run_program(&w.program, LIMIT).expect("runs");
-    let registry = sim.into_sink().into_registry();
+    let t = *sim.into_sink().totals();
 
     // Per-module energy counters partition the ledger exactly.
     for class in FuClass::ALL {
+        let c = class.index();
         assert_eq!(
-            registry.sum_counters(&format!("switched_bits.{class}.")),
+            t.module_bits[c].iter().sum::<u64>(),
             result.ledger.switched_bits(class),
             "{class}: switched bits"
         );
         assert_eq!(
-            registry.sum_counters(&format!("ops.{class}.")),
+            t.module_ops[c].iter().sum::<u64>(),
             result.ledger.ops(class),
             "{class}: op counts"
         );
     }
     // Steering decisions cover every op issued to the duplicated IALU.
     assert_eq!(
-        registry.sum_counters("steer.IALU.case"),
+        t.steer_cases[FuClass::IntAlu.index()].iter().sum::<u64>(),
         result.ledger.ops(FuClass::IntAlu)
     );
-    assert_eq!(registry.counter_value("stage.retire"), Some(result.retired));
+    assert_eq!(t.retired(), result.retired);
+    assert_eq!(t.cycles, result.cycles);
     assert_eq!(
-        registry.counter_value("cache.hits"),
-        Some(result.cache.hits)
+        (t.cache_hits, t.cache_misses),
+        (result.cache.hits, result.cache.misses)
     );
     assert_eq!(
-        registry.counter_value("cache.misses"),
-        Some(result.cache.misses)
+        (t.branches, t.mispredicts),
+        (result.branches.branches, result.branches.mispredicts)
     );
     assert_eq!(
-        registry.counter_value("branch.executed"),
-        Some(result.branches.branches)
-    );
-    assert_eq!(
-        registry.counter_value("branch.mispredicted"),
-        Some(result.branches.mispredicts)
-    );
-    assert_eq!(
-        registry.counter_value("swaps.rule"),
-        Some(result.swaps.rule_swaps)
-    );
-    assert_eq!(
-        registry.counter_value("swaps.policy"),
-        Some(result.swaps.policy_swaps)
+        t.swaps,
+        [result.swaps.rule_swaps, result.swaps.policy_swaps]
     );
 }
 

@@ -1,11 +1,11 @@
 //! Integration: interval telemetry must be *exact* — the windowed
-//! time-series is a partition of the run, so its column sums must
-//! reproduce the final `EnergyLedger` and the metrics-registry totals
-//! bit-for-bit, for every steering scheme × swap variant. And like every
-//! other sink, windowing must not perturb the simulation.
+//! time-series is a partition of the run, so its column sums must equal
+//! the metrics recorder's whole-run record, and both must reproduce the
+//! final `EnergyLedger` bit-for-bit, for every steering scheme × swap
+//! variant. And like every other sink, windowing must not perturb the
+//! simulation.
 
 use fua::core::{observed_scheme, ExperimentConfig};
-use fua::isa::FuClass;
 use fua::power::EnergyLedger;
 use fua::sim::{Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
@@ -42,41 +42,24 @@ fn windowed_sums_equal_ledger_and_metrics_for_every_scheme_and_swap() {
                 ledger.merge(&result.ledger);
                 (sink, recorder) = sim.into_sink();
             }
-            let registry = recorder.into_registry();
-            let series = sink.into_series();
+            let totals = *recorder.totals();
 
-            // Exactness against the simulator's own energy ledger.
-            let mut reassembled = EnergyLedger::new();
-            reassembled.accumulate(series.total_switched_bits(), series.total_ops());
+            // The windows partition the run: every column sums to the
+            // recorder's whole-run record.
             assert_eq!(
-                reassembled, ledger,
-                "{kind:?} hw_swap={hw_swap}: windowed sums must reproduce the ledger"
+                sink.into_series().total(),
+                totals,
+                "{kind:?} hw_swap={hw_swap}: windowed sums must equal the recorder"
             );
 
-            // Exactness against the metrics-registry totals.
-            for class in FuClass::ALL {
-                assert_eq!(
-                    registry.sum_counters(&format!("switched_bits.{class}.")),
-                    series.total_switched_bits()[class.index()],
-                    "{kind:?} hw_swap={hw_swap} {class}: switched bits vs metrics"
-                );
-                assert_eq!(
-                    registry.sum_counters(&format!("ops.{class}.")),
-                    series.total_ops()[class.index()],
-                    "{kind:?} hw_swap={hw_swap} {class}: op counts vs metrics"
-                );
-            }
-
-            // The per-module split must itself re-sum to the per-class
-            // totals (the windows partition by module and by window).
-            for class in FuClass::ALL {
-                let module_sum: u64 = series.total_module_bits()[class.index()].iter().sum();
-                assert_eq!(
-                    module_sum,
-                    series.total_switched_bits()[class.index()],
-                    "{kind:?} hw_swap={hw_swap} {class}: module split"
-                );
-            }
+            // Exactness against the simulator's own energy ledger: the
+            // record's per-module bits and ops, summed per class.
+            let mut reassembled = EnergyLedger::new();
+            reassembled.accumulate(totals.switched_bits(), totals.ops());
+            assert_eq!(
+                reassembled, ledger,
+                "{kind:?} hw_swap={hw_swap}: the record must reproduce the ledger"
+            );
         }
     }
 }
@@ -104,9 +87,10 @@ fn windowing_does_not_perturb_the_simulation() {
 
         let series = windowed.into_sink().into_series();
         assert!(!series.is_empty(), "{name}: windows recorded");
-        assert_eq!(series.total_retired(), b.retired, "{name}: retired sum");
+        let total = series.total();
+        assert_eq!(total.retired(), b.retired, "{name}: retired sum");
         let mut reassembled = EnergyLedger::new();
-        reassembled.accumulate(series.total_switched_bits(), series.total_ops());
+        reassembled.accumulate(total.switched_bits(), total.ops());
         assert_eq!(reassembled, b.ledger, "{name}: ledger reassembly");
     }
 }
