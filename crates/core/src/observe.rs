@@ -123,9 +123,8 @@ mod tests {
         assert!(totals.retired() > 0, "suite must retire instructions");
         // Every steered IALU op charges the ledger exactly once, so the
         // per-module energy counters must be non-trivial too.
-        let c = FuClass::IntAlu.index();
         assert!(
-            totals.module_bits[c].iter().sum::<u64>() > 0,
+            totals.switched_bits()[FuClass::IntAlu.index()] > 0,
             "IALU switched-bit counters must accumulate"
         );
         // Every run summarises each of its cycles once, so the suite's

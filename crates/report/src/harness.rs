@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use fua_core::ExperimentConfig;
-use fua_exec::{heartbeat_stage, map_indexed_timed, ExecReport, Jobs};
+use fua_exec::{heartbeat_stage, map_indexed, map_indexed_timed, ExecReport, Jobs};
 use fua_obs::{AllocSnapshot, ArenaCounters, ArenaEvent, HarnessSpan};
 use fua_trace::{HarnessTimeline, Json, TextTable, ToJson};
 use fua_workloads::Workload;
@@ -63,7 +63,7 @@ impl HarnessReport {
         heartbeat_stage("harness-report: serial pass");
         let arena_before = fua_obs::arena_counters();
         let alloc_before = fua_obs::alloc_snapshot();
-        let (serial_cells, _) = map_indexed_timed(Jobs::serial(), workloads, cell);
+        let serial_cells = map_indexed(Jobs::serial(), workloads, cell);
         let allocations = fua_obs::alloc_snapshot().delta(&alloc_before);
         let serial_arena = fua_obs::arena_counters().delta(&arena_before);
 

@@ -82,22 +82,6 @@ impl MetricsRecorder {
         &self.totals
     }
 
-    /// The switched-bit distribution of `class`'s module `module` (past
-    /// [`MAX_MODULES`], the last slot's).
-    pub fn hamming(&self, class: FuClass, module: u8) -> &Histogram {
-        &self.hamming[class.index()][module_slot(module)]
-    }
-
-    /// The end-of-cycle instruction-window occupancy distribution.
-    pub fn occupancy(&self) -> &Histogram {
-        &self.occupancy
-    }
-
-    /// The per-cycle issue-width distribution.
-    pub fn issue_width(&self) -> &Histogram {
-        &self.issue_width
-    }
-
     /// Every metric, named, in rendering order.
     fn metrics(&self) -> Vec<(String, Value<'_>)> {
         let t = &self.totals;
@@ -257,7 +241,7 @@ mod tests {
         assert_eq!(t.module_bits[c][..2], [8, 7]);
         assert_eq!(t.module_ops[c][..2], [2, 1]);
         assert_eq!(t.switched_bits()[c], 15);
-        let ham = rec.hamming(FuClass::IntAlu, 0);
+        let ham = &rec.hamming[c][0];
         assert_eq!((ham.count(), ham.sum()), (2, 8));
     }
 
@@ -334,8 +318,8 @@ mod tests {
             });
         }
         assert_eq!(rec.totals().stages[Stage::Fetch as usize], 1);
-        assert_eq!(rec.occupancy().count(), 10);
-        assert_eq!(rec.issue_width().sum(), 20);
+        assert_eq!(rec.occupancy.count(), 10);
+        assert_eq!(rec.issue_width.sum(), 20);
         let json = rec.to_json().pretty();
         assert!(json.contains("\"cycles\": 10"));
     }

@@ -103,7 +103,7 @@ pub struct WindowRecord {
 
 impl WindowRecord {
     /// The record of no events.
-    pub const ZERO: WindowRecord = WindowRecord {
+    pub(crate) const ZERO: WindowRecord = WindowRecord {
         module_bits: [[0; MAX_MODULES]; 4],
         module_ops: [[0; MAX_MODULES]; 4],
         steer_cases: [[0; 4]; 4],
@@ -544,14 +544,9 @@ impl ToJson for WindowedSeries {
                             Json::obj([
                                 (
                                     "switched_bits",
-                                    Json::Arr(
-                                        w.switched_bits().map(Json::UInt).to_vec(),
-                                    ),
+                                    Json::Arr(w.switched_bits().map(Json::UInt).to_vec()),
                                 ),
-                                (
-                                    "ops",
-                                    Json::Arr(w.ops().map(Json::UInt).to_vec()),
-                                ),
+                                ("ops", Json::Arr(w.ops().map(Json::UInt).to_vec())),
                                 (
                                     "stall_slots",
                                     Json::Arr(
@@ -599,7 +594,10 @@ mod tests {
         let series = sink.into_series();
         assert_eq!(series.len(), 2);
         assert_eq!(series.windows()[0].switched_bits()[0], 7);
-        assert_eq!(series.windows()[1].switched_bits()[FuClass::FpAlu.index()], 5);
+        assert_eq!(
+            series.windows()[1].switched_bits()[FuClass::FpAlu.index()],
+            5
+        );
     }
 
     #[test]
