@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use fua_analysis::Cfg;
 use fua_exec::{map_indexed, Jobs};
 use fua_isa::Program;
-use fua_sim::{MachineConfig, NullProfiler, SimResult};
+use fua_sim::{MachineConfig, SimResult};
 use fua_trace::{DepSink, Json, StallKey, StallReason, StallSink, TextTable, ToJson};
 use fua_workloads::Workload;
 
@@ -686,13 +686,12 @@ impl ExactPartition for CycleProfiledRun {
 pub fn profile_cycles_workload(w: &Workload, scheme: Scheme, limit: u64) -> CycleProfiledRun {
     let machine = MachineConfig::paper_default();
     let issue_width = machine.issue_width() as u64;
-    let (mut runs, (stall_sink, dep_sink), _) = attribute_schemes(
+    let (mut runs, (stall_sink, dep_sink)) = attribute_schemes(
         w,
         machine,
         &[scheme],
         limit,
         (StallSink::new(), DepSink::new()),
-        NullProfiler,
     );
     let run = runs.pop().expect("one run per scheme");
     let (result, energy) = (run.result, run.attribution);

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use fua_analysis::{estimate_transitions, SwapModel, TransitionEstimate};
 use fua_exec::{map_indexed, Jobs};
 use fua_isa::FuClass;
-use fua_sim::{MachineConfig, NullProfiler};
+use fua_sim::MachineConfig;
 use fua_trace::{Json, NullSink, TextTable, ToJson};
 use fua_workloads::Workload;
 
@@ -214,7 +214,7 @@ pub fn check_suite(
 ) -> Vec<Vec<EstimateCheck>> {
     let per_workload = map_indexed(jobs, workloads, |_, w| {
         let machine = MachineConfig::paper_default();
-        let (runs, ..) = attribute_schemes(w, machine, schemes, limit, NullSink, NullProfiler);
+        let (runs, _) = attribute_schemes(w, machine, schemes, limit, NullSink);
         check_runs(w, schemes, &runs)
     });
     (0..schemes.len())

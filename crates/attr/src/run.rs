@@ -5,9 +5,7 @@
 use fua_analysis::SwapModel;
 use fua_exec::{map_indexed, Jobs};
 use fua_isa::FuClass;
-use fua_sim::{
-    Lane, MachineConfig, NullProfiler, PhaseProfiler, SimResult, Simulator, SteeringConfig,
-};
+use fua_sim::{Lane, MachineConfig, NullProfiler, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
 use fua_trace::{Json, MetricsRecorder, NullSink, TextTable, ToJson, TraceSink};
 use fua_workloads::{Category, Workload};
@@ -190,7 +188,7 @@ impl ExactPartition for AttributedRun {
 /// Panics if the workload program faults (workload kernels never do).
 pub fn attribute_workload(w: &Workload, scheme: Scheme, limit: u64) -> AttributedRun {
     let machine = MachineConfig::paper_default();
-    attribute_schemes(w, machine, &[scheme], limit, NullSink, NullProfiler)
+    attribute_schemes(w, machine, &[scheme], limit, NullSink)
         .0
         .pop()
         .expect("one run per scheme")
@@ -198,28 +196,27 @@ pub fn attribute_workload(w: &Workload, scheme: Scheme, limit: u64) -> Attribute
 
 /// Runs one workload once on `machine` with a steering lane per scheme
 /// in `schemes`, each with its own [`AttributionSink`], and returns one
-/// attributed run per scheme, in `schemes` order, with `sink` and
-/// `profiler`, which ride the run as in [`Simulator::run_lanes`].
+/// attributed run per scheme, in `schemes` order, with `sink`, which
+/// rides the engine as in [`Simulator::run_lanes`].
 /// Steering never moves timing, so each run equals a standalone
 /// attributed run under its scheme.
 ///
 /// # Panics
 ///
 /// Panics if the workload program faults (workload kernels never do).
-pub fn attribute_schemes<S: TraceSink, P: PhaseProfiler>(
+pub fn attribute_schemes<S: TraceSink>(
     w: &Workload,
     machine: MachineConfig,
     schemes: &[Scheme],
     limit: u64,
     sink: S,
-    profiler: P,
-) -> (Vec<AttributedRun>, S, P) {
+) -> (Vec<AttributedRun>, S) {
     let mut lanes: Vec<Lane<AttributionSink>> = schemes
         .iter()
         .map(|s| Lane::with_sink(&machine, s.config(), AttributionSink::new()))
         .collect();
-    let (results, sink, profiler) =
-        Simulator::run_lanes(machine, sink, profiler, &mut lanes, &w.program, limit)
+    let (results, sink, _) =
+        Simulator::run_lanes(machine, sink, NullProfiler, &mut lanes, &w.program, limit)
             .unwrap_or_else(|e| panic!("workload {} faulted: {e}", w.name));
     let runs = lanes
         .iter()
@@ -230,7 +227,7 @@ pub fn attribute_schemes<S: TraceSink, P: PhaseProfiler>(
             attribution: EnergyAttribution::build(w.name, scheme.label(), &w.program, lane.sink()),
         })
         .collect();
-    (runs, sink, profiler)
+    (runs, sink)
 }
 
 /// Attributes every workload in `workloads` under every scheme in
@@ -247,7 +244,7 @@ pub fn attribute_suite(
 ) -> Vec<Vec<AttributedRun>> {
     let mut per_workload = map_indexed(jobs, workloads, |_, w| {
         let machine = MachineConfig::paper_default();
-        attribute_schemes(w, machine, schemes, limit, NullSink, NullProfiler)
+        attribute_schemes(w, machine, schemes, limit, NullSink)
             .0
             .into_iter()
     });

@@ -1,10 +1,10 @@
 //! BENCH artifacts: one durable, diffable JSON ledger per suite run.
 //!
 //! [`bench_suite_jobs`] runs the paper's quick experiment suite end to end —
-//! one phase-timed, windowed observation run per workload with a lane
-//! per scheme (the Table-1/2 statistics, telemetry, attribution, stall
-//! and estimator digests), the Figure-4 scheme sweep for both
-//! duplicated units, and an untraced rate pass — and packages
+//! one windowed observation run per workload with a lane per scheme
+//! (the Table-1/2 statistics, telemetry, attribution, stall and
+//! estimator digests), the Figure-4 scheme sweep for both duplicated
+//! units, and an untraced rate pass — and packages
 //! everything, with its [`RunManifest`], into a [`BenchReport`]
 //! serialised as `BENCH_<tag>.json`. The observation run also *proves*
 //! the interval-telemetry exactness invariant on the spot: the
@@ -18,7 +18,7 @@ use fua_attr::{
 };
 use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_power::EnergyLedger;
-use fua_sim::{MachineConfig, PhaseTimers, SimPhase, Simulator};
+use fua_sim::{MachineConfig, Simulator};
 use fua_trace::{Json, StallReason, ToJson, WindowedSink};
 use fua_workloads::{Workload, WorkloadArena};
 
@@ -34,7 +34,7 @@ use crate::{
 
 /// The artifact schema identifier, the only one this build reads; bump
 /// it on any change to the artifact's shape. Every section is required.
-pub const BENCH_SCHEMA: &str = "fua-bench/1.7";
+pub const BENCH_SCHEMA: &str = "fua-bench/1.8";
 
 /// Hotspots recorded in the artifact's `attribution` section (the
 /// suite-wide top-N by switched bits).
@@ -165,8 +165,8 @@ pub struct StallSummary {
 /// observation run's cycle/instruction totals exactly (the engine is
 /// deterministic; `bench_suite_jobs` asserts it), so only the
 /// denominator is measurement. The derived MHz varies run to run and
-/// machine to machine; [`compare`](crate::compare) treats it like the
-/// phase timers: only a gross slowdown is gated, never banded drift.
+/// machine to machine; [`compare`](crate::compare) gates only a gross
+/// slowdown of it, never banded drift.
 /// `docs/PERFORMANCE.md` documents the methodology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThroughputSummary {
@@ -349,18 +349,6 @@ pub struct HarnessSummary {
     pub arena_fresh: u64,
 }
 
-/// Per-phase wall-clock of the observation run (every lane's steering
-/// included), in nanoseconds, in [`SimPhase::ALL`] order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseNanos(pub [u64; 5]);
-
-impl PhaseNanos {
-    /// Nanoseconds for one phase.
-    pub fn of(&self, phase: SimPhase) -> u64 {
-        self.0[phase as usize]
-    }
-}
-
 /// A complete `BENCH_<tag>.json` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -382,8 +370,6 @@ pub struct BenchReport {
     pub ialu_occupancy: Vec<f64>,
     /// Table-2 row 2: the FPAU occupancy distribution.
     pub fpau_occupancy: Vec<f64>,
-    /// Wall-clock per simulator hot-loop phase (observation run).
-    pub phase_nanos: PhaseNanos,
     /// Windowed-telemetry summary and exactness verdict.
     pub telemetry: TelemetrySummary,
     // The six sections below are required in every parsed artifact.
@@ -409,15 +395,15 @@ pub struct BenchReport {
 /// decode-once [`WorkloadArena`] ([`Jobs::serial`] is `--jobs 1`).
 ///
 /// The model metrics (figures, tables) are deterministic — two runs
-/// under the same manifest produce identical values; only `phase_nanos`
-/// and the `parallel` section are wall-clock and vary run to run.
+/// under the same manifest produce identical values; only the measured
+/// fields (the rate pass's `hot_nanos`, the `parallel` and `harness`
+/// sections) vary run to run.
 ///
-/// Each cell runs with its own [`WindowedSink`], [`PhaseTimers`] and
-/// [`EnergyLedger`]; the calling thread merges them **in cell-index
-/// order**, so every model metric in the artifact — and therefore every
-/// rendered table and export derived from it — is byte-identical to the
-/// serial run for any worker count. Only the `parallel` section (and
-/// `phase_nanos`, already wall-clock) reflects the fan-out.
+/// Each cell runs with its own [`WindowedSink`] and [`EnergyLedger`];
+/// the calling thread merges them **in cell-index order**, so every
+/// model metric in the artifact — and therefore every rendered table
+/// and export derived from it — is byte-identical to the serial run for
+/// any worker count. Only the `parallel` section reflects the fan-out.
 pub fn bench_suite_jobs(
     tag: &str,
     config: &ExperimentConfig,
@@ -456,7 +442,6 @@ pub fn bench_suite_jobs(
     // i covers the same interval in every cell).
     let issue_width = config.machine.issue_width() as u64;
     let mut sink = WindowedSink::new(window_cycles);
-    let mut timers = PhaseTimers::new();
     let mut ledger = EnergyLedger::new();
     let mut attr_ledger = EnergyLedger::new();
     let mut attr_exact = true;
@@ -467,7 +452,6 @@ pub fn bench_suite_jobs(
     for o in &observations {
         let (attribution, l) = (&o.observed.attribution, &o.observed.result.ledger);
         let cycles = o.observed.result.cycles;
-        timers.merge(&o.timers);
         ledger.merge(l);
         retired_total += o.observed.result.retired;
         // The stall partition must be exact per workload *and* in
@@ -606,7 +590,6 @@ pub fn bench_suite_jobs(
         },
         ialu_occupancy: profile.ialu_occupancy.distribution(),
         fpau_occupancy: profile.fpau_occupancy.distribution(),
-        phase_nanos: PhaseNanos(timers.nanos()),
         telemetry,
         throughput: Some(throughput),
         attribution: Some(attribution),
@@ -659,13 +642,11 @@ struct Observation {
     /// Every lane's estimator check, in [`OBSERVED_LANES`] order.
     checks: Vec<EstimateCheck>,
     windowed: WindowedSink,
-    timers: PhaseTimers,
 }
 
 /// Runs every workload once with an attributed lane per
-/// [`OBSERVED_LANES`] scheme, a windowed sink on the engine and the
-/// engine's phases timed, fanning the workloads out across `jobs`
-/// workers.
+/// [`OBSERVED_LANES`] scheme and a windowed sink on the engine, fanning
+/// the workloads out across `jobs` workers.
 fn observe(
     config: &ExperimentConfig,
     arena: &WorkloadArena,
@@ -673,20 +654,18 @@ fn observe(
     jobs: Jobs,
 ) -> (Vec<Observation>, ExecReport) {
     map_indexed_timed(jobs, arena.all(), |_, w| {
-        let (mut runs, windowed, timers) = attribute_schemes(
+        let (mut runs, windowed) = attribute_schemes(
             w,
             config.machine.clone(),
             &OBSERVED_LANES,
             config.inst_limit,
             WindowedSink::new(window_cycles),
-            PhaseTimers::new(),
         );
         let checks = check_runs(w, &OBSERVED_LANES, &runs);
         Observation {
             observed: runs.swap_remove(0),
             checks,
             windowed,
-            timers,
         }
     })
 }
@@ -1010,15 +989,6 @@ impl BenchReport {
                 ]),
             ),
             (
-                "phase_nanos",
-                Json::Obj(
-                    SimPhase::ALL
-                        .iter()
-                        .map(|&p| (p.name().to_string(), Json::UInt(self.phase_nanos.of(p))))
-                        .collect(),
-                ),
-            ),
-            (
                 "telemetry",
                 Json::obj([
                     ("window_cycles", Json::UInt(self.telemetry.window_cycles)),
@@ -1094,13 +1064,6 @@ impl BenchReport {
             fpau_occupancy: section(json, "table2", |t| {
                 numbers(t, "fpau_occupancy", Json::as_f64)
             })?,
-            phase_nanos: section(json, "phase_nanos", |p| {
-                let mut nanos = [0u64; 5];
-                for (slot, phase) in nanos.iter_mut().zip(SimPhase::ALL) {
-                    *slot = expect_u64(p, phase.name())?;
-                }
-                Ok(PhaseNanos(nanos))
-            })?,
             telemetry: section(json, "telemetry", |t| {
                 Ok(TelemetrySummary {
                     window_cycles: expect_u64(t, "window_cycles")?,
@@ -1168,7 +1131,6 @@ mod tests {
         assert_eq!(report.fpau.rows.len(), 6);
         assert!(report.telemetry.exact, "windowed sums must equal ledger");
         assert!(report.telemetry.windows > 0);
-        assert!(report.phase_nanos.of(SimPhase::Issue) > 0);
         let a = report
             .attribution
             .as_ref()
@@ -1231,7 +1193,7 @@ mod tests {
             "no counting allocator installed in this test binary"
         );
         let rendered = report.to_json().pretty();
-        assert!(rendered.contains("\"schema\": \"fua-bench/1.7\""));
+        assert!(rendered.contains("\"schema\": \"fua-bench/1.8\""));
         assert!(rendered.contains("\"sim_khz\""));
         let parsed: BenchReport = rendered.parse().unwrap();
         // Everything round-trips exactly (floats use shortest-exact
@@ -1361,11 +1323,6 @@ mod tests {
                 mistyped("manifest.machine.cache.size_bytes"),
             ),
             ("stalls.mix.issued", None, missing("stalls.mix.issued")),
-            (
-                "phase_nanos.issue",
-                Some(Json::Str("fast".into())),
-                mistyped("phase_nanos.issue"),
-            ),
             (
                 "attribution.switched_bits",
                 Some(Json::Arr(Vec::new())),

@@ -6,15 +6,15 @@
 //!
 //! **Banded metrics.** Every single number the gate bands comes from
 //! the catalogue in `gate.rs`, which `fua trends` shares: the Figure-4
-//! columns, headlines, Table-1/2 aggregates, phase timers, suite IPC
-//! and the simulated rates, the stall mix, the estimator's mean and
+//! columns, headlines, Table-1/2 aggregates, suite IPC and the
+//! simulated rates, the stall mix, the estimator's mean and
 //! worst-block ratios, and the hotspot shares. Each is banded by the
 //! same rule `trends` applies, with the baseline's value as the
 //! reference; per-key entries (scheme rows, estimator schemes,
 //! hotspots) follow the baseline. A model metric that moved but stayed
 //! in band is an `Info` finding. The model is deterministic, so an
-//! identical re-run diffs to zero; measured timers and rates are only
-//! ever findings when out of band.
+//! identical re-run diffs to zero; measured rates are only ever
+//! findings when out of band.
 //!
 //! **Pairwise-only checks.** What is not one banded number stays here,
 //! because a series of single values cannot express it:
@@ -79,12 +79,11 @@ pub struct Tolerance {
     /// Scheme pairs whose baseline reductions differ by less than this
     /// are treated as ties and exempt from ordering checks.
     pub ordering_margin_pct: f64,
-    /// A measured timer or rate may be up to this factor slower than
-    /// its reference.
+    /// A measured rate may be up to this factor slower than its
+    /// reference.
     pub timer_factor: f64,
-    /// A timer under this — a phase, or the rate pass behind the
-    /// simulated rates — is a hole, never checked (sub-millisecond
-    /// noise would dominate).
+    /// A rate pass (the timer behind the simulated rates) under this is
+    /// a hole, never checked (sub-millisecond noise would dominate).
     pub timer_floor_nanos: u64,
 }
 
@@ -456,7 +455,7 @@ mod tests {
         let cmp = compare(&baseline, &current, &Tolerance::default());
         assert!(cmp.passed(), "findings: {:#?}", cmp.findings);
         // Determinism means zero drift — not even Info findings on
-        // the model metrics (timers are only checked for slowdown).
+        // the model metrics (rates are only checked for slowdown).
         assert!(cmp
             .findings
             .iter()
@@ -523,33 +522,28 @@ mod tests {
 
     #[test]
     fn timer_slowdown_past_factor_is_flagged_and_noise_is_not() {
+        fn hot(r: &mut BenchReport) -> &mut u64 {
+            &mut r.throughput.as_mut().unwrap().hot_nanos
+        }
         let baseline = tiny();
         let mut slow = baseline.clone();
-        // Every phase 30x slower than a baseline comfortably above the
+        // A rate pass 30x slower than a baseline comfortably above the
         // floor: flagged.
-        for slot in &mut slow.phase_nanos.0 {
-            *slot = 300_000_000;
-        }
+        *hot(&mut slow) = 300_000_000;
         let mut base = baseline.clone();
-        for slot in &mut base.phase_nanos.0 {
-            *slot = 10_000_000;
-        }
+        *hot(&mut base) = 10_000_000;
         let cmp = compare(&base, &slow, &Tolerance::default());
         assert!(cmp
             .findings
             .iter()
-            .any(|f| f.category == "phase-timer" && f.severity == Severity::Regression));
+            .any(|f| f.category == "sim-rate" && f.severity == Severity::Regression));
 
         // Below the floor the same factor is ignored.
-        for slot in &mut base.phase_nanos.0 {
-            *slot = 100;
-        }
-        for slot in &mut slow.phase_nanos.0 {
-            *slot = 3_000;
-        }
+        *hot(&mut base) = 100;
+        *hot(&mut slow) = 3_000;
         let cmp = compare(&base, &slow, &Tolerance::default());
         assert!(
-            !cmp.findings.iter().any(|f| f.category == "phase-timer"),
+            !cmp.findings.iter().any(|f| f.category == "sim-rate"),
             "sub-floor timers must not be checked"
         );
     }

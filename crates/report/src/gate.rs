@@ -12,15 +12,14 @@
 //! line, and both gates then check it.
 //!
 //! An extractor returns `None` for a *hole*: a scheme row, Table-2
-//! level, estimator scheme or hotspot the artifact lacks, a timer under
-//! `timer_floor_nanos`, or a run without the counting allocator. A hole
-//! is never a finding; `compare`'s structural checks report what went
-//! missing.
+//! level, estimator scheme or hotspot the artifact lacks, a rate pass
+//! under `timer_floor_nanos`, or a run without the counting allocator.
+//! A hole is never a finding; `compare`'s structural checks report what
+//! went missing.
 
 use crate::bench::{BenchReport, EstimatorEntry, OperandAggregates, ThroughputSummary, UnitFigure};
 use crate::compare::Tolerance;
 use fua_core::Figure4Row;
-use fua_sim::SimPhase;
 use fua_trace::StallReason;
 
 /// An [`BandKind::Inflation`] metric is out of band only past this
@@ -44,10 +43,6 @@ pub enum BandKind {
     /// band when the reference is more than `timer_factor` times the
     /// value.
     WallClock,
-    /// Slowdown-only on a measured duration, where lower is better: out
-    /// of band when the value is more than `timer_factor` times the
-    /// reference.
-    Timer,
     /// Growth-only on a measured cost: out of band when the value is
     /// more than 10× the reference and more than 100 above it.
     Inflation,
@@ -60,7 +55,6 @@ impl BandKind {
             BandKind::Points => "points",
             BandKind::RelativePct => "relative-pct",
             BandKind::WallClock => "wall-clock",
-            BandKind::Timer => "timer",
             BandKind::Inflation => "inflation",
         }
     }
@@ -84,15 +78,11 @@ impl BandKind {
                 };
                 (drift, drift > tol.metric_pct)
             }
-            BandKind::WallClock | BandKind::Timer => {
-                let (slow, fast) = match self {
-                    BandKind::WallClock => (reference, value),
-                    _ => (value, reference),
-                };
-                if slow <= 0.0 || fast <= 0.0 {
+            BandKind::WallClock => {
+                if reference <= 0.0 || value <= 0.0 {
                     return (1.0, false);
                 }
-                let factor = slow / fast;
+                let factor = reference / value;
                 (factor, factor > tol.timer_factor)
             }
             BandKind::Inflation => (
@@ -107,7 +97,7 @@ impl BandKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// In band, and nothing worth a note: unchanged, or a measured
-    /// timer, rate or cost that moved by noise.
+    /// rate or cost that moved by noise.
     Quiet,
     /// A deterministic model metric (a point or relative band) that
     /// moved but stayed in band.
@@ -144,7 +134,7 @@ pub(crate) fn describe(
         _ if !out => "within band".to_string(),
         Points => format!("drift {drift:.3} pts > {:.3}", tol.metric_pct),
         RelativePct => format!("drift {drift:.3}% > {:.3}%", tol.metric_pct),
-        WallClock | Timer => format!("{drift:.1}x slower, limit {:.0}x", tol.timer_factor),
+        WallClock => format!("{drift:.1}x slower, limit {:.0}x", tol.timer_factor),
         Inflation => {
             format!("{drift:.1}x growth, limit {INFLATION_FACTOR:.0}x and +{INFLATION_FLOOR:.0}")
         }
@@ -260,18 +250,6 @@ pub(crate) fn catalogue(shape: &BenchReport, tol: &Tolerance) -> Vec<Metric> {
         }
     }
 
-    for phase in SimPhase::ALL {
-        push(
-            format!("phase {} ms", phase.name()),
-            "phase-timer",
-            Timer,
-            Box::new(move |r| {
-                let nanos = r.phase_nanos.of(phase);
-                (nanos >= floor).then(|| nanos as f64 / 1e6)
-            }),
-        );
-    }
-
     // Throughput: IPC is a deterministic model ratio; the simulated
     // rates divide by the rate pass's wall-clock.
     push(
@@ -380,7 +358,7 @@ mod tests {
     use fua_exec::Jobs;
     use fua_trace::StallReason;
 
-    /// A tiny suite run with every timer above the floor and an
+    /// A tiny suite run with its rate pass above the timer floor and an
     /// allocation figure, so that no banded metric is a hole.
     fn clean() -> BenchReport {
         let config = ExperimentConfig {
@@ -388,7 +366,6 @@ mod tests {
             ..ExperimentConfig::quick()
         };
         let mut r = bench_suite_jobs("tiny", &config, 512, Jobs::serial());
-        r.phase_nanos.0 = [10_000_000; 5];
         r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
         r.harness.as_mut().unwrap().allocs_per_kcycle = Some(5.0);
         r
@@ -410,7 +387,7 @@ mod tests {
         assert!(trends(&history(&clean), &tol).unwrap().findings.is_empty());
 
         type Mutation = (&'static str, fn(&mut BenchReport));
-        let mutations: [Mutation; 15] = [
+        let mutations: [Mutation; 14] = [
             ("headline IALU +5 points", |r| r.headline_ialu_pct += 5.0),
             ("IALU hw ordering inverted", |r| {
                 let hw = |r: &BenchReport, i: usize| r.ialu.rows[i].hardware_pct;
@@ -430,9 +407,6 @@ mod tests {
             }),
             ("Table-2 IALU P(k=1) -20 points", |r| {
                 r.ialu_occupancy[0] -= 0.2
-            }),
-            ("every phase 10 ms -> 300 ms", |r| {
-                r.phase_nanos.0 = [300_000_000; 5]
             }),
             ("suite IPC +10%", |r| {
                 let t = r.throughput.as_mut().unwrap();
@@ -497,9 +471,7 @@ mod tests {
         assert_eq!(verdict(BandKind::Inflation, 5_000.0, 5.0), Verdict::Out);
         assert_eq!(verdict(BandKind::Inflation, 90.0, 5.0), Verdict::Quiet);
         assert_eq!(verdict(BandKind::Inflation, 1_500.0, 100.0), Verdict::Out);
-        // Timers and rates only gate a slowdown past the factor.
-        assert_eq!(verdict(BandKind::Timer, 300.0, 10.0), Verdict::Out);
-        assert_eq!(verdict(BandKind::Timer, 0.1, 10.0), Verdict::Quiet);
+        // Rates only gate a slowdown past the factor.
         assert_eq!(verdict(BandKind::WallClock, 0.1, 3.0), Verdict::Out);
         assert_eq!(verdict(BandKind::WallClock, 300.0, 3.0), Verdict::Quiet);
         assert_eq!(verdict(BandKind::Points, 10.7, 10.0), Verdict::Within);

@@ -10,13 +10,12 @@
 //!    when their manifests agree (tag aside).
 //! 2. [`BenchReport`] / [`bench_suite_jobs`] — one suite run captured as a
 //!    schema-stable JSON artifact (`BENCH_<tag>.json`): the Figure-4
-//!    scheme sweeps, headline reductions, Table-1/2 aggregates,
-//!    per-phase wall-clock of the simulator hot loop, and a windowed
-//!    telemetry summary whose exactness against the energy ledger is
-//!    verified at capture time.
+//!    scheme sweeps, headline reductions, Table-1/2 aggregates, the
+//!    simulated rate, and a windowed telemetry summary whose exactness
+//!    against the energy ledger is verified at capture time.
 //! 3. [`compare`] / [`Comparison`] — a tolerance-banded diff of two
 //!    artifacts that flags metric drift, scheme-ordering inversions,
-//!    and phase-timer slowdowns. `fua report --baseline` turns the
+//!    and simulated-rate slowdowns. `fua report --baseline` turns the
 //!    verdict into an exit code for CI gating. [`trends`] bands the
 //!    same metrics over a stored history; both gates read one metric
 //!    catalogue and one band rule ([`BandKind`]).
@@ -36,7 +35,7 @@ mod trends;
 
 pub use bench::{
     bench_suite_jobs, AttributionSummary, BenchReport, EstimatorEntry, EstimatorSummary,
-    HarnessSummary, HotspotEntry, OperandAggregates, ParallelSummary, PhaseNanos, StallSummary,
+    HarnessSummary, HotspotEntry, OperandAggregates, ParallelSummary, StallSummary,
     TelemetrySummary, ThroughputSummary, UnitFigure, WorkerNanos, ATTRIBUTION_HOTSPOTS,
     BENCH_SCHEMA, DEFAULT_WINDOW_CYCLES,
 };

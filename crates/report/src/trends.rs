@@ -19,7 +19,7 @@
 //!
 //! Series are aligned to the input points with `Vec<Option<f64>>`: a
 //! point without the metric (a scheme row or hotspot only some runs
-//! have, a timer under the floor, a run without the counting
+//! have, a rate pass under the floor, a run without the counting
 //! allocator) contributes a hole, which the median skips and
 //! [`sparkline`] renders as a gap.
 
@@ -330,16 +330,15 @@ mod tests {
     use fua_core::ExperimentConfig;
     use fua_exec::Jobs;
 
-    /// A tiny suite run with its phase timers and rate pass pinned at
-    /// 10 ms: measured, some sit near the 5 ms floor in a debug build,
-    /// and a timer under the floor is a hole.
+    /// A tiny suite run with its rate pass pinned at 10 ms: measured,
+    /// it may sit near the 5 ms floor in a debug build, and a timer
+    /// under the floor is a hole.
     fn tiny() -> BenchReport {
         let config = ExperimentConfig {
             inst_limit: 1_500,
             ..ExperimentConfig::quick()
         };
         let mut r = bench_suite_jobs("tiny", &config, 512, Jobs::serial());
-        r.phase_nanos.0 = [10_000_000; 5];
         r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
         r
     }

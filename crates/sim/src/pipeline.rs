@@ -68,10 +68,12 @@ const WATCHDOG_CYCLES: u64 = 10_000;
 /// It is likewise generic over a [`PhaseProfiler`]; the default
 /// [`NullProfiler`] compiles every wall-clock read away, while
 /// [`Simulator::with_parts`] + [`PhaseTimers`](crate::PhaseTimers)
-/// accounts hot-loop time to fetch/rename/steer/issue/writeback for the
-/// `fua bench-suite` performance ledger. Profiling never feeds back into
-/// simulation state: a profiled run is cycle-identical to an unprofiled
-/// one.
+/// accounts hot-loop time to fetch/rename/steer/issue/writeback. It
+/// serves perfbench's `sim.phase_timers_ns_per_op` probe and the tests;
+/// no command or BENCH section reads it, and ROADMAP item 5 deletes it
+/// together with that probe.
+/// Profiling never feeds back into simulation state: a profiled run is
+/// cycle-identical to an unprofiled one.
 pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {
     sink: S,
     profiler: P,

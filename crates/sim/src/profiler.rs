@@ -6,8 +6,10 @@
 //! timing hook — including the `Instant::now()` reads — compiles away
 //! and the untraced hot path is unchanged. Attach [`PhaseTimers`] to
 //! measure where simulator wall-clock goes, phase by phase
-//! (fetch/rename/steer/issue/writeback), for the `fua bench-suite`
-//! performance ledger.
+//! (fetch/rename/steer/issue/writeback). The timers serve perfbench's
+//! `sim.phase_timers_ns_per_op` probe and the tests; no command or BENCH
+//! section reads them, and ROADMAP item 5 deletes this module together
+//! with that probe.
 //!
 //! Timers use [`std::time::Instant`] (monotonic), never the wall clock,
 //! and never feed back into simulation state — a profiled run retires

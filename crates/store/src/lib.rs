@@ -896,7 +896,7 @@ mod tests {
             let index = format!(
                 "{{\"schema\": \"{STORE_SCHEMA}\", \"entries\": [{{\"seq\": 1, \
                  \"key\": \"{key}\", \"content\": \"{content}\", \"tag\": \"t\", \
-                 \"bench_schema\": \"fua-bench/1.7\", \"bytes\": 1}}]}}"
+                 \"bench_schema\": \"fua-bench/1.8\", \"bytes\": 1}}]}}"
             );
             fs::write(dir.join("index.json"), index).unwrap();
             let msg = store.entries().unwrap_err().to_string();

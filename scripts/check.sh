@@ -30,6 +30,15 @@ if [[ "$ledger_out" != *"replay reproduces the artifact's figures and estimator 
   echo "perfbench ledger replay disagrees with the library" >&2
   exit 1
 fi
+# Untraced ledger leg: the path the benchmark gate times, without the
+# replay and per-layer probes.
+ledger_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload ledger --seed 0 --seconds 1 --trace 0)"
+last_line="$(printf '%s\n' "$ledger_out" | tail -n 1)"
+if [[ "$last_line" != *'"correct": true'* || "$last_line" != *'"failed": 0'* ]]; then
+  echo "perfbench untraced ledger smoke run failed: $last_line" >&2
+  exit 1
+fi
 # Engine smoke leg: the `engine` workload runs each program on one lane
 # that measures every class, the other path of the lane loop that the
 # sweeps' class-restricted lanes take.

@@ -244,7 +244,7 @@ fn report_schema_mismatch_lists_the_accepted_range() {
     std::fs::create_dir_all(&dir).unwrap();
     // A future schema and the previous one alike: this build reads only
     // the schema it writes.
-    for schema in ["fua-bench/99", "fua-bench/1.6"] {
+    for schema in ["fua-bench/99", "fua-bench/1.7"] {
         let path = dir.join("BENCH_other.json");
         std::fs::write(&path, format!("{{\"schema\": \"{schema}\"}}\n")).unwrap();
         let path_str = path.to_str().unwrap();
@@ -261,7 +261,7 @@ fn report_schema_mismatch_lists_the_accepted_range() {
             "got: {stderr}"
         );
         assert!(
-            stderr.contains("accepted schema: fua-bench/1.7"),
+            stderr.contains("accepted schema: fua-bench/1.8"),
             "got: {stderr}"
         );
     }
@@ -306,7 +306,7 @@ fn store_subcommands_validate_their_arguments() {
     let hex = "0123456789abcdef0123456789abcdef";
     let index = format!(
         "{{\"schema\": \"{}\", \"entries\": [{{\"seq\": 1, \"key\": \"abc\", \
-         \"content\": \"{hex}\", \"tag\": \"t\", \"bench_schema\": \"fua-bench/1.7\", \
+         \"content\": \"{hex}\", \"tag\": \"t\", \"bench_schema\": \"fua-bench/1.8\", \
          \"bytes\": 1}}]}}",
         fua::store::STORE_SCHEMA
     );

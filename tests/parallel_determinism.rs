@@ -15,11 +15,11 @@ fn tiny_config() -> ExperimentConfig {
 }
 
 /// Strips the fields that are wall-clock (or label) by design, leaving
-/// only model output: phase timers, the parallel section, and the tag.
+/// only model output: the rate pass's timer, the parallel and harness
+/// sections, and the tag.
 fn normalized(report: &BenchReport) -> BenchReport {
     let mut r = report.clone();
     r.manifest.tag = "normalized".to_string();
-    r.phase_nanos = fua::report::PhaseNanos([0; 5]);
     r.parallel = None;
     // The harness digest is wall-clock (utilization, imbalance) and
     // records the worker count itself.

@@ -9,9 +9,10 @@
 //! and without the hardware swap, built from the measured profile as
 //! `fua figure4` builds them) × {original, compiler-swapped} program, and
 //! every workload × every estimator scheme with a per-lane attribution
-//! sink, an engine event sink and phase timers, lane 0 the 4-bit LUT and
-//! then Original: the engine sink records exactly what a standalone
-//! traced run under lane 0's scheme records.
+//! sink and an engine event sink, lane 0 the 4-bit LUT and then
+//! Original: the engine sink records exactly what a standalone traced
+//! run under lane 0's scheme records. A one-lane run with phase timers
+//! is the one-lane simulator.
 //!
 //! A lane restricted to one class ([`Lane::measuring`]) charges that
 //! class exactly as an all-class lane of the same scheme does, charges
@@ -290,14 +291,8 @@ fn estimator_lanes_attribute_exactly_like_standalone_runs() {
                 .expect("every scheme")]
         };
         for schemes in &orders {
-            let (runs, events, timers) = attribute_schemes(
-                &w,
-                machine.clone(),
-                schemes,
-                LIMIT,
-                VecSink::new(),
-                PhaseTimers::new(),
-            );
+            let (runs, events) =
+                attribute_schemes(&w, machine.clone(), schemes, LIMIT, VecSink::new());
             assert_eq!(runs.len(), schemes.len());
             let lead = format!("{} led by {}", w.name, schemes[0].name());
             let expected = &alone_of(schemes[0]).2.events;
@@ -308,8 +303,7 @@ fn estimator_lanes_attribute_exactly_like_standalone_runs() {
                     events.events[i], expected[i]
                 );
             }
-            assert!(timers.intervals(SimPhase::Issue) > 0, "{lead}: timed");
-            // Timed and traced, every lane still equals its standalone run.
+            // Traced, every lane still equals its standalone run.
             for (scheme, run) in schemes.iter().zip(&runs) {
                 let (result, attribution, _) = alone_of(*scheme);
                 let what = format!("{lead}: {}", scheme.name());
@@ -330,19 +324,18 @@ fn a_single_lane_run_is_the_one_lane_simulator() {
     let machine = MachineConfig::paper_default();
     let scheme = SteeringConfig::paper_scheme(SteeringKind::Lut { slots: 2 }, true);
     let mut lanes = [Lane::new(&machine, scheme.clone())];
-    let lane = Simulator::run_lanes(
+    let (mut results, _, timers) = Simulator::run_lanes(
         machine.clone(),
         NullSink,
-        NullProfiler,
+        PhaseTimers::new(),
         &mut lanes,
         &w.program,
         LIMIT,
     )
-    .expect("runs")
-    .0
-    .remove(0);
+    .expect("runs");
+    assert!(timers.intervals(SimPhase::Issue) > 0, "the run is timed");
     let alone = Simulator::new(machine, scheme)
         .run_program(&w.program, LIMIT)
         .expect("runs");
-    assert_same(&lane, &alone, "compress lut4");
+    assert_same(&results.remove(0), &alone, "compress lut4");
 }
