@@ -38,7 +38,7 @@ mod ledger;
 mod ports;
 
 pub use ledger::EnergyLedger;
-pub use ports::{pair_cost, steering_cost, ModulePorts};
+pub use ports::{pair_cost, ModulePorts};
 
 /// Electrical parameters that scale switched-bit counts into physical
 /// energy, for reports that want joules instead of bit counts.

@@ -1,7 +1,6 @@
 //! Input-latch state of one functional-unit module.
 
 use fua_isa::Word;
-use fua_vm::FuOp;
 
 /// The input latches of a single FU module.
 ///
@@ -54,56 +53,9 @@ pub fn pair_cost(prev: Option<(Word, Word)>, op1: Word, op2: Word) -> u32 {
     }
 }
 
-/// The paper's Figure-2 cost: the cheapest way to place `op` on a module
-/// whose ports hold `prev`, considering the swapped order when the
-/// operation is commutative and `allow_swap` is set.
-///
-/// Returns `(cost, swapped)`.
-///
-/// # Examples
-///
-/// ```
-/// use fua_isa::Word;
-/// use fua_power::steering_cost;
-/// use fua_vm::FuOp;
-/// use fua_isa::FuClass;
-///
-/// let op = FuOp {
-///     class: FuClass::IntAlu,
-///     op1: Word::int(0),
-///     op2: Word::int(-1),
-///     commutative: true,
-/// };
-/// let prev = Some((Word::int(-1), Word::int(0)));
-/// let (cost, swapped) = steering_cost(prev, &op, true);
-/// assert_eq!(cost, 0);
-/// assert!(swapped);
-/// ```
-#[inline]
-pub fn steering_cost(prev: Option<(Word, Word)>, op: &FuOp, allow_swap: bool) -> (u32, bool) {
-    let direct = pair_cost(prev, op.op1, op.op2);
-    if allow_swap && op.commutative {
-        let swapped = pair_cost(prev, op.op2, op.op1);
-        if swapped < direct {
-            return (swapped, true);
-        }
-    }
-    (direct, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fua_isa::FuClass;
-
-    fn op(a: i32, b: i32, commutative: bool) -> FuOp {
-        FuOp {
-            class: FuClass::IntAlu,
-            op1: Word::int(a),
-            op2: Word::int(b),
-            commutative,
-        }
-    }
 
     #[test]
     fn first_latch_is_free_then_costs_accumulate() {
@@ -122,19 +74,6 @@ mod tests {
         assert_eq!(c1, c2);
         assert_eq!(c1, 2);
         assert_eq!(m.prev(), Some((Word::int(0), Word::int(0))));
-    }
-
-    #[test]
-    fn swap_is_used_only_when_cheaper_and_legal() {
-        let prev = Some((Word::int(-1), Word::int(0)));
-        // Direct: ham(-1,0)+ham(0,-1) = 64; swapped: 0.
-        let commutative = op(0, -1, true);
-        assert_eq!(steering_cost(prev, &commutative, true), (0, true));
-        // Swap disallowed by the caller:
-        assert_eq!(steering_cost(prev, &commutative, false), (64, false));
-        // Swap illegal for the op:
-        let fixed = op(0, -1, false);
-        assert_eq!(steering_cost(prev, &fixed, true), (64, false));
     }
 
     #[test]

@@ -235,7 +235,12 @@ impl<A: TraceSink> Lane<A> {
                 .steering
                 .policy_mut(class)
                 .expect("duplicated classes have a policy");
-            policy.assign_into(&self.ops, &self.ports[ci], &mut self.choices);
+            policy.assign_into(
+                &self.ops,
+                &self.case_bits,
+                &self.ports[ci],
+                &mut self.choices,
+            );
         } else {
             self.choices.clear();
             self.choices.extend(self.ops.iter().map(|_| ModuleChoice {

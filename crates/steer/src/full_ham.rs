@@ -1,63 +1,27 @@
 //! The cost-prohibitive optimal scheme: full Hamming distances.
 
-use fua_power::{steering_cost, ModulePorts};
+use fua_power::ModulePorts;
 use fua_vm::FuOp;
 
-use crate::{min_cost_assignment_into, ModuleChoice, SteeringPolicy};
-
-/// The paper's Figure-2 algorithm: the cost of every (instruction,
-/// module) pairing, taking the cheaper of the direct and swapped operand
-/// orders for commutative instructions when `allow_swap` is set.
-///
-/// Returns `costs[i][j] = (cost, swapped)` for instruction `i` on module
-/// `j`.
-///
-/// # Examples
-///
-/// ```
-/// use fua_isa::{FuClass, Word};
-/// use fua_power::ModulePorts;
-/// use fua_steer::assignment_costs;
-/// use fua_vm::FuOp;
-///
-/// let op = FuOp {
-///     class: FuClass::IntAlu,
-///     op1: Word::int(0),
-///     op2: Word::int(0),
-///     commutative: true,
-/// };
-/// let modules = vec![ModulePorts::new(); 2];
-/// let costs = assignment_costs(&[op], &modules, true);
-/// assert_eq!(costs[0][0], (0, false)); // empty latches are free
-/// ```
-pub fn assignment_costs(
-    ops: &[FuOp],
-    modules: &[ModulePorts],
-    allow_swap: bool,
-) -> Vec<Vec<(u32, bool)>> {
-    ops.iter()
-        .map(|op| {
-            modules
-                .iter()
-                .map(|m| steering_cost(m.prev(), op, allow_swap))
-                .collect()
-        })
-        .collect()
-}
+use crate::policy::assign_by_cost;
+use crate::{ModuleChoice, SteeringPolicy, MAX_MODULES};
 
 /// Optimal per-cycle assignment using exact Hamming distances — the
 /// *Full Ham* upper bound of Figure 4. Too expensive for real routing
 /// logic (the cost computation alone would dominate the savings); modelled
 /// here as the yardstick every practical scheme is measured against.
 ///
-/// The cost matrix and assignment buffer live on the policy and are
-/// reused every cycle, and the solver works on the stack: steady-state
-/// assignment allocates nothing.
+/// Each (instruction, module) cost is the paper's Figure-2 rule: the
+/// Hamming distance from the module's latched operands over the
+/// power-model bits, taking the swapped operand order for a commutative
+/// instruction when `allow_swap` is set and the swap is strictly
+/// cheaper. A module never driven costs nothing. The policy reads each
+/// module's latched power bits once per group, builds the cost matrix on
+/// the stack and solves it with [`min_cost_assignment_into`](crate::min_cost_assignment_into):
+/// steady-state assignment allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FullHamPolicy {
     allow_swap: bool,
-    /// Row-major `ops × modules` (cost, swapped) pairs, refilled per call.
-    costs: Vec<(u32, bool)>,
     assignment: Vec<usize>,
 }
 
@@ -77,31 +41,40 @@ impl SteeringPolicy for FullHamPolicy {
         "Full Ham"
     }
 
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
-        let m = modules.len();
-        self.costs.clear();
-        for op in ops {
-            for module in modules {
-                self.costs
-                    .push(steering_cost(module.prev(), op, self.allow_swap));
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        _cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    ) {
+        // Each module's latched power bits and a mask that is zero for
+        // a module never driven, so every distance to it is zero.
+        let mut latched = [(0u64, 0u64, 0u64); MAX_MODULES];
+        for (slot, module) in latched.iter_mut().zip(modules) {
+            if let Some((a, b)) = module.prev() {
+                *slot = (a.power_bits(), b.power_bits(), u64::MAX);
             }
         }
-        let costs = &self.costs;
-        min_cost_assignment_into(
-            ops.len(),
-            m,
-            |r, c| costs[r * m + c].0,
+        let latched = &latched[..modules.len()];
+        // Each operation's power bits, read once.
+        let mut bits = [(0u64, 0u64); MAX_MODULES];
+        for (slot, op) in bits.iter_mut().zip(ops) {
+            *slot = (op.op1.power_bits(), op.op2.power_bits());
+        }
+        assign_by_cost(
+            ops,
+            latched.len(),
+            self.allow_swap,
+            |i, j| {
+                let ((x, y), (a, b, driven)) = (bits[i], latched[j]);
+                (
+                    ((a ^ x) & driven).count_ones() + ((b ^ y) & driven).count_ones(),
+                    ((a ^ y) & driven).count_ones() + ((b ^ x) & driven).count_ones(),
+                )
+            },
             &mut self.assignment,
-        );
-        out.clear();
-        out.extend(
-            self.assignment
-                .iter()
-                .enumerate()
-                .map(|(i, &module)| ModuleChoice {
-                    module,
-                    swap: costs[i * m + module].1,
-                }),
+            out,
         );
     }
 }
@@ -151,6 +124,37 @@ mod tests {
         assert!(choices[0].swap);
         let no_swap = FullHamPolicy::new(false).assign(&ops, &modules);
         assert!(!no_swap[0].swap);
+    }
+
+    #[test]
+    fn swap_is_used_only_when_cheaper_and_legal() {
+        // Direct: ham(-1,0)+ham(0,-1) = 64; swapped: 0.
+        let modules = latched(&[(-1, 0)]);
+        let charged = |policy: &mut FullHamPolicy, op: FuOp| {
+            let choice = policy.assign(&[op], &modules)[0];
+            let op = if choice.swap { op.swapped() } else { op };
+            (modules[0].peek_cost(op.op1, op.op2), choice.swap)
+        };
+        let commutative = op(0, -1, true);
+        assert_eq!(
+            charged(&mut FullHamPolicy::new(true), commutative),
+            (0, true)
+        );
+        // Swap disallowed by the caller:
+        assert_eq!(
+            charged(&mut FullHamPolicy::new(false), commutative),
+            (64, false)
+        );
+        // Swap illegal for the op:
+        assert_eq!(
+            charged(&mut FullHamPolicy::new(true), op(0, -1, false)),
+            (64, false)
+        );
+        // Never cheaper: a tie keeps the direct order.
+        assert_eq!(
+            charged(&mut FullHamPolicy::new(true), op(-1, -1, true)),
+            (32, false)
+        );
     }
 
     /// Total cost of a set of choices against the modules' latched state.

@@ -76,12 +76,18 @@ impl SteeringPolicy for Policy {
     }
 
     #[inline]
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    ) {
         match self {
-            Policy::Fcfs(p) => p.assign_into(ops, modules, out),
-            Policy::FullHam(p) => p.assign_into(ops, modules, out),
-            Policy::OneBitHam(p) => p.assign_into(ops, modules, out),
-            Policy::Lut(p) => p.assign_into(ops, modules, out),
+            Policy::Fcfs(p) => p.assign_into(ops, cases, modules, out),
+            Policy::FullHam(p) => p.assign_into(ops, cases, modules, out),
+            Policy::OneBitHam(p) => p.assign_into(ops, cases, modules, out),
+            Policy::Lut(p) => p.assign_into(ops, cases, modules, out),
         }
     }
 }

@@ -54,7 +54,7 @@ mod policy;
 mod swap_rule;
 
 pub use assign::{min_cost_assignment, min_cost_assignment_into, MAX_MODULES};
-pub use full_ham::{assignment_costs, FullHamPolicy};
+pub use full_ham::FullHamPolicy;
 pub use kind::{make_policy, Policy, SteeringKind};
 pub use lut::{
     HomeStrategy, LutBuilder, LutPolicy, LutTable, PAPER_FPAU_OCCUPANCY, PAPER_IALU_OCCUPANCY,

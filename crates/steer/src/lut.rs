@@ -129,12 +129,19 @@ impl LutTable {
     /// Encodes the cases of this cycle's ready instructions into a vector
     /// index, padding missing slots with the least case.
     pub fn encode(&self, cases: &[Case]) -> usize {
-        let mut index = 0usize;
-        for slot in 0..self.slots {
-            let case = cases.get(slot).copied().unwrap_or(self.least);
-            index += case.index() << (2 * slot);
-        }
-        index
+        self.encode_bits(cases.iter().map(|c| c.index() as u8))
+    }
+
+    /// As [`encode`](LutTable::encode), over cases given as 2-bit
+    /// indices ([`FuOp::case_bits`]).
+    fn encode_bits(&self, cases: impl IntoIterator<Item = u8>) -> usize {
+        let mut cases = cases.into_iter();
+        (0..self.slots)
+            .map(|slot| {
+                let case = cases.next().unwrap_or(self.least.index() as u8);
+                (case as usize) << (2 * slot)
+            })
+            .sum()
     }
 }
 
@@ -434,29 +441,19 @@ impl LutBuilder {
 /// The runtime steering policy wrapping a built [`LutTable`]: encode this
 /// cycle's cases, index the table, place any instructions beyond the
 /// vector's slots on the remaining modules first-come-first-served.
-///
-/// The per-cycle working buffers are owned and reused: steady-state
-/// assignment allocates nothing.
+/// It reads the cases the caller passes and keeps no per-cycle buffers:
+/// steady-state assignment allocates nothing.
 #[derive(Debug, Clone)]
 pub struct LutPolicy {
     table: LutTable,
     name: String,
-    /// This cycle's instruction cases, refilled per call.
-    cases: Vec<Case>,
-    /// Module-taken flags, refilled per call.
-    used: Vec<bool>,
 }
 
 impl LutPolicy {
     /// Wraps a built table.
     pub fn new(table: LutTable) -> Self {
         let name = format!("{}-bit LUT", table.vector_bits());
-        LutPolicy {
-            table,
-            name,
-            cases: Vec::new(),
-            used: Vec::new(),
-        }
+        LutPolicy { table, name }
     }
 
     /// The underlying table (e.g. for gate-level synthesis).
@@ -470,18 +467,22 @@ impl SteeringPolicy for LutPolicy {
         &self.name
     }
 
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    ) {
         debug_assert!(ops.len() <= modules.len());
-        self.cases.clear();
-        self.cases.extend(ops.iter().map(FuOp::case));
-        let vector = self.table.encode(&self.cases);
-        let entry = self.table.entry(vector);
-        self.used.clear();
-        self.used.resize(modules.len(), false);
+        let entry = self
+            .table
+            .entry(self.table.encode_bits(cases.iter().copied()));
         out.clear();
         let seen = ops.len().min(self.table.slots());
+        let mut used = 0u64;
         for &m in entry.iter().take(seen) {
-            self.used[m as usize] = true;
+            used |= 1 << m;
             out.push(ModuleChoice {
                 module: m as usize,
                 swap: false,
@@ -492,12 +493,9 @@ impl SteeringPolicy for LutPolicy {
         // information exists for them — first free module, as a plain
         // Tomasulo router would.
         for _ in seen..ops.len() {
-            let m = self
-                .used
-                .iter()
-                .position(|&u| !u)
-                .expect("ops never outnumber modules");
-            self.used[m] = true;
+            let m = (!used).trailing_zeros() as usize;
+            debug_assert!(m < modules.len(), "ops never outnumber modules");
+            used |= 1 << m;
             out.push(ModuleChoice {
                 module: m,
                 swap: false,

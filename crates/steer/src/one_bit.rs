@@ -4,24 +4,22 @@ use fua_isa::Case;
 use fua_power::ModulePorts;
 use fua_vm::FuOp;
 
-use crate::{min_cost_assignment_into, ModuleChoice, SteeringPolicy};
+use crate::policy::assign_by_cost;
+use crate::{ModuleChoice, SteeringPolicy, MAX_MODULES};
 
 /// Optimal per-cycle assignment where each operand is summarised by its
 /// information bit — the *1-bit Ham* bar of Figure 4. This bounds what any
 /// scheme based solely on information bits (such as the LUTs) can achieve.
 ///
-/// The cost/swap matrices and assignment buffer live on the policy and
-/// are reused every cycle, and the solver works on the stack:
-/// steady-state assignment allocates nothing.
+/// The cost of an (instruction, module) pair is the number of
+/// information bits (0, 1 or 2) in which the instruction's case differs
+/// from the case of the module's latched operands; a module never driven
+/// costs nothing. The instruction cases are the ones the caller passes;
+/// each module's case is read once per group. The cost matrix is built
+/// on the stack: steady-state assignment allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct OneBitHamPolicy {
     allow_swap: bool,
-    /// Each module's last-latched case, refilled per call.
-    prev_cases: Vec<Option<Case>>,
-    /// Row-major `ops × modules` information-bit distances.
-    cost: Vec<u32>,
-    /// Row-major `ops × modules` swap decisions.
-    swap: Vec<bool>,
     assignment: Vec<usize>,
 }
 
@@ -34,17 +32,6 @@ impl OneBitHamPolicy {
             ..OneBitHamPolicy::default()
         }
     }
-
-    /// Information-bit distance between an instruction case and a module's
-    /// last case (0, 1 or 2 mismatching information bits).
-    fn case_cost(prev: Option<Case>, next: Case) -> u32 {
-        match prev {
-            None => 0,
-            Some(p) => {
-                (p.op1_bit() != next.op1_bit()) as u32 + (p.op2_bit() != next.op2_bit()) as u32
-            }
-        }
-    }
 }
 
 impl SteeringPolicy for OneBitHamPolicy {
@@ -52,43 +39,35 @@ impl SteeringPolicy for OneBitHamPolicy {
         "1-bit Ham"
     }
 
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
-        let m = modules.len();
-        self.prev_cases.clear();
-        self.prev_cases.extend(
-            modules
-                .iter()
-                .map(|p| p.prev().map(|(a, b)| Case::of_operands(a, b))),
-        );
-        self.cost.clear();
-        self.swap.clear();
-        self.swap.resize(ops.len() * m, false);
-        for (i, op) in ops.iter().enumerate() {
-            let case = op.case();
-            for (j, &prev) in self.prev_cases.iter().enumerate() {
-                let direct = Self::case_cost(prev, case);
-                let mut chosen = direct;
-                if self.allow_swap && op.commutative {
-                    let swapped = Self::case_cost(prev, case.swapped());
-                    if swapped < direct {
-                        self.swap[i * m + j] = true;
-                        chosen = swapped;
-                    }
-                }
-                self.cost.push(chosen);
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    ) {
+        // Each module's latched case bits and a mask that is zero for a
+        // module never driven.
+        let mut latched = [(0u8, 0u8); MAX_MODULES];
+        for (slot, module) in latched.iter_mut().zip(modules) {
+            if let Some((a, b)) = module.prev() {
+                *slot = (Case::of_operands(a, b).index() as u8, 3);
             }
         }
-        let cost = &self.cost;
-        min_cost_assignment_into(ops.len(), m, |r, c| cost[r * m + c], &mut self.assignment);
-        out.clear();
-        out.extend(
-            self.assignment
-                .iter()
-                .enumerate()
-                .map(|(i, &module)| ModuleChoice {
-                    module,
-                    swap: self.swap[i * m + module],
-                }),
+        let latched = &latched[..modules.len()];
+        assign_by_cost(
+            ops,
+            latched.len(),
+            self.allow_swap,
+            |i, j| {
+                let (case, (prev, driven)) = (cases[i], latched[j]);
+                (
+                    ((prev ^ case) & driven).count_ones(),
+                    ((prev ^ Case::swap_index(case)) & driven).count_ones(),
+                )
+            },
+            &mut self.assignment,
+            out,
         );
     }
 }

@@ -3,6 +3,8 @@
 use fua_power::ModulePorts;
 use fua_vm::FuOp;
 
+use crate::{min_cost_assignment_into, MAX_MODULES};
+
 /// One steering decision: which module an instruction issues to and
 /// whether its operand ports are exchanged on the way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,20 +26,32 @@ pub trait SteeringPolicy {
 
     /// Assigns this cycle's ready instructions to modules, writing
     /// exactly one choice per instruction into `out` (cleared first).
+    /// `cases[i]` is `ops[i]`'s case as a 2-bit index
+    /// ([`FuOp::case_bits`]), which the engine carries through the
+    /// static swap rule so that no policy re-derives it from the
+    /// operand words.
     ///
     /// This is the hot-loop entry point: the engine passes a buffer it
     /// reuses every cycle, and implementations keep their own working
     /// memory across calls, so steady-state issue performs **zero**
     /// heap allocations (the allocation gate enforces this for every
     /// workload × scheme).
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>);
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    );
 
     /// Allocating convenience wrapper around
     /// [`assign_into`](Self::assign_into) for one-shot callers (tests,
-    /// the Figure-1 example).
+    /// the Figure-1 example, the reference engine), deriving each
+    /// operation's case from its operands.
     fn assign(&mut self, ops: &[FuOp], modules: &[ModulePorts]) -> Vec<ModuleChoice> {
+        let cases: Vec<u8> = ops.iter().map(FuOp::case_bits).collect();
         let mut out = Vec::with_capacity(ops.len());
-        self.assign_into(ops, modules, &mut out);
+        self.assign_into(ops, &cases, modules, &mut out);
         out
     }
 }
@@ -62,7 +76,13 @@ impl SteeringPolicy for FcfsPolicy {
         "Original"
     }
 
-    fn assign_into(&mut self, ops: &[FuOp], modules: &[ModulePorts], out: &mut Vec<ModuleChoice>) {
+    fn assign_into(
+        &mut self,
+        ops: &[FuOp],
+        _cases: &[u8],
+        modules: &[ModulePorts],
+        out: &mut Vec<ModuleChoice>,
+    ) {
         debug_assert!(ops.len() <= modules.len());
         out.clear();
         out.extend((0..ops.len()).map(|i| ModuleChoice {
@@ -70,6 +90,46 @@ impl SteeringPolicy for FcfsPolicy {
             swap: false,
         }));
     }
+}
+
+/// The paper's Figure-2 steering over any distance, shared by the two
+/// optimal policies: `distance(i, j)` is the cost of operation `i` on
+/// module `j` in the (direct, swapped) operand order. A commutative
+/// operation takes the swapped order when `allow_swap` is set and it is
+/// strictly cheaper. The cost matrix lives on the stack; `assignment` is
+/// the policy's reused solver output.
+pub(crate) fn assign_by_cost(
+    ops: &[FuOp],
+    modules: usize,
+    allow_swap: bool,
+    distance: impl Fn(usize, usize) -> (u32, u32),
+    assignment: &mut Vec<usize>,
+    out: &mut Vec<ModuleChoice>,
+) {
+    let mut cost = [[0u32; MAX_MODULES]; MAX_MODULES];
+    // Bit `j` of `swap[i]`: operation `i` swaps on module `j`.
+    let mut swap = [0u8; MAX_MODULES];
+    for (i, (op, (row, swaps))) in ops.iter().zip(cost.iter_mut().zip(&mut swap)).enumerate() {
+        let may_swap = allow_swap && op.commutative;
+        for (j, cell) in row[..modules].iter_mut().enumerate() {
+            let (direct, swapped) = distance(i, j);
+            // Branch-free: which order wins is data, not control flow.
+            let take = may_swap & (swapped < direct);
+            *cell = if take { swapped } else { direct };
+            *swaps |= (take as u8) << j;
+        }
+    }
+    min_cost_assignment_into(ops.len(), modules, &cost, assignment);
+    out.clear();
+    out.extend(
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(i, &module)| ModuleChoice {
+                module,
+                swap: swap[i] >> module & 1 != 0,
+            }),
+    );
 }
 
 /// Checks a policy's output invariants — one choice per instruction,

@@ -250,11 +250,28 @@ fn column_sums(windows: &[WindowRecord]) -> WindowRecord {
 /// A [`TraceSink`] that folds the event stream into per-K-cycle
 /// [`WindowRecord`]s; call [`into_series`](WindowedSink::into_series)
 /// after the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WindowedSink {
     window_cycles: u64,
     windows: Vec<WindowRecord>,
+    /// The window the last event fell in: its index, first cycle and
+    /// length (0 before the first event, so that nothing falls in it).
+    /// Events arrive nearly in cycle order, so most land in it and need
+    /// no division.
+    current: usize,
+    current_start: u64,
+    current_cycles: u64,
 }
+
+/// Two sinks are equal when their window sizes and windows are; which
+/// window each last touched does not count.
+impl PartialEq for WindowedSink {
+    fn eq(&self, other: &Self) -> bool {
+        self.window_cycles == other.window_cycles && self.windows == other.windows
+    }
+}
+
+impl Eq for WindowedSink {}
 
 impl WindowedSink {
     /// A sink bucketing by `window_cycles`-cycle windows.
@@ -267,6 +284,9 @@ impl WindowedSink {
         WindowedSink {
             window_cycles,
             windows: Vec::new(),
+            current: 0,
+            current_start: 0,
+            current_cycles: 0,
         }
     }
 
@@ -277,11 +297,18 @@ impl WindowedSink {
 
     #[inline]
     fn window(&mut self, cycle: u64) -> &mut WindowRecord {
-        let idx = (cycle / self.window_cycles) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, WindowRecord::ZERO);
+        // A cycle before the current window wraps to a huge offset, so
+        // out-of-order events (writebacks are stamped in the future)
+        // fall through to the division too.
+        if cycle.wrapping_sub(self.current_start) >= self.current_cycles {
+            self.current = (cycle / self.window_cycles) as usize;
+            self.current_start = self.current as u64 * self.window_cycles;
+            self.current_cycles = self.window_cycles;
+            if self.current >= self.windows.len() {
+                self.windows.resize(self.current + 1, WindowRecord::ZERO);
+            }
         }
-        &mut self.windows[idx]
+        &mut self.windows[self.current]
     }
 
     /// Merges another sink's windows into this one, index-aligned.
@@ -618,6 +645,33 @@ mod tests {
         assert_eq!(series.windows()[3].switched_bits()[0], 8);
         assert_eq!(series.windows()[9].switched_bits()[0], 6);
         assert_eq!(series.total().switched_bits(), [14, 0, 0, 0]);
+    }
+
+    #[test]
+    fn interleaved_cycles_match_one_division_per_event() {
+        // Cycles that jump back and forth across windows, and around
+        // each window's edges, land where a division per event puts
+        // them; a sink fed the same events in another order compares
+        // equal, whichever window it touched last.
+        let cycles = [0u64, 9, 10, 3, 29, 19, 20, 21, 2, 100, 99, 0, 55];
+        let mut sink = WindowedSink::new(10);
+        let mut expect = vec![0u64; 11];
+        for (i, &cycle) in cycles.iter().enumerate() {
+            sink.record(&energy(cycle, FuClass::IntAlu, 0, i as u32 + 1));
+            expect[(cycle / 10) as usize] += i as u64 + 1;
+        }
+        let mut reversed = WindowedSink::new(10);
+        for (i, &cycle) in cycles.iter().enumerate().rev() {
+            reversed.record(&energy(cycle, FuClass::IntAlu, 0, i as u32 + 1));
+        }
+        assert_eq!(sink, reversed);
+        let got: Vec<u64> = sink
+            .into_series()
+            .windows()
+            .iter()
+            .map(|w| w.switched_bits()[0])
+            .collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

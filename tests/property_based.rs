@@ -4,9 +4,9 @@
 //! property tests they replace but need no external test-case library.
 
 use fua::isa::{hamming_u32, Case, FuClass, IntReg, ProgramBuilder, Word};
-use fua::power::{pair_cost, steering_cost, ModulePorts};
+use fua::power::{pair_cost, ModulePorts};
 use fua::sim::{MachineConfig, Simulator, SteeringConfig};
-use fua::steer::min_cost_assignment;
+use fua::steer::{min_cost_assignment, FullHamPolicy, SteeringPolicy};
 use fua::vm::{FuOp, Vm};
 use fua::workloads::SplitMix64;
 
@@ -84,21 +84,30 @@ fn pair_cost_is_bounded_by_width() {
 
 #[test]
 fn steering_cost_swap_never_hurts() {
+    // Full Ham's Figure-2 cost: a swap is taken only when it is cheaper,
+    // so allowing it never raises the bits an op is charged.
     let mut rng = SplitMix64::new(0xA005);
+    let charged = |modules: &[ModulePorts], op: FuOp, allow_swap: bool| {
+        let choice = FullHamPolicy::new(allow_swap).assign(&[op], modules)[0];
+        let op = if choice.swap { op.swapped() } else { op };
+        modules[choice.module].peek_cost(op.op1, op.op2)
+    };
     for _ in 0..256 {
-        let prev = Some((
+        let mut module = ModulePorts::new();
+        module.latch(
             Word::int(rng.next_u64() as i32),
             Word::int(rng.next_u64() as i32),
-        ));
+        );
         let op = FuOp {
             class: FuClass::IntAlu,
             op1: Word::int(rng.next_u64() as i32),
             op2: Word::int(rng.next_u64() as i32),
             commutative: true,
         };
-        let (with_swap, _) = steering_cost(prev, &op, true);
-        let (without, _) = steering_cost(prev, &op, false);
+        let with_swap = charged(&[module], op, true);
+        let without = charged(&[module], op, false);
         assert!(with_swap <= without);
+        assert_eq!(without, pair_cost(module.prev(), op.op1, op.op2));
     }
 }
 
