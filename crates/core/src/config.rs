@@ -2,7 +2,7 @@
 
 use fua_isa::FuClass;
 use fua_sim::MachineConfig;
-use fua_workloads::{floating_point, integer, Workload};
+use fua_workloads::{floating_point, integer, Category, Workload};
 
 /// Which duplicated unit an experiment targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +19,14 @@ impl Unit {
         match self {
             Unit::Ialu => FuClass::IntAlu,
             Unit::Fpau => FuClass::FpAlu,
+        }
+    }
+
+    /// The category of the unit's workloads.
+    pub(crate) fn category(self) -> Category {
+        match self {
+            Unit::Ialu => Category::Integer,
+            Unit::Fpau => Category::FloatingPoint,
         }
     }
 

@@ -51,8 +51,8 @@ pub use figure4::{
 };
 pub use json::{Json, ToJson};
 pub use listing::{info_bit_report, workload_table};
-pub use observe::{observed_scheme, suite_metrics};
+pub use observe::observed_scheme;
 pub use sensitivity::{swap_sensitivity, SensitivityRow, SwapSensitivity};
 pub use static_swap::{static_swap_comparison, StaticSwapComparison, StaticSwapRow};
-pub use suite::{profile_suite_jobs, SuiteProfile};
+pub use suite::{profile_suite_jobs, profile_suite_metrics_jobs, SuiteProfile};
 pub use synthesis::{synthesis_report, SynthesisReport, SynthesisRow};

@@ -1,19 +1,18 @@
-//! The engine entry point of every experiment, and the observability
-//! runs built on it.
+//! The engine entry point of every experiment, and the scheme the
+//! observability commands instrument.
 //!
 //! [`run_lanes`] is the one place this crate runs the simulator. It is
-//! generic over a [`fua_trace::TraceSink`]; [`suite_metrics`] threads one
-//! [`MetricsRecorder`] through every workload of a unit's suite (the sink
-//! moves into each run and back out) so counters and histograms
-//! accumulate across the whole suite.
+//! generic over a [`fua_trace::TraceSink`], so a sink such as the
+//! profiling pass's [`MetricsRecorder`](fua_trace::MetricsRecorder)
+//! rides the engine of the run it describes.
 
 use fua_isa::{FuClass, Program};
 use fua_sim::{Lane, NullProfiler, SimResult, Simulator, SteeringConfig};
 use fua_steer::SteeringKind;
-use fua_trace::{MetricsRecorder, NullSink, TraceSink};
+use fua_trace::{NullSink, TraceSink};
 use fua_workloads::Workload;
 
-use crate::{ExperimentConfig, Unit};
+use crate::ExperimentConfig;
 
 /// The steering scheme the observability commands instrument: the
 /// paper's recommended 4-bit LUT with hardware swapping.
@@ -94,58 +93,11 @@ pub(crate) fn original_and_observed(
         .expect("one result per lane")
 }
 
-/// Runs `unit`'s workload suite under [`observed_scheme`] with one
-/// [`MetricsRecorder`] attached and returns it, holding the counters
-/// and histograms of every run (stage counts, per-module switched bits,
-/// Hamming-distance and occupancy distributions, ...).
-pub fn suite_metrics(unit: Unit, config: &ExperimentConfig) -> MetricsRecorder {
-    unit.suite(config.scale)
-        .iter()
-        .fold(MetricsRecorder::new(), |recorder, w| {
-            let schemes = [observed_scheme()];
-            run_lanes(config, w.name, &w.program, schemes, None, recorder).1
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use fua_isa::{IntReg, ProgramBuilder};
 
     use super::*;
-
-    #[test]
-    fn suite_metrics_accumulate_across_workloads() {
-        let config = ExperimentConfig {
-            inst_limit: 2_000,
-            ..ExperimentConfig::quick()
-        };
-        let totals = *suite_metrics(Unit::Ialu, &config).totals();
-        assert!(totals.retired() > 0, "suite must retire instructions");
-        // Every steered IALU op charges the ledger exactly once, so the
-        // per-module energy counters must be non-trivial too.
-        assert!(
-            totals.switched_bits()[FuClass::IntAlu.index()] > 0,
-            "IALU switched-bit counters must accumulate"
-        );
-        // Every run summarises each of its cycles once, so the suite's
-        // cycle count is the sum over its workloads, not the last one's.
-        let summed: u64 = Unit::Ialu
-            .suite(config.scale)
-            .iter()
-            .map(|w| {
-                let (results, _) = run_lanes(
-                    &config,
-                    w.name,
-                    &w.program,
-                    [observed_scheme()],
-                    None,
-                    NullSink,
-                );
-                results[0].cycles
-            })
-            .sum();
-        assert_eq!(totals.cycles, summed);
-    }
 
     #[test]
     #[should_panic(expected = "workload made-up faulted")]

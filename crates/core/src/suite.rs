@@ -4,11 +4,11 @@ use fua_exec::{map_indexed_timed, ExecReport, Jobs};
 use fua_isa::FuClass;
 use fua_sim::{MachineConfig, SimResult, SteeringConfig};
 use fua_stats::{BitPatternProfiler, CaseProfile, OccupancyProfiler};
-use fua_trace::{NullSink, TextTable};
+use fua_trace::{MetricsRecorder, NullSink, TextTable};
 use fua_workloads::{Category, Workload, WorkloadArena};
 
-use crate::observe::run_lanes;
-use crate::ExperimentConfig;
+use crate::observe::{observed_scheme, run_lanes};
+use crate::{ExperimentConfig, Unit};
 
 /// Suite-wide operand and occupancy statistics, gathered by running every
 /// workload on the unmodified (Original, no-swap) machine — exactly how
@@ -47,19 +47,61 @@ pub fn profile_suite_jobs(
     arena: &WorkloadArena,
     jobs: Jobs,
 ) -> (SuiteProfile, ExecReport) {
+    let (profile, _, report) = profile_suite_metrics_jobs(config, arena, jobs, &[]);
+    (profile, report)
+}
+
+/// As [`profile_suite_jobs`], with a [`MetricsRecorder`] riding the run
+/// of each workload of `units`, whose one lane then runs
+/// [`observed_scheme`] instead of Original. The profile is the same,
+/// because bit patterns and occupancy are recorded as issued
+/// ([`SuiteProfile::fold`]). Also returns, per unit of `units` in
+/// order, its workloads' recorders merged in suite order: the snapshot
+/// of one recorder threaded through the unit's workloads, for any
+/// worker count.
+///
+/// # Panics
+///
+/// As [`profile_suite_jobs`].
+pub fn profile_suite_metrics_jobs(
+    config: &ExperimentConfig,
+    arena: &WorkloadArena,
+    jobs: Jobs,
+    units: &[Unit],
+) -> (SuiteProfile, Vec<(Unit, MetricsRecorder)>, ExecReport) {
     assert_eq!(
         arena.scale(),
         config.scale,
         "arena scale must match the experiment configuration"
     );
-    let (results, report) = map_indexed_timed(jobs, arena.all(), |_, w| {
-        let original = [SteeringConfig::original()];
-        run_lanes(config, w.name, &w.program, original, None, NullSink)
-            .0
-            .remove(0)
+    let (runs, report) = map_indexed_timed(jobs, arena.all(), |_, w| {
+        if units.iter().any(|unit| unit.category() == w.category) {
+            let lane = [observed_scheme()];
+            let recorder = MetricsRecorder::new();
+            let (mut results, recorder) =
+                run_lanes(config, w.name, &w.program, lane, None, recorder);
+            (results.remove(0), Some(recorder))
+        } else {
+            let lane = [SteeringConfig::original()];
+            let (mut results, _) = run_lanes(config, w.name, &w.program, lane, None, NullSink);
+            (results.remove(0), None)
+        }
     });
+    let (results, recorders): (Vec<SimResult>, Vec<_>) = runs.into_iter().unzip();
     let profile = SuiteProfile::fold(&config.machine, arena.all(), &results);
-    (profile, report)
+    let metrics = units
+        .iter()
+        .map(|&unit| {
+            let mut merged = MetricsRecorder::new();
+            for (w, recorder) in arena.all().iter().zip(&recorders) {
+                if w.category == unit.category() {
+                    merged.merge(recorder.as_ref().expect("a recorder rode the unit's runs"));
+                }
+            }
+            (unit, merged)
+        })
+        .collect();
+    (profile, metrics, report)
 }
 
 impl SuiteProfile {
@@ -215,6 +257,8 @@ impl SuiteProfile {
 
 #[cfg(test)]
 mod tests {
+    use fua_trace::ToJson;
+
     use super::*;
 
     fn quick_profile() -> SuiteProfile {
@@ -250,6 +294,45 @@ mod tests {
         assert!(info.ones_frac_info1 > 0.5);
         // FPAU occupancy is much lighter than IALU occupancy (Table 2).
         assert!(p.fpau_occupancy.freq(1) > p.ialu_occupancy.freq(1));
+    }
+
+    #[test]
+    fn metrics_ride_the_profiling_pass() {
+        let config = ExperimentConfig {
+            inst_limit: 2_000,
+            ..ExperimentConfig::quick()
+        };
+        let arena = WorkloadArena::build(config.scale);
+        let jobs = Jobs::new(2).unwrap();
+        let (plain, _) = profile_suite_jobs(&config, &arena, jobs);
+        // Reference: one recorder threaded serially through the unit's
+        // workloads under the observed scheme, and the cycles they ran.
+        let threaded = |unit: Unit| {
+            let mut recorder = MetricsRecorder::new();
+            let mut cycles = 0;
+            for w in unit.suite(config.scale) {
+                let lane = [observed_scheme()];
+                let (results, r) = run_lanes(&config, w.name, &w.program, lane, None, recorder);
+                recorder = r;
+                cycles += results[0].cycles;
+            }
+            (recorder, cycles)
+        };
+        for units in [&[Unit::Ialu, Unit::Fpau][..], &[Unit::Fpau]] {
+            let (profile, metrics, _) = profile_suite_metrics_jobs(&config, &arena, jobs, units);
+            assert_eq!(profile, plain, "the recorder must not move the profile");
+            let got: Vec<Unit> = metrics.iter().map(|&(unit, _)| unit).collect();
+            assert_eq!(got, units);
+            for (unit, merged) in &metrics {
+                let (reference, cycles) = threaded(*unit);
+                assert_eq!(merged.to_string(), reference.to_string(), "{unit}");
+                assert_eq!(merged.to_json(), reference.to_json(), "{unit}");
+                // Every run summarises each of its cycles once, so the
+                // suite's cycle count is the sum over its workloads.
+                assert_eq!(merged.totals().cycles, cycles, "{unit}");
+                assert!(merged.totals().retired() > 0, "{unit}");
+            }
+        }
     }
 
     #[test]

@@ -228,14 +228,6 @@ impl Opcode {
         self.is_branch() || matches!(self, Opcode::J | Opcode::Halt)
     }
 
-    /// Whether the instruction has a single data operand; the second FU
-    /// input port then latches zero (see the power-model notes in
-    /// DESIGN.md).
-    pub fn is_unary(self) -> bool {
-        use Opcode::*;
-        matches!(self, CvtIf | CvtFi | FNeg | FAbs | FMov | Blez | Bgtz)
-    }
-
     /// The assembler mnemonic.
     pub fn mnemonic(self) -> &'static str {
         use Opcode::*;
@@ -341,12 +333,5 @@ mod tests {
         assert!(!Opcode::J.is_branch());
         assert!(Opcode::Halt.is_control());
         assert_eq!(Opcode::J.fu_class(), None);
-    }
-
-    #[test]
-    fn unary_ops_are_marked() {
-        assert!(Opcode::CvtIf.is_unary());
-        assert!(Opcode::FNeg.is_unary());
-        assert!(!Opcode::FAdd.is_unary());
     }
 }

@@ -115,19 +115,6 @@ impl Word {
         }
     }
 
-    /// The floating-point value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word is an integer value.
-    #[inline]
-    pub fn as_fp(self) -> f64 {
-        match self {
-            Word::Fp(b) => f64::from_bits(b),
-            Word::Int(_) => panic!("as_fp on an integer word"),
-        }
-    }
-
     /// The raw bit pattern, zero-extended to 64 bits for integers.
     #[inline]
     pub fn bits(self) -> u64 {

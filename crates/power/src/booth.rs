@@ -115,15 +115,6 @@ impl BoothModel {
         let ham = fua_power_pair_cost(prev, op1, op2) as f64;
         self.pp_weight * pp * op1.power_width() as f64 + self.sw_weight * ham
     }
-
-    /// Whether swapping the operands lowers the model's energy — the
-    /// paper's rule "ensure the second operand is the one with fewer ones"
-    /// expressed through the recoding.
-    pub fn swap_helps(&self, op1: Word, op2: Word) -> bool {
-        let (r2, w2) = significand(op2);
-        let (r1, w1) = significand(op1);
-        nonzero_booth_digits(r1, w1) < nonzero_booth_digits(r2, w2)
-    }
 }
 
 // Local alias so this module does not depend on the ports module's glob.
@@ -192,15 +183,6 @@ mod tests {
         assert_eq!(sig, 1u64 << 52);
         let (zero_sig, _) = significand(Word::fp(0.0));
         assert_eq!(zero_sig, 0);
-    }
-
-    #[test]
-    fn swap_prefers_sparse_second_operand() {
-        let m = BoothModel::new();
-        let sparse = Word::int(8); // one booth digit
-        let dense = Word::int(0x5555_5555u32 as i32);
-        assert!(m.swap_helps(sparse, dense));
-        assert!(!m.swap_helps(dense, sparse));
     }
 
     #[test]

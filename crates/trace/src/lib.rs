@@ -17,9 +17,10 @@
 //! * [`WindowedSink`] — per-K-cycle interval telemetry whose column sums
 //!   reproduce the final energy ledger exactly (CSV + Perfetto counter
 //!   export);
-//! * [`MetricsRecorder`] — the `--metrics` snapshot: one whole-run
-//!   record plus fixed-bucket [`Histogram`]s (per-module Hamming
-//!   distance, window occupancy, issue width);
+//! * [`MetricsRecorder`] — the `--metrics` snapshot: a [`WindowedSink`]
+//!   (one window for a whole run) whose column sums are its counters,
+//!   plus fixed-bucket [`Histogram`]s (per-module Hamming distance,
+//!   window occupancy, issue width); recorders of separate runs merge;
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON that loads directly in
 //!   Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
 //! * [`StallSink`] — the cycle-side twin of the energy attribution: an
@@ -34,8 +35,9 @@
 //! [`WindowRecord::record`] adds an event to a record of counters
 //! (switched bits and ops per class and module, steering cases, stages,
 //! swaps, cache, branch and stall counts). [`WindowedSink`] keeps one
-//! record per window, [`MetricsRecorder`] one for the whole run, so the
-//! series' column sums equal the recorder's totals by construction.
+//! record per window, and [`MetricsRecorder`] owns a windowed sink, so
+//! its totals are the series' column sums by construction and a
+//! recorder that also yields the series counts each event once.
 //!
 //! Beyond the sinks, the crate exports **harness** worker timelines
 //! ([`HarnessTimeline`]) as a third Perfetto process next to the

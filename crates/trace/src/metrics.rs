@@ -48,6 +48,24 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
     }
 
+    /// Adds `other`'s observations into this histogram, as if every
+    /// value it observed had been observed here too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two histograms' bounds differ.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert_eq!(
+            self.bounds, other.bounds,
+            "cannot merge histograms with different bounds"
+        );
+        for (acc, n) in self.counts.iter_mut().zip(&other.counts) {
+            *acc += n;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -130,6 +148,31 @@ mod tests {
         assert_eq!(h.mean(), 7.0);
         let buckets: Vec<(Option<u64>, u64)> = h.buckets().collect();
         assert_eq!(buckets, [(Some(10), 1), (None, 0)]);
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_that_observed_both_streams() {
+        let (first, second) = ([0, 3, 4, 99], [5, 16, 17, 1]);
+        let mut both = Histogram::new(&[0, 4, 16]);
+        let mut a = Histogram::new(&[0, 4, 16]);
+        let mut b = Histogram::new(&[0, 4, 16]);
+        for v in first {
+            both.observe(v);
+            a.observe(v);
+        }
+        for v in second {
+            both.observe(v);
+            b.observe(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        assert_eq!(a.to_json(), both.to_json());
+    }
+
+    #[test]
+    #[should_panic(expected = "different bounds")]
+    fn histograms_with_different_bounds_cannot_merge() {
+        Histogram::new(&[0, 4]).merge(&Histogram::new(&[0, 8]));
     }
 
     #[test]

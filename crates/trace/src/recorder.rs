@@ -1,5 +1,5 @@
-//! A sink that folds the whole event stream into one [`WindowRecord`]
-//! plus the distributions a sum cannot hold.
+//! A sink that folds the event stream into [`WindowRecord`]s plus the
+//! distributions a sum cannot hold.
 
 use std::fmt;
 
@@ -8,7 +8,7 @@ use fua_isa::{Case, FuClass};
 use crate::windowed::module_slot;
 use crate::{
     Histogram, Json, Stage, StallReason, SwapKind, ToJson, TraceEvent, TraceSink, WindowRecord,
-    MAX_MODULES,
+    WindowedSeries, WindowedSink, MAX_MODULES,
 };
 
 /// Upper bounds for per-module switched-bit (inter-arrival Hamming
@@ -22,21 +22,22 @@ const WINDOW_BOUNDS: [u64; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
 /// Upper bounds for the per-cycle issue-width histogram.
 const ISSUE_BOUNDS: [u64; 6] = [0, 1, 2, 3, 4, 8];
 
-/// The `--metrics` snapshot: the whole-run [`WindowRecord`] (stage
-/// throughput, per-module switching and ops, steering cases, swap,
-/// branch, cache and stall counters) plus per-module Hamming-distance,
+/// The `--metrics` snapshot: the run's counters (stage throughput,
+/// per-module switching and ops, steering cases, swap, branch, cache
+/// and stall counters) plus per-module Hamming-distance,
 /// window-occupancy and issue-width histograms.
 ///
-/// The counters come from [`WindowRecord::record`], the fold every
-/// [`WindowedSink`](crate::WindowedSink) window uses, so the per-module
-/// switched bits sum exactly to the energy ledger's per-class totals
-/// and to the windowed series' column sums.
+/// The counters are the column sums of a [`WindowedSink`] (one window
+/// for a [`new`](MetricsRecorder::new) recorder), so each event goes
+/// through [`WindowRecord::record`] once and the per-module switched
+/// bits sum exactly to the energy ledger's per-class totals.
 ///
 /// The text and JSON views list the fixed metrics, then per class in
 /// [`FuClass::ALL`] order the steering cases (when the class was
 /// steered) and each module that latched an operation, ascending.
-/// Recorders threaded through several runs accumulate, so `cycles` is
-/// the number of cycles summarised over all of them.
+/// Recorders threaded through several runs, or merged in run order,
+/// accumulate, so `cycles` is the number of cycles summarised over all
+/// of them.
 ///
 /// # Examples
 ///
@@ -53,7 +54,7 @@ const ISSUE_BOUNDS: [u64; 6] = [0, 1, 2, 3, 4, 8];
 /// ```
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
-    totals: WindowRecord,
+    windows: WindowedSink,
     hamming: [[Histogram; MAX_MODULES]; 4],
     occupancy: Histogram,
     issue_width: Histogram,
@@ -67,24 +68,57 @@ enum Value<'a> {
 }
 
 impl MetricsRecorder {
-    /// An empty recorder.
+    /// An empty whole-run recorder: one window spans every cycle.
     pub fn new() -> Self {
+        Self::windowed(u64::MAX)
+    }
+
+    /// An empty recorder whose counters fold into `window_cycles`-cycle
+    /// windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_cycles` is 0.
+    pub fn windowed(window_cycles: u64) -> Self {
         MetricsRecorder {
-            totals: WindowRecord::ZERO,
+            windows: WindowedSink::new(window_cycles),
             hamming: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new(&HAM_BOUNDS))),
             occupancy: Histogram::new(&WINDOW_BOUNDS),
             issue_width: Histogram::new(&ISSUE_BOUNDS),
         }
     }
 
-    /// The counters of every event recorded so far.
-    pub fn totals(&self) -> &WindowRecord {
-        &self.totals
+    /// The counters of every event recorded so far: the column sums of
+    /// its windows.
+    pub fn totals(&self) -> WindowRecord {
+        self.windows.total()
+    }
+
+    /// The per-window counters recorded so far.
+    pub fn series(&self) -> WindowedSeries {
+        self.windows.clone().into_series()
+    }
+
+    /// Adds `other`'s counters and histograms into this recorder, so
+    /// recorders of separate runs merged in run order render exactly as
+    /// one recorder threaded through the same runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two recorders' window sizes differ.
+    pub fn merge(&mut self, other: &MetricsRecorder) {
+        self.windows.merge(&other.windows);
+        let hamming = other.hamming.iter().flatten();
+        for (acc, h) in self.hamming.iter_mut().flatten().zip(hamming) {
+            acc.merge(h);
+        }
+        self.occupancy.merge(&other.occupancy);
+        self.issue_width.merge(&other.issue_width);
     }
 
     /// Every metric, named, in rendering order.
     fn metrics(&self) -> Vec<(String, Value<'_>)> {
-        let t = &self.totals;
+        let t = self.totals();
         let mut out: Vec<(String, Value<'_>)> = Stage::ALL
             .iter()
             .map(|&s| {
@@ -153,8 +187,9 @@ impl Default for MetricsRecorder {
 }
 
 impl TraceSink for MetricsRecorder {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
-        self.totals.record(event);
+        self.windows.record(event);
         match *event {
             TraceEvent::Energy {
                 class,
@@ -341,5 +376,64 @@ mod tests {
         let at = |key: &str| json.find(key).expect(key);
         assert!(at("\"ham.IALU.m0\"") < at("\"ham.FPAU.m0\""));
         assert!(at("\"ham.FPAU.m0\"") < at("\"ham.FPAU.m1\""));
+    }
+
+    fn summary(cycle: u64, window: u32, issued: u32) -> TraceEvent {
+        TraceEvent::CycleSummary {
+            cycle,
+            window,
+            issued,
+        }
+    }
+
+    #[test]
+    fn merged_recorders_render_as_one_threaded_recorder() {
+        let runs = [
+            vec![
+                energy(FuClass::IntAlu, 0, 5),
+                summary(0, 3, 2),
+                energy(FuClass::FpAlu, 1, 4),
+            ],
+            vec![energy(FuClass::IntAlu, 1, 70), summary(0, 9, 4)],
+        ];
+        let mut threaded = MetricsRecorder::new();
+        let mut merged = MetricsRecorder::new();
+        for run in &runs {
+            let mut own = MetricsRecorder::new();
+            for event in run {
+                threaded.record(event);
+                own.record(event);
+            }
+            merged.merge(&own);
+        }
+        assert_eq!(merged.to_string(), threaded.to_string());
+        assert_eq!(merged.to_json(), threaded.to_json());
+        assert_eq!(merged.totals().cycles, 2);
+        assert_eq!(merged.hamming[FuClass::IntAlu.index()][1].count(), 1);
+    }
+
+    #[test]
+    fn windowed_counters_total_to_the_whole_run_snapshot() {
+        let mut windowed = MetricsRecorder::windowed(10);
+        let mut whole = MetricsRecorder::new();
+        for event in [
+            summary(3, 2, 1),
+            energy(FuClass::IntAlu, 0, 6),
+            summary(15, 4, 2),
+        ] {
+            windowed.record(&event);
+            whole.record(&event);
+        }
+        let series = windowed.series();
+        assert_eq!(series.len(), 2);
+        assert_eq!(series.total(), windowed.totals());
+        assert_eq!(whole.series().len(), 1);
+        assert_eq!(windowed.to_string(), whole.to_string());
+    }
+
+    #[test]
+    #[should_panic(expected = "different window sizes")]
+    fn recorders_with_different_windows_cannot_merge() {
+        MetricsRecorder::new().merge(&MetricsRecorder::windowed(10));
     }
 }

@@ -55,8 +55,8 @@ fn add_into<const N: usize>(acc: &mut [u64; N], from: &[u64; N]) {
 }
 
 /// Counters folded from a slice of the event stream: one window of `K`
-/// cycles in a [`WindowedSink`], or a whole run in a
-/// [`MetricsRecorder`](crate::MetricsRecorder).
+/// cycles in a [`WindowedSink`], or a whole run in the one window of a
+/// [`MetricsRecorder::new`](crate::MetricsRecorder::new) recorder.
 ///
 /// All fields are *deltas within the slice*, never cumulative values;
 /// cumulative series are recovered by prefix sums, and run totals by
@@ -121,8 +121,9 @@ impl WindowRecord {
 
     /// Folds one event into the counters. This is the one per-event
     /// fold of the crate's counting sinks: [`WindowedSink`] applies it
-    /// to the event's window, [`MetricsRecorder`](crate::MetricsRecorder)
-    /// to its whole-run record.
+    /// to the event's window, and a
+    /// [`MetricsRecorder`](crate::MetricsRecorder) counts through the
+    /// windowed sink it owns.
     #[inline]
     pub fn record(&mut self, event: &TraceEvent) {
         match *event {
@@ -360,6 +361,7 @@ impl Default for WindowedSink {
 }
 
 impl TraceSink for WindowedSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
         self.window(event.cycle()).record(event);
     }
@@ -469,9 +471,9 @@ impl WindowedSeries {
 
     /// Chrome trace-event counter tracks (`ph: "C"`) for the series,
     /// one sample per window at the window's start cycle (1 cycle =
-    /// 1 µs), under a dedicated *telemetry* process. Concatenate with
-    /// [`ChromeTraceSink`](crate::ChromeTraceSink) events or wrap with
-    /// [`into_chrome_json`](WindowedSeries::into_chrome_json).
+    /// 1 µs), under a dedicated *telemetry* process;
+    /// [`ChromeTraceSink::into_json_with_counters`](crate::ChromeTraceSink::into_json_with_counters)
+    /// appends them to a pipeline trace.
     pub fn counter_events(&self) -> Vec<Json> {
         let mut events = vec![Json::obj([
             ("name", Json::Str("process_name".into())),
@@ -541,19 +543,6 @@ impl WindowedSeries {
         }
         events
     }
-
-    /// The counter tracks wrapped as a standalone Chrome trace JSON
-    /// document, loadable at `ui.perfetto.dev`.
-    pub fn into_chrome_json(self) -> Json {
-        Json::obj([
-            ("traceEvents", Json::Arr(self.counter_events())),
-            ("displayTimeUnit", Json::Str("ms".into())),
-            (
-                "otherData",
-                Json::obj([("producer", Json::Str("fua-trace windowed".into()))]),
-            ),
-        ])
-    }
 }
 
 impl ToJson for WindowedSeries {
@@ -597,7 +586,7 @@ impl ToJson for WindowedSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SwapKind;
+    use crate::{ChromeTraceSink, SwapKind};
     use fua_isa::{Case, Opcode};
 
     fn energy(cycle: u64, class: FuClass, module: u8, bits: u32) -> TraceEvent {
@@ -788,7 +777,9 @@ mod tests {
             window: 3,
             issued: 1,
         });
-        let json = sink.into_series().into_chrome_json().compact();
+        let json = ChromeTraceSink::new()
+            .into_json_with_counters(&sink.into_series())
+            .compact();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("window.switched_bits"));
@@ -845,7 +836,9 @@ mod tests {
         let mut sink = WindowedSink::new(50);
         sink.record(&stall(10, StallReason::Issued, 3));
         sink.record(&stall(12, StallReason::BranchRecovery, 7));
-        let json = sink.into_series().into_chrome_json().compact();
+        let json = ChromeTraceSink::new()
+            .into_json_with_counters(&sink.into_series())
+            .compact();
         assert!(json.contains("window.stall_mix"));
         assert!(json.contains("\"branch-recovery\":7"));
         let parsed = Json::parse(&json).expect("loadable chrome trace");
@@ -864,7 +857,9 @@ mod tests {
     fn all_zero_stall_mix_emits_no_counter_track() {
         let mut sink = WindowedSink::new(50);
         sink.record(&energy(10, FuClass::IntAlu, 0, 4));
-        let json = sink.into_series().into_chrome_json().compact();
+        let json = ChromeTraceSink::new()
+            .into_json_with_counters(&sink.into_series())
+            .compact();
         assert!(!json.contains("window.stall_mix"));
     }
 

@@ -24,11 +24,11 @@ use fua::attr::{
     EstimateComparison, EstimateReport, EstimateVerification, ExactPartition, Scheme, SchemeRun,
 };
 use fua::core::{
-    ablation, chip_estimate, figure4_jobs, headline_jobs, info_bit_report, profile_suite_jobs,
-    routing_example, static_swap_comparison, swap_sensitivity, synthesis_report,
-    workload_breakdown, workload_table, ChipEstimate, ExperimentConfig, Figure4, Headline, Json,
-    RoutingExample, StaticSwapComparison, SwapSensitivity, SynthesisReport, ToJson, Unit,
-    WorkloadBreakdown,
+    ablation, chip_estimate, figure4_with_profile_jobs, headline_from, info_bit_report,
+    profile_suite_jobs, profile_suite_metrics_jobs, routing_example, static_swap_comparison,
+    swap_sensitivity, synthesis_report, workload_breakdown, workload_table, ChipEstimate, Figure4,
+    Headline, Json, RoutingExample, StaticSwapComparison, SwapSensitivity, SynthesisReport, ToJson,
+    Unit, WorkloadBreakdown,
 };
 use fua::exec::{enable_heartbeat, heartbeat_stage, Jobs};
 use fua::report::{
@@ -38,7 +38,7 @@ use fua::report::{
 use fua::sim::{MachineConfig, Simulator};
 use fua::store::{IndexEntry, Store};
 use fua::trace::MetricsRecorder;
-use fua::workloads::Workload;
+use fua::workloads::{Workload, WorkloadArena};
 
 // Every allocation in the binary routes through the counting wrapper,
 // so `harness-report` and the BENCH harness digest carry real
@@ -53,7 +53,7 @@ type CmdResult = Result<bool, String>;
 
 fn cmd_tables(opts: &Options) -> CmdResult {
     let cfg = config(opts);
-    let arena = fua::workloads::WorkloadArena::build(cfg.scale);
+    let arena = WorkloadArena::build(cfg.scale);
     let (p, _) = profile_suite_jobs(&cfg, &arena, Jobs::serial());
     println!("{}", p.table1());
     println!("{}", p.table2());
@@ -77,22 +77,6 @@ fn cmd_ablation(name: &str, opts: &Options) -> CmdResult {
     };
     println!("{table}");
     Ok(true)
-}
-
-/// Per-unit metrics snapshots, one suite run with a recorder attached
-/// per unit; empty unless `--metrics` was given.
-fn unit_metrics(
-    units: &[Unit],
-    cfg: &ExperimentConfig,
-    opts: &Options,
-) -> Vec<(Unit, MetricsRecorder)> {
-    if !opts.metrics {
-        return Vec::new();
-    }
-    units
-        .iter()
-        .map(|&u| (u, fua::core::suite_metrics(u, cfg)))
-        .collect()
 }
 
 /// Prints a report as JSON or as its text rendering. With metrics, JSON
@@ -127,20 +111,25 @@ fn emit<T: ToJson>(
 fn cmd_figure4(unit: Unit, opts: &Options) -> CmdResult {
     let cfg = config(opts);
     heartbeat_stage("figure4: scheme sweep");
-    let fig = figure4_jobs(unit, &cfg, opts.jobs);
-    emit(
-        &fig,
-        Figure4::render,
-        &unit_metrics(&[unit], &cfg, opts),
-        opts.json,
-    )
+    let arena = WorkloadArena::build(cfg.scale);
+    let units: &[Unit] = if opts.metrics { &[unit] } else { &[] };
+    let (profile, metrics, _) = profile_suite_metrics_jobs(&cfg, &arena, opts.jobs, units);
+    let fig = figure4_with_profile_jobs(unit, &cfg, &arena, &profile, opts.jobs).0;
+    emit(&fig, Figure4::render, &metrics, opts.json)
 }
 
 fn cmd_headline(opts: &Options) -> CmdResult {
     let cfg = config(opts);
     heartbeat_stage("headline: scheme sweeps");
-    let h = headline_jobs(&cfg, opts.jobs);
-    let metrics = unit_metrics(&[Unit::Ialu, Unit::Fpau], &cfg, opts);
+    let arena = WorkloadArena::build(cfg.scale);
+    let units: &[Unit] = if opts.metrics {
+        &[Unit::Ialu, Unit::Fpau]
+    } else {
+        &[]
+    };
+    let (profile, metrics, _) = profile_suite_metrics_jobs(&cfg, &arena, opts.jobs, units);
+    let figure = |unit| figure4_with_profile_jobs(unit, &cfg, &arena, &profile, opts.jobs).0;
+    let h = headline_from(&figure(Unit::Ialu), &figure(Unit::Fpau));
     emit(&h, Headline::render, &metrics, opts.json)
 }
 
@@ -185,7 +174,7 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 }
 
 fn cmd_trace(name: &str, opts: &Options) -> CmdResult {
-    use fua::trace::{ChromeTraceSink, MetricsRecorder, RingBufferSink, WindowedSink};
+    use fua::trace::{ChromeTraceSink, RingBufferSink};
 
     let w = workload(name, opts.scale)?;
     let limit = opts.limit.unwrap_or(cli::TRACE_DEFAULT_LIMIT);
@@ -195,17 +184,14 @@ fn cmd_trace(name: &str, opts: &Options) -> CmdResult {
         fua::core::observed_scheme(),
         (
             ChromeTraceSink::for_workload(w.name),
-            (
-                RingBufferSink::default(),
-                (MetricsRecorder::new(), WindowedSink::new(window)),
-            ),
+            (RingBufferSink::default(), MetricsRecorder::windowed(window)),
         ),
     );
     let result = sim
         .run_program(&w.program, limit)
         .map_err(|e| e.to_string())?;
-    let (chrome, (ring, (recorder, windowed))) = sim.into_sink();
-    let series = windowed.into_series();
+    let (chrome, (ring, recorder)) = sim.into_sink();
+    let series = recorder.series();
 
     // Progress lines go to stderr; stdout stays machine-clean for
     // `--out`/`--csv` pipelines.

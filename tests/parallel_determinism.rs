@@ -3,6 +3,8 @@
 //! the serial (`--jobs 1`) run once the wall-clock-only sections are set
 //! aside — and `fua report` must diff the two to exactly zero findings.
 
+use std::process::Command;
+
 use fua::core::{figure4_jobs, headline_jobs, ExperimentConfig, Unit};
 use fua::exec::Jobs;
 use fua::report::{bench_suite_jobs, compare, BenchReport, Tolerance};
@@ -123,4 +125,24 @@ fn figures_and_headline_match_their_serial_twins() {
         h_serial.ialu_compiler_pct.to_bits(),
         h_parallel.ialu_compiler_pct.to_bits()
     );
+
+    // `--metrics` rides the same fanned-out profiling pass, so the
+    // command's snapshot cannot depend on the worker count either.
+    let cli = |jobs: &str| {
+        let args = ["headline", "--metrics", "--json", "--limit", "1500"];
+        let out = Command::new(env!("CARGO_BIN_EXE_fua"))
+            .args(args)
+            .args(["--jobs", jobs])
+            .output()
+            .expect("fua runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
+    };
+    let serial = cli("1");
+    assert!(serial.contains("\"metrics\""), "{serial}");
+    assert_eq!(serial, cli("4"));
 }

@@ -73,7 +73,7 @@ fn metrics_agree_with_the_architectural_counters() {
         MetricsRecorder::new(),
     );
     let result = sim.run_program(&w.program, LIMIT).expect("runs");
-    let t = *sim.into_sink().totals();
+    let t = sim.into_sink().totals();
 
     // Per-module energy counters partition the ledger exactly.
     for class in FuClass::ALL {

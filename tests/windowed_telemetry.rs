@@ -9,7 +9,7 @@ use fua::core::{observed_scheme, ExperimentConfig};
 use fua::power::EnergyLedger;
 use fua::sim::{Simulator, SteeringConfig};
 use fua::steer::SteeringKind;
-use fua::trace::{MetricsRecorder, WindowedSink};
+use fua::trace::{ChromeTraceSink, MetricsRecorder, WindowedSink};
 use fua::workloads::Workload;
 
 fn workload(name: &str) -> Workload {
@@ -42,7 +42,7 @@ fn windowed_sums_equal_ledger_and_metrics_for_every_scheme_and_swap() {
                 ledger.merge(&result.ledger);
                 (sink, recorder) = sim.into_sink();
             }
-            let totals = *recorder.totals();
+            let totals = recorder.totals();
 
             // The windows partition the run: every column sums to the
             // recorder's whole-run record.
@@ -109,7 +109,9 @@ fn csv_and_counter_exports_cover_every_window() {
     // Header + one line per window.
     assert_eq!(csv.lines().count(), 1 + series.len());
     assert!(csv.starts_with("window,start_cycle,cycles,retired"));
-    let chrome = series.into_chrome_json().compact();
+    let chrome = ChromeTraceSink::new()
+        .into_json_with_counters(&series)
+        .compact();
     assert!(chrome.contains("\"ph\":\"C\""), "counter events present");
     assert!(chrome.contains("window.ipc"));
 }
