@@ -15,7 +15,9 @@
 //! suite's runs instead of the last run's count. The `trace swim` pin
 //! was recorded after the `--metrics` snapshot took its fixed order
 //! (class, then steering cases, then modules ascending), the first pin
-//! that lists FP modules. On a mismatch the test prints the whole table
+//! that lists FP modules. The `report` pin was recorded before the run
+//! store and `trends` left the binary; `--baseline` as `report`'s only
+//! source must reproduce it. On a mismatch the test prints the whole table
 //! as Rust source, ready to paste back after such a change.
 //!
 //! `harness-report` prints the serial pass's allocation counts, which
@@ -30,7 +32,7 @@ use fua::store::content_key;
 type Pin = (&'static str, i32, &'static str);
 
 #[rustfmt::skip]
-const PINS: [Pin; 31] = [
+const PINS: [Pin; 32] = [
     ("run compress --limit 2000", 0, "058f20483993fb569cbca9a8f4e9a3a2"),
     ("run compress --json --metrics --limit 2000", 0, "974077b0b4aeb517496e827d4cb08a9e"),
     ("trace compress --last 20 --metrics --limit 2000", 0, "9089961f0e7d77979bb19e8617d7213d"),
@@ -62,6 +64,7 @@ const PINS: [Pin; 31] = [
     ("ablation homes --limit 2000", 0, "254b06c7aa6997524fac62654bbb0a4d"),
     ("ablation modules --limit 2000", 0, "14f22c0c5231decf834506ad9377a4f1"),
     ("trace swim --last 1 --metrics --limit 2000", 0, "d24aa87aded06ae2200b1c1863f40d10"),
+    ("report --baseline BENCH_seed.json --current BENCH_seed.json", 0, "2afdb7a999365b650462694fb0a84296"),
 ];
 
 /// Replaces the build-dependent allocation counts of `harness-report`
