@@ -155,7 +155,7 @@ pub struct StallSummary {
 }
 
 /// The `throughput` section of the artifact: how fast the simulator
-/// itself runs — the ROADMAP item-1 headline. `cycles` and
+/// itself runs, in simulated MHz. `cycles` and
 /// `instructions` are deterministic model totals from the observation
 /// run; `hot_nanos` is the summed wall-clock of the *rate pass* — each
 /// workload re-run on the default engine (one lane measuring every

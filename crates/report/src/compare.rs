@@ -5,10 +5,10 @@
 //! [`Severity::Regression`] (actionable).
 //!
 //! **Banded metrics.** Every single number the gate bands comes from
-//! the catalogue in `gate.rs`, which `fua trends` shares: the Figure-4
-//! columns, headlines, Table-1/2 aggregates, suite IPC and the
-//! simulated rates, the stall mix, the estimator's mean and
-//! worst-block ratios, and the hotspot shares. Each is banded by the
+//! the catalogue in `gate.rs`, which [`trends`](crate::trends)
+//! shares: the Figure-4 columns, headlines, Table-1/2 aggregates,
+//! suite IPC and the simulated rates, the stall mix, the estimator's
+//! mean and worst-block ratios, and the hotspot shares. Each is banded by the
 //! same rule `trends` applies, with the baseline's value as the
 //! reference; per-key entries (scheme rows, estimator schemes,
 //! hotspots) follow the baseline. A model metric that moved but stayed
@@ -122,10 +122,24 @@ impl Comparison {
         regressions(&self.findings)
     }
 
-    /// The `fua report` text: one line per finding, then the verdict
-    /// against the baseline tagged `baseline_tag`.
+    /// The `fua report` text: one line per finding, regressions
+    /// flagged, then the verdict line (`PASS`/`FAIL`, the finding and
+    /// regression counts) against the baseline tagged `baseline_tag`.
     pub fn render(&self, baseline_tag: &str) -> String {
-        render_verdict(&self.findings, &format!("vs baseline \"{baseline_tag}\""))
+        let mut out = String::new();
+        for f in &self.findings {
+            let tag = match f.severity {
+                Severity::Regression => "REGRESSION",
+                Severity::Info => "info",
+            };
+            out += &format!("{tag:<10} [{}] {}\n", f.category, f.message);
+        }
+        let regressions = self.regressions();
+        out + &format!(
+            "{}: {} finding(s), {regressions} regression(s) vs baseline \"{baseline_tag}\"",
+            if regressions == 0 { "PASS" } else { "FAIL" },
+            self.findings.len(),
+        )
     }
 }
 
@@ -135,25 +149,6 @@ pub(crate) fn regressions(findings: &[Finding]) -> usize {
         .iter()
         .filter(|f| f.severity == Severity::Regression)
         .count()
-}
-
-/// One line per finding, regressions flagged, then the verdict line:
-/// `PASS`/`FAIL`, the finding and regression counts, and `context`.
-pub(crate) fn render_verdict(findings: &[Finding], context: &str) -> String {
-    let mut out = String::new();
-    for f in findings {
-        let tag = match f.severity {
-            Severity::Regression => "REGRESSION",
-            Severity::Info => "info",
-        };
-        out += &format!("{tag:<10} [{}] {}\n", f.category, f.message);
-    }
-    let regressions = regressions(findings);
-    out + &format!(
-        "{}: {} finding(s), {regressions} regression(s) {context}",
-        if regressions == 0 { "PASS" } else { "FAIL" },
-        findings.len(),
-    )
 }
 
 /// Findings under construction.

@@ -49,16 +49,6 @@ pub enum BandKind {
 }
 
 impl BandKind {
-    /// Machine-greppable name used in the `trends --json` rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            BandKind::Points => "points",
-            BandKind::RelativePct => "relative-pct",
-            BandKind::WallClock => "wall-clock",
-            BandKind::Inflation => "inflation",
-        }
-    }
-
     /// `value`'s drift from `reference` in this kind's unit (points,
     /// percent, or a slowdown or growth factor), and whether that drift
     /// is out of band.
@@ -158,7 +148,7 @@ type Part<T> = (&'static str, fn(&BenchReport) -> &T);
 
 /// One banded metric.
 pub(crate) struct Metric {
-    /// The series name in `trends` and the message prefix in `compare`.
+    /// The message prefix of its findings in `compare` and `trends`.
     pub name: String,
     /// The `compare` finding category.
     pub category: &'static str,

@@ -17,8 +17,9 @@
 //!    artifacts that flags metric drift, scheme-ordering inversions,
 //!    and simulated-rate slowdowns. `fua report --baseline` turns the
 //!    verdict into an exit code for CI gating. [`trends`] bands the
-//!    same metrics over a stored history; both gates read one metric
-//!    catalogue and one band rule ([`BandKind`]).
+//!    same metrics over an artifact history for the benchmark's
+//!    `ledger` workload; both read one metric catalogue and one band
+//!    rule ([`BandKind`]).
 //!
 //! Everything is dependency-free: JSON parsing and emission come from
 //! the in-tree [`fua_trace`] value type.
@@ -43,9 +44,7 @@ pub use compare::{compare, Comparison, Finding, Severity, Tolerance};
 pub use gate::BandKind;
 pub use harness::HarnessReport;
 pub use manifest::{RunManifest, WorkloadEntry};
-pub use trends::{
-    sparkline, trends, TrendError, TrendReport, TrendSeries, TRENDS_SCHEMA, TREND_WINDOW,
-};
+pub use trends::{trends, TrendError, TrendReport};
 
 use fua_trace::{Json, JsonParseError};
 use std::fmt;

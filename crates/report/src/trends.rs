@@ -1,159 +1,45 @@
-//! Longitudinal trend analysis over a history of BENCH artifacts.
+//! Trend banding over a history of BENCH artifacts.
 //!
 //! [`compare`](crate::compare) answers "did this run drift from that
-//! run?"; this module answers "is the trajectory healthy?". Given an
-//! ordered history of artifacts captured under one comparable manifest
-//! (oldest first, as the run store hands them out), [`trends`] extracts
-//! one time series per metric of the shared gate catalogue — the same
-//! metrics `compare` bands, under the same [`BandKind`] rule and
-//! [`Tolerance`] — and bands each point against the median of its
-//! [`TREND_WINDOW`] most recent predecessors.
+//! run?"; [`trends`] answers it for the newest of an ordered history
+//! captured under one comparable manifest (oldest first). For each
+//! metric of the shared gate catalogue — the same metrics `compare`
+//! bands, under the same [`BandKind`](crate::BandKind) rule and
+//! [`Tolerance`] — it bands each point against the median of its
+//! `TREND_WINDOW` most recent predecessors. perfbench's `ledger`
+//! workload runs it over a stored artifact and a fresh one.
 //!
 //! The classification is positional. An out-of-band *newest* point is a
 //! [`Severity::Regression`] (`trend-regression`) — the latest run broke
 //! the trajectory and the gate fails. An out-of-band *interior* point
 //! is only [`Severity::Info`] (`trend-shift`): it marks where the
-//! history stepped (an intentional model change, a retagged baseline),
-//! which is exactly the provenance question the store exists to answer,
-//! not something to fail retroactively.
+//! history stepped, which is not something to fail retroactively.
 //!
-//! Series are aligned to the input points with `Vec<Option<f64>>`: a
-//! point without the metric (a scheme row or hotspot only some runs
+//! A point without the metric (a scheme row or hotspot only some runs
 //! have, a rate pass under the floor, a run without the counting
-//! allocator) contributes a hole, which the median skips and
-//! [`sparkline`] renders as a gap.
+//! allocator) is a hole, which is never banded and which the median
+//! skips.
 
 use crate::bench::BenchReport;
-use crate::compare::{regressions, render_verdict, Finding, Severity, Tolerance};
-use crate::gate::{band, catalogue, describe, BandKind, Verdict};
-use fua_trace::{Json, TextTable, ToJson};
+use crate::compare::{regressions, Finding, Severity, Tolerance};
+use crate::gate::{band, catalogue, describe, Verdict};
 use std::fmt;
-
-/// Schema identifier stamped into `trends --json` output.
-pub const TRENDS_SCHEMA: &str = "fua-trends/1";
 
 /// Rolling-median window: each point is banded against the median of
 /// up to this many most recent non-hole predecessors.
-pub const TREND_WINDOW: usize = 8;
+const TREND_WINDOW: usize = 8;
 
-/// Characters of the ASCII sparkline, lowest value first.
-const SPARK_LEVELS: &[u8] = b"_.:-=+*#";
-
-/// One metric's history across the input points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendSeries {
-    /// Human-readable metric name (also the JSON key).
-    pub metric: String,
-    /// The band shape applied to this series.
-    pub kind: BandKind,
-    /// One slot per input point, oldest first; `None` is a hole, where
-    /// the point has no value for the metric (see the module doc).
-    pub values: Vec<Option<f64>>,
-}
-
-impl TrendSeries {
-    /// The newest recorded value, if the latest artifact carries one.
-    pub fn newest(&self) -> Option<f64> {
-        self.values.last().copied().flatten()
-    }
-}
-
-/// The assembled trend analysis: aligned series plus classified
-/// change points.
+/// The change points of a history, regressions first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendReport {
-    /// One label per input point, oldest first (store tags or
-    /// sequence numbers).
-    pub labels: Vec<String>,
-    /// One series per tracked metric.
-    pub series: Vec<TrendSeries>,
     /// Change-point findings, regressions first.
     pub findings: Vec<Finding>,
 }
 
 impl TrendReport {
-    /// Whether the newest point stayed in band on every series.
+    /// Whether the newest point stayed in band on every metric.
     pub fn passed(&self) -> bool {
-        self.regressions() == 0
-    }
-
-    /// Number of regression-severity findings.
-    pub fn regressions(&self) -> usize {
-        regressions(&self.findings)
-    }
-
-    /// The `fua trends` text: one sparkline row per metric, then the
-    /// findings and the verdict on the newest run.
-    pub fn render(&self) -> String {
-        let mut table = TextTable::new(["metric", "trend", "newest"]);
-        for series in &self.series {
-            table.push_row([
-                series.metric.clone(),
-                sparkline(&series.values),
-                series
-                    .newest()
-                    .map_or_else(|| "-".to_string(), |v| format!("{v:.3}")),
-            ]);
-        }
-        format!(
-            "trends over {} stored run(s) ({} .. {}):\n{table}\n{}",
-            self.labels.len(),
-            self.labels.first().map_or("-", String::as_str),
-            self.labels.last().map_or("-", String::as_str),
-            render_verdict(&self.findings, "on the newest run")
-        )
-    }
-}
-
-impl ToJson for TrendReport {
-    /// Renders the report as a stable JSON document.
-    fn to_json(&self) -> Json {
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let values = s
-                    .values
-                    .iter()
-                    .map(|v| match v {
-                        Some(x) => Json::Float(*x),
-                        None => Json::Null,
-                    })
-                    .collect();
-                Json::obj([
-                    ("metric", Json::Str(s.metric.clone())),
-                    ("kind", Json::Str(s.kind.name().to_string())),
-                    ("values", Json::Arr(values)),
-                    ("spark", Json::Str(sparkline(&s.values))),
-                ])
-            })
-            .collect();
-        let findings = self
-            .findings
-            .iter()
-            .map(|f| {
-                let severity = match f.severity {
-                    Severity::Info => "info",
-                    Severity::Regression => "regression",
-                };
-                Json::obj([
-                    ("severity", Json::Str(severity.to_string())),
-                    ("category", Json::Str(f.category.to_string())),
-                    ("message", Json::Str(f.message.clone())),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("schema", Json::Str(TRENDS_SCHEMA.to_string())),
-            ("points", Json::UInt(self.labels.len() as u64)),
-            (
-                "labels",
-                Json::Arr(self.labels.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("passed", Json::Bool(self.passed())),
-            ("series", Json::Arr(series)),
-            ("findings", Json::Arr(findings)),
-        ])
+        regressions(&self.findings) == 0
     }
 }
 
@@ -196,37 +82,6 @@ impl fmt::Display for TrendError {
 
 impl std::error::Error for TrendError {}
 
-/// Renders a series as one ASCII sparkline character per point.
-///
-/// Values are scaled to the series' own min–max range over eight
-/// levels (`_.:-=+*#`); holes render as spaces; a flat series renders
-/// at the middle level.
-pub fn sparkline(values: &[Option<f64>]) -> String {
-    let present: Vec<f64> = values.iter().copied().flatten().collect();
-    let (min, max) = present
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-            (lo.min(*v), hi.max(*v))
-        });
-    let span = max - min;
-    values
-        .iter()
-        .map(|v| match v {
-            None => ' ',
-            Some(v) => {
-                let level = if span <= 0.0 || !span.is_finite() {
-                    SPARK_LEVELS.len() / 2
-                } else {
-                    let t = (v - min) / span;
-                    ((t * (SPARK_LEVELS.len() - 1) as f64).round() as usize)
-                        .min(SPARK_LEVELS.len() - 1)
-                };
-                SPARK_LEVELS[level] as char
-            }
-        })
-        .collect()
-}
-
 /// Median of non-empty values (midpoint average for even lengths).
 fn median(mut sorted: Vec<f64>) -> f64 {
     sorted.sort_by(f64::total_cmp);
@@ -238,7 +93,7 @@ fn median(mut sorted: Vec<f64>) -> f64 {
     }
 }
 
-/// Assembles per-metric time series over a comparable artifact history
+/// Bands every catalogue metric over a comparable artifact history
 /// (oldest first) and classifies change points against rolling
 /// medians.
 ///
@@ -246,7 +101,7 @@ fn median(mut sorted: Vec<f64>) -> f64 {
 /// [`TrendError::Incomparable`] when any point's manifest disagrees
 /// with the first point's (tag aside). The result's
 /// [`passed`](TrendReport::passed) is `false` exactly when the newest
-/// point sits out of band on some series.
+/// point sits out of band on some metric.
 pub fn trends(
     points: &[(String, BenchReport)],
     tol: &Tolerance,
@@ -265,12 +120,9 @@ pub fn trends(
     }
 
     // The newest point's scheme rows, estimator schemes and hotspots
-    // decide which per-key series exist.
-    let metrics = catalogue(&points[points.len() - 1].1, tol);
-    let mut series = Vec::with_capacity(metrics.len());
+    // decide which per-key metrics exist.
     let mut findings = Vec::new();
-
-    for metric in metrics {
+    for metric in catalogue(&points[points.len() - 1].1, tol) {
         let values: Vec<Option<f64>> = points.iter().map(|(_, r)| (metric.extract)(r)).collect();
 
         // Band each present point against the median of its most
@@ -306,21 +158,10 @@ pub fn trends(
                 });
             }
         }
-
-        series.push(TrendSeries {
-            metric: metric.name,
-            kind: metric.kind,
-            values,
-        });
     }
 
     findings.sort_by_key(|f| f.severity != Severity::Regression);
-
-    Ok(TrendReport {
-        labels: points.iter().map(|(l, _)| l.clone()).collect(),
-        series,
-        findings,
-    })
+    Ok(TrendReport { findings })
 }
 
 #[cfg(test)]
@@ -350,23 +191,11 @@ mod tests {
 
     #[test]
     fn a_flat_history_passes_with_no_findings() {
+        // The allocation metric is a hole on every point, because the
+        // test binary runs without the counting allocator installed.
         let report = trends(&history(4), &Tolerance::default()).unwrap();
         assert!(report.passed());
         assert!(report.findings.is_empty(), "{:#?}", report.findings);
-        assert_eq!(report.labels.len(), 4);
-        // Every series is fully populated on same-schema artifacts —
-        // except the allocation series, which is all holes because the
-        // test binary runs without the counting allocator installed.
-        assert!(report
-            .series
-            .iter()
-            .all(|s| s.metric == "harness allocs/kcycle" || s.values.iter().all(Option::is_some)));
-        let allocs = report
-            .series
-            .iter()
-            .find(|s| s.metric == "harness allocs/kcycle")
-            .unwrap();
-        assert!(allocs.values.iter().all(Option::is_none));
     }
 
     #[test]
@@ -461,41 +290,5 @@ mod tests {
         points[3].1.harness.as_mut().unwrap().allocs_per_kcycle = Some(0.001);
         let report = trends(&points, &Tolerance::default()).unwrap();
         assert!(report.passed(), "{:#?}", report.findings);
-    }
-
-    #[test]
-    fn sparklines_scale_to_the_series_range() {
-        let values: Vec<Option<f64>> = vec![Some(0.0), Some(100.0), None, Some(50.0), Some(100.0)];
-        let spark = sparkline(&values);
-        assert_eq!(spark.len(), 5);
-        assert_eq!(&spark[0..1], "_");
-        assert_eq!(&spark[1..2], "#");
-        assert_eq!(&spark[2..3], " ");
-        assert_eq!(&spark[4..5], "#");
-        // Flat series sit at the middle level.
-        assert_eq!(sparkline(&[Some(7.0), Some(7.0)]), "==");
-    }
-
-    #[test]
-    fn the_json_rendering_round_trips_holes_as_null() {
-        let mut points = history(3);
-        points[0].1.throughput = None;
-        let report = trends(&points, &Tolerance::default()).unwrap();
-        let json = report.to_json();
-        assert_eq!(
-            json.get("schema").and_then(Json::as_str),
-            Some(TRENDS_SCHEMA)
-        );
-        assert_eq!(json.get("passed").and_then(Json::as_bool), Some(true));
-        let text = json.pretty();
-        let reparsed = Json::parse(&text).unwrap();
-        let series = reparsed.get("series").and_then(Json::as_arr).unwrap();
-        let ipc = series
-            .iter()
-            .find(|s| s.get("metric").and_then(Json::as_str) == Some("suite IPC"))
-            .unwrap();
-        let vals = ipc.get("values").and_then(Json::as_arr).unwrap();
-        assert_eq!(vals[0], Json::Null);
-        assert!(vals[1].as_f64().is_some());
     }
 }

@@ -70,8 +70,8 @@ const WATCHDOG_CYCLES: u64 = 10_000;
 /// [`Simulator::with_parts`] + [`PhaseTimers`](crate::PhaseTimers)
 /// accounts hot-loop time to fetch/rename/steer/issue/writeback. It
 /// serves perfbench's `sim.phase_timers_ns_per_op` probe and the tests;
-/// no command or BENCH section reads it, and ROADMAP item 5 deletes it
-/// together with that probe.
+/// no command or BENCH section reads it, and ROADMAP's "One timing
+/// mechanism" item deletes it together with that probe.
 /// Profiling never feeds back into simulation state: a profiled run is
 /// cycle-identical to an unprofiled one.
 pub struct Simulator<S: TraceSink = NullSink, P: PhaseProfiler = NullProfiler> {

@@ -8,8 +8,8 @@
 //! measure where simulator wall-clock goes, phase by phase
 //! (fetch/rename/steer/issue/writeback). The timers serve perfbench's
 //! `sim.phase_timers_ns_per_op` probe and the tests; no command or BENCH
-//! section reads them, and ROADMAP item 5 deletes this module together
-//! with that probe.
+//! section reads them, and ROADMAP's "One timing mechanism" item
+//! deletes this module together with that probe.
 //!
 //! Timers use [`std::time::Instant`] (monotonic), never the wall clock,
 //! and never feed back into simulation state — a profiled run retires

@@ -1,8 +1,12 @@
-//! Append-only, content-addressed BENCH artifact store.
+//! The benchmark's BENCH artifact round trip: a content-addressed
+//! store and the two digests that address it.
 //!
-//! Every `BENCH_<tag>.json` artifact is a loose file until it lands
-//! here. The store gives the repo *cross-run memory*: artifacts are
-//! filed under `.fua-store/` addressed by two hashes —
+//! perfbench's `ledger` workload files each fresh artifact with
+//! [`Store::put`], finds it again under its configuration's
+//! [`manifest_key`] with [`Store::history`], and reads the bytes back
+//! with [`Store::read`]. The `fua` binary keeps no store: its one
+//! regression gate is `fua report --baseline`. Two hashes address an
+//! artifact:
 //!
 //! - the **manifest key** ([`manifest_key`]): a 128-bit FNV-1a/SplitMix
 //!   digest of everything in the [`RunManifest`] that determines the
@@ -10,16 +14,16 @@
 //!   limit — everything except the tag) plus the artifact schema
 //!   version. Two runs of the same configuration collide to one key on
 //!   purpose; that key's entries, in insertion order, are the
-//!   configuration's longitudinal history (`fua trends` walks them, and
-//!   ROADMAP item 2's result cache will look them up).
-//! - the **content key**: the same digest over the artifact's raw
-//!   bytes. Objects are stored once per distinct content and verified
-//!   against this hash on every read.
+//!   configuration's history.
+//! - the **content key** ([`content_key`]): the same digest over the
+//!   artifact's raw bytes. Objects are stored once per distinct content
+//!   and verified against this hash on every read. The golden tests and
+//!   perfbench's model digest hash with it too.
 //!
 //! Layout under the store root:
 //!
 //! ```text
-//! .fua-store/
+//! <root>/
 //!   index.json            append-only ledger: seq -> (key, content, tag)
 //!   objects/<content>.json  one file per distinct artifact content
 //!   tmp/                  staging area for atomic writes
@@ -30,11 +34,9 @@
 //! written *before* the index entry that references them. A crash at
 //! any point therefore leaves either the old index or the new one, and
 //! whichever survives only ever references objects that are fully on
-//! disk; the worst case is an orphaned object or staging file, which
-//! [`Store::gc`] reclaims. The store is single-writer by design (the
-//! CLI); concurrent writers could lose an index append to the
-//! rewrite-and-rename race, which the serve-mode work (ROADMAP item 2)
-//! will address with a lock when it arrives.
+//! disk; the worst case is an orphaned object or staging file. The
+//! store has a single writer: concurrent writers could lose an index
+//! append to the rewrite-and-rename race.
 //!
 //! Dependency-free on purpose: hashing is in-tree FNV-1a with a
 //! SplitMix64 finalisher (the same mixer `fua-workloads` seeds data
@@ -44,20 +46,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fua_report::{BenchReport, ReportError, RunManifest, BENCH_SCHEMA};
-use fua_trace::{Json, TextTable, ToJson};
+use fua_trace::{Json, ToJson};
 
 /// The index file's schema identifier; bump on any breaking change.
-pub const STORE_SCHEMA: &str = "fua-store/1";
-
-/// Default store root, relative to the working directory.
-pub const DEFAULT_STORE_DIR: &str = ".fua-store";
+const STORE_SCHEMA: &str = "fua-store/1";
 
 // --------------------------------------------------------------------
 // Hashing: FNV-1a accumulation, SplitMix64 finalisation.
@@ -116,15 +114,9 @@ impl Hasher {
 pub struct StoreKey(pub [u64; 2]);
 
 impl StoreKey {
-    /// The 32-character hex spelling (the on-disk and CLI form).
+    /// The 32-character hex spelling (the on-disk form).
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0[0], self.0[1])
-    }
-}
-
-impl fmt::Display for StoreKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}{:016x}", self.0[0], self.0[1])
     }
 }
 
@@ -207,20 +199,6 @@ pub enum StoreError {
         /// The hash the bytes produce.
         found: String,
     },
-    /// A `show`/lookup reference matched nothing.
-    NotFound {
-        /// The reference as given.
-        reference: String,
-        /// A summary of what the store does hold.
-        available: String,
-    },
-    /// A key-prefix reference matched more than one distinct key.
-    Ambiguous {
-        /// The reference as given.
-        reference: String,
-        /// The distinct full keys it matched.
-        matches: Vec<String>,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -244,16 +222,6 @@ impl fmt::Display for StoreError {
                 "{}: stored artifact is corrupt (content hash {found}, index expects {expected})",
                 path.display()
             ),
-            StoreError::NotFound {
-                reference,
-                available,
-            } => write!(f, "no stored artifact matches `{reference}`\n{available}"),
-            StoreError::Ambiguous { reference, matches } => write!(
-                f,
-                "`{reference}` is ambiguous; it prefixes {} distinct keys:\n  {}",
-                matches.len(),
-                matches.join("\n  ")
-            ),
         }
     }
 }
@@ -274,8 +242,8 @@ fn io_err(path: &Path, e: std::io::Error) -> StoreError {
 /// One row of the append-only index: a single stored run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// Monotonically increasing insertion number (1-based); the
-    /// longitudinal order `fua trends` walks.
+    /// Monotonically increasing insertion number (1-based): the order
+    /// of a configuration's history.
     pub seq: u64,
     /// Manifest key (hex) — the configuration this run measured.
     pub key: String,
@@ -356,33 +324,6 @@ fn entry_from_json(e: &Json, path: &Path) -> Result<IndexEntry, StoreError> {
 pub struct PutReceipt {
     /// The index row the artifact was filed under.
     pub entry: IndexEntry,
-    /// Whether the object bytes were already present (content dedup) —
-    /// the index still gains a new history entry either way.
-    pub deduplicated: bool,
-}
-
-/// What [`Store::gc`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Objects still referenced by the index (never touched).
-    pub kept_objects: u64,
-    /// Unreferenced objects removed.
-    pub removed_objects: u64,
-    /// Staging files swept out of `tmp/`.
-    pub removed_tmp: u64,
-}
-
-/// Per-key rollup for listings and error messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeySummary {
-    /// The manifest key (hex).
-    pub key: String,
-    /// Stored runs under the key.
-    pub runs: u64,
-    /// Tag of the newest run.
-    pub latest_tag: String,
-    /// BENCH schema of the newest run.
-    pub bench_schema: String,
 }
 
 // --------------------------------------------------------------------
@@ -414,11 +355,6 @@ impl Store {
         Ok(Store { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn index_path(&self) -> PathBuf {
         self.root.join("index.json")
     }
@@ -441,11 +377,7 @@ impl Store {
 
     /// Every index entry, in insertion (seq) order. An absent index
     /// file is an empty store, not an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Index`] on a malformed index file.
-    pub fn entries(&self) -> Result<Vec<IndexEntry>, StoreError> {
+    fn entries(&self) -> Result<Vec<IndexEntry>, StoreError> {
         let path = self.index_path();
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -513,8 +445,7 @@ impl Store {
         // Object before index: the index must never reference bytes
         // that are not fully on disk.
         let object = self.object_path(&content.hex());
-        let deduplicated = object.exists();
-        if !deduplicated {
+        if !object.exists() {
             self.write_atomic(&object, text.as_bytes())?;
         }
 
@@ -530,10 +461,7 @@ impl Store {
         };
         entries.push(entry.clone());
         self.write_index(&entries)?;
-        Ok(PutReceipt {
-            entry,
-            deduplicated,
-        })
+        Ok(PutReceipt { entry })
     }
 
     /// Every entry under one manifest key, oldest first — the
@@ -541,7 +469,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates [`Store::entries`] errors.
+    /// Returns [`StoreError::Index`] on a malformed index file, or
+    /// [`StoreError::Io`] if it cannot be read.
     pub fn history(&self, key: &StoreKey) -> Result<Vec<IndexEntry>, StoreError> {
         let hex = key.hex();
         Ok(self
@@ -570,164 +499,6 @@ impl Store {
             });
         }
         Ok(text)
-    }
-
-    /// Resolves a CLI reference — a decimal seq number, or a manifest-
-    /// key hex prefix (newest entry of that key wins) — to an entry.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] when nothing matches, or
-    /// [`StoreError::Ambiguous`] when a prefix spans several keys.
-    pub fn resolve(&self, reference: &str) -> Result<IndexEntry, StoreError> {
-        let entries = self.entries()?;
-        if reference.chars().all(|c| c.is_ascii_digit()) && !reference.is_empty() {
-            let seq: u64 = reference.parse().unwrap_or(u64::MAX);
-            if let Some(e) = entries.iter().find(|e| e.seq == seq) {
-                return Ok(e.clone());
-            }
-        } else {
-            let keys: BTreeSet<&str> = entries
-                .iter()
-                .map(|e| e.key.as_str())
-                .filter(|k| k.starts_with(reference))
-                .collect();
-            match keys.len() {
-                0 => {}
-                1 => {
-                    let key = *keys.iter().next().expect("one key");
-                    let newest = entries
-                        .iter()
-                        .filter(|e| e.key == key)
-                        .max_by_key(|e| e.seq)
-                        .expect("key came from the entries");
-                    return Ok(newest.clone());
-                }
-                _ => {
-                    return Err(StoreError::Ambiguous {
-                        reference: reference.to_string(),
-                        matches: keys.into_iter().map(str::to_string).collect(),
-                    })
-                }
-            }
-        }
-        Err(StoreError::NotFound {
-            reference: reference.to_string(),
-            available: self.availability(&entries),
-        })
-    }
-
-    /// The `fua store ls` listing: one row per stored run, newest last,
-    /// then the run and configuration counts — or one line saying the
-    /// store is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of [`entries`](Store::entries).
-    pub fn listing(&self) -> Result<String, StoreError> {
-        let entries = self.entries()?;
-        if entries.is_empty() {
-            return Ok(format!("store at {} is empty", self.root.display()));
-        }
-        let mut table = TextTable::new(["seq", "key", "tag", "schema", "bytes"]);
-        for e in &entries {
-            table.push_row([
-                e.seq.to_string(),
-                e.key[..12].to_string(),
-                e.tag.clone(),
-                e.bench_schema.clone(),
-                e.bytes.to_string(),
-            ]);
-        }
-        Ok(format!(
-            "{table}\n{} run(s) over {} configuration(s) in {}",
-            entries.len(),
-            Store::summarize(&entries).len(),
-            self.root.display()
-        ))
-    }
-
-    /// One line per stored configuration, for listings and errors.
-    pub fn summarize(entries: &[IndexEntry]) -> Vec<KeySummary> {
-        let mut out: Vec<KeySummary> = Vec::new();
-        for e in entries {
-            match out.iter_mut().find(|s| s.key == e.key) {
-                Some(s) => {
-                    s.runs += 1;
-                    s.latest_tag = e.tag.clone();
-                    s.bench_schema = e.bench_schema.clone();
-                }
-                None => out.push(KeySummary {
-                    key: e.key.clone(),
-                    runs: 1,
-                    latest_tag: e.tag.clone(),
-                    bench_schema: e.bench_schema.clone(),
-                }),
-            }
-        }
-        out
-    }
-
-    /// A human summary of what the store holds, for error messages.
-    fn availability(&self, entries: &[IndexEntry]) -> String {
-        if entries.is_empty() {
-            return format!(
-                "the store at {} is empty (run `fua bench-suite --store` to populate it)",
-                self.root.display()
-            );
-        }
-        let lines: Vec<String> = Store::summarize(entries)
-            .iter()
-            .map(|s| {
-                format!(
-                    "  {} ({} run(s), latest tag \"{}\", {})",
-                    s.key, s.runs, s.latest_tag, s.bench_schema
-                )
-            })
-            .collect();
-        format!(
-            "available: {} run(s) under {} configuration key(s):\n{}",
-            entries.len(),
-            lines.len(),
-            lines.join("\n")
-        )
-    }
-
-    /// Sweeps unreferenced objects and staging leftovers. Indexed
-    /// artifacts are never touched: removal candidates are exactly the
-    /// object files whose content hash no index entry references.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if a directory scan or removal fails.
-    pub fn gc(&self) -> Result<GcReport, StoreError> {
-        let referenced: BTreeSet<String> = self.entries()?.into_iter().map(|e| e.content).collect();
-        let mut report = GcReport::default();
-        let objects = self.root.join("objects");
-        let dir = fs::read_dir(&objects).map_err(|e| io_err(&objects, e))?;
-        for item in dir {
-            let item = item.map_err(|e| io_err(&objects, e))?;
-            let path = item.path();
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default();
-            if referenced.contains(stem) {
-                report.kept_objects += 1;
-            } else {
-                fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-                report.removed_objects += 1;
-            }
-        }
-        let tmp = self.root.join("tmp");
-        let dir = fs::read_dir(&tmp).map_err(|e| io_err(&tmp, e))?;
-        for item in dir {
-            let item = item.map_err(|e| io_err(&tmp, e))?;
-            let path = item.path();
-            fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-            report.removed_tmp += 1;
-        }
-        Ok(report)
     }
 }
 
@@ -858,32 +629,113 @@ mod tests {
         let hex = k.hex();
         assert_eq!(hex.len(), 32);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-        assert_eq!(hex, k.to_string());
+    }
+
+    /// A fresh store under the system temp dir, removed on drop.
+    struct TempStore {
+        dir: PathBuf,
+        store: Store,
+    }
+
+    impl TempStore {
+        fn new(label: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "fua-store-{label}-{}-{}",
+                std::process::id(),
+                STAGING.fetch_add(1, Ordering::Relaxed)
+            ));
+            let store = Store::open(&dir).unwrap();
+            TempStore { dir, store }
+        }
+
+        fn objects(&self) -> usize {
+            fs::read_dir(self.dir.join("objects")).unwrap().count()
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// The committed seed artifact: a real BENCH file, no simulation.
+    fn seed_artifact() -> String {
+        fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_seed.json"
+        ))
+        .expect("committed seed artifact")
+    }
+
+    fn key_of(text: &str) -> StoreKey {
+        let report: BenchReport = text.parse().unwrap();
+        manifest_key(&report.manifest, BENCH_SCHEMA)
     }
 
     #[test]
     fn an_absent_index_is_an_empty_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "fua-store-empty-{}-{}",
-            std::process::id(),
-            STAGING.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = Store::open(&dir).unwrap();
-        assert!(store.entries().unwrap().is_empty());
-        let err = store.resolve("1").unwrap_err();
-        assert!(matches!(err, StoreError::NotFound { .. }), "{err}");
-        assert!(err.to_string().contains("empty"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
+        let tmp = TempStore::new("empty");
+        assert!(!tmp.dir.join("index.json").exists());
+        assert!(tmp.store.entries().unwrap().is_empty());
+        let key = key_of(&seed_artifact());
+        assert!(tmp.store.history(&key).unwrap().is_empty());
+    }
+
+    #[test]
+    fn put_then_history_then_read_returns_the_bytes_unchanged() {
+        let tmp = TempStore::new("roundtrip");
+        let text = seed_artifact();
+        let receipt = tmp.store.put(&text, Path::new("seed")).unwrap();
+        assert_eq!(receipt.entry.seq, 1);
+        assert_eq!(receipt.entry.tag, "seed");
+        assert_eq!(receipt.entry.bench_schema, BENCH_SCHEMA);
+        assert_eq!(receipt.entry.bytes, text.len() as u64);
+
+        let history = tmp.store.history(&key_of(&text)).unwrap();
+        assert_eq!(history, vec![receipt.entry.clone()]);
+        assert_eq!(tmp.store.read(&history[0]).unwrap(), text);
+    }
+
+    #[test]
+    fn identical_bytes_are_stored_once() {
+        let tmp = TempStore::new("dedup");
+        let text = seed_artifact();
+        let first = tmp.store.put(&text, Path::new("a")).unwrap().entry;
+        let second = tmp.store.put(&text, Path::new("b")).unwrap().entry;
+        // Two history entries, one object file.
+        assert_eq!((first.seq, second.seq), (1, 2));
+        assert_eq!(first.content, second.content);
+        assert_eq!(tmp.objects(), 1);
+        let history = tmp.store.history(&key_of(&text)).unwrap();
+        assert_eq!(history, vec![first, second.clone()]);
+        assert_eq!(tmp.store.read(&second).unwrap(), text);
+    }
+
+    #[test]
+    fn a_limit_change_starts_a_new_history() {
+        let tmp = TempStore::new("keysplit");
+        let text = seed_artifact();
+        let changed = text.replacen("\"inst_limit\": 25000,", "\"inst_limit\": 25001,", 1);
+        assert_ne!(changed, text, "the seed records its limit");
+        tmp.store.put(&text, Path::new("a")).unwrap();
+        tmp.store.put(&changed, Path::new("b")).unwrap();
+
+        let (old, new) = (key_of(&text), key_of(&changed));
+        assert_ne!(old, new);
+        let old_history = tmp.store.history(&old).unwrap();
+        let new_history = tmp.store.history(&new).unwrap();
+        assert_eq!(old_history.len(), 1);
+        assert_eq!(new_history.len(), 1);
+        assert_eq!(tmp.store.read(&old_history[0]).unwrap(), text);
+        assert_eq!(tmp.store.read(&new_history[0]).unwrap(), changed);
+        assert_eq!(tmp.objects(), 2);
     }
 
     #[test]
     fn a_malformed_index_is_reported_with_its_path() {
-        let dir = std::env::temp_dir().join(format!(
-            "fua-store-badindex-{}-{}",
-            std::process::id(),
-            STAGING.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = Store::open(&dir).unwrap();
+        let tmp = TempStore::new("badindex");
+        let (dir, store) = (&tmp.dir, &tmp.store);
         fs::write(dir.join("index.json"), "{\"schema\": \"nope\"}").unwrap();
         let err = store.entries().unwrap_err();
         let msg = err.to_string();
@@ -903,6 +755,5 @@ mod tests {
             assert!(msg.contains("index.json"), "{msg}");
             assert!(msg.contains(&format!("`{field}`")), "{msg}");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -8,18 +8,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
-cargo clippy --workspace --all-targets -- -D warnings
-cargo build --release
+# --locked throughout: a change that makes cargo rewrite Cargo.lock or
+# perfbench/Cargo.lock fails here instead of silently dirtying a lock.
+cargo clippy --locked --workspace --all-targets -- -D warnings
+cargo build --locked --release
 # The workspace's default members are the facade plus every library
 # crate, so this runs the crates' unit tests too.
-cargo test -q
+cargo test --locked -q
 # The benchmark (perfbench/) is its own workspace over the library
 # crates; build and test it so a library change cannot break it unseen.
-cargo test --offline -q --manifest-path perfbench/Cargo.toml
+cargo test --locked --offline -q --manifest-path perfbench/Cargo.toml
 # Benchmark-oracle smoke leg: a traced `ledger` run rebuilds every
 # Figure-4 cell and estimator entry as separate single-scheme runs and
 # compares them with the library's (lane-folded) artifact.
-ledger_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+ledger_out="$(cargo run --locked --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload ledger --seed 0 --seconds 1 --trace 1)"
 last_line="$(printf '%s\n' "$ledger_out" | tail -n 1)"
 if [[ "$last_line" != *'"correct": true'* || "$last_line" != *'"failed": 0'* ]]; then
@@ -32,7 +34,7 @@ if [[ "$ledger_out" != *"replay reproduces the artifact's figures and estimator 
 fi
 # Untraced ledger leg: the path the benchmark gate times, without the
 # replay and per-layer probes.
-ledger_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+ledger_out="$(cargo run --locked --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload ledger --seed 0 --seconds 1 --trace 0)"
 last_line="$(printf '%s\n' "$ledger_out" | tail -n 1)"
 if [[ "$last_line" != *'"correct": true'* || "$last_line" != *'"failed": 0'* ]]; then
@@ -42,7 +44,7 @@ fi
 # Engine smoke leg: the `engine` workload runs each program on one lane
 # that measures every class, the other path of the lane loop that the
 # sweeps' class-restricted lanes take.
-engine_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+engine_out="$(cargo run --locked --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload engine --seed 0 --seconds 1 --trace 0)"
 last_line="$(printf '%s\n' "$engine_out" | tail -n 1)"
 if [[ "$last_line" != *'"correct": true'* || "$last_line" != *'"failed": 0'* ]]; then
@@ -52,7 +54,7 @@ fi
 
 # Docs gate: every public item is documented (deny(missing_docs)) and
 # rustdoc itself is warning-clean (broken intra-doc links, bad HTML).
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace
 
 # Observability gate: a fresh quick-suite BENCH artifact must pass the
 # tolerance-banded comparison against the committed seed baseline.
@@ -181,73 +183,20 @@ mkdir -p "$outdir"
   cat estimator-precision.txt
 )
 
-# Run-store and trends gates: two reduced-scale runs recorded to the
-# store must trend clean; a third run seeded with a regressed headline
-# (edited offline, re-added via `store put`) must fail `trends` and
-# `report --store`; stored artifacts must survive `store gc` byte-
-# identically.
-(
-  cd "$outdir"
-  "$repo/target/release/fua" bench-suite --limit 1500 --store --tag t1
-  "$repo/target/release/fua" bench-suite --limit 1500 --store --tag t2
-  "$repo/target/release/fua" trends | tee trends-clean.txt
-  grep -q "PASS: 0 finding(s)" trends-clean.txt
-  "$repo/target/release/fua" trends --json > trends.json
-
-  "$repo/target/release/fua" store show 2 > shown.json
-  sed 's/"ialu_pct": [0-9.eE+-]*,/"ialu_pct": 1.0,/' shown.json > regressed.json
-  "$repo/target/release/fua" store put regressed.json
-  if "$repo/target/release/fua" trends > trends-regressed.txt; then
-    echo "a regressed newest run unexpectedly passed trends" >&2
-    exit 1
-  fi
-  grep -q "trend-regression" trends-regressed.txt
-  if "$repo/target/release/fua" report --store; then
-    echo "a regressed stored run unexpectedly passed report --store" >&2
-    exit 1
-  fi
-
-  "$repo/target/release/fua" store gc
-  "$repo/target/release/fua" store show 2 > reshown.json
-  cmp shown.json reshown.json
-)
-
-# Gate-agreement leg: `trends` and `report --store` band the same
-# catalogue, so a third run with Table 2's IALU P(k=1) lowered by 0.2
-# and P(k=2) raised by 0.2 must fail both.
-(
-  cd "$outdir"
-  "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o1
-  "$repo/target/release/fua" bench-suite --limit 1500 --store-dir .occupancy-store --tag o2
-  "$repo/target/release/fua" store show 2 --store-dir .occupancy-store > occupancy.json
-  awk '
-    /"ialu_occupancy": \[/ { level = 1; print; next }
-    level == 1 { sub(/[0-9.eE+-]+/, sprintf("%.17g", $1 - 0.2)); level = 2; print; next }
-    level == 2 { sub(/[0-9.eE+-]+/, sprintf("%.17g", $1 + 0.2)); level = 0; print; next }
-    { print }
-  ' occupancy.json > occupancy-shifted.json
-  "$repo/target/release/fua" store put occupancy-shifted.json --store-dir .occupancy-store
-  if "$repo/target/release/fua" trends --store-dir .occupancy-store; then
-    echo "a shifted Table-2 occupancy unexpectedly passed trends" >&2
-    exit 1
-  fi
-  if "$repo/target/release/fua" report --store --store-dir .occupancy-store; then
-    echo "a shifted Table-2 occupancy unexpectedly passed report --store" >&2
-    exit 1
-  fi
-)
-
-# Throughput gate (see docs/PERFORMANCE.md). The simulated-MHz rate is
-# gated through a dedicated run store: two fresh runs must trend clean
-# and pass the slowdown-only sim-rate band.
+# Throughput gate (see docs/PERFORMANCE.md): two fresh runs must pass
+# the slowdown-only sim-rate band of the report gate.
 (
   cd "$outdir"
   mkdir -p rate && cd rate
-  "$repo/target/release/fua" bench-suite --store --store-dir .rate-store --tag rate1
-  "$repo/target/release/fua" bench-suite --store --store-dir .rate-store --tag rate2
-  "$repo/target/release/fua" report --store --store-dir .rate-store | tee sim-rate-gate.txt
-  "$repo/target/release/fua" trends --store-dir .rate-store | tee sim-rate-trends.txt
-  grep -q "PASS: 0 finding(s)" sim-rate-trends.txt
+  "$repo/target/release/fua" bench-suite --tag rate1
+  "$repo/target/release/fua" bench-suite --tag rate2
+  out="$("$repo/target/release/fua" report \
+    --baseline BENCH_rate1.json --current BENCH_rate2.json)"
+  echo "$out" | tee sim-rate-gate.txt
+  if [[ "$out" != *"PASS: 0 finding(s)"* ]]; then
+    echo "the sim-rate gate produced findings" >&2
+    exit 1
+  fi
 )
 
 # Ablation gate: every study `fua ablation` prints must run, print a
@@ -284,7 +233,7 @@ mkdir -p "$outdir"
 # installs the counting allocator) must produce a harness-report whose
 # stdout is byte-identical between --jobs 1 and --jobs 4 while emitting
 # the Perfetto timeline and folded stacks.
-cargo test -q --test alloc_gate
+cargo test --locked -q --test alloc_gate
 (
   cd "$outdir"
   "$repo/target/release/fua" harness-report --jobs 1 \

@@ -15,7 +15,6 @@ use fua::core::{ExperimentConfig, Unit};
 use fua::exec::Jobs;
 use fua::report::DEFAULT_WINDOW_CYCLES;
 use fua::sim::MachineConfig;
-use fua::store::DEFAULT_STORE_DIR;
 use fua::workloads::Workload;
 
 /// Default retired-instruction cap for simulation commands.
@@ -49,35 +48,7 @@ pub struct Options {
     pub per_block: bool,
     pub verify: bool,
     pub critical_path: bool,
-    pub store: bool,
-    pub store_dir: Option<String>,
     pub progress: bool,
-}
-
-impl Options {
-    /// Whether the command should read/write the run store (`--store`,
-    /// or `--store-dir` which implies it).
-    pub fn use_store(&self) -> bool {
-        self.store || self.store_dir.is_some()
-    }
-
-    /// The run-store directory: `--store-dir` or the default
-    /// `.fua-store`.
-    pub fn store_root(&self) -> &str {
-        self.store_dir.as_deref().unwrap_or(DEFAULT_STORE_DIR)
-    }
-}
-
-/// A `fua store <action>` subcommand.
-pub enum StoreAction {
-    /// List every stored run, newest last.
-    Ls,
-    /// Print one stored artifact, byte-identical, to stdout.
-    Show(String),
-    /// Add an existing artifact file to the store.
-    Put(String),
-    /// Remove unreferenced objects and stale staging files.
-    Gc,
 }
 
 /// A recognised `(command, sub)` pair, ready to dispatch.
@@ -102,8 +73,6 @@ pub enum Cmd {
     ProfileCycles(String),
     BenchSuite,
     Report,
-    Store(StoreAction),
-    Trends,
     HarnessReport,
 }
 
@@ -137,11 +106,6 @@ pub fn dispatch(command: &str, subs: &[&str]) -> Option<Cmd> {
         ("profile-cycles", [name]) => Cmd::ProfileCycles(name.to_string()),
         ("bench-suite", []) => Cmd::BenchSuite,
         ("report", []) => Cmd::Report,
-        ("store", ["ls"]) => Cmd::Store(StoreAction::Ls),
-        ("store", ["show", reference]) => Cmd::Store(StoreAction::Show(reference.to_string())),
-        ("store", ["put", file]) => Cmd::Store(StoreAction::Put(file.to_string())),
-        ("store", ["gc"]) => Cmd::Store(StoreAction::Gc),
-        ("trends", []) => Cmd::Trends,
         ("harness-report", []) => Cmd::HarnessReport,
         _ => return None,
     })
@@ -174,10 +138,8 @@ pub const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("trace", "--limit --scale --metrics --out --last --window --csv"),
     ("profile-energy", "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
     ("profile-cycles", "--limit --scale --jobs --json --scheme --top --flame --critical-path --progress"),
-    ("bench-suite", "--limit --scale --jobs --window --tag --store --store-dir --progress"),
-    ("report", "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
-    ("store", "--store-dir"),
-    ("trends", "--json --store-dir"),
+    ("bench-suite", "--limit --scale --jobs --window --tag --progress"),
+    ("report", "--limit --scale --jobs --window --baseline --current --progress"),
     ("harness-report", "--limit --scale --jobs --json --out --flame --progress"),
 ];
 
@@ -195,8 +157,7 @@ pub fn usage() -> ExitCode {
          staticswap <ialu|fpau> | analyze <workload> | lint [workload] | workloads | \
          run <workload> | estimate <workload|all> | trace <workload> | \
          profile-energy <workload|all> | profile-cycles <workload|all> | bench-suite | \
-         report (--baseline FILE [--current FILE] | --store) | \
-         store <ls|show REF|put FILE|gc> | trends | harness-report\n\
+         report --baseline FILE [--current FILE] | harness-report\n\
          try `fua --help` for the full reference and the flags each command reads",
         ABLATIONS.join("|")
     );
@@ -247,19 +208,8 @@ pub fn help() {
          \n\
          experiment ledger:\n\
          \x20 bench-suite             quick suite -> BENCH_<tag>.json artifact\n\
-         \x20                         (--store: append to the run store instead)\n\
          \x20 report                  tolerance-banded diff vs a BENCH baseline\n\
-         \x20                         (nonzero exit on regression — the CI gate;\n\
-         \x20                         --store: diff the two newest stored runs)\n\
-         \x20 store ls                list the run store, newest last\n\
-         \x20 store show <ref>        print one stored artifact byte-identically\n\
-         \x20                         (<ref>: a sequence number or a key prefix)\n\
-         \x20 store put <file>        add an existing BENCH artifact to the store\n\
-         \x20 store gc                drop unreferenced objects and staging files\n\
-         \x20 trends                  per-metric trajectories over the stored runs\n\
-         \x20                         of the newest configuration, with rolling-\n\
-         \x20                         median change points (nonzero exit when the\n\
-         \x20                         newest run regresses)\n\
+         \x20                         (nonzero exit on regression — the CI gate)\n\
          \x20 harness-report          observe the harness observing: sweep the\n\
          \x20                         workloads with span collection on and print\n\
          \x20                         per-stage cell counts, simulated cycles,\n\
@@ -304,14 +254,9 @@ pub fn help() {
          \x20                 per-node operand/structural wait\n\
          \x20 --tag <T>       artifact tag, default \"local\": bench-suite writes\n\
          \x20                 BENCH_<T>.json\n\
-         \x20 --baseline <F>  baseline artifact (or use --store)\n\
+         \x20 --baseline <F>  baseline artifact\n\
          \x20 --current <F>   current artifact; omitted = run a fresh bench-suite\n\
          \x20                 and diff that\n\
-         \x20 --store         use the run store: bench-suite appends its artifact\n\
-         \x20                 to the store; report diffs the two newest stored\n\
-         \x20                 runs of the newest configuration\n\
-         \x20 --store-dir <D> run-store directory, default {DEFAULT_STORE_DIR}\n\
-         \x20                 (implies --store)\n\
          \x20 --progress      print a heartbeat line to stderr every few seconds\n\
          \x20                 (elapsed, stage, cells done/total, eta) plus a\n\
          \x20                 per-stage worker-utilization summary; stdout and\n\
@@ -379,8 +324,6 @@ pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> 
         per_block: false,
         verify: false,
         critical_path: false,
-        store: false,
-        store_dir: None,
         progress: false,
     };
     let mut it = args.iter();
@@ -459,11 +402,6 @@ pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> 
             "--per-block" => opts.per_block = true,
             "--verify" => opts.verify = true,
             "--critical-path" => opts.critical_path = true,
-            "--store" => opts.store = true,
-            "--store-dir" => {
-                let v = it.next().ok_or("--store-dir needs a directory path")?;
-                opts.store_dir = Some(v.clone());
-            }
             "--progress" => opts.progress = true,
             other => return Err(format!("unknown option: {other}")),
         }

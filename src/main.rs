@@ -10,14 +10,13 @@
 //! findings), so `fua run --json`, `fua trace --out` and the report
 //! commands compose cleanly with pipes.
 
-use std::path::Path;
 use std::process::ExitCode;
 
 mod cli;
 
 use cli::{
     bench_config, config, dispatch, help, parse_options, parse_scheme, profile_workloads, usage,
-    workload, Cmd, Options, StoreAction, ABLATIONS, DEFAULT_LIMIT, PROFILE_DEFAULT_LIMIT,
+    workload, Cmd, Options, ABLATIONS, DEFAULT_LIMIT, PROFILE_DEFAULT_LIMIT,
 };
 use fua::attr::{
     attribute_suite, profile_cycles_suite, CycleProfile, EnergyComparison, EnergyProfile,
@@ -32,11 +31,9 @@ use fua::core::{
 };
 use fua::exec::{enable_heartbeat, heartbeat_stage, Jobs};
 use fua::report::{
-    bench_suite_jobs, compare, trends, BenchReport, HarnessReport, Tolerance, TrendError,
-    TrendReport, DEFAULT_WINDOW_CYCLES,
+    bench_suite_jobs, compare, BenchReport, HarnessReport, Tolerance, DEFAULT_WINDOW_CYCLES,
 };
 use fua::sim::{MachineConfig, Simulator};
-use fua::store::{IndexEntry, Store};
 use fua::trace::MetricsRecorder;
 use fua::workloads::{Workload, WorkloadArena};
 
@@ -441,28 +438,10 @@ fn cmd_bench_suite(opts: &Options) -> CmdResult {
     heartbeat_stage("bench-suite: writing artifact");
     let mut rendered = report.to_json().pretty();
     rendered.push('\n');
-    let destination = if opts.use_store() {
-        let receipt = open_store(opts)?
-            .put(&rendered, Path::new("bench-suite"))
-            .map_err(|e| e.to_string())?;
-        format!(
-            "run #{} (key {}{}) to {}",
-            receipt.entry.seq,
-            &receipt.entry.key[..12],
-            if receipt.deduplicated {
-                ", object deduplicated"
-            } else {
-                ""
-            },
-            opts.store_root()
-        )
-    } else {
-        let path = format!("BENCH_{tag}.json");
-        write_file(&path, rendered)?;
-        path
-    };
+    let path = format!("BENCH_{tag}.json");
+    write_file(&path, rendered)?;
     eprintln!(
-        "bench-suite: wrote {destination} (IALU {:.1}%, FPAU {:.1}%, {} windows, \
+        "bench-suite: wrote {path} (IALU {:.1}%, FPAU {:.1}%, {} windows, \
          telemetry exact: {}, attribution exact: {}, stall partition exact: {})",
         report.headline_ialu_pct,
         report.headline_fpau_pct,
@@ -502,141 +481,30 @@ fn cmd_bench_suite(opts: &Options) -> CmdResult {
     Ok(true)
 }
 
-/// Opens the run store `--store-dir` names (default `.fua-store`).
-fn open_store(opts: &Options) -> Result<Store, String> {
-    Store::open(Path::new(opts.store_root())).map_err(|e| e.to_string())
-}
-
-/// The newest stored run's manifest-key history, parsed in sequence
-/// order — the artifact series `report --store` and `trends` operate
-/// on.
-fn store_history(store: &Store) -> Result<Vec<(IndexEntry, BenchReport)>, String> {
-    let entries = store.entries().map_err(|e| e.to_string())?;
-    let Some(newest) = entries.last() else {
-        return Err(format!(
-            "the run store at {} is empty; record runs with \
-             `fua bench-suite --store` first",
-            store.root().display()
-        ));
-    };
-    entries
-        .iter()
-        .filter(|e| e.key == newest.key)
-        .map(|entry| {
-            let text = store.read(entry).map_err(|e| e.to_string())?;
-            let report = text
-                .parse::<BenchReport>()
-                .map_err(|e| format!("stored run #{} ({}): {e}", entry.seq, &entry.key[..12]))?;
-            Ok((entry.clone(), report))
-        })
-        .collect()
-}
-
 fn cmd_report(opts: &Options) -> CmdResult {
-    if opts.use_store() && (opts.baseline.is_some() || opts.current.is_some()) {
-        return Err("report --store picks both artifacts from the run store; \
-                    it cannot be combined with --baseline/--current"
-            .into());
-    }
-    let (baseline, current) = if opts.use_store() {
-        let mut history = store_history(&open_store(opts)?)?;
-        if history.len() < 2 {
-            return Err(format!(
-                "report --store needs two stored runs of the newest configuration, \
-                 have {}; record another with `fua bench-suite --store`",
-                history.len()
-            ));
+    let baseline_path = opts
+        .baseline
+        .as_deref()
+        .ok_or("report needs --baseline <FILE> (a BENCH_<tag>.json artifact)")?;
+    let baseline = load_bench(baseline_path)?;
+    let current = match opts.current.as_deref() {
+        Some(path) => load_bench(path)?,
+        None => {
+            let cfg = bench_config(opts);
+            let window = opts.window.unwrap_or(DEFAULT_WINDOW_CYCLES);
+            eprintln!(
+                "report: no --current given; running a fresh bench-suite \
+                 (scale {}, limit {}, {} job(s)) ...",
+                cfg.scale, cfg.inst_limit, opts.jobs
+            );
+            heartbeat_stage("report: fresh bench-suite");
+            bench_suite_jobs("current", &cfg, window, opts.jobs)
         }
-        let (cur_entry, current) = history.pop().expect("len checked above");
-        let (base_entry, baseline) = history.pop().expect("len checked above");
-        eprintln!(
-            "report: diffing stored run #{} ({}) against #{} ({})",
-            cur_entry.seq, cur_entry.tag, base_entry.seq, base_entry.tag
-        );
-        (baseline, current)
-    } else {
-        let baseline_path = opts
-            .baseline
-            .as_deref()
-            .ok_or("report needs --baseline <FILE> (a BENCH_<tag>.json artifact) or --store")?;
-        let baseline = load_bench(baseline_path)?;
-        let current = match opts.current.as_deref() {
-            Some(path) => load_bench(path)?,
-            None => {
-                let cfg = bench_config(opts);
-                let window = opts.window.unwrap_or(DEFAULT_WINDOW_CYCLES);
-                eprintln!(
-                    "report: no --current given; running a fresh bench-suite \
-                     (scale {}, limit {}, {} job(s)) ...",
-                    cfg.scale, cfg.inst_limit, opts.jobs
-                );
-                heartbeat_stage("report: fresh bench-suite");
-                bench_suite_jobs("current", &cfg, window, opts.jobs)
-            }
-        };
-        (baseline, current)
     };
 
     let cmp = compare(&baseline, &current, &Tolerance::default());
     println!("{}", cmp.render(&baseline.manifest.tag));
     Ok(cmp.passed())
-}
-
-fn cmd_store(action: &StoreAction, opts: &Options) -> CmdResult {
-    let store = open_store(opts)?;
-    match action {
-        StoreAction::Ls => println!("{}", store.listing().map_err(|e| e.to_string())?),
-        StoreAction::Show(reference) => {
-            let entry = store.resolve(reference).map_err(|e| e.to_string())?;
-            let text = store.read(&entry).map_err(|e| e.to_string())?;
-            // Byte-identical: the artifact already ends in a newline.
-            print!("{text}");
-        }
-        StoreAction::Put(file) => {
-            let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let receipt = store
-                .put(&text, Path::new(file))
-                .map_err(|e| e.to_string())?;
-            println!(
-                "stored run #{} (key {}, tag \"{}\", {} bytes{})",
-                receipt.entry.seq,
-                &receipt.entry.key[..12],
-                receipt.entry.tag,
-                receipt.entry.bytes,
-                if receipt.deduplicated {
-                    ", object deduplicated"
-                } else {
-                    ""
-                }
-            );
-        }
-        StoreAction::Gc => {
-            let report = store.gc().map_err(|e| e.to_string())?;
-            println!(
-                "gc: kept {} object(s), removed {} unreferenced object(s) and {} staging file(s)",
-                report.kept_objects, report.removed_objects, report.removed_tmp
-            );
-        }
-    }
-    Ok(true)
-}
-
-fn cmd_trends(opts: &Options) -> CmdResult {
-    let history = store_history(&open_store(opts)?)?;
-    let points: Vec<(String, BenchReport)> = history
-        .into_iter()
-        .map(|(entry, report)| (format!("#{} {}", entry.seq, entry.tag), report))
-        .collect();
-    let trend = trends(&points, &Tolerance::default()).map_err(|e| match e {
-        TrendError::TooFew { have } => format!(
-            "{e}; record more with `fua bench-suite --store` \
-             (store holds {have} run(s) of the newest configuration)"
-        ),
-        other => other.to_string(),
-    })?;
-
-    emit(&trend, TrendReport::render, &[], opts.json)?;
-    Ok(trend.passed())
 }
 
 /// `fua harness-report` — observe the harness observing (see
@@ -685,19 +553,14 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    // Positional arguments (for figure4/run/trace, and the two-word
-    // store actions) precede the -- options.
-    let mut opt_start = 1;
-    let mut subs: Vec<&str> = Vec::new();
-    while subs.len() < 2 {
-        match args.get(opt_start).filter(|a| !a.starts_with("--")) {
-            Some(sub) => {
-                subs.push(sub.as_str());
-                opt_start += 1;
-            }
-            None => break,
-        }
-    }
+    // Positional arguments (for figure4/run/trace) precede the --
+    // options.
+    let subs: Vec<&str> = args[1..]
+        .iter()
+        .take_while(|a| !a.starts_with("--"))
+        .map(String::as_str)
+        .collect();
+    let opt_start = 1 + subs.len();
     let Some(cmd) = dispatch(command, &subs) else {
         return usage();
     };
@@ -755,8 +618,6 @@ fn main() -> ExitCode {
         Cmd::ProfileCycles(name) => cmd_profile_cycles(&name, &opts),
         Cmd::BenchSuite => cmd_bench_suite(&opts),
         Cmd::Report => cmd_report(&opts),
-        Cmd::Store(action) => cmd_store(&action, &opts),
-        Cmd::Trends => cmd_trends(&opts),
         Cmd::HarnessReport => cmd_harness_report(&opts),
     };
     match result {

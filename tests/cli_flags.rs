@@ -268,58 +268,6 @@ fn report_schema_mismatch_lists_the_accepted_range() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn report_store_is_mutually_exclusive_with_explicit_artifacts() {
-    let stderr = expect_rejection(&["report", "--store", "--baseline", "BENCH_x.json"]);
-    assert!(
-        stderr.contains("cannot be combined with --baseline/--current"),
-        "got: {stderr}"
-    );
-}
-
-#[test]
-fn store_subcommands_validate_their_arguments() {
-    // An unknown store action is a usage error.
-    let out = fua(&["store", "frobnicate"]);
-    assert!(!out.status.success());
-
-    // A reference into an empty store names the store and what it holds.
-    let dir = std::env::temp_dir().join(format!("fua-storeref-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_fua"))
-        .current_dir(&dir)
-        .args(["store", "show", "7"])
-        .output()
-        .expect("spawn fua binary");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("no stored artifact matches `7`"),
-        "got: {stderr}"
-    );
-
-    // A hand-edited index with a short key is an error naming the
-    // index, not a panic.
-    let dir = std::env::temp_dir().join(format!("fua-storeidx-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let hex = "0123456789abcdef0123456789abcdef";
-    let index = format!(
-        "{{\"schema\": \"{}\", \"entries\": [{{\"seq\": 1, \"key\": \"abc\", \
-         \"content\": \"{hex}\", \"tag\": \"t\", \"bench_schema\": \"fua-bench/1.8\", \
-         \"bytes\": 1}}]}}",
-        fua::store::STORE_SCHEMA
-    );
-    std::fs::write(dir.join("index.json"), index).unwrap();
-    let out = fua(&["store", "ls", "--store-dir", dir.to_str().unwrap()]);
-    let _ = std::fs::remove_dir_all(&dir);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.stdout.is_empty(), "got: {stderr}");
-    assert_eq!(out.status.code(), Some(1), "got: {stderr}");
-    assert!(stderr.contains("error:"), "got: {stderr}");
-    assert!(stderr.contains("index.json"), "got: {stderr}");
-}
-
 /// Every command, with the positional arguments it needs, and the flags
 /// its implementation reads in some mode.
 #[rustfmt::skip]
@@ -342,14 +290,14 @@ const COMMAND_FLAGS: &[(&[&str], &str)] = &[
     (&["trace", "li"], "--limit --scale --metrics --out --last --window --csv"),
     (&["profile-energy", "all"], "--limit --scale --jobs --json --scheme --compare --top --flame --progress"),
     (&["profile-cycles", "swim"], "--limit --scale --jobs --json --scheme --top --flame --critical-path --progress"),
-    (&["bench-suite"], "--limit --scale --jobs --window --tag --store --store-dir --progress"),
-    (&["report"], "--limit --scale --jobs --window --baseline --current --store --store-dir --progress"),
-    (&["store", "ls"], "--store-dir"),
-    (&["trends"], "--json --store-dir"),
+    (&["bench-suite"], "--limit --scale --jobs --window --tag --progress"),
+    (&["report"], "--limit --scale --jobs --window --baseline --current --progress"),
     (&["harness-report"], "--limit --scale --jobs --json --out --flame --progress"),
 ];
 
-/// Every flag, followed by valid values.
+/// Every flag, followed by valid values, plus `--store` and
+/// `--store-dir`, which no command reads: every command must reject
+/// them as unknown options.
 const FLAGS: [&str; 22] = [
     "--limit 5",
     "--scale 1",
@@ -385,10 +333,13 @@ fn every_command_rejects_the_flags_it_does_not_read() {
             let args = [command, &tail[..]].concat();
             let flag = tail[0];
             let stderr = expect_rejection(&args);
-            let expected = if reads.split(' ').any(|f| f == flag) {
+            let read_by = |flags: &str| flags.split(' ').any(|f| f == flag);
+            let expected = if read_by(reads) {
                 "unknown option: --nosuch".to_string()
-            } else {
+            } else if COMMAND_FLAGS.iter().any(|(_, flags)| read_by(flags)) {
                 format!("`fua {}` does not read {flag} (", command[0])
+            } else {
+                format!("unknown option: {flag}")
             };
             assert!(
                 stderr.contains(&expected),
@@ -396,5 +347,17 @@ fn every_command_rejects_the_flags_it_does_not_read() {
                 args.join(" ")
             );
         }
+    }
+}
+
+#[test]
+fn the_retired_store_and_trends_commands_are_unknown_commands() {
+    let unknown = fua(&["nosuch"]);
+    assert_eq!(unknown.status.code(), Some(1));
+    for args in [&["store", "ls"][..], &["trends"], &["store", "gc"]] {
+        let out = fua(args);
+        assert_eq!(out.status.code(), Some(1), "fua {}", args.join(" "));
+        assert!(out.stdout.is_empty(), "fua {}", args.join(" "));
+        assert_eq!(out.stderr, unknown.stderr, "fua {}", args.join(" "));
     }
 }
