@@ -341,7 +341,7 @@ pub(crate) fn catalogue(shape: &BenchReport, tol: &Tolerance) -> Vec<Metric> {
 
 #[cfg(test)]
 mod tests {
-    use super::{band, BandKind, Verdict};
+    use super::{band, catalogue, BandKind, Verdict};
     use crate::bench::{bench_suite_jobs, BenchReport};
     use crate::{compare, trends, Tolerance};
     use fua_core::ExperimentConfig;
@@ -359,6 +359,19 @@ mod tests {
         r.throughput.as_mut().unwrap().hot_nanos = 10_000_000;
         r.harness.as_mut().unwrap().allocs_per_kcycle = Some(5.0);
         r
+    }
+
+    #[test]
+    fn every_catalogue_metric_reads_a_value_from_a_clean_run() {
+        // A `None` is a hole, which neither gate bands: an extractor
+        // that broke would silently stop gating its metric.
+        let clean = clean();
+        let holes: Vec<String> = catalogue(&clean, &Tolerance::default())
+            .into_iter()
+            .filter(|m| (m.extract)(&clean).is_none())
+            .map(|m| m.name)
+            .collect();
+        assert!(holes.is_empty(), "holes: {holes:?}");
     }
 
     #[test]

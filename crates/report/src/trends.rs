@@ -193,9 +193,19 @@ mod tests {
     fn a_flat_history_passes_with_no_findings() {
         // The allocation metric is a hole on every point, because the
         // test binary runs without the counting allocator installed.
-        let report = trends(&history(4), &Tolerance::default()).unwrap();
+        let points = history(4);
+        let tol = Tolerance::default();
+        let report = trends(&points, &tol).unwrap();
         assert!(report.passed());
         assert!(report.findings.is_empty(), "{:#?}", report.findings);
+        // Every other metric has a value at every point, so every one
+        // of them was banded.
+        for metric in catalogue(&points[0].1, &tol) {
+            let allocs = metric.name == "harness allocs/kcycle";
+            for (_, point) in &points {
+                assert_eq!((metric.extract)(point).is_none(), allocs, "{}", metric.name);
+            }
+        }
     }
 
     #[test]
